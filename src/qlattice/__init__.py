@@ -52,6 +52,7 @@ from .gfspace import (
     lattice,
     lattice_budget,
     lattice_size,
+    line_mask,
     subspace_at,
     union_space,
     zero_subspace,

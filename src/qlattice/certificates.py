@@ -7,6 +7,11 @@ member functionals g_i (a product over L of shared-line counts). Evaluating a
 chosen row set on the containment vectors of every subspace of the ambient
 space and computing the rank mod p yields a sound one-sided certificate:
 full row rank proves linear independence, anything less is inconclusive.
+
+A point's line count is the popcount of its line mask (gfspace.line_mask),
+the lines it shares with a member the popcount of the AND of the two masks.
+The profile check run before a certificate keeps per-pair intersect, as
+check_modular does for every family (see families).
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from .gfspace import (
     FieldContext,
     Subspace,
     SubspaceIndex,
-    containment_vector,
     index_of,
     lattice,
+    line_mask,
     subspace_at,
     union_space,
 )
@@ -131,6 +136,14 @@ def _line_counts(values: Iterable[int], q: int, p: int) -> list[int]:
     return [qbinom(v, 1, q) % p for v in values]
 
 
+def _product_minus(count: int, counts: Iterable[int], p: int) -> int:
+    """Product of (count - c) over counts, mod p; the empty product is 1."""
+    out = 1
+    for c in counts:
+        out = out * (count - c) % p
+    return out
+
+
 def eval_g_xy(cctx: CertificateContext, x: int, y: int, v: ContainmentVector) -> int:
     """f(x, y, v) times the product over K of (line count of v minus [k_t 1]).
 
@@ -142,33 +155,30 @@ def eval_g_xy(cctx: CertificateContext, x: int, y: int, v: ContainmentVector) ->
     bit = eval_f(x, y, v)
     if bit == 0 or not cctx.profile.K:
         return bit
-    p = cctx.p
-    d1 = sum(v.block(1)) % p
-    out = 1
-    for kt_count in _line_counts(cctx.profile.K, cctx.q, p):
-        out = out * (d1 - kt_count) % p
-    return out
+    return _product_minus(sum(v.block(1)), _line_counts(cctx.profile.K, cctx.q, cctx.p), cctx.p)
+
+
+def _g_i_row(cctx: CertificateContext, family: Family, i: int, points: Iterable[int]) -> list[int]:
+    """g_i of member i at each point, the points given by their line masks."""
+    if not 0 <= i < len(family):
+        raise DomainError(f"member index {i} outside [0, {len(family)})")
+    member, p = line_mask(family[i]), cctx.p
+    mu_counts = _line_counts(cctx.profile.L, cctx.q, p)
+    return [_product_minus((member & point).bit_count(), mu_counts, p) for point in points]
 
 
 def eval_g_i(cctx: CertificateContext, i: int, family: Family, v: ContainmentVector) -> int:
     """Product over L of (shared line count of member i and v minus [mu 1]).
 
-    The shared line count is the dot product of the dimension-1 blocks of the
-    two containment vectors. An empty L gives the empty product 1.
+    The shared line count is the popcount of the AND of the member's line
+    mask with the mask read off v's dimension-1 block. An empty L gives 1.
     """
-    if not 0 <= i < len(family):
-        raise DomainError(f"member index {i} outside [0, {len(family)})")
-    if not cctx.profile.L:
-        return 1
-    if v.s_cap < 1:
-        raise DomainError("evaluation point must carry a dimension-1 block")
-    member_bits = containment_vector(family[i], 1).block(1)
-    p = cctx.p
-    dot = sum(a * b for a, b in zip(member_bits, v.block(1))) % p
-    out = 1
-    for mu_count in _line_counts(cctx.profile.L, cctx.q, p):
-        out = out * (dot - mu_count) % p
-    return out
+    point = 0
+    if cctx.profile.L:
+        if v.s_cap < 1:
+            raise DomainError("evaluation point must carry a dimension-1 block")
+        point = sum(bit << k for k, bit in enumerate(v.block(1)))
+    return _g_i_row(cctx, family, i, (point,))[0]
 
 
 def product_reduce(x: int, y: int, z: int, ctx: FieldContext, n: int) -> SubspaceIndex:
@@ -300,40 +310,17 @@ def independence_certificate(
     labels: list[tuple] = []
     rows: list[list[int]] = []
 
-    blocks1 = None
-    if cctx.s >= 1:
-        blocks1 = [v.block(1) for v in cctx.points]
+    lines = lattice(cctx.ctx, cctx.n).lines
 
     if variant in ("swallow1", "swallow2"):
-        mu_counts = _line_counts(cctx.profile.L, q, p)
-        for i, member in enumerate(family):
-            member_bits = containment_vector(member, 1).block(1)
-            row = []
-            for w in range(len(cctx.points)):
-                if cctx.profile.L:
-                    dot = sum(a * b for a, b in zip(member_bits, blocks1[w])) % p
-                    val = 1
-                    for mu in mu_counts:
-                        val = val * (dot - mu) % p
-                else:
-                    val = 1
-                row.append(val)
+        for i in range(len(family)):
             labels.append(("g_i", i))
-            rows.append(row)
+            rows.append(_g_i_row(cctx, family, i, lines))
 
     xs = _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2"))
     if xs:
-        if cctx.profile.K:
-            kt_counts = _line_counts(cctx.profile.K, q, p)
-            factors = []
-            for w in range(len(cctx.points)):
-                d1 = sum(blocks1[w]) % p if blocks1 is not None else 0
-                f = 1
-                for kt in kt_counts:
-                    f = f * (d1 - kt) % p
-                factors.append(f)
-        else:
-            factors = [1] * len(cctx.points)
+        kt_counts = _line_counts(cctx.profile.K, q, p)
+        factors = [_product_minus(mask.bit_count(), kt_counts, p) for mask in lines]
         for x in xs:
             width = qbinom(cctx.n, x, q)
             for y in range(1, width + 1):
@@ -386,7 +373,7 @@ def span_check(cctx: CertificateContext, family: Family, sample: Iterable[tuple]
         if tag[0] == "g_xy" and len(tag) == 3:
             row = [eval_g_xy(cctx, tag[1], tag[2], v) for v in cctx.points]
         elif tag[0] == "g_i" and len(tag) == 2:
-            row = [eval_g_i(cctx, tag[1], family, v) for v in cctx.points]
+            row = _g_i_row(cctx, family, tag[1], lattice(cctx.ctx, cctx.n).lines)
         else:
             raise DomainError(f"sample id {item!r} must be ('g_xy', x, y) or ('g_i', i)")
         ids.append(tag)

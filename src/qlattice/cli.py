@@ -66,17 +66,13 @@ class RunConfig:
     """Plumbing knobs shared by all subcommands."""
 
     format: str = "json"
-    seed: int = 0
     lattice_budget: Optional[int] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.format not in ("json", "csv", "table"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.lattice_budget is not None and self.lattice_budget < 1:
             raise DomainError("lattice budget must be positive")
-        if self.threads < 1:
-            raise DomainError("thread count must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv", "table"), default="json", help="output format"
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
     common.add_argument(
         "--lattice-budget", type=int, default=None, help="override the subspace-count budget"
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker count (results are thread-invariant)"
     )
 
     parser = argparse.ArgumentParser(
@@ -483,12 +475,7 @@ def main(argv=None) -> int:
 
     saved_budget = os.environ.get(ENV_LATTICE_BUDGET)
     try:
-        config = RunConfig(
-            format=args.format,
-            seed=args.seed,
-            lattice_budget=args.lattice_budget,
-            threads=args.threads,
-        )
+        config = RunConfig(format=args.format, lattice_budget=args.lattice_budget)
         if config.lattice_budget is not None:
             os.environ[ENV_LATTICE_BUDGET] = str(config.lattice_budget)
         payload, code = args.handler(args, config)

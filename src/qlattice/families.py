@@ -5,6 +5,9 @@ ambient space. This module checks the two intersection disciplines (modular
 profiles and fraction sets), evaluates the three size bounds with their exact
 case analysis, partitions families by dimension residues and by base-power
 cells, and runs the Gram-matrix rank analysis on a single cell.
+
+The checkers intersect each pair with gfspace.intersect, not line masks: a
+family file may live in an ambient such as GF(256)^40, too big for masks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, ResourceLimitError, StructureError
 from .qcombin import (
     BoundReport,
     capital_N,
@@ -30,10 +33,9 @@ from .gfspace import (
     FieldContext,
     Subspace,
     canonicalize,
-    contains,
-    enumerate_subspaces,
     field_from_dict,
     intersect,
+    line_mask,
 )
 
 __all__ = [
@@ -348,7 +350,8 @@ def bound_frac_general(n: int, q: int, fractions: FractionSet) -> BoundReport:
 
     g and h come from g_of/h_of at t = max denominator. The tail sum is
     dropped when 2·g·ln(g) <= n + 2 (branch "refined", else "full"). The
-    float value is kept as a decimal string; bound is its ceiling.
+    float value is kept as a decimal string; bound is its ceiling. A value
+    beyond the float range raises ResourceLimitError.
     """
     if n < 2:
         raise DomainError(f"ambient dimension must be >= 2, got {n}")
@@ -358,10 +361,13 @@ def bound_frac_general(n: int, q: int, fractions: FractionSet) -> BoundReport:
     t = fractions.max_denominator
     g = g_of(t, n)
     h = h_of(t, n)
-    main = 2.0 * g * h * math.log(g) * qbinom(n, s, q)
-    tail = h * sum(qbinom(n, i, q) for i in range(1, s))
     refined = 2.0 * g * math.log(g) <= n + 2
-    value = main if refined else main + tail
+    try:
+        main = 2.0 * g * h * math.log(g) * qbinom(n, s, q)
+        value = main if refined else main + h * sum(qbinom(n, i, q) for i in range(1, s))
+        bound = math.ceil(value)
+    except OverflowError:
+        raise ResourceLimitError(f"the fractional bound for n={n}, q={q} overflows a float")
     aux = {
         "g": repr(g),
         "h": repr(h),
@@ -373,7 +379,7 @@ def bound_frac_general(n: int, q: int, fractions: FractionSet) -> BoundReport:
         "frac_general",
         {"n": n, "q": q, "fractions": fractions_to_strings(fractions)},
         "refined" if refined else "full",
-        math.ceil(value),
+        bound,
         aux,
     )
 
@@ -653,8 +659,10 @@ class GramReport:
 def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramReport:
     """Gram-matrix rank analysis of one (j, k) cell of an {a/b}-fractional family.
 
-    Builds the member-by-line incidence M and N = M·Mᵀ over exact integers,
-    verifies the line-count entry identities, divides N entrywise by
+    Builds N = M·Mᵀ for the member-by-line incidence M over exact integers,
+    N[i][l] being the popcount of the AND of the two members' line masks;
+    cross-checks the entries against the line-count identities with per-pair
+    intersect as an independent route; divides N entrywise by
     qbinom(b^(k-1), 1, q) (exact, or StructureError), reduces mod
     D = [b 1] over the base q^(b^(k-1)), checks the diagonal-zero and constant
     off-diagonal congruences, compares det(P) and det(Q) against their closed
@@ -677,16 +685,9 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
                 f"member {i} (dim {member.dim}) does not belong to cell ({j}, {k}) under base {b}"
             )
 
-    ctx, n = subfamily.ctx, subfamily.n
-    q = ctx.q
-    lines = list(enumerate_subspaces(ctx, n, 1))
-    incidence = [
-        [1 if contains(member, line) else 0 for line in lines] for member in subfamily
-    ]
-    gram = [
-        [sum(incidence[i][c] * incidence[l][c] for c in range(len(lines))) for l in range(m)]
-        for i in range(m)
-    ]
+    q = subfamily.ctx.q
+    masks = [line_mask(member) for member in subfamily]
+    gram = [[(masks[i] & masks[l]).bit_count() for l in range(m)] for i in range(m)]
 
     identities = True
     for i in range(m):

@@ -2,7 +2,8 @@
 
 A subspace is identified with its unique reduced-row-echelon basis, so equality
 and hashing are componentwise. The ambient enumeration order, the per-dimension
-index bijection, and containment vectors all build on that canonical form.
+index bijection, line masks and containment vectors all build on that
+canonical form.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -39,6 +40,15 @@ def lattice_budget() -> int:
     if value < 1:
         raise DomainError(f"{ENV_LATTICE_BUDGET} must be >= 1, got {value}")
     return value
+
+
+def _require_budget(count: int, what: str, key: str = "count") -> None:
+    """Raise ResourceLimitError when count objects exceed the lattice budget."""
+    budget = lattice_budget()
+    if count > budget:
+        raise ResourceLimitError(
+            f"{count} {what} exceed the lattice budget {budget}", partial={key: count}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +424,7 @@ def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspac
     """
     if not 0 <= dim <= n:
         raise DomainError(f"dimension {dim} outside [0, {n}]")
-    count = qbinom(n, dim, ctx.q)
-    budget = lattice_budget()
-    if count > budget:
-        raise ResourceLimitError(
-            f"{count} subspaces of dimension {dim} exceed the lattice budget {budget}",
-            partial={"count": count},
-        )
+    _require_budget(qbinom(n, dim, ctx.q), f"subspaces of dimension {dim}")
 
     def gen():
         if dim == 0:
@@ -480,6 +484,34 @@ def subspace_at(ctx: FieldContext, n: int, index: SubspaceIndex) -> Subspace:
     raise ArithmeticError("position not reached")  # unreachable
 
 
+def line_mask(space: Subspace) -> int:
+    """Bitmask of the lines of a subspace: bit i is the i-th line of GF(q)^n.
+
+    Lines are numbered in canonical dimension-1 order. Each line of the space
+    has one generator combining the basis rows with first nonzero coefficient
+    1; it is already normalised, so its pivot column c and base-q tail t rank
+    it at (q^(n-1-c) - 1)/(q - 1) + t. U lies in W exactly when
+    line_mask(U) & ~line_mask(W) == 0, and dim(U∩W) = d exactly when the masks
+    share [d 1]_q lines. Raises ResourceLimitError when [n 1]_q is over budget.
+    """
+    ctx, n, q = space.ctx, space.n, space.ctx.q
+    _require_budget(qbinom(n, 1, q), f"lines of GF({q})^{n}")
+    add, mul = ctx._add, ctx._mul
+    mask = 0
+    for r, (lead, col) in enumerate(zip(space.rows, space.pivots)):
+        vectors = [lead]
+        for row in space.rows[r + 1 :]:
+            scaled = [[mul[c][x] for x in row] for c in range(1, q)]
+            vectors += [[add[a][b] for a, b in zip(v, s)] for v in vectors for s in scaled]
+        base = (q ** (n - 1 - col) - 1) // (q - 1)
+        for v in vectors:
+            tail = 0
+            for x in v[col + 1 :]:
+                tail = tail * q + x
+            mask |= 1 << (base + tail)
+    return mask
+
+
 def lattice_size(n: int, q: int) -> int:
     """Total number of subspaces of GF(q)^n (all dimensions)."""
     return sum(qbinom(n, t, q) for t in range(n + 1))
@@ -489,18 +521,14 @@ class Lattice:
     """All subspaces of one ambient in canonical global order, with caches.
 
     Global order is dimension-major: all of dimension 0, then 1, and so on,
-    each dimension in enumeration order. Containment masks are int bitsets:
-    bit u of contains_mask[w] says subspace u lies inside subspace w.
+    each dimension in enumeration order. Incidence comes from lines[u], the
+    line_mask of subspace u, built once here; the lazy contains_mask table
+    derives from it: bit u of contains_mask[w] says u lies inside w. Family
+    checks keep per-pair intersect, as family files may be too big for masks.
     """
 
     def __init__(self, ctx: FieldContext, n: int):
-        size = lattice_size(n, ctx.q)
-        budget = lattice_budget()
-        if size > budget:
-            raise ResourceLimitError(
-                f"lattice of GF({ctx.q})^{n} has {size} subspaces, over budget {budget}",
-                partial={"size": size},
-            )
+        _require_budget(lattice_size(n, ctx.q), f"subspaces of GF({ctx.q})^{n}", "size")
         self.ctx, self.n = ctx, n
         subs: list[Subspace] = []
         self.offsets: list[int] = []
@@ -510,6 +538,7 @@ class Lattice:
         self.subspaces: tuple[Subspace, ...] = tuple(subs)
         self.dims: tuple[int, ...] = tuple(s.dim for s in subs)
         self.position: dict[Subspace, int] = {s: i for i, s in enumerate(subs)}
+        self.lines: tuple[int, ...] = tuple(line_mask(s) for s in subs)
         self._contains_mask: Optional[list[int]] = None
         self._joins: dict[tuple[int, int], int] = {}
 
@@ -526,11 +555,11 @@ class Lattice:
     def contains_mask(self) -> list[int]:
         if self._contains_mask is None:
             masks = []
-            for w in self.subspaces:
+            for outer in self.lines:
                 mask = 0
-                for u_pos, u in enumerate(self.subspaces):
-                    if u.dim <= w.dim and contains(w, u):
-                        mask |= 1 << u_pos
+                for u, inner in enumerate(self.lines):
+                    if not inner & ~outer:
+                        mask |= 1 << u
                 masks.append(mask)
             self._contains_mask = masks
         return self._contains_mask
@@ -603,12 +632,7 @@ def containment_vector(space: Subspace, s_cap: int) -> ContainmentVector:
     ctx, n = space.ctx, space.n
     top = min(s_cap, n)
     total = sum(qbinom(n, t, ctx.q) for t in range(top + 1))
-    budget = lattice_budget()
-    if total > budget:
-        raise ResourceLimitError(
-            f"{total} subspaces of dimension <= {top} exceed the lattice budget {budget}",
-            partial={"count": total},
-        )
+    _require_budget(total, f"subspaces of dimension <= {top}")
     bits: list[int] = []
     for t in range(top + 1):
         if t > space.dim:

@@ -15,7 +15,9 @@ from .errors import DomainError, ResourceLimitError, UnsupportedParametersError
 
 DEFAULT_FACTOR_CEILING = 10 ** 7
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster 2015);
+# without 41 the limit is psi_12 = 318665857834031151167461, a pseudoprime.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +81,7 @@ def capital_N(n: int, s: int, r: int, q: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (fixed witness set, exact below 3.3e24)."""
+    """Deterministic Miller-Rabin (fixed witness set, exact below 3.3e24 = psi_13)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -6,6 +6,10 @@ space are exactly the cliques of a compatibility graph. Maximum cliques are
 found by branch and bound with greedy coloring bounds; the search is fully
 deterministic, and budget exhaustion is reported as a result state rather
 than an error.
+
+Edges come from the lattice's line masks, one popcount per vertex pair. The
+frac-uniform generator, like the family checkers, keeps per-pair intersect
+for its violation list: it works on the members alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError, StructureError
@@ -121,20 +124,6 @@ class CompatGraph:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
 
-@lru_cache(maxsize=8)
-def _intersection_dims(ctx: FieldContext, n: int) -> tuple[tuple[int, ...], ...]:
-    # symmetric table over the whole lattice, reused across predicate sweeps
-    subs = lattice(ctx, n).subspaces
-    table: list[list[int]] = [[0] * len(subs) for _ in subs]
-    for i in range(len(subs)):
-        table[i][i] = subs[i].dim
-        for j in range(i + 1, len(subs)):
-            d = intersect(subs[i], subs[j]).dim
-            table[i][j] = d
-            table[j][i] = d
-    return tuple(tuple(row) for row in table)
-
-
 def build_graph(
     ctx: FieldContext,
     n: int,
@@ -153,36 +142,39 @@ def build_graph(
     lat = lattice(ctx, n)
     if isinstance(predicate, ModularProfile):
         kind = "modular"
-        k_set = {k for k in predicate.K}
-        admissible = {d for d in range(n + 1) if d % predicate.b in k_set}
+        admissible = {d for d in range(n + 1) if d % predicate.b in predicate.K}
+
+        def allowed(d: int, di: int, dj: int) -> bool:
+            return d % predicate.b in predicate.L
+
     elif isinstance(predicate, FractionSet):
         kind = "fractional"
         admissible = set(range(1, n + 1))
+
+        def allowed(d: int, di: int, dj: int) -> bool:
+            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
+
     else:
         raise DomainError("predicate must be a ModularProfile or a FractionSet")
     if limits.dim_filter is not None:
         admissible &= set(limits.dim_filter)
 
+    # Subspaces meet in dimension d exactly when their line masks share
+    # [d 1]_q lines: shared[di][dj] holds the line counts of the allowed d.
+    span = range(n + 1)
+    shared = [
+        [{qbinom(d, 1, ctx.q) for d in range(min(di, dj) + 1) if allowed(d, di, dj)} for dj in span]
+        for di in span
+    ]
     positions = [g for g in range(len(lat)) if lat.dims[g] in admissible]
-    dims_table = _intersection_dims(ctx, n)
+    lines = [lat.lines[g] for g in positions]
+    dims = [lat.dims[g] for g in positions]
     count = len(positions)
     adjacency = [0] * count
-    if isinstance(predicate, ModularProfile):
-        l_set = set(predicate.L)
-
-        def joined(gi: int, gj: int) -> bool:
-            return dims_table[gi][gj] % predicate.b in l_set
-
-    else:
-
-        def joined(gi: int, gj: int) -> bool:
-            d = dims_table[gi][gj]
-            di, dj = lat.dims[gi], lat.dims[gj]
-            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
-
     for i in range(count):
+        mask, counts = lines[i], shared[dims[i]]
         for j in range(i + 1, count):
-            if joined(positions[i], positions[j]):
+            if (mask & lines[j]).bit_count() in counts[dims[j]]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
 

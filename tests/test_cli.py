@@ -129,6 +129,17 @@ class TestExitCodes:
         # The flag is scoped to the command, not the process.
         assert os.environ.get("QL_LATTICE_BUDGET") is None
 
+    def test_float_overflow_in_frac_bound_exits_three(self):
+        code, out, err = run(
+            ["bound", "--theorem", "frac", "--n", "130", "--q", "256", "--fractions", "1/2"]
+        )
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_removed_flags_are_usage_errors(self, flag):
+        assert run(["qbinom", "4", "2", "2", flag, "1"])[0] == 2
+
     def test_count_only_never_materializes(self):
         from qlattice.qcombin import qbinom
 

@@ -20,6 +20,7 @@ from qlattice import (
     intersect,
     lattice,
     lattice_size,
+    line_mask,
     qbinom,
     subspace_at,
     union_space,
@@ -260,11 +261,12 @@ class TestLattice:
         assert lat.contains_mask[0] == 1
 
     def test_contains_mask_matches_contains(self):
-        lat = lattice(field(3), 2)
-        for w_pos, w in enumerate(lat.subspaces):
-            mask = lat.contains_mask[w_pos]
-            for u_pos, u in enumerate(lat.subspaces):
-                assert bool(mask >> u_pos & 1) == contains(w, u)
+        for q, n in ((3, 2), (4, 3)):
+            lat = lattice(field(q), n)
+            for w_pos, w in enumerate(lat.subspaces):
+                mask = lat.contains_mask[w_pos]
+                for u_pos, u in enumerate(lat.subspaces):
+                    assert bool(mask >> u_pos & 1) == contains(w, u)
 
     def test_join(self):
         lat = lattice(field(2), 3)
@@ -291,6 +293,36 @@ class TestLattice:
                 lattice(field(2), 2)
         finally:
             lattice.cache_clear()
+
+
+class TestLineMask:
+    AMBIENTS = ((2, 4), (3, 3), (4, 3), (5, 2))
+
+    @pytest.mark.parametrize("q,n", AMBIENTS)
+    def test_lines_are_unit_masks_in_canonical_order(self, q, n):
+        for i, line in enumerate(enumerate_subspaces(field(q), n, 1)):
+            assert line_mask(line) == 1 << i
+
+    @given(ambient=st.sampled_from(AMBIENTS), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_masks_agree_with_contains_and_intersect(self, ambient, data):
+        q, n = ambient
+        subs = lattice(field(q), n).subspaces
+        u = subs[data.draw(st.integers(0, len(subs) - 1))]
+        w = subs[data.draw(st.integers(0, len(subs) - 1))]
+        mu, mw = line_mask(u), line_mask(w)
+        assert (mu & ~mw == 0) == contains(w, u)
+        assert (mu & mw).bit_count() == qbinom(intersect(u, w).dim, 1, q)
+
+    def test_lattice_holds_the_masks(self):
+        lat = lattice(field(3), 3)
+        assert lat.lines == tuple(line_mask(s) for s in lat.subspaces)
+
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setenv(ENV_LATTICE_BUDGET, "6")
+        with pytest.raises(ResourceLimitError) as exc:
+            line_mask(zero_subspace(field(2), 3))
+        assert exc.value.partial == {"count": 7}
 
 
 class TestContainmentVector:

@@ -103,6 +103,23 @@ class TestPrimes:
         assert not is_prime(561)
         assert not is_prime(3215031751)
 
+    def test_psi12_is_composite(self):
+        # strong pseudoprime to every prime base up to 37
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+
+    def test_matches_sympy(self):
+        import random
+
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20200410)
+        samples = [rng.randrange(2, 10 ** 6) for _ in range(2000)]
+        samples += [rng.randrange(2, 3 * 10 ** 24) | 1 for _ in range(300)]
+        samples += [2 ** 89 - 1, 3317044064679887385961981 - 2]
+        for n in samples:
+            assert is_prime(n) == sympy.isprime(n), n
+
     def test_trial_factor(self):
         assert trial_factor(360) == ([2, 3, 5], 1)
         primes, cofactor = trial_factor(2 ** 4 * (10 ** 7 + 19), ceiling=10 ** 3)

@@ -112,6 +112,29 @@ class TestCompatGraph:
                 pair_ok = check_fractional(Family(F2, 3, (a, b)), fs).ok
                 assert bool((g.adjacency[i] >> j) & 1) == pair_ok
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize(
+        "predicate", [ModularProfile(2, (1,), (0,)), FractionSet(((1, 3), (1, 2)))]
+    )
+    def test_edges_match_intersect_reference(self, q, n, predicate):
+        from qlattice import subspace_at
+
+        ctx = field(q)
+        g = build_graph(ctx, n, predicate, SearchLimits())
+        subs = [subspace_at(ctx, n, v) for v in g.vertices]
+        want = set()
+        for i in range(g.size):
+            for j in range(i + 1, g.size):
+                d, di, dj = intersect(subs[i], subs[j]).dim, subs[i].dim, subs[j].dim
+                if isinstance(predicate, ModularProfile):
+                    ok = d % predicate.b in predicate.L
+                else:
+                    ok = any(d * b == a * di or d * b == a * dj for a, b in predicate)
+                if ok:
+                    want.add((i, j))
+        got = {(i, j) for i in range(g.size) for j in range(i + 1, g.size) if g.adjacency[i] >> j & 1}
+        assert got == want
+
 
 class TestMaxFamily:
     def test_complete_graph(self):
