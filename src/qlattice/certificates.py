@@ -8,9 +8,10 @@ chosen row set on the containment vectors of every subspace of the ambient
 space and computing the rank mod p yields a sound one-sided certificate:
 full row rank proves linear independence, anything less is inconclusive.
 
-A point's line count is the popcount of its line mask (gfspace.line_mask),
-the lines it shares with a member the popcount of the AND of the two masks.
-The profile check run before a certificate keeps per-pair intersect, as
+Each point is an int mask cut from Lattice.contains_mask, so an f or g_xy
+row reads one bit per point. A point's line count is the popcount of its line
+mask (gfspace.line_mask), the lines it shares with a member the popcount of
+the AND of the two masks. The profile check keeps per-pair intersect, as
 check_modular does for every family (see families).
 """
 
@@ -92,7 +93,8 @@ def certificate_context(
 
     A caller-supplied p must be a prime at which q has multiplicative order
     exactly b; the derived default comes from the primitive-prime-divisor
-    search and inherits its unsupported-parameter errors.
+    search and inherits its unsupported-parameter errors. Point w is
+    contains_mask[w] cut to its low S bits, the subspaces of dimension <= s.
     """
     if n < 0:
         raise DomainError(f"ambient dimension must be >= 0, got {n}")
@@ -109,17 +111,9 @@ def certificate_context(
     s = profile.s
     total = sum(qbinom(n, t, ctx.q) for t in range(s + 1))
     lat = lattice(ctx, n)
-    top = min(s, n)
-    end = lat.offsets[top + 1] if top < n else len(lat)
-    masks = lat.contains_mask
-    points = tuple(
-        ContainmentVector(ctx, n, s, tuple((masks[w] >> u) & 1 for u in range(end)))
-        for w in range(len(lat))
-    )
-    labels = tuple(
-        SubspaceIndex(lat.dims[w], w - lat.offsets[lat.dims[w]] + 1)
-        for w in range(len(lat))
-    )
+    low = (1 << total) - 1
+    points = tuple(ContainmentVector(ctx, n, s, mask & low) for mask in lat.contains_mask)
+    labels = tuple(SubspaceIndex(d, w - lat.offsets[d] + 1) for w, d in enumerate(lat.dims))
     return CertificateContext(ctx, n, profile, p, total, points, labels)
 
 
@@ -155,7 +149,22 @@ def eval_g_xy(cctx: CertificateContext, x: int, y: int, v: ContainmentVector) ->
     bit = eval_f(x, y, v)
     if bit == 0 or not cctx.profile.K:
         return bit
-    return _product_minus(sum(v.block(1)), _line_counts(cctx.profile.K, cctx.q, cctx.p), cctx.p)
+    count = v.block_mask(1).bit_count()
+    return _product_minus(count, _line_counts(cctx.profile.K, cctx.q, cctx.p), cctx.p)
+
+
+def _k_factors(cctx: CertificateContext, lines: Iterable[int]) -> list[int]:
+    """Product over K of (line count minus [k_t 1]) at each point, mod p."""
+    kt_counts = _line_counts(cctx.profile.K, cctx.q, cctx.p)
+    return [_product_minus(mask.bit_count(), kt_counts, cctx.p) for mask in lines]
+
+
+def _g_xy_row(cctx: CertificateContext, x: int, y: int, factors: Sequence[int]) -> list[int]:
+    """g_xy at each point, given the K factors of the points."""
+    if not 0 <= x <= cctx.s - cctx.r:
+        raise DomainError(f"x = {x} outside [0, {cctx.s - cctx.r}]")
+    u = cctx.points[0].bit_index(x, y)
+    return [(v.mask >> u & 1) * f for v, f in zip(cctx.points, factors)]
 
 
 def _g_i_row(cctx: CertificateContext, family: Family, i: int, points: Iterable[int]) -> list[int]:
@@ -171,13 +180,13 @@ def eval_g_i(cctx: CertificateContext, i: int, family: Family, v: ContainmentVec
     """Product over L of (shared line count of member i and v minus [mu 1]).
 
     The shared line count is the popcount of the AND of the member's line
-    mask with the mask read off v's dimension-1 block. An empty L gives 1.
+    mask with v's dimension-1 block, which is v's line mask. An empty L gives 1.
     """
     point = 0
     if cctx.profile.L:
         if v.s_cap < 1:
             raise DomainError("evaluation point must carry a dimension-1 block")
-        point = sum(bit << k for k, bit in enumerate(v.block(1)))
+        point = v.block_mask(1)
     return _g_i_row(cctx, family, i, (point,))[0]
 
 
@@ -196,30 +205,26 @@ def product_reduce(x: int, y: int, z: int, ctx: FieldContext, n: int) -> Subspac
 # rank and span helpers mod p
 
 
-def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
-    """Reduced echelon basis [(pivot_col, unit_row), ...] of the row span."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        r = [v % p for v in row]
-        for pc, b in basis:
-            f = r[pc]
-            if f:
-                r = [(a - f * bb) % p for a, bb in zip(r, b)]
-        pivot = next((c for c, v in enumerate(r) if v), None)
-        if pivot is None:
-            continue
-        inv = pow(r[pivot], -1, p)
-        basis.append((pivot, [v * inv % p for v in r]))
-    return basis
-
-
-def _reduces_to_zero(basis: list[tuple[int, list[int]]], row: Sequence[int], p: int) -> bool:
+def _reduce_mod_p(basis: list[tuple[int, list[int]]], row: Sequence[int], p: int) -> list[int]:
+    """Residual of row mod p after elimination by an _echelon_mod_p basis."""
     r = [v % p for v in row]
     for pc, b in basis:
         f = r[pc]
         if f:
             r = [(a - f * bb) % p for a, bb in zip(r, b)]
-    return not any(r)
+    return r
+
+
+def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+    """Echelon basis [(pivot_col, unit_row), ...] of the row span."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = _reduce_mod_p(basis, row, p)
+        pivot = next((c for c, v in enumerate(r) if v), None)
+        if pivot is not None:
+            inv = pow(r[pivot], -1, p)
+            basis.append((pivot, [v * inv % p for v in r]))
+    return basis
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -309,25 +314,17 @@ def independence_certificate(
     p, q = cctx.p, cctx.q
     labels: list[tuple] = []
     rows: list[list[int]] = []
-
     lines = lattice(cctx.ctx, cctx.n).lines
-
     if variant in ("swallow1", "swallow2"):
         for i in range(len(family)):
             labels.append(("g_i", i))
             rows.append(_g_i_row(cctx, family, i, lines))
 
-    xs = _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2"))
-    if xs:
-        kt_counts = _line_counts(cctx.profile.K, q, p)
-        factors = [_product_minus(mask.bit_count(), kt_counts, p) for mask in lines]
-        for x in xs:
-            width = qbinom(cctx.n, x, q)
-            for y in range(1, width + 1):
-                labels.append(("g_xy", x, y))
-                rows.append(
-                    [cctx.points[w].get(x, y) * factors[w] % p for w in range(len(cctx.points))]
-                )
+    factors = _k_factors(cctx, lines)
+    for x in _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2")):
+        for y in range(1, qbinom(cctx.n, x, q) + 1):
+            labels.append(("g_xy", x, y))
+            rows.append(_g_xy_row(cctx, x, y, factors))
 
     return CertificateMatrix.from_entries(labels, cctx.point_labels, rows, p)
 
@@ -358,24 +355,21 @@ def span_check(cctx: CertificateContext, family: Family, sample: Iterable[tuple]
     ("g_xy", x, y) or ("g_i", i) is reduced against its echelon form, and
     counts as solvable when the residual vanishes.
     """
-    p, q = cctx.p, cctx.q
-    f_rows = []
-    for x in range(cctx.s + 1):
-        width = qbinom(cctx.n, x, q)
-        for y in range(1, width + 1):
-            f_rows.append([v.get(x, y) for v in cctx.points])
-    basis = _echelon_mod_p(f_rows, p)
+    p = cctx.p
+    masks = [v.mask for v in cctx.points]
+    basis = _echelon_mod_p(([m >> u & 1 for m in masks] for u in range(cctx.S)), p)
+    lines = lattice(cctx.ctx, cctx.n).lines
+    factors = _k_factors(cctx, lines)
 
-    ids = []
-    flags = []
+    ids, flags = [], []
     for item in sample:
         tag = tuple(item)
         if tag[0] == "g_xy" and len(tag) == 3:
-            row = [eval_g_xy(cctx, tag[1], tag[2], v) for v in cctx.points]
+            row = _g_xy_row(cctx, tag[1], tag[2], factors)
         elif tag[0] == "g_i" and len(tag) == 2:
-            row = _g_i_row(cctx, family, tag[1], lattice(cctx.ctx, cctx.n).lines)
+            row = _g_i_row(cctx, family, tag[1], lines)
         else:
             raise DomainError(f"sample id {item!r} must be ('g_xy', x, y) or ('g_i', i)")
         ids.append(tag)
-        flags.append(_reduces_to_zero(basis, row, p))
+        flags.append(not any(_reduce_mod_p(basis, row, p)))
     return SpanReport(tuple(ids), tuple(flags))

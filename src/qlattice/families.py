@@ -554,54 +554,45 @@ def fractional_cell_bound(
 # exact integer linear algebra (Bareiss determinant, fraction-free rank)
 
 
-def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination."""
-    m = [list(row) for row in matrix]
-    size = len(m)
-    for row in m:
-        if len(row) != size:
-            raise DomainError("determinant needs a square matrix")
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[size - 1][size - 1]
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of m in place: (rank, signed last pivot).
 
-
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix over the rationals."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
+    Pivots column by column and skips a column with no pivot left. Every
+    entry stays an integer minor of the input, so each division is exact. For
+    a square matrix of full rank the signed last pivot is the determinant.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
     for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+        pivot_row = next((r for r in range(rank, rows) if m[r][col]), None)
         if pivot_row is None:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        top, pivot = m[rank], m[rank][col]
+        for r in range(rank + 1, rows):
+            f = m[r][col]
+            m[r] = [(a * pivot - f * b) // prev for a, b in zip(m[r], top)]
+        prev = pivot
         rank += 1
         if rank == rows:
             break
-    return rank
+    return rank, sign * prev
+
+
+def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(row) for row in matrix]
+    if any(len(row) != len(m) for row in m):
+        raise DomainError("determinant needs a square matrix")
+    rank, last = _bareiss(m)
+    return last if rank == len(m) else 0
+
+
+def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix over the rationals (Bareiss elimination)."""
+    return _bareiss([list(row) for row in matrix])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -689,29 +680,25 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
     masks = [line_mask(member) for member in subfamily]
     gram = [[(masks[i] & masks[l]).bit_count() for l in range(m)] for i in range(m)]
 
-    identities = True
-    for i in range(m):
-        if gram[i][i] != qbinom(subfamily[i].dim, 1, q):
-            identities = False
-        for l in range(i + 1, m):
-            if gram[i][l] != qbinom(intersect(subfamily[i], subfamily[l]).dim, 1, q):
-                identities = False
+    identities = all(
+        gram[i][i] == qbinom(member.dim, 1, q) for i, member in enumerate(subfamily)
+    ) and all(
+        gram[i][l] == qbinom(intersect(subfamily[i], subfamily[l]).dim, 1, q)
+        for i in range(m)
+        for l in range(i + 1, m)
+    )
     if not identities:
         raise StructureError("gram entries disagree with the line-count identities")
 
     divisor = qbinom(b ** (k - 1), 1, q)
-    reduced = []
     for i in range(m):
-        row = []
         for l in range(m):
-            quotient, remainder = divmod(gram[i][l], divisor)
-            if remainder:
+            if gram[i][l] % divisor:
                 raise StructureError(
                     f"gram entry ({i}, {l}) = {gram[i][l]} is not divisible by {divisor}; "
                     f"the cell invariant is violated"
                 )
-            row.append(quotient)
-        reduced.append(row)
+    reduced = [[v // divisor for v in row] for row in gram]
 
     big_q = q ** (b ** (k - 1))
     modulus = qbinom(b, 1, big_q)

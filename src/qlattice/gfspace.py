@@ -473,13 +473,9 @@ def subspace_at(ctx: FieldContext, n: int, index: SubspaceIndex) -> Subspace:
         if remaining >= block:
             remaining -= block
             continue
-        digits = []
-        r = remaining
-        for _ in free:
-            digits.append(0)
+        digits = [0] * len(free)
         for slot in range(len(free) - 1, -1, -1):
-            digits[slot] = r % ctx.q
-            r //= ctx.q
+            remaining, digits[slot] = divmod(remaining, ctx.q)
         return _build_from_pattern(ctx, n, cols, free, digits)
     raise ArithmeticError("position not reached")  # unreachable
 
@@ -517,6 +513,10 @@ def lattice_size(n: int, q: int) -> int:
     return sum(qbinom(n, t, q) for t in range(n + 1))
 
 
+def _require_lattice_budget(ctx: FieldContext, n: int) -> None:
+    _require_budget(lattice_size(n, ctx.q), f"subspaces of GF({ctx.q})^{n}", "size")
+
+
 class Lattice:
     """All subspaces of one ambient in canonical global order, with caches.
 
@@ -528,7 +528,7 @@ class Lattice:
     """
 
     def __init__(self, ctx: FieldContext, n: int):
-        _require_budget(lattice_size(n, ctx.q), f"subspaces of GF({ctx.q})^{n}", "size")
+        _require_lattice_budget(ctx, n)
         self.ctx, self.n = ctx, n
         subs: list[Subspace] = []
         self.offsets: list[int] = []
@@ -554,14 +554,11 @@ class Lattice:
     @property
     def contains_mask(self) -> list[int]:
         if self._contains_mask is None:
-            masks = []
-            for outer in self.lines:
-                mask = 0
-                for u, inner in enumerate(self.lines):
-                    if not inner & ~outer:
-                        mask |= 1 << u
-                masks.append(mask)
-            self._contains_mask = masks
+            lines = self.lines
+            self._contains_mask = [
+                sum(1 << u for u, inner in enumerate(lines) if not inner & ~outer)
+                for outer in lines
+            ]
         return self._contains_mask
 
     def join(self, i: int, j: int) -> int:
@@ -577,8 +574,17 @@ class Lattice:
 
 
 @lru_cache(maxsize=None)
-def lattice(ctx: FieldContext, n: int) -> Lattice:
+def _cached_lattice(ctx: FieldContext, n: int) -> Lattice:
     return Lattice(ctx, n)
+
+
+def lattice(ctx: FieldContext, n: int) -> Lattice:
+    """The cached Lattice of GF(q)^n; a lowered budget refuses a cached one too."""
+    _require_lattice_budget(ctx, n)
+    return _cached_lattice(ctx, n)
+
+
+lattice.cache_clear = _cached_lattice.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -596,48 +602,60 @@ def _bits(mask: int) -> Iterator[int]:
 class ContainmentVector:
     """0/1 incidence of one subspace against all subspaces of dimension <= s_cap.
 
-    bits runs over dimensions 0..s_cap in canonical order; bit positions within
-    dimension x start at offset(x) = sum of qbinom(n, t, q) for t < x. The bit
-    for (x, y) is 1 exactly when the y-th x-dimensional subspace lies inside the
-    carrier. Dimension blocks above n are empty.
+    mask is one int over the lattice order, dimensions 0..min(s_cap, n): bit
+    offset(x) + y - 1 is set exactly when the y-th x-dimensional subspace lies
+    inside the carrier, so the dimension-1 block is the carrier's line mask.
+    offset(x) sums qbinom(n, t, q) over t < x; blocks above n are empty.
     """
 
     ctx: FieldContext
     n: int
     s_cap: int
-    bits: tuple[int, ...]
+    mask: int
 
     def offset(self, x: int) -> int:
         return sum(qbinom(self.n, t, self.ctx.q) for t in range(x))
 
-    def block(self, x: int) -> tuple[int, ...]:
+    def block_mask(self, x: int) -> int:
+        """Block x as an int: bit y - 1 is the y-th x-dimensional subspace."""
         if not 0 <= x <= self.s_cap:
             raise DomainError(f"dimension {x} outside [0, {self.s_cap}]")
-        start = self.offset(x)
-        return self.bits[start : start + qbinom(self.n, x, self.ctx.q)]
+        return (self.mask >> self.offset(x)) & ((1 << qbinom(self.n, x, self.ctx.q)) - 1)
 
-    def get(self, x: int, pos: int) -> int:
+    def block(self, x: int) -> tuple[int, ...]:
+        block = self.block_mask(x)
+        return tuple((block >> k) & 1 for k in range(qbinom(self.n, x, self.ctx.q)))
+
+    def bit_index(self, x: int, pos: int) -> int:
+        """Bit of mask holding the (x, pos) incidence: offset(x) + pos - 1."""
         if not 0 <= x <= self.s_cap:
             raise DomainError(f"dimension {x} outside [0, {self.s_cap}]")
         width = qbinom(self.n, x, self.ctx.q)
         if not 1 <= pos <= width:
             raise DomainError(f"position {pos} outside [1, {width}] for dimension {x}")
-        return self.bits[self.offset(x) + pos - 1]
+        return self.offset(x) + pos - 1
+
+    def get(self, x: int, pos: int) -> int:
+        return (self.mask >> self.bit_index(x, pos)) & 1
 
 
 def containment_vector(space: Subspace, s_cap: int) -> ContainmentVector:
-    """Containment vector of a subspace against all subspaces of dim <= s_cap."""
+    """Containment vector of a subspace against all subspaces of dim <= s_cap.
+
+    Bit 0 (the zero subspace) is always set; higher candidates are tested by
+    line masks, so s_cap = 0 builds no line mask.
+    """
     if s_cap < 0:
         raise DomainError(f"s_cap must be >= 0, got {s_cap}")
     ctx, n = space.ctx, space.n
     top = min(s_cap, n)
     total = sum(qbinom(n, t, ctx.q) for t in range(top + 1))
     _require_budget(total, f"subspaces of dimension <= {top}")
-    bits: list[int] = []
-    for t in range(top + 1):
-        if t > space.dim:
-            bits.extend([0] * qbinom(n, t, ctx.q))
-            continue
-        for cand in enumerate_subspaces(ctx, n, t):
-            bits.append(1 if contains(space, cand) else 0)
-    return ContainmentVector(ctx, n, s_cap, tuple(bits))
+    mask, start = 1, 1
+    outside = ~line_mask(space) if top else 0
+    for t in range(1, min(top, space.dim) + 1):
+        for u, cand in enumerate(enumerate_subspaces(ctx, n, t), start):
+            if not line_mask(cand) & outside:
+                mask |= 1 << u
+        start += qbinom(n, t, ctx.q)
+    return ContainmentVector(ctx, n, s_cap, mask)

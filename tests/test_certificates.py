@@ -17,10 +17,12 @@ from qlattice import (
     eval_g_i,
     eval_g_xy,
     field,
+    gen_example_uniform,
     independence_certificate,
     lattice,
     product_reduce,
     qbinom,
+    rank_mod_p,
     span_check,
     subspace_at,
     union_space,
@@ -271,6 +273,51 @@ class TestIndependenceCertificate:
         assert d["rank"] == 8
         assert d["verdict"] == "independent"
         assert d["p"] == 7
+
+
+def _uniform_2_1_3():
+    ex = gen_example_uniform(2, 1, 3)
+    return certificate_context(ex.family.ctx, ex.family.n, ex.profile), ex.family
+
+
+def _spec_row(cctx, fam, label):
+    """One certificate row evaluated point by point from the eval_* functions."""
+    if label[0] == "g_i":
+        return [eval_g_i(cctx, label[1], fam, v) for v in cctx.points]
+    return [eval_g_xy(cctx, label[1], label[2], v) for v in cctx.points]
+
+
+class TestMaskRowsMatchSpec:
+    """Rows read from contains_mask bits equal the per-point eval_* values."""
+
+    @pytest.fixture(params=["tight", "uniform_2_1_3"])
+    def example(self, request, tight):
+        return tight if request.param == "tight" else _uniform_2_1_3()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_certificate_entries(self, example, variant):
+        cctx, fam = example
+        cert = independence_certificate(cctx, fam, variant)
+        spec = tuple(tuple(v % cctx.p for v in _spec_row(cctx, fam, label)) for label in cert.rows)
+        assert cert.entries == spec
+
+    def test_span_flags(self, example):
+        cctx, fam = example
+        p = cctx.p
+        f_rows = [
+            [eval_f(x, y, v) for v in cctx.points]
+            for x in range(cctx.s + 1)
+            for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)
+        ]
+        assert len(f_rows) == cctx.S
+        base = rank_mod_p(f_rows, p)
+        samples = [("g_xy", x, y) for x in range(cctx.s - cctx.r + 1)
+                   for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)]
+        samples += [("g_i", i) for i in range(len(fam))]
+        expected = tuple(
+            rank_mod_p(f_rows + [_spec_row(cctx, fam, tag)], p) == base for tag in samples
+        )
+        assert span_check(cctx, fam, samples).solvable == expected
 
 
 class TestCertificateMatrix:

@@ -129,6 +129,13 @@ class TestExitCodes:
         # The flag is scoped to the command, not the process.
         assert os.environ.get("QL_LATTICE_BUDGET") is None
 
+    def test_lowered_budget_applies_to_cached_lattice(self):
+        argv = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
+        assert run(argv)[0] == 0  # builds and caches the 16-subspace lattice
+        code, out, err = run(argv + ["--lattice-budget", "5"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
     def test_float_overflow_in_frac_bound_exits_three(self):
         code, out, err = run(
             ["bound", "--theorem", "frac", "--n", "130", "--q", "256", "--fractions", "1/2"]

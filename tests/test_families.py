@@ -20,6 +20,7 @@ from qlattice import (
     bound_theorem1,
     check_fractional,
     check_modular,
+    det_bareiss,
     enumerate_subspaces,
     family_from_dict,
     family_to_dict,
@@ -29,6 +30,7 @@ from qlattice import (
     fractions_to_strings,
     gen_example_bisection,
     gram_analysis,
+    integer_rank,
     partition_jk,
     partition_mod_prime,
     power_cell,
@@ -461,6 +463,32 @@ class TestFractionalCellBound:
                 continue
             _, rep = fractional_cell_bound(4, 2, ex.fractions, 3, k)
             assert len(cell.members) <= rep.bound
+
+
+class TestExactLinearAlgebra:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20201)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            # a product through k inner dimensions has rank at most k
+            k = rng.randint(0, min(rows, cols))
+            a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(rows)]
+            b = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(k)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+            assert integer_rank(m) == sympy.Matrix(m).rank(), m
+            if rows == cols:
+                assert det_bareiss(m) == sympy.Matrix(m).det(), m
+
+    def test_edge_shapes(self):
+        assert integer_rank([]) == 0
+        assert integer_rank([[0, 0, 0]]) == 0
+        assert integer_rank([[0, 2], [0, 3], [1, 0]]) == 2  # first column needs a swap
+        assert det_bareiss([]) == 1
+        assert det_bareiss([[0, 1], [1, 0]]) == -1
+        assert det_bareiss([[1, 2], [2, 4]]) == 0
+        with pytest.raises(DomainError):
+            det_bareiss([[1, 2]])
 
 
 class TestGram:

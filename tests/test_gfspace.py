@@ -351,7 +351,28 @@ class TestContainmentVector:
         cv = containment_vector(line, 4)
         assert cv.block(3) == ()
         assert cv.block(4) == ()
-        assert len(cv.bits) == lattice_size(2, 2)
+        assert sum(len(cv.block(x)) for x in range(5)) == lattice_size(2, 2)
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+    def test_blocks_match_contains_reference(self, q, n):
+        F = field(q)
+        subs = lattice(F, n).subspaces
+        for space in subs:
+            reference = [
+                tuple(int(contains(space, cand)) for cand in enumerate_subspaces(F, n, x))
+                for x in range(n + 1)
+            ]
+            for cap in range(n + 2):
+                cv = containment_vector(space, cap)
+                for x in range(cap + 1):
+                    assert cv.block(x) == (reference[x] if x <= n else ()), (space, cap, x)
+
+    def test_cap_zero_builds_no_line_mask(self):
+        # [30 1]_2 lines are far over the default budget; cap 0 never needs them
+        line = Subspace(field(2), 30, ((1,) + (0,) * 29,))
+        cv = containment_vector(line, 0)
+        assert cv.block(0) == (1,)
+        assert cv.mask == 1
 
     def test_block_ones_count_dim_counts(self):
         # an s-dim carrier holds qbinom(s, x, q) subspaces of dimension x
