@@ -3,9 +3,12 @@
 Both family disciplines are a unary condition on member dimensions plus a
 pairwise condition on intersections, so the valid families over an ambient
 space are exactly the cliques of a compatibility graph. Maximum cliques are
-found by branch and bound with greedy coloring bounds; the search is fully
-deterministic, and budget exhaustion is reported as a result state rather
-than an error.
+found by an iterative branch and bound over an explicit stack, so clique
+depth is not limited by the interpreter's recursion limit. Greedy coloring
+gives the bounds; colors that cannot beat the best clique at node entry
+(at or below k_min = len(best) - len(current)) are not recorded. The search
+is fully deterministic, and budget exhaustion is reported as a result state
+rather than an error.
 
 Edges come from the lattice's line masks, one popcount per vertex pair. The
 frac-uniform generator, like the family checkers, keeps per-pair intersect
@@ -102,8 +105,22 @@ class CompatGraph:
     adjacency: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.vertices) != len(self.adjacency):
+        count = len(self.vertices)
+        if count != len(self.adjacency):
             raise DomainError("adjacency size disagrees with the vertex count")
+        for i, mask in enumerate(self.adjacency):
+            if mask < 0 or mask >> count:
+                raise DomainError(f"vertex {i} is adjacent to a vertex outside 0..{count - 1}")
+        # Row i as a bit string, character j holding bit j. The matrix is
+        # symmetric when every column of the rows equals the row of that
+        # index; only a failing check walks the edges to name the first bad one.
+        rows = [format(mask, f"0{count}b")[::-1] for mask in self.adjacency]
+        if any(row[i] == "1" for i, row in enumerate(rows)) or any(
+            "".join(column) != row for column, row in zip(zip(*rows), rows)
+        ):
+            self._raise_first_defect()
+
+    def _raise_first_defect(self):
         for i, mask in enumerate(self.adjacency):
             if (mask >> i) & 1:
                 raise DomainError(f"vertex {i} carries a self-loop")
@@ -204,30 +221,17 @@ class SearchResult:
         }
 
 
-def _greedy_coloring(candidates: int, adjacency: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(vertex, color) pairs in ascending color order, colors from 1."""
-    out: list[tuple[int, int]] = []
-    color = 0
-    rest = candidates
-    while rest:
-        color += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            out.append((v, color))
-            avail &= ~adjacency[v]
-            avail ^= low
-            rest ^= low
-    return out
-
-
 def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Exact maximum clique of the compatibility graph, within budgets.
 
-    Branch and bound with greedy coloring upper bounds, visiting vertices in
-    canonical index order; repeated runs return the identical family. When
-    the node or time budget runs out, the best family found so far is
+    Iterative branch and bound over an explicit stack, with greedy coloring
+    upper bounds, visiting vertices in canonical index order; repeated runs
+    return the identical family. Each node colors its candidates greedily
+    and branches on them from the highest color down, pruning a vertex whose
+    color cannot lift the current clique above the best one. Colors at or
+    below k_min = len(best) - len(current) at node entry are not recorded,
+    because the best clique only grows, so those vertices are always pruned.
+    When the node or time budget runs out, the best family found so far is
     returned with exhausted False.
     """
     limits = limits or SearchLimits()
@@ -239,34 +243,71 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     if math.isfinite(window):
         deadline = time.monotonic() + window
 
+    full = (1 << count) - 1
+    bits = [1 << v for v in range(count)]
+    nonadj = [full & ~adjacency[v] & ~bits[v] for v in range(count)]
     best: list[int] = []
     current: list[int] = []
     nodes = 0
     aborted = False
-
-    def expand(candidates: int):
-        nonlocal nodes, aborted, best
-        if nodes >= budget_nodes or (deadline is not None and time.monotonic() > deadline):
-            aborted = True
-            return
-        nodes += 1
-        colored = _greedy_coloring(candidates, adjacency)
-        for v, color in reversed(colored):
-            if aborted:
-                return
-            if len(current) + color <= len(best):
-                return
-            current.append(v)
-            rest = candidates & adjacency[v]
-            if rest:
-                expand(rest)
-            elif len(current) > len(best):
+    # Each frame is [candidates, vertices, colors, next index]: a node's
+    # remaining candidates and its recorded coloring, walked from the end.
+    stack: list[list] = []
+    candidates = full
+    while True:
+        if candidates:
+            # Enter a node on the candidate set.
+            if nodes >= budget_nodes or (deadline is not None and time.monotonic() > deadline):
+                aborted = True
+                break
+            nodes += 1
+            k_min = len(best) - len(current)
+            vertices: list[int] = []
+            colors: list[int] = []
+            color = 0
+            rest = candidates
+            while rest:
+                color += 1
+                avail = rest
+                if color <= k_min:
+                    while avail:
+                        low = avail & -avail
+                        rest ^= low
+                        avail &= nonadj[low.bit_length() - 1]
+                else:
+                    while avail:
+                        low = avail & -avail
+                        v = low.bit_length() - 1
+                        vertices.append(v)
+                        colors.append(color)
+                        rest ^= low
+                        avail &= nonadj[v]
+            stack.append([candidates, vertices, colors, len(vertices) - 1])
+        elif current:
+            # A leaf: the clique cannot grow.
+            if len(current) > len(best):
                 best = current.copy()
             current.pop()
-            candidates &= ~(1 << v)
-
-    if count:
-        expand((1 << count) - 1)
+        # Pick the next branch, leaving every exhausted or pruned node.
+        while stack:
+            frame = stack[-1]
+            i = frame[3]
+            if i < 0 or len(current) + frame[2][i] <= len(best):
+                stack.pop()
+                if current:
+                    current.pop()
+                continue
+            v = frame[1][i]
+            frame[3] = i - 1
+            # v leaves the node's candidates before its subtree rather than
+            # after: the child's candidates lie in adjacency[v], which lacks v.
+            candidates = frame[0]
+            frame[0] = candidates ^ bits[v]
+            candidates &= adjacency[v]
+            current.append(v)
+            break
+        else:
+            break
 
     chosen = sorted(best)
     members = tuple(

@@ -165,6 +165,16 @@ class TestExitCodes:
         assert payload["exhausted"] is False
         assert payload["nodes"] <= 1
 
+    def test_deep_clique_search_exits_zero(self, tmp_path):
+        # all 1057 lines of GF(32)^3 pairwise meet in 0: one clique of depth
+        # 1057, deeper than the interpreter's recursion limit
+        profile = tmp_path / "lines.json"
+        profile.write_text(json.dumps({"b": 2, "K": [1], "L": [0]}))
+        code, out, err = run(["search", "--n", "3", "--q", "32", "--profile", str(profile)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1057)
+
 
 class TestFormats:
     def test_json_is_canonical(self):

@@ -1,13 +1,17 @@
 """Compatibility graphs, exact maximum-family search, and the three generators."""
 
+import random
+
 import pytest
 
 from qlattice import (
     CompatGraph,
     DomainError,
     FractionSet,
+    Family,
     ModularProfile,
     SearchLimits,
+    SubspaceIndex,
     bound_theorem1,
     build_graph,
     check_fractional,
@@ -20,8 +24,121 @@ from qlattice import (
     intersect,
     max_family,
     qbinom,
+    subspace_at,
 )
-from qlattice.search import ENV_TIME_BUDGET
+from qlattice.search import ENV_TIME_BUDGET, SearchResult
+
+
+# The recursive branch and bound that max_family replaced, kept as the
+# oracle: the iterative search must visit exactly the same nodes.
+def _greedy_coloring(candidates, adjacency):
+    out = []
+    color = 0
+    rest = candidates
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            out.append((v, color))
+            avail &= ~adjacency[v]
+            avail ^= low
+            rest ^= low
+    return out
+
+
+def _reference_max_family(graph, limits):
+    count = graph.size
+    adjacency = graph.adjacency
+    budget_nodes = limits.max_nodes
+    best, current = [], []
+    nodes = 0
+    aborted = False
+
+    def expand(candidates):
+        nonlocal nodes, aborted, best
+        if nodes >= budget_nodes:
+            aborted = True
+            return
+        nodes += 1
+        for v, color in reversed(_greedy_coloring(candidates, adjacency)):
+            if aborted:
+                return
+            if len(current) + color <= len(best):
+                return
+            current.append(v)
+            rest = candidates & adjacency[v]
+            if rest:
+                expand(rest)
+            elif len(current) > len(best):
+                best = current.copy()
+            current.pop()
+            candidates &= ~(1 << v)
+
+    if count:
+        expand((1 << count) - 1)
+    members = tuple(subspace_at(graph.ctx, graph.n, graph.vertices[v]) for v in sorted(best))
+    return SearchResult(Family(graph.ctx, graph.n, members), len(members), not aborted, nodes)
+
+
+def _reference_defect(adjacency):
+    """The message of the per-edge check that CompatGraph used to run alone."""
+    for i, mask in enumerate(adjacency):
+        if (mask >> i) & 1:
+            return f"vertex {i} carries a self-loop"
+    for i, mask in enumerate(adjacency):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            if not (adjacency[j] >> i) & 1:
+                return f"edge ({i}, {j}) is not symmetric"
+    return None
+
+
+def _random_adjacency(rng, size, density):
+    adjacency = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return adjacency
+
+
+def _random_graph(size, density):
+    """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
+    rng = random.Random(size * 100 + round(density * 10))
+    pool = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
+    vertices = tuple(rng.sample(pool, size))
+    return CompatGraph(field(2), 5, "modular", vertices, tuple(_random_adjacency(rng, size, density)))
+
+
+def _outcome(result):
+    return result.size, result.exhausted, result.nodes, result.family.members
+
+
+SIZES = [1, 2, 3, 5, 8, 13, 21, 34, 47, 60]
+DENSITIES = [0.1, 0.3, 0.5, 0.7, 0.9]
+NODE_BUDGETS = [None, 1, 2, 3, 10, 100]
+LATTICE_PREDICATES = [
+    FractionSet(((1, 2),)),
+    FractionSet(((1, 3), (1, 2))),
+    FractionSet(((1, 2), (2, 3))),
+    ModularProfile(2, (1,), (0,)),
+    ModularProfile(3, (2,), (1,)),
+    ModularProfile(3, (1, 2), (0,)),
+]
+
+
+def _assert_same_search(graph):
+    for max_nodes in NODE_BUDGETS:
+        limits = SearchLimits() if max_nodes is None else SearchLimits(max_nodes=max_nodes)
+        assert _outcome(max_family(graph, limits)) == _outcome(
+            _reference_max_family(graph, limits)
+        ), max_nodes
 
 
 class TestLimits:
@@ -61,6 +178,38 @@ class TestCompatGraph:
         F2 = field(2)
         with pytest.raises(DomainError):
             CompatGraph(F2, 3, "modular", (1,), (0b1,))
+
+    def test_defect_messages(self):
+        F2 = field(2)
+        with pytest.raises(DomainError, match=r"^edge \(0, 1\) is not symmetric$"):
+            CompatGraph(F2, 3, "modular", (1, 2), (0b10, 0b00))
+        with pytest.raises(DomainError, match=r"^vertex 0 carries a self-loop$"):
+            CompatGraph(F2, 3, "modular", (1,), (0b1,))
+
+    def test_self_loop_reported_before_asymmetry(self):
+        # vertex 2 loops; edge (0, 1) is one-sided and comes first in edge order
+        with pytest.raises(DomainError, match=r"^vertex 2 carries a self-loop$"):
+            CompatGraph(field(2), 3, "modular", (1, 2, 3), (0b010, 0b000, 0b100))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_asymmetric_edge_named(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(3, 40)
+        adjacency = _random_adjacency(rng, size, 0.5)
+        edges = [(i, j) for i in range(size) for j in range(size) if adjacency[i] >> j & 1]
+        for i, j in rng.sample(edges, min(len(edges), 4)):
+            adjacency[i] &= ~(1 << j)
+        want = _reference_defect(adjacency)
+        assert want is not None and want.startswith("edge (")
+        with pytest.raises(DomainError) as info:
+            CompatGraph(field(2), 3, "modular", tuple(range(size)), tuple(adjacency))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("adjacency", [(0b10,), (0b100, 0b000), (-1, 0)])
+    def test_adjacency_outside_vertex_range_rejected(self, adjacency):
+        vertices = tuple(range(len(adjacency)))
+        with pytest.raises(DomainError, match="outside"):
+            CompatGraph(field(2), 3, "modular", vertices, adjacency)
 
     def test_tight_profile_graph_is_complete(self):
         g = build_graph(field(2), 3, ModularProfile(3, (2,), (1,)), SearchLimits())
@@ -216,6 +365,30 @@ class TestMaxFamily:
         assert set(d) == {"size", "exhausted", "nodes", "family"}
         assert d["size"] == 7
         assert d["exhausted"] is True
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("density", DENSITIES)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_random_graphs(self, size, density):
+        _assert_same_search(_random_graph(size, density))
+
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_lattice_graphs(self, q, n, predicate):
+        _assert_same_search(build_graph(field(q), n, predicate, SearchLimits()))
+
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_clique_size_matches_networkx(self, density):
+        nx = pytest.importorskip("networkx")
+        for size in SIZES:
+            g = _random_graph(size, density)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(size))
+            nxg.add_edges_from(
+                (i, j) for i in range(size) for j in range(i + 1, size) if g.adjacency[i] >> j & 1
+            )
+            assert max_family(g).size == nx.max_weight_clique(nxg, weight=None)[1], size
 
 
 class TestGenerators:
