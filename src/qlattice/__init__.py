@@ -53,6 +53,7 @@ from .gfspace import (
     lattice_budget,
     lattice_size,
     line_mask,
+    meet_dim,
     subspace_at,
     union_space,
     zero_subspace,

@@ -11,8 +11,8 @@ full row rank proves linear independence, anything less is inconclusive.
 Each point is an int mask cut from Lattice.contains_mask, so an f or g_xy
 row reads one bit per point. A point's line count is the popcount of its line
 mask (gfspace.line_mask), the lines it shares with a member the popcount of
-the AND of the two masks. The profile check keeps per-pair intersect, as
-check_modular does for every family (see families).
+the AND of the two masks. The profile check is check_modular, which takes
+each member pair's meet dimension from gfspace.meet_dim (see families).
 """
 
 from __future__ import annotations

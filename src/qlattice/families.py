@@ -6,8 +6,10 @@ profiles and fraction sets), evaluates the three size bounds with their exact
 case analysis, partitions families by dimension residues and by base-power
 cells, and runs the Gram-matrix rank analysis on a single cell.
 
-The checkers intersect each pair with gfspace.intersect, not line masks: a
-family file may live in an ambient such as GF(256)^40, too big for masks.
+The checkers, the Gram identity cross-check and the certificates' profile
+check take each pair's meet dimension from gfspace.meet_dim, a rank count that
+needs no lattice and no line masks: a family file may live in an ambient such
+as GF(256)^40, too big for either.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .gfspace import (
     Subspace,
     canonicalize,
     field_from_dict,
-    intersect,
     line_mask,
+    meet_dim,
 )
 
 __all__ = [
@@ -267,7 +269,7 @@ def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
             )
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            d = intersect(family[i], family[j]).dim
+            d = meet_dim(family[i], family[j])
             if d % b not in l_set:
                 return CheckResult(
                     False,
@@ -287,7 +289,7 @@ def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             vi, vj = family[i], family[j]
-            d = intersect(vi, vj).dim
+            d = meet_dim(vi, vj)
             if not any(d * b == a * vi.dim or d * b == a * vj.dim for a, b in fractions):
                 return CheckResult(
                     False,
@@ -653,7 +655,7 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
     Builds N = M·Mᵀ for the member-by-line incidence M over exact integers,
     N[i][l] being the popcount of the AND of the two members' line masks;
     cross-checks the entries against the line-count identities with per-pair
-    intersect as an independent route; divides N entrywise by
+    meet_dim as an independent route; divides N entrywise by
     qbinom(b^(k-1), 1, q) (exact, or StructureError), reduces mod
     D = [b 1] over the base q^(b^(k-1)), checks the diagonal-zero and constant
     off-diagonal congruences, compares det(P) and det(Q) against their closed
@@ -683,7 +685,7 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
     identities = all(
         gram[i][i] == qbinom(member.dim, 1, q) for i, member in enumerate(subfamily)
     ) and all(
-        gram[i][l] == qbinom(intersect(subfamily[i], subfamily[l]).dim, 1, q)
+        gram[i][l] == qbinom(meet_dim(subfamily[i], subfamily[l]), 1, q)
         for i in range(m)
         for l in range(i + 1, m)
     )

@@ -3,7 +3,9 @@
 A subspace is identified with its unique reduced-row-echelon basis, so equality
 and hashing are componentwise. The ambient enumeration order, the per-dimension
 index bijection, line masks and containment vectors all build on that
-canonical form.
+canonical form. Per-pair meet dimensions come from meet_dim, a rank count
+against the stored pivot rows that builds no Subspace; intersect, which builds
+the meet itself, stays as the reference route.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -287,6 +289,8 @@ class Subspace:
             for j, row in enumerate(self.rows):
                 if j != i and row[piv] != 0:
                     raise DomainError("nonzero entry in a pivot column off the pivot row")
+        # kept outside the dataclass fields, so eq, hash and repr ignore it
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -294,7 +298,8 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
+        """Pivot column of each basis row, derived once at construction."""
+        return self._pivots
 
     def __repr__(self):
         return f"Subspace(n={self.n}, dim={self.dim}, rows={self.rows})"
@@ -342,7 +347,7 @@ def full_space(ctx: FieldContext, n: int) -> Subspace:
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):
-    if a.ctx != b.ctx or a.n != b.n:
+    if a.n != b.n or (a.ctx is not b.ctx and a.ctx != b.ctx):
         raise DomainError("subspaces live in different ambients")
 
 
@@ -370,6 +375,35 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     reduced = _rref(ctx, 2 * n, block)
     inter_rows = [row[n:] for row in reduced if not any(row[:n])]
     return canonicalize(ctx, n, [r for r in inter_rows if any(r)])
+
+
+def meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a ∩ b) = dim a + dim b - rank of a's rows stacked on b's.
+
+    Each row of b is reduced against the pivot rows kept so far: a's reduced
+    basis, then the residuals of earlier rows of b scaled to a leading 1. A
+    row that leaves a nonzero residual raises the rank. No Subspace and no
+    lattice is built, so this works in every ambient, with no budget.
+    """
+    _check_same_ambient(a, b)
+    ctx, n = a.ctx, a.n
+    add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
+    basis = list(zip(a.pivots, a.rows))
+    for row in b.rows:
+        if len(basis) == n:
+            break
+        work = row
+        for piv, prow in basis:
+            f = work[piv]
+            if f:
+                scale = mul[neg[f]]
+                work = [add[x][scale[y]] for x, y in zip(work, prow)]
+        for lead, x in enumerate(work):
+            if x:
+                scale = mul[inv[x]]
+                basis.append((lead, [scale[y] for y in work]))
+                break
+    return a.dim + b.dim - len(basis)
 
 
 def union_space(a: Subspace, b: Subspace) -> Subspace:
@@ -524,7 +558,8 @@ class Lattice:
     each dimension in enumeration order. Incidence comes from lines[u], the
     line_mask of subspace u, built once here; the lazy contains_mask table
     derives from it: bit u of contains_mask[w] says u lies inside w. Family
-    checks keep per-pair intersect, as family files may be too big for masks.
+    checks use meet_dim per pair instead, as family files may live in
+    ambients too big for a lattice.
     """
 
     def __init__(self, ctx: FieldContext, n: int):

@@ -161,6 +161,18 @@ def multiplicative_order(q: int, p: int) -> int:
     return order
 
 
+def has_order(q: int, p: int, b: int) -> bool:
+    """True iff q has multiplicative order exactly b mod p, for b >= 1.
+
+    q^b = 1 mod p, and q^(b/r) != 1 mod p for every prime r dividing b. Only
+    b is factored, never p - 1, so this is fast for any size of p.
+    """
+    if pow(q, b, p) != 1:
+        return False
+    primes, _ = trial_factor(b)
+    return all(pow(q, b // r, p) != 1 for r in primes)
+
+
 @dataclass(frozen=True)
 class ZsigmondyException:
     """Marker for the two (q, b) pairs with no full-order prime divisor.
@@ -216,9 +228,7 @@ def zsigmondy_prime(
                 partial={"factored": found, "cofactor": rem},
             )
     for p in found:
-        if multiplicative_order(q, p) == b:
-            if pow(q, b, p) != 1:  # re-verify before reporting
-                raise ArithmeticError("order verification failed")
+        if has_order(q, p, b):
             return p
     raise ArithmeticError(f"no full-order prime divisor of {q}^{b}-1 found")
 

@@ -11,8 +11,8 @@ is fully deterministic, and budget exhaustion is reported as a result state
 rather than an error.
 
 Edges come from the lattice's line masks, one popcount per vertex pair. The
-frac-uniform generator, like the family checkers, keeps per-pair intersect
-for its violation list: it works on the members alone and builds no lattice.
+frac-uniform generator, like the family checkers, takes its violation list
+from per-pair meet_dim: it works on the members alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .gfspace import (
     canonicalize,
     enumerate_subspaces,
     field,
-    intersect,
     lattice,
+    meet_dim,
     subspace_at,
 )
 from .families import Family, FractionSet, ModularProfile
@@ -96,7 +96,11 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class CompatGraph:
-    """Compatibility graph: vertices pass the unary condition, edges the pairwise one."""
+    """Compatibility graph: vertices pass the unary condition, edges the pairwise one.
+
+    Each vertex is a (dim, pos) SubspaceIndex of GF(q)^n; the adjacency is a
+    symmetric loop-free bitmask per vertex. Both are validated on construction.
+    """
 
     ctx: FieldContext
     n: int
@@ -105,6 +109,18 @@ class CompatGraph:
     adjacency: tuple[int, ...]
 
     def __post_init__(self):
+        n, q = self.n, self.ctx.q
+        widths = [qbinom(n, d, q) for d in range(n + 1)]
+        for i, v in enumerate(self.vertices):
+            if not (
+                isinstance(v, tuple)
+                and len(v) == 2
+                and isinstance(v[0], int)
+                and isinstance(v[1], int)
+                and 0 <= v[0] <= n
+                and 1 <= v[1] <= widths[v[0]]
+            ):
+                raise DomainError(f"vertex {i} is not a (dim, pos) index into GF({q})^{n}: {v!r}")
         count = len(self.vertices)
         if count != len(self.adjacency):
             raise DomainError("adjacency size disagrees with the vertex count")
@@ -377,7 +393,7 @@ def gen_example_frac_uniform(s: int, n: int, q: int) -> FracUniformExample:
     violations = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            d = intersect(members[i], members[j]).dim
+            d = meet_dim(members[i], members[j])
             if not any(d * b == a * s for a, b in fractions):
                 violations.append((i, j))
     return FracUniformExample(

@@ -13,6 +13,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -117,6 +119,18 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["prime"] is None
         assert payload["exception"]["clause"] == "q_2_b_6"
+
+    def test_zsigmondy_with_large_prime_factor_finishes(self):
+        # a fresh process, so a regression fails at the timeout instead of hanging
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qlattice.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlattice.cli", "zsigmondy", "5", "47"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert payload["prime"] == 177635683940025046467781066894531
+        assert payload["order"] == 47
 
     def test_lattice_budget_exhaustion_exits_three(self):
         code, out, err = run(

@@ -1,5 +1,6 @@
 """Family checkers, bound evaluators, partitions, and the Gram rank argument."""
 
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,9 @@ from qlattice import (
     fractions_from_strings,
     fractions_to_strings,
     gen_example_bisection,
+    gen_example_uniform,
     gram_analysis,
+    intersect,
     integer_rank,
     partition_jk,
     partition_mod_prime,
@@ -38,7 +41,8 @@ from qlattice import (
     profile_to_dict,
     qbinom,
 )
-from qlattice.families import partition_dims
+from qlattice.families import CheckResult, partition_dims
+from qlattice.gfspace import ENV_LATTICE_BUDGET, canonicalize
 
 
 def coordinate_subspace(ctx, n, dim):
@@ -178,6 +182,115 @@ class TestCheckers:
         assert check_fractional(fam, FractionSet(((1, 2),))).ok
         assert check_fractional(fam, FractionSet(((1, 3),))).ok
         assert not check_fractional(fam, FractionSet(((2, 3),))).ok
+
+
+# The checkers as they were before meet_dim: each pair's meet is built with
+# intersect. Kept as the oracle the rank-based checkers must agree with.
+def _oracle_check_modular(family, profile):
+    b = profile.b
+    for i, m in enumerate(family):
+        if m.dim % b not in profile.K:
+            return CheckResult(
+                False, (i,), f"member {i} has dim {m.dim} ≡ {m.dim % b} (mod {b}), not in K"
+            )
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            d = intersect(family[i], family[j]).dim
+            if d % b not in profile.L:
+                return CheckResult(
+                    False, (i, j), f"pair ({i}, {j}) meets in dim {d} ≡ {d % b} (mod {b}), not in L"
+                )
+    return CheckResult(True, None, "all members and pairs conform")
+
+
+def _oracle_check_fractional(family, fractions):
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            vi, vj = family[i], family[j]
+            d = intersect(vi, vj).dim
+            if not any(d * b == a * vi.dim or d * b == a * vj.dim for a, b in fractions):
+                return CheckResult(
+                    False,
+                    (i, j),
+                    f"pair ({i}, {j}) meets in dim {d}, no listed fraction of dims "
+                    f"{vi.dim} or {vj.dim}",
+                )
+    return CheckResult(True, None, "all members and pairs conform")
+
+
+def _with_stray_plane(k, s, q):
+    """gen_example_uniform(k, s, q) with one plane inserted mid-family."""
+    ex = gen_example_uniform(k, s, q)
+    members = list(ex.family.members)
+    plane = next(p for p in enumerate_subspaces(ex.family.ctx, ex.family.n, 2) if p not in members)
+    members.insert(len(members) // 2, plane)
+    return Family(ex.family.ctx, ex.family.n, tuple(members))
+
+
+ORACLE_FAMILIES = [
+    *(gen_example_uniform(k, s, q).family for k, s, q in [(2, 1, 2), (1, 2, 3), (2, 2, 2)]),
+    *(_with_stray_plane(k, s, q) for k, s, q in [(1, 2, 2), (3, 1, 2), (1, 3, 2), (1, 2, 3)]),
+    *(gen_example_bisection(n, q).family for n, q in [(3, 2), (4, 2), (4, 3), (5, 2)]),
+]
+ORACLE_PROFILES = [
+    ModularProfile(b, K, L)
+    for b in (2, 3)
+    for K in itertools.chain.from_iterable(
+        itertools.combinations(range(b), r) for r in range(1, b)
+    )
+    for L in itertools.chain.from_iterable(
+        itertools.combinations(sorted(set(range(b)) - set(K)), r) for r in range(1, b)
+    )
+]
+ORACLE_FRACTIONS = [
+    FractionSet(fr) for fr in [((1, 2),), ((1, 3),), ((1, 2), (2, 3)), ((1, 3), (1, 2)), ((3, 4),)]
+]
+
+
+class TestCheckersMatchIntersectOracle:
+    @pytest.mark.parametrize("index", range(len(ORACLE_FAMILIES)))
+    def test_modular(self, index):
+        family = ORACLE_FAMILIES[index]
+        for profile in ORACLE_PROFILES:
+            assert check_modular(family, profile) == _oracle_check_modular(family, profile), profile
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_FAMILIES)))
+    def test_fractional(self, index):
+        family = ORACLE_FAMILIES[index]
+        for fractions in ORACLE_FRACTIONS:
+            got = check_fractional(family, fractions)
+            assert got == _oracle_check_fractional(family, fractions), fractions
+
+    def test_oracle_cases_cover_both_verdicts(self):
+        verdicts = {
+            (check_modular(f, p).ok, len(check_modular(f, p).witness or ()))
+            for f in ORACLE_FAMILIES
+            for p in ORACLE_PROFILES
+        }
+        assert verdicts == {(True, 0), (False, 1), (False, 2)}
+        assert {check_fractional(f, fr).ok for f in ORACLE_FAMILIES for fr in ORACLE_FRACTIONS} == {
+            True,
+            False,
+        }
+
+
+class TestLargeAmbient:
+    def test_gf256_40_family_checks_without_a_lattice(self, monkeypatch):
+        # any lattice or line mask of GF(256)^40 would trip a budget of 1
+        monkeypatch.setenv(ENV_LATTICE_BUDGET, "1")
+        ctx, n = field(256), 40
+        rng = random.Random(11)
+        vectors = [[rng.randrange(256) for _ in range(n)] for _ in range(33)]
+        assert canonicalize(ctx, n, vectors).dim == 33
+        a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
+        fam = Family(ctx, n, (a, b))  # dims 20 and 20, meeting in dim 7
+        assert check_modular(fam, ModularProfile(3, (2,), (1,))).ok
+        res = check_modular(fam, ModularProfile(3, (2,), (0,)))
+        assert (res.ok, res.witness) == (False, (0, 1))
+        assert res.detail == "pair (0, 1) meets in dim 7 ≡ 1 (mod 3), not in L"
+        assert check_fractional(fam, FractionSet(((7, 20),))).ok
+        res = check_fractional(fam, FractionSet(((1, 2),)))
+        assert (res.ok, res.witness) == (False, (0, 1))
 
 
 class TestBoundTheorem1:

@@ -1,5 +1,8 @@
 """Finite fields, canonical subspaces, enumeration, and the subspace lattice."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from qlattice import (
     lattice,
     lattice_size,
     line_mask,
+    meet_dim,
     qbinom,
     subspace_at,
     union_space,
@@ -323,6 +327,62 @@ class TestLineMask:
         with pytest.raises(ResourceLimitError) as exc:
             line_mask(zero_subspace(field(2), 3))
         assert exc.value.partial == {"count": 7}
+
+
+class TestMeetDim:
+    AMBIENTS = ((2, 4), (3, 3), (4, 3), (5, 2))
+
+    @given(ambient=st.sampled_from(AMBIENTS), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_intersect(self, ambient, data):
+        q, n = ambient
+        subs = lattice(field(q), n).subspaces
+        u = subs[data.draw(st.integers(0, len(subs) - 1))]
+        w = subs[data.draw(st.integers(0, len(subs) - 1))]
+        assert meet_dim(u, w) == intersect(u, w).dim
+        assert meet_dim(w, u) == intersect(w, u).dim
+
+    @pytest.mark.parametrize("q,n", AMBIENTS)
+    def test_zero_and_full_space(self, q, n):
+        ctx = field(q)
+        zero, full = zero_subspace(ctx, n), full_space(ctx, n)
+        for space in lattice(ctx, n).subspaces:
+            for a, b in ((zero, space), (space, zero), (full, space), (space, full)):
+                assert meet_dim(a, b) == intersect(a, b).dim
+            assert meet_dim(zero, space) == 0
+            assert meet_dim(space, full) == space.dim
+
+    def test_large_ambient_needs_no_budget(self, monkeypatch):
+        # 33 random vectors of GF(256)^40; a spans the first 20, b the last 20
+        monkeypatch.setenv(ENV_LATTICE_BUDGET, "1")
+        ctx, n = field(256), 40
+        rng = random.Random(5)
+        vectors = [[rng.randrange(256) for _ in range(n)] for _ in range(33)]
+        assert canonicalize(ctx, n, vectors).dim == 33
+        a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
+        assert meet_dim(a, b) == meet_dim(b, a) == intersect(a, b).dim == 7
+
+    def test_different_ambients_rejected(self):
+        with pytest.raises(DomainError):
+            meet_dim(zero_subspace(field(2), 3), zero_subspace(field(2), 4))
+        with pytest.raises(DomainError):
+            meet_dim(zero_subspace(field(2), 3), zero_subspace(field(3), 3))
+
+
+class TestStoredPivots:
+    def test_pivots_match_rows(self):
+        for space in lattice(field(3), 3).subspaces:
+            assert space.pivots == tuple(
+                next(i for i, x in enumerate(row) if x) for row in space.rows
+            )
+
+    def test_identity_ignores_pivots(self):
+        ctx = field(2)
+        a = canonicalize(ctx, 3, [[1, 1, 0], [0, 1, 1]])
+        b = Subspace(ctx, 3, a.rows)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(a)] == ["ctx", "n", "rows"]
+        assert "pivots" not in repr(a)
 
 
 class TestContainmentVector:

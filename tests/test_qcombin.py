@@ -26,6 +26,7 @@ from qlattice import (
     zsigmondy_exception,
     zsigmondy_prime,
 )
+from qlattice.qcombin import has_order
 
 
 class TestQbinom:
@@ -177,6 +178,22 @@ class TestZsigmondy:
             require_zsigmondy_prime(7, 2)
         assert info.value.clause == "q_plus_one_power_of_two"
         assert require_zsigmondy_prime(2, 3) == 7
+
+    def test_order_test_matches_multiplicative_order(self):
+        small_primes = [p for p in range(2, 200) if is_prime(p)]
+        for q in range(2, 13):
+            for p in small_primes:
+                if q % p == 0:
+                    continue
+                order = multiplicative_order(q, p)
+                for b in range(1, 13):
+                    assert has_order(q, p, b) == (order == b), (q, p, b)
+
+    def test_order_of_a_large_prime(self):
+        # p - 1 of this 33-digit prime factor of 5^47 - 1 is beyond trial division
+        p = 177635683940025046467781066894531
+        assert has_order(5, p, 47) and not has_order(5, p, 1)
+        assert not has_order(5, p, 94)
 
     def test_unfactorable_cofactor_reports_resource_limit(self):
         # q^b - 1 with two huge prime factors and a tiny ceiling cannot complete

@@ -108,11 +108,19 @@ def _random_adjacency(rng, size, density):
     return adjacency
 
 
+# Every subspace of GF(2)^5 as a graph vertex, in global lattice order.
+POOL = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
+
+
+def _graph(adjacency):
+    """A CompatGraph over GF(2)^5 on the first len(adjacency) subspaces."""
+    return CompatGraph(field(2), 5, "modular", tuple(POOL[: len(adjacency)]), tuple(adjacency))
+
+
 def _random_graph(size, density):
     """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
     rng = random.Random(size * 100 + round(density * 10))
-    pool = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
-    vertices = tuple(rng.sample(pool, size))
+    vertices = tuple(rng.sample(POOL, size))
     return CompatGraph(field(2), 5, "modular", vertices, tuple(_random_adjacency(rng, size, density)))
 
 
@@ -170,26 +178,23 @@ class TestLimits:
 
 class TestCompatGraph:
     def test_symmetry_enforced(self):
-        F2 = field(2)
         with pytest.raises(DomainError):
-            CompatGraph(F2, 3, "modular", (1, 2), (0b10, 0b00))
+            _graph((0b10, 0b00))
 
     def test_self_loop_rejected(self):
-        F2 = field(2)
         with pytest.raises(DomainError):
-            CompatGraph(F2, 3, "modular", (1,), (0b1,))
+            _graph((0b1,))
 
     def test_defect_messages(self):
-        F2 = field(2)
         with pytest.raises(DomainError, match=r"^edge \(0, 1\) is not symmetric$"):
-            CompatGraph(F2, 3, "modular", (1, 2), (0b10, 0b00))
+            _graph((0b10, 0b00))
         with pytest.raises(DomainError, match=r"^vertex 0 carries a self-loop$"):
-            CompatGraph(F2, 3, "modular", (1,), (0b1,))
+            _graph((0b1,))
 
     def test_self_loop_reported_before_asymmetry(self):
         # vertex 2 loops; edge (0, 1) is one-sided and comes first in edge order
         with pytest.raises(DomainError, match=r"^vertex 2 carries a self-loop$"):
-            CompatGraph(field(2), 3, "modular", (1, 2, 3), (0b010, 0b000, 0b100))
+            _graph((0b010, 0b000, 0b100))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_first_asymmetric_edge_named(self, seed):
@@ -202,14 +207,27 @@ class TestCompatGraph:
         want = _reference_defect(adjacency)
         assert want is not None and want.startswith("edge (")
         with pytest.raises(DomainError) as info:
-            CompatGraph(field(2), 3, "modular", tuple(range(size)), tuple(adjacency))
+            _graph(adjacency)
         assert str(info.value) == want
 
     @pytest.mark.parametrize("adjacency", [(0b10,), (0b100, 0b000), (-1, 0)])
     def test_adjacency_outside_vertex_range_rejected(self, adjacency):
-        vertices = tuple(range(len(adjacency)))
-        with pytest.raises(DomainError, match="outside"):
-            CompatGraph(field(2), 3, "modular", vertices, adjacency)
+        with pytest.raises(DomainError, match="adjacent to a vertex outside"):
+            _graph(adjacency)
+
+    @pytest.mark.parametrize(
+        "vertex",
+        [1, (1,), (1, 2, 3), (1.0, 1), ("1", 1), (-1, 1), (4, 1), (1, 0), (1, 8), (2, 8)],
+    )
+    def test_malformed_vertex_rejected(self, vertex):
+        # GF(2)^3 has 7 lines, 7 planes and one 3-space; a bare int vertex used
+        # to pass here and crash max_family in subspace_at
+        with pytest.raises(DomainError, match=r"^vertex 1 is not a \(dim, pos\) index"):
+            CompatGraph(field(2), 3, "modular", (SubspaceIndex(1, 1), vertex), (0, 0))
+
+    def test_valid_vertex_shapes_accepted(self):
+        g = CompatGraph(field(2), 3, "modular", ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0, 0, 0))
+        assert max_family(g).size == 1
 
     def test_tight_profile_graph_is_complete(self):
         g = build_graph(field(2), 3, ModularProfile(3, (2,), (1,)), SearchLimits())
@@ -438,6 +456,20 @@ class TestGenerators:
         # each reported pair really is disjoint
         i, j = ex.violations[0]
         assert intersect(ex.family.members[i], ex.family.members[j]).dim == 0
+
+    @pytest.mark.parametrize("s,n,q", [(2, 4, 2), (2, 3, 3), (3, 4, 2)])
+    def test_frac_uniform_violations_match_intersect_reference(self, s, n, q):
+        ex = gen_example_frac_uniform(s, n, q)
+        members = ex.family.members
+        want = tuple(
+            (i, j)
+            for i in range(len(members))
+            for j in range(i + 1, len(members))
+            if not any(
+                intersect(members[i], members[j]).dim * b == a * s for a, b in ex.fractions
+            )
+        )
+        assert ex.violations == want
 
     def test_frac_uniform_s1_empty_fractions(self):
         ex = gen_example_frac_uniform(1, 3, 2)
