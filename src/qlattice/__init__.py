@@ -28,7 +28,6 @@ from .qcombin import (
     prime_power,
     primorial_prime_set,
     qbinom,
-    qbinom_product,
     require_zsigmondy_prime,
     trial_factor,
     zsigmondy_exception,

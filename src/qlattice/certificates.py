@@ -13,15 +13,30 @@ row reads one bit per point. A point's line count is the popcount of its line
 mask (gfspace.line_mask), the lines it shares with a member the popcount of
 the AND of the two masks. The profile check is check_modular, which takes
 each member pair's meet dimension from gfspace.meet_dim (see families).
+
+Rank and span run over packed rows: a row is one int whose lane j, a fixed
+number of whole bytes wide, holds entry j mod p. A row operation is one
+big-int multiply-add, after which a Barrett multiply, shift and mask reduces
+every lane at once (_Lanes). Rows are converted through array and
+int.from_bytes, never entry by entry. The rows that depend only on the
+context, not on the family (the columns of the points, the g_xy rows and the
+echelon basis of the f rows), are built once per CertificateContext, on
+first use.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from operator import mod
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .qcombin import is_prime, multiplicative_order, qbinom, require_zsigmondy_prime
+from .qcombin import has_order, is_prime, qbinom, require_zsigmondy_prime
 from .gfspace import (
     ContainmentVector,
     FieldContext,
@@ -85,6 +100,58 @@ class CertificateContext:
     def r(self) -> int:
         return self.profile.r
 
+    # Family-independent rows, built on first use. cached_property writes the
+    # instance __dict__ directly, so it works on the frozen dataclass, and
+    # eq, hash and repr ignore what it stores.
+
+    @cached_property
+    def _lanes(self) -> "_Lanes":
+        return _Lanes(self.p, len(self.points))
+
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Column u of the points, packed: lane w is 1 when subspace u lies in point w.
+
+        The point masks become strings of 0/1 bytes, low bit first, and zip
+        transposes them, so no Python loop runs per entry.
+        """
+        width = self.S
+        bits = [
+            format(v.mask, "b").zfill(width)[::-1].encode().translate(_ZERO_ONE)
+            for v in self.points
+        ]
+        return tuple(map(self._lanes.pack, zip(*bits)))
+
+    @cached_property
+    def _grid_rows(self) -> tuple[int, ...]:
+        """Packed g_xy rows for 0 <= x <= s - r, by the bit index of (x, y).
+
+        g_xy is column u of (x, y) with every lane set to the K factor of
+        its point: the column's 0/1 lanes widened to all-ones, ANDed with
+        the packed factors.
+        """
+        lanes = self._lanes
+        factors = lanes.pack(_k_factors(self, lattice(self.ctx, self.n).lines))
+        count = sum(qbinom(self.n, x, self.q) for x in range(self.s - self.r + 1))
+        return tuple(column * lanes.lane & factors for column in self._columns[:count])
+
+    @cached_property
+    def _grid_entries(self) -> tuple[tuple[int, ...], ...]:
+        """The g_xy rows as certificate entries."""
+        return tuple(map(self._lanes.unpack, self._grid_rows))
+
+    @cached_property
+    def _f_basis(self) -> dict[int, int]:
+        """Echelon basis of the f rows: the columns of every subspace of dim <= s."""
+        return self._lanes.echelon(self._columns)
+
+    @cached_property
+    def _g_i_values(self) -> dict[int, int]:
+        """g_i at a point, by the line count [d 1]_q it shares with the member."""
+        mu_counts = _line_counts(self.profile.L, self.q, self.p)
+        counts = (qbinom(d, 1, self.q) for d in range(self.n + 1))
+        return {c: _product_minus(c, mu_counts, self.p) for c in counts}
+
 
 def certificate_context(
     ctx: FieldContext, n: int, profile: ModularProfile, p: Optional[int] = None
@@ -92,9 +159,11 @@ def certificate_context(
     """Build a CertificateContext, deriving p from (q, b) unless given.
 
     A caller-supplied p must be a prime at which q has multiplicative order
-    exactly b; the derived default comes from the primitive-prime-divisor
-    search and inherits its unsupported-parameter errors. Point w is
-    contains_mask[w] cut to its low S bits, the subspaces of dimension <= s.
+    exactly b; only b is factored for that test, never p - 1, so any size of
+    p is checked at once. The derived default comes from the
+    primitive-prime-divisor search and inherits its unsupported-parameter
+    errors. Point w is contains_mask[w] cut to its low S bits, the subspaces
+    of dimension <= s.
     """
     if n < 0:
         raise DomainError(f"ambient dimension must be >= 0, got {n}")
@@ -103,10 +172,9 @@ def certificate_context(
     else:
         if not is_prime(p):
             raise DomainError(f"p = {p} is not prime")
-        order = multiplicative_order(ctx.q, p)
-        if order != profile.b:
+        if not has_order(ctx.q, p, profile.b):
             raise DomainError(
-                f"q = {ctx.q} has order {order} mod {p}, need exactly {profile.b}"
+                f"q = {ctx.q} does not have multiplicative order exactly {profile.b} mod {p}"
             )
     s = profile.s
     total = sum(qbinom(n, t, ctx.q) for t in range(s + 1))
@@ -159,21 +227,23 @@ def _k_factors(cctx: CertificateContext, lines: Iterable[int]) -> list[int]:
     return [_product_minus(mask.bit_count(), kt_counts, cctx.p) for mask in lines]
 
 
-def _g_xy_row(cctx: CertificateContext, x: int, y: int, factors: Sequence[int]) -> list[int]:
-    """g_xy at each point, given the K factors of the points."""
+def _grid_index(cctx: CertificateContext, x: int, y: int) -> int:
+    """Bit index of (x, y), the row of g_xy in the context's grid."""
     if not 0 <= x <= cctx.s - cctx.r:
         raise DomainError(f"x = {x} outside [0, {cctx.s - cctx.r}]")
-    u = cctx.points[0].bit_index(x, y)
-    return [(v.mask >> u & 1) * f for v, f in zip(cctx.points, factors)]
+    return cctx.points[0].bit_index(x, y)
+
+
+def _member_lines(family: Family, i: int) -> int:
+    if not 0 <= i < len(family):
+        raise DomainError(f"member index {i} outside [0, {len(family)})")
+    return line_mask(family[i])
 
 
 def _g_i_row(cctx: CertificateContext, family: Family, i: int, points: Iterable[int]) -> list[int]:
-    """g_i of member i at each point, the points given by their line masks."""
-    if not 0 <= i < len(family):
-        raise DomainError(f"member index {i} outside [0, {len(family)})")
-    member, p = line_mask(family[i]), cctx.p
-    mu_counts = _line_counts(cctx.profile.L, cctx.q, p)
-    return [_product_minus((member & point).bit_count(), mu_counts, p) for point in points]
+    """g_i of member i at each point of the lattice, given their line masks."""
+    shared = map(int.bit_count, map(_member_lines(family, i).__and__, points))
+    return list(map(cctx._g_i_values.__getitem__, shared))
 
 
 def eval_g_i(cctx: CertificateContext, i: int, family: Family, v: ContainmentVector) -> int:
@@ -182,12 +252,14 @@ def eval_g_i(cctx: CertificateContext, i: int, family: Family, v: ContainmentVec
     The shared line count is the popcount of the AND of the member's line
     mask with v's dimension-1 block, which is v's line mask. An empty L gives 1.
     """
+    member = _member_lines(family, i)
     point = 0
     if cctx.profile.L:
         if v.s_cap < 1:
             raise DomainError("evaluation point must carry a dimension-1 block")
         point = v.block_mask(1)
-    return _g_i_row(cctx, family, i, (point,))[0]
+    mu_counts = _line_counts(cctx.profile.L, cctx.q, cctx.p)
+    return _product_minus((member & point).bit_count(), mu_counts, cctx.p)
 
 
 def product_reduce(x: int, y: int, z: int, ctx: FieldContext, n: int) -> SubspaceIndex:
@@ -202,34 +274,123 @@ def product_reduce(x: int, y: int, z: int, ctx: FieldContext, n: int) -> Subspac
 
 
 # ---------------------------------------------------------------------------
-# rank and span helpers mod p
+# packed rows mod p
+
+_LITTLE = sys.byteorder == "little"
+_ITEM_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _reduce_mod_p(basis: list[tuple[int, list[int]]], row: Sequence[int], p: int) -> list[int]:
-    """Residual of row mod p after elimination by an _echelon_mod_p basis."""
-    r = [v % p for v in row]
-    for pc, b in basis:
-        f = r[pc]
-        if f:
-            r = [(a - f * bb) % p for a, bb in zip(r, b)]
-    return r
+def _restride(data: bytes, src: int, dst: int) -> bytearray:
+    """Little-endian items of src bytes laid out again as items of dst bytes.
+
+    Each item keeps its low min(src, dst) bytes, so its value must fit there.
+    """
+    out = bytearray(len(data) // src * dst)
+    for i in range(min(src, dst)):
+        out[i::dst] = data[i::src]
+    return out
 
 
-def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
-    """Echelon basis [(pivot_col, unit_row), ...] of the row span."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        r = _reduce_mod_p(basis, row, p)
-        pivot = next((c for c, v in enumerate(r) if v), None)
-        if pivot is not None:
-            inv = pow(r[pivot], -1, p)
-            basis.append((pivot, [v * inv % p for v in r]))
-    return basis
+class _Lanes:
+    """Rows of `count` residues mod p, each packed into one int: entry j in lane j.
+
+    A lane is `width` whole bytes, at least 2a + 1 bits for a the bit length
+    of p(p - 1). p(p - 1) bounds every lane of r + c·b for r, c and b below
+    p, and Barrett's product of a lane below 2^a stays inside 2a + 1 bits, so
+    `reduce` takes every lane mod p at once with one multiply, shift and
+    mask, no lane spilling into the next. The quotient is exact: magic is
+    ceil(2^(a+l) / p) with 2^l >= p (Granlund and Montgomery 1994, Thm 4.2).
+    A reduced row's lowest nonzero lane is its lowest set bit.
+
+    Lanes of at most 8 bytes convert through array; wider ones (p above
+    about 46000) through int.to_bytes and struct, still with no Python loop
+    per entry.
+    """
+
+    def __init__(self, p: int, count: int):
+        a = (p * (p - 1)).bit_length()
+        ell = (p - 1).bit_length()
+        self.p, self.count = p, count
+        self.shift = a + ell
+        self.magic = -(-(1 << self.shift) // p)
+        self.width = (2 * a + 8) // 8
+        self.bits = 8 * self.width
+        self.lane = (1 << self.bits) - 1
+        ones = int.from_bytes((1).to_bytes(self.width, "little") * count, "little")
+        self.quotient_mask = ones * ((1 << (a - ell + 1)) - 1)
+        sizes = [size for size in _ITEM_CODES if size >= self.width]
+        self.itemsize = min(sizes) if sizes else 0
+
+    def pack(self, values: Iterable[int]) -> int:
+        """One row from its lane values, each below 2^bits."""
+        if not self.itemsize:
+            data = b"".join(map(int.to_bytes, values, repeat(self.width), repeat("little")))
+            return int.from_bytes(data, "little")
+        items = array(_ITEM_CODES[self.itemsize], values)
+        if not _LITTLE:
+            items.byteswap()
+        data = items.tobytes()
+        if self.itemsize != self.width:
+            data = _restride(data, self.itemsize, self.width)
+        return int.from_bytes(data, "little")
+
+    def unpack(self, row: int) -> tuple[int, ...]:
+        """The `count` lane values of one row."""
+        data = row.to_bytes(self.count * self.width, "little")
+        if not self.itemsize:
+            chunks = chain.from_iterable(struct.iter_unpack(f"{self.width}s", data))
+            return tuple(map(int.from_bytes, chunks, repeat("little")))
+        if self.itemsize != self.width:
+            data = _restride(data, self.width, self.itemsize)
+        items = array(_ITEM_CODES[self.itemsize], data)
+        if not _LITTLE:
+            items.byteswap()
+        return tuple(items)
+
+    def reduce(self, row: int) -> int:
+        """Every lane mod p, for lanes below 2^a."""
+        return row - ((row * self.magic >> self.shift) & self.quotient_mask) * self.p
+
+    def lead(self, basis: dict[int, int], row: int) -> tuple[int, int]:
+        """Reduce a row by basis until its lowest nonzero lane holds no pivot.
+
+        basis maps a pivot lane to a reduced row with 1 in that lane and
+        shifted down to start there. Returns (lane, tail), tail being the
+        reduced row shifted the same way; tail is 0 when the row lies in the
+        span of basis.
+        """
+        bits, lane, p, pos = self.bits, self.lane, self.p, 0
+        while row:
+            skip = ((row & -row).bit_length() - 1) // bits
+            row >>= skip * bits
+            pos += skip
+            unit = basis.get(pos)
+            if unit is None:
+                return pos, row
+            row = self.reduce(row + (p - (row & lane)) * unit) >> bits
+            pos += 1
+        return pos, 0
+
+    def echelon(self, rows: Iterable[int]) -> dict[int, int]:
+        """Echelon basis {pivot lane: unit row} of the span of reduced rows."""
+        basis: dict[int, int] = {}
+        for row in rows:
+            pos, tail = self.lead(basis, row)
+            if tail:
+                basis[pos] = self.reduce(tail * pow(tail & self.lane, -1, self.p))
+        return basis
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix over F_p."""
-    return len(_echelon_mod_p(rows, p))
+    rows = list(rows)
+    if not rows:
+        return 0
+    lanes = _Lanes(p, len(rows[0]))
+    if any(len(row) != lanes.count for row in rows):
+        raise DomainError("matrix rows differ in length")
+    return len(lanes.echelon(lanes.pack(map(mod, row, repeat(p))) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +429,7 @@ class CertificateMatrix:
         entries: Sequence[Sequence[int]],
         p: int,
     ) -> "CertificateMatrix":
-        normalized = tuple(tuple(v % p for v in row) for row in entries)
+        normalized = tuple(tuple(map(mod, row, repeat(p))) for row in entries)
         rank = rank_mod_p(normalized, p)
         verdict = "independent" if rank == len(normalized) else "inconclusive"
         return cls(tuple(rows), tuple(points), normalized, rank, verdict, p)
@@ -311,22 +472,22 @@ def independence_certificate(
     if not verdict:
         raise DomainError(f"family violates the profile: {verdict.detail}")
 
-    p, q = cctx.p, cctx.q
     labels: list[tuple] = []
-    rows: list[list[int]] = []
-    lines = lattice(cctx.ctx, cctx.n).lines
+    rows: list[Sequence[int]] = []
     if variant in ("swallow1", "swallow2"):
+        lines = lattice(cctx.ctx, cctx.n).lines
         for i in range(len(family)):
             labels.append(("g_i", i))
             rows.append(_g_i_row(cctx, family, i, lines))
 
-    factors = _k_factors(cctx, lines)
+    grid = cctx._grid_entries
     for x in _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2")):
-        for y in range(1, qbinom(cctx.n, x, q) + 1):
+        start = cctx.points[0].offset(x)
+        for y in range(1, qbinom(cctx.n, x, cctx.q) + 1):
             labels.append(("g_xy", x, y))
-            rows.append(_g_xy_row(cctx, x, y, factors))
+            rows.append(grid[start + y - 1])
 
-    return CertificateMatrix.from_entries(labels, cctx.point_labels, rows, p)
+    return CertificateMatrix.from_entries(labels, cctx.point_labels, rows, cctx.p)
 
 
 @dataclass(frozen=True)
@@ -355,21 +516,17 @@ def span_check(cctx: CertificateContext, family: Family, sample: Iterable[tuple]
     ("g_xy", x, y) or ("g_i", i) is reduced against its echelon form, and
     counts as solvable when the residual vanishes.
     """
-    p = cctx.p
-    masks = [v.mask for v in cctx.points]
-    basis = _echelon_mod_p(([m >> u & 1 for m in masks] for u in range(cctx.S)), p)
+    lanes, basis = cctx._lanes, cctx._f_basis
     lines = lattice(cctx.ctx, cctx.n).lines
-    factors = _k_factors(cctx, lines)
-
     ids, flags = [], []
     for item in sample:
         tag = tuple(item)
         if tag[0] == "g_xy" and len(tag) == 3:
-            row = _g_xy_row(cctx, tag[1], tag[2], factors)
+            row = cctx._grid_rows[_grid_index(cctx, tag[1], tag[2])]
         elif tag[0] == "g_i" and len(tag) == 2:
-            row = _g_i_row(cctx, family, tag[1], lines)
+            row = lanes.pack(_g_i_row(cctx, family, tag[1], lines))
         else:
             raise DomainError(f"sample id {item!r} must be ('g_xy', x, y) or ('g_i', i)")
         ids.append(tag)
-        flags.append(not any(_reduce_mod_p(basis, row, p)))
+        flags.append(not lanes.lead(basis, row)[1])
     return SpanReport(tuple(ids), tuple(flags))

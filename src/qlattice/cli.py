@@ -4,7 +4,11 @@ Output formats are json (default), csv, and table; all three carry the same
 data. Exit codes: 0 success or verdict pass, 1 verdict fail, 2 usage or
 domain error, 3 resource or budget error. Domain-level exceptions (moduli
 with no usable prime) exit 2; reported exception markers and exhausted
-budgets inside result payloads are data, not crashes.
+budgets inside result payloads are data, not crashes. No exception escapes
+main() as a traceback: running out of memory, stack depth or float range
+exits 3, and any other exception exits 2; either way stderr carries one JSON
+error object naming the exception type. Integers print exactly, however many
+digits they have (qbinom's size ceiling bounds them).
 """
 
 from __future__ import annotations
@@ -457,6 +461,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render_exact(payload, fmt: str) -> str:
+    """render() with Python's limit on int-to-decimal digits lifted for the call.
+
+    The limit (4300 digits by default from Python 3.11 on) is process-wide,
+    so it is restored before returning to an in-process caller.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return render(payload, fmt)
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render(payload, fmt)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _error_payload(exc: Exception) -> dict:
     payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
     clause = getattr(exc, "clause", "")
@@ -479,6 +500,7 @@ def main(argv=None) -> int:
         if config.lattice_budget is not None:
             os.environ[ENV_LATTICE_BUDGET] = str(config.lattice_budget)
         payload, code = args.handler(args, config)
+        text = _render_exact(payload, config.format)
     except ResourceLimitError as exc:
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_RESOURCE
@@ -486,6 +508,13 @@ def main(argv=None) -> int:
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_USAGE
     except QLatticeError as exc:
+        sys.stderr.write(render(_error_payload(exc), "json"))
+        return EXIT_USAGE
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        sys.stderr.write(render(_error_payload(exc), "json"))
+        return EXIT_RESOURCE
+    except Exception as exc:
+        # the command-line boundary: report, never a traceback
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_USAGE
     finally:
@@ -497,7 +526,7 @@ def main(argv=None) -> int:
             else:
                 os.environ[ENV_LATTICE_BUDGET] = saved_budget
 
-    sys.stdout.write(render(payload, config.format))
+    sys.stdout.write(text)
     return code
 
 

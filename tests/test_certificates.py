@@ -1,12 +1,15 @@
 """Rank certificates: the f/g evaluation functions and their matrices mod p."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from qlattice import (
     VARIANTS,
     CertificateMatrix,
+    ContainmentVector,
     DomainError,
     Family,
     ModularProfile,
@@ -27,6 +30,29 @@ from qlattice import (
     subspace_at,
     union_space,
 )
+from qlattice.certificates import _Lanes
+
+
+def _reduce_mod_p(basis, row, p):
+    """List oracle: residual of row mod p after elimination by an _echelon_mod_p basis."""
+    r = [v % p for v in row]
+    for pc, b in basis:
+        f = r[pc]
+        if f:
+            r = [(a - f * bb) % p for a, bb in zip(r, b)]
+    return r
+
+
+def _echelon_mod_p(rows, p):
+    """List oracle: echelon basis [(pivot_col, unit_row), ...] of the row span."""
+    basis = []
+    for row in rows:
+        r = _reduce_mod_p(basis, row, p)
+        pivot = next((c for c, v in enumerate(r) if v), None)
+        if pivot is not None:
+            inv = pow(r[pivot], -1, p)
+            basis.append((pivot, [v * inv % p for v in r]))
+    return basis
 
 
 @pytest.fixture(scope="module")
@@ -310,12 +336,12 @@ class TestMaskRowsMatchSpec:
             for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)
         ]
         assert len(f_rows) == cctx.S
-        base = rank_mod_p(f_rows, p)
+        basis = _echelon_mod_p(f_rows, p)
         samples = [("g_xy", x, y) for x in range(cctx.s - cctx.r + 1)
                    for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)]
         samples += [("g_i", i) for i in range(len(fam))]
         expected = tuple(
-            rank_mod_p(f_rows + [_spec_row(cctx, fam, tag)], p) == base for tag in samples
+            not any(_reduce_mod_p(basis, _spec_row(cctx, fam, tag), p)) for tag in samples
         )
         assert span_check(cctx, fam, samples).solvable == expected
 
@@ -359,6 +385,17 @@ class TestSpanCheck:
         assert rep.all_solvable
         assert all(rep.solvable)
 
+    def test_rows_outside_the_span_are_flagged(self, tight):
+        # points cut to the zero subspace leave one f row, all ones, whose
+        # span holds only the rows that are constant over the points
+        cctx, fam = tight
+        cut = dataclasses.replace(cctx, S=1, points=tuple(
+            ContainmentVector(v.ctx, v.n, 0, v.mask & 1) for v in cctx.points))
+        samples = [("g_xy", 0, 1)] + [("g_i", i) for i in range(len(fam))]
+        want = tuple(len(set(_spec_row(cctx, fam, tag))) == 1 for tag in samples)
+        assert span_check(cut, fam, samples).solvable == want
+        assert not any(want)
+
     def test_expansion_identity(self, tight):
         # g^{0,1} = sum_j f^{1,j} - [k1 1]_q f^{0,1} pointwise, r = 1
         cctx, _ = tight
@@ -367,3 +404,155 @@ class TestSpanCheck:
             lhs = eval_g_xy(cctx, 0, 1, v)
             rhs = (sum(eval_f(1, j, v) for j in range(1, 8)) - c * eval_f(0, 1, v)) % 7
             assert lhs == rhs
+
+
+PRIMES = (2, 3, 5, 7, 13, 31, 127, 2 ** 61 - 1, 2 ** 89 - 1)
+
+
+def _random_matrix(rng, p, rows, cols, rank=None):
+    """Entries in [-p, 2p); with rank given, a product of rows x rank and rank x cols."""
+    if rank is None:
+        return [[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)]
+    left = _random_matrix(rng, p, rows, rank)
+    right = _random_matrix(rng, p, rank, cols)
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _packed_residual(lanes, basis, row):
+    """Full residual of a packed row: lead() again past each lane that holds no pivot."""
+    out = 0
+    while True:
+        pos, tail = lanes.lead(basis, row)
+        if not tail:
+            return out
+        kept = (tail & lanes.lane) << (pos * lanes.bits)
+        out |= kept
+        row = (tail << (pos * lanes.bits)) - kept
+
+
+class TestPackedKernel:
+    """The lane-packed elimination against the list oracle and sympy."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_matches_oracle(self, p):
+        rng = random.Random(p)
+        shapes = [(1, 1), (3, 7), (7, 3), (12, 12), (9, 30), (30, 9)]
+        cases = [_random_matrix(rng, p, r, c) for r, c in shapes]
+        cases += [_random_matrix(rng, p, r, c, rank) for r, c, rank in
+                  ((12, 12, 5), (20, 9, 4), (9, 25, 1), (15, 15, 14))]
+        cases += [[[0] * 6] * 4, [[p, 2 * p, -p]] * 3]
+        for m in cases:
+            assert rank_mod_p(m, p) == len(_echelon_mod_p(m, p)), m
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_matches_sympy(self, p):
+        pytest.importorskip("sympy")
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(1000 + p)
+        for r, c, rank in ((8, 8, None), (10, 6, 3), (6, 14, 5), (11, 11, 10)):
+            m = _random_matrix(rng, p, r, c, rank)
+            dm = DomainMatrix([[GF(p)(v) for v in row] for row in m], (r, c), GF(p))
+            assert rank_mod_p(m, p) == dm.rank(), m
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_span_residuals_match_oracle(self, p):
+        rng = random.Random(2000 + p)
+        m = _random_matrix(rng, p, 16, 12, 6)
+        spanned, probes = m[:8], m[8:] + _random_matrix(rng, p, 4, 12)
+        lanes = _Lanes(p, 12)
+        basis = lanes.echelon(lanes.pack(v % p for v in row) for row in spanned)
+        oracle = _echelon_mod_p(spanned, p)
+        assert len(basis) == len(oracle)
+        for row in probes:
+            packed = lanes.pack(v % p for v in row)
+            want = _reduce_mod_p(oracle, row, p)
+            assert list(lanes.unpack(_packed_residual(lanes, basis, packed))) == want
+            assert (not lanes.lead(basis, packed)[1]) == (not any(want))
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 13, 31, 127))
+    def test_lane_reduction_exhaustive(self, p):
+        # every lane value below 2^a, a superset of the p(p - 1) a row
+        # operation can leave, in lanes next to each other
+        top = 1 << (p * (p - 1)).bit_length()
+        lanes = _Lanes(p, top)
+        values = list(range(top))
+        assert lanes.unpack(lanes.reduce(lanes.pack(values))) == tuple(v % p for v in values)
+        assert lanes.unpack(lanes.reduce(lanes.pack(values[::-1]))) == tuple(
+            v % p for v in values[::-1]
+        )
+
+    @pytest.mark.parametrize("p", (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1))
+    def test_lane_reduction_wide_primes(self, p):
+        rng = random.Random(p)
+        top = 1 << (p * (p - 1)).bit_length()
+        values = [rng.randrange(top) for _ in range(200)] + [0, p, p * (p - 1), top - 1]
+        lanes = _Lanes(p, len(values))
+        assert lanes.unpack(lanes.pack(values)) == tuple(values)
+        assert lanes.unpack(lanes.reduce(lanes.pack(values))) == tuple(v % p for v in values)
+
+    def test_lane_widths_are_whole_bytes(self):
+        widths = {p: _Lanes(p, 4).width for p in PRIMES}
+        assert widths == {2: 1, 3: 1, 5: 2, 7: 2, 13: 3, 31: 3, 127: 4,
+                          2 ** 61 - 1: 31, 2 ** 89 - 1: 45}
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DomainError):
+            rank_mod_p([[1, 2], [3]], 5)
+
+    def test_empty_matrix(self):
+        assert rank_mod_p([], 5) == 0
+        assert rank_mod_p([[], []], 5) == 0
+
+
+def _check_against_oracle(cctx, fam, spec=True):
+    for variant in VARIANTS:
+        cert = independence_certificate(cctx, fam, variant)
+        if spec:
+            want = tuple(tuple(v % cctx.p for v in _spec_row(cctx, fam, label))
+                         for label in cert.rows)
+            assert cert.entries == want, variant
+        rank = len(_echelon_mod_p(cert.entries, cctx.p))
+        assert cert.rank == rank, variant
+        assert cert.verdict == ("independent" if rank == len(cert.rows) else "inconclusive")
+
+
+class TestCertificatesMatchOracle:
+    """Entries, rank and verdict of every variant against spec rows and the list oracle."""
+
+    @pytest.mark.parametrize("kind", [(2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (1, 3, 2),
+                                      (2, 1, 3)])
+    def test_uniform_examples(self, kind):
+        ex = gen_example_uniform(*kind)
+        cctx = certificate_context(ex.family.ctx, ex.family.n, ex.profile)
+        _check_against_oracle(cctx, ex.family)
+        members = ex.family.members
+        _check_against_oracle(cctx, Family(ex.family.ctx, ex.family.n, members[: len(members) // 3]))
+
+    def test_large_uniform_example(self):
+        ex = gen_example_uniform(2, 2, 3)
+        cctx = certificate_context(ex.family.ctx, ex.family.n, ex.profile)
+        _check_against_oracle(cctx, Family(ex.family.ctx, ex.family.n, ex.family.members[:20]),
+                              spec=False)
+
+    @pytest.mark.parametrize("p", (2 ** 61 - 1, 2 ** 89 - 1))
+    def test_wide_prime_context(self, p):
+        # 2 has order b mod the Mersenne prime 2^b - 1, so b = 61 and b = 89
+        # profiles on the planes of GF(2)^3 accept p
+        F2 = field(2)
+        b = p.bit_length()
+        cctx = certificate_context(F2, 3, ModularProfile(b, (2,), (1,)), p=p)
+        fam = Family(F2, 3, tuple(enumerate_subspaces(F2, 3, 2)))
+        _check_against_oracle(cctx, fam)
+        assert span_check(cctx, fam, [("g_xy", 0, 1), ("g_i", 0)]).all_solvable
+
+    def test_context_rows_built_once(self, tight):
+        cctx, fam = tight
+        independence_certificate(cctx, fam, "lemma41")
+        span_check(cctx, fam, [("g_xy", 0, 1)])
+        grid, basis = cctx._grid_entries, cctx._f_basis
+        independence_certificate(cctx, fam, "swallow1")
+        span_check(cctx, fam, [("g_i", 0)])
+        assert cctx._grid_entries is grid and cctx._f_basis is basis
+        assert cctx == certificate_context(field(2), 3, cctx.profile)

@@ -190,6 +190,103 @@ class TestExitCodes:
         assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1057)
 
 
+# Every subcommand with extreme arguments: huge n, q = 256, empty lists.
+# {E} is an empty family in GF(256)^100000.
+EXTREME = [
+    ["qbinom", "100000", "50000", "256"],
+    ["qbinom", "3000", "1500", "2"],
+    ["altsum", "100000", "256"],
+    ["zsigmondy", "256", "97", "--ceiling", "1000"],
+    ["enum", "--n", "100000", "--q", "256", "--dim", "1", "--count-only"],
+    ["enum", "--n", "40", "--q", "256", "--dim", "2"],
+    ["check", "--family", PLANES7, "--fractions", ""],
+    ["check", "--family", "{E}", "--fractions", "1/2"],
+    ["bound", "--theorem", "main", "--n", "100000", "--q", "256", "--b", "3", "--K", "2",
+     "--L", ""],
+    ["bound", "--theorem", "frac", "--n", "3000", "--q", "2", "--fractions", "1/2"],
+    ["bound", "--theorem", "singleton", "--n", "100000", "--q", "256", "--frac", "1/2"],
+    ["bound", "--theorem", "frankl-graham", "--n", "100000", "--q", "256", "--k", "3",
+     "--b", "5", "--mus", ""],
+    ["certify", "--family", "{E}", "--profile", PROFILE_TIGHT, "--variant", "swallow1"],
+    ["certify", "--family", PLANES7, "--profile", PROFILE_TIGHT, "--variant", "lemma41",
+     "--prime", "20000000000000002559"],
+    ["partition", "--family", "{E}", "--base", "256"],
+    ["partition", "--family", PLANES7, "--prime", "1"],
+    ["gram", "--family", "{E}", "--base", "256", "--frac", "1/256"],
+    ["gram", "--family", PLANES7, "--base", "256", "--frac", "1/256"],
+    ["search", "--n", "100000", "--q", "256", "--fractions", "1/2"],
+    ["search", "--n", "3", "--q", "2", "--fractions", "1/2", "--dims", ""],
+    ["example", "uniform", "--k", "100000", "--s", "1", "--q", "256"],
+    ["example", "frac-uniform", "--s", "1", "--n", "100000", "--q", "256"],
+    ["example", "bisection", "--n", "100000", "--q", "256"],
+]
+
+
+class TestTotality:
+    @pytest.mark.parametrize("argv", EXTREME, ids=lambda argv: " ".join(argv)[:60])
+    def test_extreme_arguments(self, argv, write_json):
+        empty = write_json("empty.json", {"n": 100000, "q": {"p": 2, "e": 8}, "subspaces": []})
+        code, out, err = run([empty if a == "{E}" else a for a in argv])
+        assert code in (0, 1, 2, 3)
+        if code >= 2 and not out:
+            assert set(json.loads(err)) == {"error"}
+        else:
+            assert err == ""
+            json.loads(out)
+
+    def test_subcommands_all_covered(self):
+        parser_commands = {"qbinom", "altsum", "zsigmondy", "enum", "check", "bound",
+                           "certify", "partition", "gram", "search", "example"}
+        assert {argv[0] for argv in EXTREME} == parser_commands
+
+    def test_long_integers_print_exactly(self):
+        from qlattice.qcombin import qbinom
+
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, out, err = run(["qbinom", "300", "150", "2"])
+        assert (code, err) == (0, "")
+        assert limit() == before
+        code, enum_out, _ = run(["enum", "--n", "300", "--q", "2", "--dim", "150",
+                                 "--count-only"])
+        assert code == 0 and limit() == before
+        digits = out.strip()
+        assert len(digits) > 4300 and digits.isdigit()
+        with contextlib.ExitStack() as stack:
+            if before is not None:
+                sys.set_int_max_str_digits(0)
+                stack.callback(sys.set_int_max_str_digits, before)
+            assert int(digits) == qbinom(300, 150, 2)
+            assert json.loads(enum_out)["count"] == int(digits)
+
+    def test_qbinom_over_ceiling_exits_three(self):
+        for argv in (["qbinom", "3000", "1500", "2"], ["qbinom", "100000", "50000", "256"]):
+            code, out, err = run(argv)
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
+    def test_safe_prime_override_answers_at_once(self):
+        # checking p by factoring p - 1 ran for minutes on this safe prime;
+        # only b = 3 is factored now
+        code, out, err = run(["certify", "--family", PLANES7, "--profile", PROFILE_TIGHT,
+                              "--variant", "lemma41", "--prime", "20000000000000002559"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("exc, code", [(KeyError("x"), 2), (ZeroDivisionError(), 2),
+                                           (RecursionError(), 3), (MemoryError(), 3)])
+    def test_unexpected_exceptions_become_json_errors(self, monkeypatch, exc, code):
+        import qlattice.cli as cli
+
+        def boom(args, config):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_qbinom", boom)
+        got, out, err = run(["qbinom", "4", "2", "2"])
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"]["kind"] == type(exc).__name__
+
+
 class TestFormats:
     def test_json_is_canonical(self):
         # Sorted keys, two-space indent, trailing newline.

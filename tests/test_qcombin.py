@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,22 @@ from qlattice import (
     prime_power,
     primorial_prime_set,
     qbinom,
-    qbinom_product,
     require_zsigmondy_prime,
     trial_factor,
     zsigmondy_exception,
     zsigmondy_prime,
 )
-from qlattice.qcombin import has_order
+from qlattice.qcombin import QBINOM_MAX_BITS, has_order
+
+
+@lru_cache(maxsize=None)
+def _qbinom_pascal(n, k, q):
+    """Oracle: Pascal's rule [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q."""
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    return _qbinom_pascal(n - 1, k - 1, q) + q ** k * _qbinom_pascal(n - 1, k, q)
 
 
 class TestQbinom:
@@ -57,7 +67,34 @@ class TestQbinom:
 
     @given(st.integers(0, 10), st.integers(0, 10), st.sampled_from([2, 3, 4, 5]))
     def test_recurrence_agrees_with_product_form(self, n, k, q):
-        assert qbinom(n, k, q) == qbinom_product(n, k, q)
+        assert qbinom(n, k, q) == _qbinom_pascal(n, k, q)
+
+    @pytest.mark.parametrize("n, q", [(40, 2), (25, 3), (12, 256), (9, 1021)])
+    def test_whole_rows_match_pascal(self, n, q):
+        assert [qbinom(n, k, q) for k in range(-1, n + 2)] == [
+            _qbinom_pascal(n, k, q) for k in range(-1, n + 2)
+        ]
+
+    def test_large_arguments_are_iterative(self):
+        # Pascal's rule recursed n deep; the product formula runs in a loop
+        value = qbinom(300, 150, 2)
+        num = den = 1
+        for i in range(150):
+            num *= 2 ** (300 - i) - 1
+            den *= 2 ** (i + 1) - 1
+        assert value == num // den and num % den == 0
+        assert qbinom(5000, 1, 2) == 2 ** 5000 - 1
+        assert qbinom(100000, 0, 256) == qbinom(100000, 100000, 256) == 1
+
+    def test_size_ceiling(self):
+        # k(n-k)·ceil(log2 q) at the ceiling is computed, one step over is refused
+        top = QBINOM_MAX_BITS
+        assert qbinom(top + 1, 1, 2) == 2 ** (top + 1) - 1
+        assert qbinom(1 + top // 8, 1, 256) == (256 ** (1 + top // 8) - 1) // 255
+        for args in ((QBINOM_MAX_BITS + 2, 1, 2), (3000, 1500, 2), (100000, 50000, 256),
+                     (2 + QBINOM_MAX_BITS // 8, 1, 256)):
+            with pytest.raises(ResourceLimitError):
+                qbinom(*args)
 
     @given(st.integers(1, 10), st.integers(1, 10), st.sampled_from([2, 3]))
     def test_pascal_recurrence(self, n, k, q):
