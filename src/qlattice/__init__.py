@@ -37,6 +37,7 @@ from .gfspace import (
     ContainmentVector,
     FieldContext,
     Lattice,
+    LineIncidence,
     Subspace,
     SubspaceIndex,
     canonicalize,
@@ -83,6 +84,7 @@ from .families import (
     bound_theorem1,
     check_fractional,
     check_modular,
+    check_modular_lines,
     det_bareiss,
     family_from_dict,
     family_to_dict,
@@ -97,6 +99,7 @@ from .families import (
     power_cell,
     profile_from_dict,
     profile_to_dict,
+    shared_line_counts,
 )
 from .certificates import (
     VARIANTS,

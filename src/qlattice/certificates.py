@@ -11,8 +11,11 @@ full row rank proves linear independence, anything less is inconclusive.
 Each point is an int mask cut from Lattice.contains_mask, so an f or g_xy
 row reads one bit per point. A point's line count is the popcount of its line
 mask (gfspace.line_mask), the lines it shares with a member the popcount of
-the AND of the two masks. The profile check is check_modular, which takes
-each member pair's meet dimension from gfspace.meet_dim (see families).
+the AND of the two masks. The members' masks are read from the context
+lattice's lines once per call. The certificate first re-checks the family
+against the profile with families.check_modular_lines, which counts the
+lines each member shares with every other through gfspace.LineIncidence:
+check_modular's verdict and detail, with no per-pair meet_dim.
 
 Rank and span run over packed rows: a row is one int whose lane j, a fixed
 number of whole bytes wide, holds entry j mod p. A row operation is one
@@ -48,7 +51,7 @@ from .gfspace import (
     subspace_at,
     union_space,
 )
-from .families import Family, ModularProfile, check_modular
+from .families import Family, ModularProfile, check_modular_lines
 
 __all__ = [
     "VARIANTS",
@@ -234,15 +237,19 @@ def _grid_index(cctx: CertificateContext, x: int, y: int) -> int:
     return cctx.points[0].bit_index(x, y)
 
 
-def _member_lines(family: Family, i: int) -> int:
+def _member(family: Family, i: int) -> Subspace:
     if not 0 <= i < len(family):
         raise DomainError(f"member index {i} outside [0, {len(family)})")
-    return line_mask(family[i])
+    return family[i]
 
 
-def _g_i_row(cctx: CertificateContext, family: Family, i: int, points: Iterable[int]) -> list[int]:
-    """g_i of member i at each point of the lattice, given their line masks."""
-    shared = map(int.bit_count, map(_member_lines(family, i).__and__, points))
+def _member_lines(family: Family, i: int) -> int:
+    return line_mask(_member(family, i))
+
+
+def _g_i_row(cctx: CertificateContext, member: int, points: Iterable[int]) -> list[int]:
+    """g_i of the member with line mask `member` at each point, given their line masks."""
+    shared = map(int.bit_count, map(member.__and__, points))
     return list(map(cctx._g_i_values.__getitem__, shared))
 
 
@@ -468,17 +475,18 @@ def independence_certificate(
         raise DomainError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     if family.ctx != cctx.ctx or family.n != cctx.n:
         raise DomainError("family ambient does not match the certificate context")
-    verdict = check_modular(family, cctx.profile)
+    lat = lattice(cctx.ctx, cctx.n)
+    members = [lat.lines[lat.position[m]] for m in family]
+    verdict = check_modular_lines(family, cctx.profile, members)
     if not verdict:
         raise DomainError(f"family violates the profile: {verdict.detail}")
 
     labels: list[tuple] = []
     rows: list[Sequence[int]] = []
     if variant in ("swallow1", "swallow2"):
-        lines = lattice(cctx.ctx, cctx.n).lines
-        for i in range(len(family)):
+        for i, member in enumerate(members):
             labels.append(("g_i", i))
-            rows.append(_g_i_row(cctx, family, i, lines))
+            rows.append(_g_i_row(cctx, member, lat.lines))
 
     grid = cctx._grid_entries
     for x in _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2")):
@@ -517,14 +525,15 @@ def span_check(cctx: CertificateContext, family: Family, sample: Iterable[tuple]
     counts as solvable when the residual vanishes.
     """
     lanes, basis = cctx._lanes, cctx._f_basis
-    lines = lattice(cctx.ctx, cctx.n).lines
+    lat = lattice(cctx.ctx, cctx.n)
     ids, flags = [], []
     for item in sample:
         tag = tuple(item)
         if tag[0] == "g_xy" and len(tag) == 3:
             row = cctx._grid_rows[_grid_index(cctx, tag[1], tag[2])]
         elif tag[0] == "g_i" and len(tag) == 2:
-            row = lanes.pack(_g_i_row(cctx, family, tag[1], lines))
+            member = lat.lines[lat.global_index(_member(family, tag[1]))]
+            row = lanes.pack(_g_i_row(cctx, member, lat.lines))
         else:
             raise DomainError(f"sample id {item!r} must be ('g_xy', x, y) or ('g_i', i)")
         ids.append(tag)

@@ -30,7 +30,13 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .qcombin import alt_sum, qbinom, zsigmondy_exception, zsigmondy_prime
-from .gfspace import ENV_LATTICE_BUDGET, enumerate_subspaces, field
+from .gfspace import (
+    ENV_LATTICE_BUDGET,
+    enumerate_subspaces,
+    field,
+    field_order,
+    require_lattice_budget,
+)
 from .families import (
     Family,
     bound_frac_general,
@@ -195,7 +201,7 @@ def _cmd_zsigmondy(args, config):
 
 
 def _cmd_enum(args, config):
-    ctx = field(args.q)
+    field_order(args.q)
     payload = {
         "n": args.n,
         "q": args.q,
@@ -205,7 +211,7 @@ def _cmd_enum(args, config):
     if not args.count_only:
         payload["subspaces"] = [
             [list(row) for row in space.rows]
-            for space in enumerate_subspaces(ctx, args.n, args.dim)
+            for space in enumerate_subspaces(field(args.q), args.n, args.dim)
         ]
     return payload, EXIT_OK
 
@@ -300,13 +306,14 @@ def _search_limits(args) -> SearchLimits:
 
 
 def _cmd_search(args, config):
-    ctx = field(args.q)
+    field_order(args.q)
     if args.profile:
         predicate = profile_from_dict(_load_json(args.profile))
     else:
         predicate = fractions_from_strings(args.fractions.split(","))
     limits = _search_limits(args)
-    graph = build_graph(ctx, args.n, predicate, limits)
+    require_lattice_budget(args.n, args.q)
+    graph = build_graph(field(args.q), args.n, predicate, limits)
     result = max_family(graph, limits)
     payload = {
         "vertices": graph.size,

@@ -6,10 +6,14 @@ profiles and fraction sets), evaluates the three size bounds with their exact
 case analysis, partitions families by dimension residues and by base-power
 cells, and runs the Gram-matrix rank analysis on a single cell.
 
-The checkers, the Gram identity cross-check and the certificates' profile
-check take each pair's meet dimension from gfspace.meet_dim, a rank count that
-needs no lattice and no line masks: a family file may live in an ambient such
-as GF(256)^40, too big for either.
+The checkers and the Gram identity cross-check take each pair's meet
+dimension from gfspace.meet_dim, a rank count that needs no lattice and no
+line masks: a family file may live in an ambient such as GF(256)^40, too big
+for either. A caller that already holds the members' line masks, as a
+certificate context does, gets check_modular's exact verdict from
+check_modular_lines instead, one member at a time through
+gfspace.LineIncidence. shared_line_counts turns either predicate into the
+line counts it allows a pair, for that check and for search.build_graph.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DomainError, ResourceLimitError, StructureError
 from .qcombin import (
@@ -33,6 +37,7 @@ from .qcombin import (
 )
 from .gfspace import (
     FieldContext,
+    LineIncidence,
     Subspace,
     canonicalize,
     field_from_dict,
@@ -53,7 +58,9 @@ __all__ = [
     "profile_to_dict",
     "fractions_from_strings",
     "fractions_to_strings",
+    "shared_line_counts",
     "check_modular",
+    "check_modular_lines",
     "check_fractional",
     "bound_theorem1",
     "bound_frankl_graham",
@@ -254,28 +261,114 @@ _PASS = CheckResult(True, None, "all members and pairs conform")
 # checkers
 
 
+def shared_line_counts(
+    predicate: Union[ModularProfile, FractionSet], n: int, q: int
+) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Allowed shared-line counts of a pair, by the pair's two dimensions.
+
+    Entry [di][dj] holds [d 1]_q for every meet dimension d <= min(di, dj)
+    that the predicate's pairwise condition admits for members of
+    dimensions di and dj: d in L mod b for a modular profile, d·b == a·di or
+    d·b == a·dj for some listed a/b for a fraction set. Two subspaces meet in
+    dimension d exactly when their line masks share [d 1]_q lines, so this
+    one table turns either predicate into a question about line counts.
+    """
+    if isinstance(predicate, ModularProfile):
+        l_set = set(predicate.L)
+
+        def allowed(d: int, di: int, dj: int) -> bool:
+            return d % predicate.b in l_set
+
+    elif isinstance(predicate, FractionSet):
+
+        def allowed(d: int, di: int, dj: int) -> bool:
+            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
+
+    else:
+        raise DomainError("predicate must be a ModularProfile or a FractionSet")
+    span = range(n + 1)
+    return tuple(
+        tuple(
+            frozenset(qbinom(d, 1, q) for d in range(min(di, dj) + 1) if allowed(d, di, dj))
+            for dj in span
+        )
+        for di in span
+    )
+
+
+def _member_violation(family: Family, profile: ModularProfile) -> Optional[CheckResult]:
+    """The first member whose dimension is not in K mod b, as a failed check."""
+    b, k_set = profile.b, set(profile.K)
+    for i, m in enumerate(family):
+        if m.dim % b not in k_set:
+            return CheckResult(
+                False, (i,), f"member {i} has dim {m.dim} ≡ {m.dim % b} (mod {b}), not in K"
+            )
+    return None
+
+
+def _pair_violation(i: int, j: int, d: int, b: int) -> CheckResult:
+    return CheckResult(
+        False, (i, j), f"pair ({i}, {j}) meets in dim {d} ≡ {d % b} (mod {b}), not in L"
+    )
+
+
 def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
     """Every member dim in K mod b; every pairwise intersection dim in L mod b.
 
     Empty and singleton families pass vacuously on the pair side. The first
     offending member or pair (canonical order) is returned as the witness.
     """
-    b = profile.b
-    k_set, l_set = set(profile.K), set(profile.L)
-    for i, m in enumerate(family):
-        if m.dim % b not in k_set:
-            return CheckResult(
-                False, (i,), f"member {i} has dim {m.dim} ≡ {m.dim % b} (mod {b}), not in K"
-            )
+    failed = _member_violation(family, profile)
+    if failed is not None:
+        return failed
+    b, l_set = profile.b, set(profile.L)
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             d = meet_dim(family[i], family[j])
             if d % b not in l_set:
-                return CheckResult(
-                    False,
-                    (i, j),
-                    f"pair ({i}, {j}) meets in dim {d} ≡ {d % b} (mod {b}), not in L",
-                )
+                return _pair_violation(i, j, d, b)
+    return _PASS
+
+
+def check_modular_lines(
+    family: Family, profile: ModularProfile, lines: Sequence[int]
+) -> CheckResult:
+    """check_modular from the members' line masks, lines[i] that of member i.
+
+    The verdict, witness and detail are check_modular's. Pairs are read a
+    member at a time through gfspace.LineIncidence: the planes of member i
+    count the lines it shares with every member, and the allowed counts come
+    from shared_line_counts. For callers that already hold the masks, such
+    as a certificate context's lattice; the masks are not checked against
+    the members.
+    """
+    failed = _member_violation(family, profile)
+    if failed is not None:
+        return failed
+    q, n, dims = family.ctx.q, family.n, family.dims
+    allowed = shared_line_counts(profile, n, q)
+    # by_dim[d]: the members of dimension d; dim_of: d from the count [d 1]_q
+    by_dim = [0] * (n + 1)
+    for j, d in enumerate(dims):
+        by_dim[d] |= 1 << j
+    dim_of = {qbinom(d, 1, q): d for d in range(n + 1)}
+    incidence = LineIncidence(lines)
+    full = (1 << len(family)) - 1
+    for i, mask in enumerate(lines):
+        later = full & ~((2 << i) - 1)
+        if not later:
+            break
+        planes = incidence.planes(mask)
+        good = 0
+        for dj, members in enumerate(by_dim):
+            if members & later:
+                good |= incidence.select(planes, allowed[dims[i]][dj], members & later)
+        bad = later & ~good
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            count = sum(((plane >> j) & 1) << k for k, plane in enumerate(planes))
+            return _pair_violation(i, j, dim_of[count], profile.b)
     return _PASS
 
 

@@ -5,7 +5,9 @@ and hashing are componentwise. The ambient enumeration order, the per-dimension
 index bijection, line masks and containment vectors all build on that
 canonical form. Per-pair meet dimensions come from meet_dim, a rank count
 against the stored pivot rows that builds no Subspace; intersect, which builds
-the meet itself, stays as the reference route.
+the meet itself, stays as the reference route. Questions about a whole list
+of subspaces at once (which contain u, how many lines each shares with u) go
+through LineIncidence, the line masks turned on their side.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -19,7 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .qcombin import is_prime, prime_power, qbinom
@@ -45,11 +47,17 @@ def lattice_budget() -> int:
 
 
 def _require_budget(count: int, what: str, key: str = "count") -> None:
-    """Raise ResourceLimitError when count objects exceed the lattice budget."""
+    """Raise ResourceLimitError when count objects exceed the lattice budget.
+
+    A count over 256 bits is named by its bit length, never in decimal: such
+    a count may have more digits than Python converts to a string. The
+    partial data keep the exact count.
+    """
     budget = lattice_budget()
     if count > budget:
+        size = count if count.bit_length() <= 256 else f"at least 2^{count.bit_length() - 1}"
         raise ResourceLimitError(
-            f"{count} {what} exceed the lattice budget {budget}", partial={key: count}
+            f"{size} {what} exceed the lattice budget {budget}", partial={key: count}
         )
 
 
@@ -229,12 +237,24 @@ def _field_cached(p: int, e: int, modulus: Optional[tuple]) -> FieldContext:
     return FieldContext(p, e, modulus)
 
 
-def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
-    """The field with q elements (q a prime power <= 256), cached per modulus."""
+def field_order(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, after the checks field(q) makes; builds no tables.
+
+    Commands that may stop at a size ceiling check q with this first, so a
+    bad q is still reported first, and build the field's tables (over a
+    second for q = 256) only once the ceiling has passed.
+    """
     pe = prime_power(q)
     if pe is None:
         raise DomainError(f"q = {q} is not a prime power")
-    p, e = pe
+    if q > MAX_Q:
+        raise DomainError(f"q = {q} exceeds the supported ceiling {MAX_Q}")
+    return pe
+
+
+def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
+    """The field with q elements (q a prime power <= 256), cached per modulus."""
+    p, e = field_order(q)
     return _field_cached(p, e, tuple(modulus) if modulus is not None else None)
 
 
@@ -450,15 +470,24 @@ def _build_from_pattern(
     return Subspace(ctx, n, tuple(tuple(r) for r in rows))
 
 
+def require_subspace_budget(n: int, dim: int, q: int) -> None:
+    """The checks enumerate_subspaces makes before it builds any subspace.
+
+    DomainError for dim outside [0, n], ResourceLimitError when [n dim]_q
+    exceeds the lattice budget; no field is needed.
+    """
+    if not 0 <= dim <= n:
+        raise DomainError(f"dimension {dim} outside [0, {n}]")
+    _require_budget(qbinom(n, dim, q), f"subspaces of dimension {dim}")
+
+
 def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of GF(q)^n in canonical order.
 
     Streams qbinom(n, dim, q) subspaces; raises ResourceLimitError up front when
     that count exceeds the lattice budget.
     """
-    if not 0 <= dim <= n:
-        raise DomainError(f"dimension {dim} outside [0, {n}]")
-    _require_budget(qbinom(n, dim, ctx.q), f"subspaces of dimension {dim}")
+    require_subspace_budget(n, dim, ctx.q)
 
     def gen():
         if dim == 0:
@@ -542,13 +571,87 @@ def line_mask(space: Subspace) -> int:
     return mask
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class LineIncidence:
+    """Vertical incidence of a list of line masks: which entries hold each line.
+
+    up[l] is the mask, over the list's positions, of the entries that
+    contain line l; it comes from one transposition of the masks as bit
+    strings. With it, whole-list questions about a mask u take a few big-int
+    operations per line of u instead of one per entry:
+
+    - planes(u) adds up[l] for each line l of u into bit planes with a
+      ripple carry, so bit k of entry j's count of lines shared with u is
+      bit j of plane k; about log2 [n 1]_q planes suffice.
+    - select(planes, counts, within) picks the entries of `within` whose
+      count lies in `counts`, with one AND per plane and count.
+    - holding_any(lines) is the OR of up[l] over a set of lines.
+
+    Shared counts say more than they seem to: dim(U∩W) = d exactly when
+    the line masks of U and W share [d 1]_q lines.
+    """
+
+    __slots__ = ("up",)
+
+    def __init__(self, masks: Sequence[int]):
+        width = max(masks, default=0).bit_length()
+        # Character k of a row is line width-1-k; column k, read backwards,
+        # holds entry j at bit j.
+        rows = [format(mask, f"0{width}b") for mask in masks]
+        self.up: tuple[int, ...] = tuple(
+            int("".join(column)[::-1], 2) for column in reversed(tuple(zip(*rows)))
+        ) if width else ()
+
+    def planes(self, mask: int) -> list[int]:
+        """Bit-sliced counts of the lines each entry shares with mask."""
+        up, planes = self.up, []
+        for line in _bits(mask & ((1 << len(up)) - 1)):
+            carry = up[line]
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        return planes
+
+    @staticmethod
+    def select(planes: Sequence[int], counts: Iterable[int], within: int) -> int:
+        """The entries of within (a mask) whose count in planes lies in counts."""
+        out, top = 0, len(planes)
+        for count in counts:
+            if count >> top:
+                continue
+            chosen = within
+            for k, plane in enumerate(planes):
+                chosen = chosen & plane if (count >> k) & 1 else chosen & ~plane
+            out |= chosen
+        return out
+
+    def holding_any(self, lines: int) -> int:
+        """The entries that contain at least one of the given lines."""
+        up, out = self.up, 0
+        for line in _bits(lines & ((1 << len(up)) - 1)):
+            out |= up[line]
+        return out
+
+
 def lattice_size(n: int, q: int) -> int:
     """Total number of subspaces of GF(q)^n (all dimensions)."""
     return sum(qbinom(n, t, q) for t in range(n + 1))
 
 
-def _require_lattice_budget(ctx: FieldContext, n: int) -> None:
-    _require_budget(lattice_size(n, ctx.q), f"subspaces of GF({ctx.q})^{n}", "size")
+def require_lattice_budget(n: int, q: int) -> None:
+    """ResourceLimitError when the lattice of GF(q)^n exceeds the lattice budget."""
+    _require_budget(lattice_size(n, q), f"subspaces of GF({q})^{n}", "size")
 
 
 class Lattice:
@@ -556,14 +659,15 @@ class Lattice:
 
     Global order is dimension-major: all of dimension 0, then 1, and so on,
     each dimension in enumeration order. Incidence comes from lines[u], the
-    line_mask of subspace u, built once here; the lazy contains_mask table
-    derives from it: bit u of contains_mask[w] says u lies inside w. Family
+    line_mask of subspace u, built once here. The lazy contains_mask table
+    derives from it through LineIncidence: bit u of contains_mask[w] says u
+    lies inside w, that is, u holds none of the lines outside w. Family
     checks use meet_dim per pair instead, as family files may live in
     ambients too big for a lattice.
     """
 
     def __init__(self, ctx: FieldContext, n: int):
-        _require_lattice_budget(ctx, n)
+        require_lattice_budget(n, ctx.q)
         self.ctx, self.n = ctx, n
         subs: list[Subspace] = []
         self.offsets: list[int] = []
@@ -588,11 +692,13 @@ class Lattice:
 
     @property
     def contains_mask(self) -> list[int]:
+        """Bit u of entry w: subspace u lies in w, so u has no line outside w."""
         if self._contains_mask is None:
-            lines = self.lines
+            incidence = LineIncidence(self.lines)
+            full = (1 << len(self)) - 1
+            every = (1 << qbinom(self.n, 1, self.ctx.q)) - 1
             self._contains_mask = [
-                sum(1 << u for u, inner in enumerate(lines) if not inner & ~outer)
-                for outer in lines
+                full & ~incidence.holding_any(every & ~outer) for outer in self.lines
             ]
         return self._contains_mask
 
@@ -615,7 +721,7 @@ def _cached_lattice(ctx: FieldContext, n: int) -> Lattice:
 
 def lattice(ctx: FieldContext, n: int) -> Lattice:
     """The cached Lattice of GF(q)^n; a lowered budget refuses a cached one too."""
-    _require_lattice_budget(ctx, n)
+    require_lattice_budget(n, ctx.q)
     return _cached_lattice(ctx, n)
 
 
@@ -624,13 +730,6 @@ lattice.cache_clear = _cached_lattice.cache_clear
 
 # ---------------------------------------------------------------------------
 # containment vectors
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

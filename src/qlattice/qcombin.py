@@ -25,6 +25,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # bits it takes about 0.2 s to compute and 0.1 s to print in decimal.
 QBINOM_MAX_BITS = 1 << 18
 
+# Largest q^b - 1 that zsigmondy_prime trial-factors, in bits of its upper
+# bound q^b <= 2^(b·ceil(log2 q)). Trial division to the default ceiling
+# takes a few seconds on a 2048-bit number, and a composite cofactor of at
+# most 2048 bits (617 digits) still prints in an error message.
+ZSIGMONDY_MAX_BITS = 1 << 11
+
 
 @lru_cache(maxsize=1024)
 def qbinom(n: int, k: int, q: int) -> int:
@@ -207,11 +213,18 @@ def zsigmondy_prime(
     of a prime; that marker is an answer, not an error. Factoring is trial
     division up to ``ceiling`` plus a deterministic primality check on the
     cofactor; an unfactorable composite cofactor raises ResourceLimitError
-    carrying the partial factorization.
+    carrying the partial factorization. So does a q^b - 1 too large to
+    trial-factor: b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
     """
     exc = zsigmondy_exception(q, b)
     if exc is not None:
         return exc
+    size = b * (q - 1).bit_length()
+    if size > ZSIGMONDY_MAX_BITS:
+        raise ResourceLimitError(
+            f"{q}^{b}-1 has up to {size} bits, over the trial-division ceiling of "
+            f"{ZSIGMONDY_MAX_BITS} bits"
+        )
     m = q ** b - 1
     found, rem = trial_factor(m, ceiling)
     if rem > 1:

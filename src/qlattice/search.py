@@ -10,9 +10,14 @@ gives the bounds; colors that cannot beat the best clique at node entry
 is fully deterministic, and budget exhaustion is reported as a result state
 rather than an error.
 
-Edges come from the lattice's line masks, one popcount per vertex pair. The
-frac-uniform generator, like the family checkers, takes its violation list
-from per-pair meet_dim: it works on the members alone and builds no lattice.
+Edges come from the lattice's line masks through gfspace.LineIncidence, a
+row at a time: the lines of vertex u, added into bit planes, count the lines
+u shares with every vertex at once, and families.shared_line_counts says
+which counts each pair of dimensions allows. The symmetry check of
+CompatGraph transposes the adjacency in square tiles of big ints, so its
+memory stays at one band of tiles. The frac-uniform generator, like the
+family checkers, takes its violation list from per-pair meet_dim: it works
+on the members alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -21,21 +26,25 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, StructureError
 from .qcombin import qbinom
 from .gfspace import (
     FieldContext,
+    LineIncidence,
     SubspaceIndex,
     canonicalize,
     enumerate_subspaces,
     field,
+    field_order,
     lattice,
     meet_dim,
+    require_subspace_budget,
     subspace_at,
 )
-from .families import Family, FractionSet, ModularProfile
+from .families import Family, FractionSet, ModularProfile, shared_line_counts
 
 __all__ = [
     "ENV_TIME_BUDGET",
@@ -127,12 +136,9 @@ class CompatGraph:
         for i, mask in enumerate(self.adjacency):
             if mask < 0 or mask >> count:
                 raise DomainError(f"vertex {i} is adjacent to a vertex outside 0..{count - 1}")
-        # Row i as a bit string, character j holding bit j. The matrix is
-        # symmetric when every column of the rows equals the row of that
-        # index; only a failing check walks the edges to name the first bad one.
-        rows = [format(mask, f"0{count}b")[::-1] for mask in self.adjacency]
-        if any(row[i] == "1" for i, row in enumerate(rows)) or any(
-            "".join(column) != row for column, row in zip(zip(*rows), rows)
+        # Only a failing check walks the edges to name the first bad one.
+        if any((mask >> i) & 1 for i, mask in enumerate(self.adjacency)) or not _symmetric(
+            self.adjacency
         ):
             self._raise_first_defect()
 
@@ -157,6 +163,71 @@ class CompatGraph:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
 
+# Side of the square tiles the symmetry check transposes, at most.
+_TILE = 1024
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(tile: int) -> tuple[tuple[int, int], ...]:
+    """(delta, mask) of each stage of the tile x tile bit-matrix transpose.
+
+    Row r of a tile is bits r·tile .. r·tile + tile - 1 of one int. The
+    stage of width w swaps, in every 2w x 2w block, the top-right w x w
+    block with the bottom-left one: mask holds the top-right bits (rows r
+    with r mod 2w < w, columns c with c mod 2w >= w), and delta = w(tile - 1)
+    moves each onto its partner. After the stages w = tile/2, ..., 1 the
+    tile is transposed (Warren, Hacker's Delight, section 7-3).
+    """
+    stages = []
+    width = tile // 2
+    while width:
+        row = sum(((1 << width) - 1) << c for c in range(width, tile, 2 * width))
+        block = row.to_bytes(tile // 8, "little") * width + bytes(tile // 8) * width
+        stages.append((width * (tile - 1), int.from_bytes(block * (tile // (2 * width)), "little")))
+        width //= 2
+    return tuple(stages)
+
+
+def _symmetric(rows: Sequence[int]) -> bool:
+    """Whether bit j of rows[i] equals bit i of rows[j] for every i and j.
+
+    The matrix, padded with zero rows to whole tiles, is cut into square
+    tiles; tile (i, j) must be the transpose of tile (j, i), so only tiles
+    with i <= j are read. Band j holds column tiles j of rows 0 .. (j+1)·tile
+    as bytes. Each of its tiles is transposed in a few big-int operations
+    per stage (_swap_masks), and the transposed tiles, laid side by side,
+    must give back the low (j+1)·tile bits of the band's own rows. Memory
+    stays at about one band of bits.
+    """
+    count = len(rows)
+    tile = 8
+    while tile < min(count, _TILE):
+        tile *= 2
+    width, tiles = tile // 8, -(-count // tile)
+    stages = _swap_masks(tile)
+    lane = (1 << tile) - 1
+    padding = [bytes(width)] * (tiles * tile - count)
+    for j in range(tiles):
+        band = [
+            ((mask >> (j * tile)) & lane).to_bytes(width, "little")
+            for mask in rows[: (j + 1) * tile]
+        ]
+        band += padding[: (j + 1) * tile - len(band)]
+        transposed = []
+        for i in range(j + 1):
+            matrix = int.from_bytes(b"".join(band[i * tile : (i + 1) * tile]), "little")
+            for delta, swap in stages:
+                moved = (matrix ^ (matrix >> delta)) & swap
+                matrix ^= moved | (moved << delta)
+            transposed.append(matrix.to_bytes(tile * width, "little"))
+        low = (1 << ((j + 1) * tile)) - 1
+        for r in range(min(tile, count - j * tile)):
+            row = b"".join(block[r * width : (r + 1) * width] for block in transposed)
+            if int.from_bytes(row, "little") != rows[j * tile + r] & low:
+                return False
+    return True
+
+
 def build_graph(
     ctx: FieldContext,
     n: int,
@@ -168,48 +239,57 @@ def build_graph(
     Modular profiles admit dimensions congruent mod b to a member of K and
     join pairs whose intersection dimension is congruent to a member of L;
     fraction sets admit every positive dimension and join pairs passing the
-    exact cross-multiplication test. Ambients over the lattice budget raise
-    ResourceLimitError.
+    exact cross-multiplication test. Each adjacency row is selected from
+    the bit-sliced shared-line counts of its vertex (LineIncidence), one
+    allowed count at a time, ANDed with the vertices of the dimensions that
+    allow it. Ambients over the lattice budget raise ResourceLimitError.
     """
     limits = limits or SearchLimits()
     lat = lattice(ctx, n)
     if isinstance(predicate, ModularProfile):
         kind = "modular"
         admissible = {d for d in range(n + 1) if d % predicate.b in predicate.K}
-
-        def allowed(d: int, di: int, dj: int) -> bool:
-            return d % predicate.b in predicate.L
-
     elif isinstance(predicate, FractionSet):
         kind = "fractional"
         admissible = set(range(1, n + 1))
-
-        def allowed(d: int, di: int, dj: int) -> bool:
-            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
-
     else:
         raise DomainError("predicate must be a ModularProfile or a FractionSet")
     if limits.dim_filter is not None:
         admissible &= set(limits.dim_filter)
+    allowed = shared_line_counts(predicate, n, ctx.q)
 
-    # Subspaces meet in dimension d exactly when their line masks share
-    # [d 1]_q lines: shared[di][dj] holds the line counts of the allowed d.
-    span = range(n + 1)
-    shared = [
-        [{qbinom(d, 1, ctx.q) for d in range(min(di, dj) + 1) if allowed(d, di, dj)} for dj in span]
-        for di in span
-    ]
-    positions = [g for g in range(len(lat)) if lat.dims[g] in admissible]
+    # Vertices are whole dimension blocks of the lattice order, so the
+    # vertices of dimension d are one run of bits, by_dim[d].
+    dims = sorted(admissible)
+    positions: list[int] = []
+    by_dim = [0] * (n + 1)
+    for d in dims:
+        start, stop = lat.offsets[d], lat.offsets[d] + qbinom(n, d, ctx.q)
+        by_dim[d] = ((1 << (stop - start)) - 1) << len(positions)
+        positions.extend(range(start, stop))
+    # targets[d]: for each line count c, the vertices a d-dimensional vertex
+    # joins when they share c lines with it.
+    targets = {}
+    for di in dims:
+        within: dict[int, int] = {}
+        for dj in dims:
+            for count in allowed[di][dj]:
+                within[count] = within.get(count, 0) | by_dim[dj]
+        targets[di] = sorted(within.items())
+
+    # No row holds its own vertex: a vertex of dimension d shares [d 1]_q
+    # lines with itself, a meet of dimension d, which no predicate allows
+    # (K and L are disjoint, and every listed fraction is below 1).
     lines = [lat.lines[g] for g in positions]
-    dims = [lat.dims[g] for g in positions]
-    count = len(positions)
-    adjacency = [0] * count
-    for i in range(count):
-        mask, counts = lines[i], shared[dims[i]]
-        for j in range(i + 1, count):
-            if (mask & lines[j]).bit_count() in counts[dims[j]]:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    incidence = LineIncidence(lines)
+    select = incidence.select
+    adjacency = []
+    for mask, g in zip(lines, positions):
+        planes = incidence.planes(mask)
+        row = 0
+        for count, within in targets[lat.dims[g]]:
+            row |= select(planes, (count,), within)
+        adjacency.append(row)
 
     vertices = tuple(
         SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
@@ -363,8 +443,10 @@ def gen_example_uniform(k: int, s: int, q: int) -> UniformExample:
     """
     if k < 1 or s < 1:
         raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
-    ctx = field(q)
     n = k + s
+    field_order(q)
+    require_subspace_budget(n, k, q)
+    ctx = field(q)
     members = tuple(enumerate_subspaces(ctx, n, k))
     b = s + 2
     K = (k % b,)
@@ -386,6 +468,8 @@ def gen_example_frac_uniform(s: int, n: int, q: int) -> FracUniformExample:
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    field_order(q)
+    require_subspace_budget(n, s, q)
     ctx = field(q)
     members = tuple(enumerate_subspaces(ctx, n, s))
     reduced = sorted({(i // math.gcd(i, s), s // math.gcd(i, s)) for i in range(1, s)})
@@ -410,6 +494,8 @@ def gen_example_bisection(n: int, q: int) -> BisectionExample:
     """
     if n < 2:
         raise DomainError(f"ambient dimension must be >= 2, got {n}")
+    field_order(q)
+    require_subspace_budget(n - 1, 1, q)
     ctx = field(q)
     e1 = (1,) + (0,) * (n - 1)
     members = []

@@ -15,6 +15,8 @@ from qlattice import (
     ModularProfile,
     SubspaceIndex,
     certificate_context,
+    check_modular,
+    check_modular_lines,
     enumerate_subspaces,
     eval_f,
     eval_g_i,
@@ -23,6 +25,7 @@ from qlattice import (
     gen_example_uniform,
     independence_certificate,
     lattice,
+    meet_dim,
     product_reduce,
     qbinom,
     rank_mod_p,
@@ -556,3 +559,88 @@ class TestCertificatesMatchOracle:
         span_check(cctx, fam, [("g_i", 0)])
         assert cctx._grid_entries is grid and cctx._f_basis is basis
         assert cctx == certificate_context(field(2), 3, cctx.profile)
+
+
+def _revalidation(cctx, family):
+    """The verdict independence_certificate reaches on family, as check_modular words it."""
+    try:
+        independence_certificate(cctx, family, "lemma41")
+    except DomainError as exc:
+        return str(exc)
+    return "pass"
+
+
+def _star_and_stray(q):
+    """Planes of GF(q)^4 through one line, and a plane missing that line.
+
+    Under the profile b = 4, K = {2}, L = {1} the planes through the line
+    pass (each pair meets in the line); the stray plane meets some of them
+    in dimension 0.
+    """
+    ctx = field(q)
+    lat = lattice(ctx, 4)
+    axis = lat.subspaces[lat.offsets[1]]
+    planes = [s for s in enumerate_subspaces(ctx, 4, 2)]
+    star = [s for s in planes if meet_dim(s, axis) == 1]
+    stray = next(s for s in planes if meet_dim(s, axis) == 0)
+    return ctx, star, stray
+
+
+class TestRevalidation:
+    """The certificate's profile check from line masks equals check_modular exactly."""
+
+    @pytest.mark.parametrize("kind", [(2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3),
+                                      (1, 2, 3), (2, 2, 3)])
+    def test_uniform_examples_and_stricter_profiles(self, kind):
+        ex = gen_example_uniform(*kind)
+        family, profile = ex.family, ex.profile
+        lat = lattice(family.ctx, family.n)
+        rng = random.Random(str(kind))
+        shuffled = Family(family.ctx, family.n, tuple(rng.sample(family.members, len(family))))
+        for prof in {profile, ModularProfile(profile.b, profile.K, profile.L[1:]),
+                     ModularProfile(profile.b, profile.K, profile.L[:-1])}:
+            cctx = certificate_context(family.ctx, family.n, prof)
+            for fam in (family, shuffled):
+                lines = [lat.lines[lat.global_index(m)] for m in fam]
+                want = check_modular(fam, prof)
+                assert check_modular_lines(fam, prof, lines) == want
+                expect = "pass" if want else f"family violates the profile: {want.detail}"
+                assert _revalidation(cctx, fam) == expect
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_failures_at_a_member_the_first_pair_and_a_late_pair(self, q):
+        ctx, star, stray = _star_and_stray(q)
+        profile = ModularProfile(4, (2,), (1,))
+        cctx = certificate_context(ctx, 4, profile)
+        bad = next(i for i, s in enumerate(star) if meet_dim(s, stray) == 0)
+        line = lattice(ctx, 4).subspaces[lattice(ctx, 4).offsets[1] + 1]
+        cases = {
+            "valid": star,
+            "first pair": [stray, star[bad]] + star[:bad] + star[bad + 1 :],
+            "late pair": star + [stray],
+            "member": star + [line],
+            "member before an earlier pair": [stray, star[bad], line] + star[:bad],
+        }
+        seen = set()
+        for name, members in cases.items():
+            fam = Family(ctx, 4, tuple(members))
+            want = check_modular(fam, profile)
+            seen.add(want.witness)
+            lines = [lattice(ctx, 4).lines[lattice(ctx, 4).global_index(m)] for m in fam]
+            assert check_modular_lines(fam, profile, lines) == want, name
+            expect = "pass" if want else f"family violates the profile: {want.detail}"
+            assert _revalidation(cctx, fam) == expect, name
+        assert seen == {None, (0, 1), (bad, len(star)), (len(star),), (2,)}
+
+    def test_no_meet_dim_call(self, monkeypatch):
+        import qlattice.families as families_module
+
+        ex = gen_example_uniform(2, 2, 2)
+        cctx = certificate_context(ex.family.ctx, ex.family.n, ex.profile)
+
+        def refuse(a, b):
+            raise AssertionError("meet_dim called")
+
+        monkeypatch.setattr(families_module, "meet_dim", refuse)
+        for variant in VARIANTS:
+            assert independence_certificate(cctx, ex.family, variant).verdict == "independent"

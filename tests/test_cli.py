@@ -197,6 +197,7 @@ EXTREME = [
     ["qbinom", "3000", "1500", "2"],
     ["altsum", "100000", "256"],
     ["zsigmondy", "256", "97", "--ceiling", "1000"],
+    ["zsigmondy", "256", "100000"],
     ["enum", "--n", "100000", "--q", "256", "--dim", "1", "--count-only"],
     ["enum", "--n", "40", "--q", "256", "--dim", "2"],
     ["check", "--family", PLANES7, "--fractions", ""],
@@ -217,6 +218,7 @@ EXTREME = [
     ["search", "--n", "100000", "--q", "256", "--fractions", "1/2"],
     ["search", "--n", "3", "--q", "2", "--fractions", "1/2", "--dims", ""],
     ["example", "uniform", "--k", "100000", "--s", "1", "--q", "256"],
+    ["example", "uniform", "--k", "100", "--s", "100", "--q", "256"],
     ["example", "frac-uniform", "--s", "1", "--n", "100000", "--q", "256"],
     ["example", "bisection", "--n", "100000", "--q", "256"],
 ]
@@ -265,6 +267,17 @@ class TestTotality:
             assert (code, out) == (3, "")
             assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("argv", [
+        ["example", "uniform", "--k", "100", "--s", "100", "--q", "256"],
+        ["zsigmondy", "256", "100000"],
+    ])
+    def test_huge_sizes_exit_three(self, argv):
+        # [200 100]_256 has far more than 4300 digits, and trial division of
+        # the 800000-bit 256^100000 - 1 ran for minutes
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
     def test_safe_prime_override_answers_at_once(self):
         # checking p by factoring p - 1 ran for minutes on this safe prime;
         # only b = 3 is factored now
@@ -285,6 +298,49 @@ class TestTotality:
         got, out, err = run(["qbinom", "4", "2", "2"])
         assert (got, out) == (code, "")
         assert json.loads(err)["error"]["kind"] == type(exc).__name__
+
+
+class TestFieldTablesBuiltOnlyWhenUsed:
+    """Size ceilings and counts run before field(q) builds its tables."""
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        import qlattice.cli as cli
+        import qlattice.search as search
+
+        def refuse(q, modulus=None):
+            raise AssertionError(f"field({q}) built")
+
+        monkeypatch.setattr(cli, "field", refuse)
+        monkeypatch.setattr(search, "field", refuse)
+
+    def test_enum_count_only(self, no_tables):
+        code, out, err = run(["enum", "--n", "3", "--q", "256", "--dim", "1", "--count-only"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"count": 65793, "dim": 1, "n": 3, "q": 256}
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "6", "--q", "256", "--fractions", "1/2"],
+        ["example", "uniform", "--k", "3", "--s", "3", "--q", "256"],
+        ["example", "frac-uniform", "--s", "3", "--n", "6", "--q", "256"],
+        ["example", "bisection", "--n", "6", "--q", "256"],
+    ])
+    def test_over_budget_before_the_field(self, no_tables, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("q, message", [("6", "q = 6 is not a prime power"),
+                                            ("512", "q = 512 exceeds the supported ceiling 256")])
+    @pytest.mark.parametrize("argv", [
+        ["enum", "--n", "3", "--dim", "1", "--count-only"],
+        ["search", "--n", "100000", "--fractions", "1/2"],
+        ["example", "uniform", "--k", "100", "--s", "100"],
+    ])
+    def test_bad_q_still_reported_first(self, no_tables, argv, q, message):
+        code, out, err = run(argv + ["--q", q])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "DomainError", "message": message}
 
 
 class TestFormats:

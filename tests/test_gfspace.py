@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qlattice import (
     DomainError,
+    Lattice,
+    LineIncidence,
     ResourceLimitError,
     Subspace,
     SubspaceIndex,
@@ -272,6 +274,25 @@ class TestLattice:
                 for u_pos, u in enumerate(lat.subspaces):
                     assert bool(mask >> u_pos & 1) == contains(w, u)
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 3), (4, 3), (5, 2)])
+    def test_contains_mask_matches_comprehension_oracle(self, q, n):
+        # the pair loop the table was built with before LineIncidence
+        lat = Lattice(field(q), n)
+        lines = lat.lines
+        want = [
+            sum(1 << u for u, inner in enumerate(lines) if not inner & ~outer)
+            for outer in lines
+        ]
+        assert lat.contains_mask == want
+
+    def test_contains_mask_matches_contains_gf2_4(self):
+        lat = Lattice(field(2), 4)
+        for w_pos, w in enumerate(lat.subspaces):
+            mask = lat.contains_mask[w_pos]
+            assert mask.bit_length() <= len(lat)
+            for u_pos, u in enumerate(lat.subspaces):
+                assert bool(mask >> u_pos & 1) == contains(w, u)
+
     def test_join(self):
         lat = lattice(field(2), 3)
         j = lat.join(1, 2)
@@ -288,6 +309,17 @@ class TestLattice:
             assert exc.value.partial == {"size": 16}
         finally:
             lattice.cache_clear()
+
+    def test_huge_count_named_by_its_bits(self):
+        # [200 100]_256 has about 80000 bits, far more digits than Python
+        # turns into a string by default; the message must not try
+        from qlattice.gfspace import require_subspace_budget
+
+        with pytest.raises(ResourceLimitError) as info:
+            require_subspace_budget(200, 100, 256)
+        count = qbinom(200, 100, 256)
+        assert str(info.value).startswith(f"at least 2^{count.bit_length() - 1} subspaces")
+        assert info.value.partial == {"count": count}
 
     def test_budget_env_validation(self, monkeypatch):
         monkeypatch.setenv(ENV_LATTICE_BUDGET, "zero")
@@ -327,6 +359,68 @@ class TestLineMask:
         with pytest.raises(ResourceLimitError) as exc:
             line_mask(zero_subspace(field(2), 3))
         assert exc.value.partial == {"count": 7}
+
+
+def _count_at(planes, j):
+    return sum(((plane >> j) & 1) << k for k, plane in enumerate(planes))
+
+
+class TestLineIncidence:
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+    def test_planes_count_shared_lines(self, q, n):
+        lines = lattice(field(q), n).lines
+        incidence = LineIncidence(lines)
+        for u in lines:
+            planes = incidence.planes(u)
+            assert all(plane >> len(lines) == 0 for plane in planes)
+            assert [_count_at(planes, j) for j in range(len(lines))] == [
+                (u & v).bit_count() for v in lines
+            ]
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_up_lists_the_holders_of_each_line(self, q, n):
+        lines = lattice(field(q), n).lines
+        up = LineIncidence(lines).up
+        assert len(up) == qbinom(n, 1, q)
+        for line, holders in enumerate(up):
+            assert holders == sum(1 << j for j, v in enumerate(lines) if v >> line & 1)
+
+    def test_select_picks_counts_within(self):
+        rng = random.Random(5)
+        lines = lattice(field(2), 4).lines
+        incidence = LineIncidence(lines)
+        for _ in range(40):
+            u = rng.choice(lines)
+            planes = incidence.planes(u)
+            counts = set(rng.sample(range(17), rng.randint(0, 4)))
+            within = rng.getrandbits(len(lines))
+            want = sum(
+                1 << j
+                for j, v in enumerate(lines)
+                if within >> j & 1 and (u & v).bit_count() in counts
+            )
+            assert LineIncidence.select(planes, counts, within) == want
+
+    def test_holding_any(self):
+        rng = random.Random(6)
+        lines = lattice(field(3), 3).lines
+        incidence = LineIncidence(lines)
+        for _ in range(40):
+            wanted = rng.getrandbits(13)
+            want = sum(1 << j for j, v in enumerate(lines) if v & wanted)
+            assert incidence.holding_any(wanted) == want
+
+    def test_degenerate_lists(self):
+        empty = LineIncidence([])
+        assert empty.up == () and empty.planes(0b111) == [] and empty.holding_any(0b1) == 0
+        zeros = LineIncidence([0, 0])
+        assert zeros.planes(0b11) == [] and zeros.holding_any(0b11) == 0
+        # no planes: every entry shares 0 lines
+        assert LineIncidence.select([], [0], 0b11) == 0b11
+        assert LineIncidence.select([], [1], 0b11) == 0
+        # lines that no entry holds count for nothing
+        pair = LineIncidence([0b01, 0b11])
+        assert [_count_at(pair.planes(0b111), j) for j in (0, 1)] == [1, 2]
 
 
 class TestMeetDim:

@@ -232,6 +232,23 @@ class TestZsigmondy:
         assert has_order(5, p, 47) and not has_order(5, p, 1)
         assert not has_order(5, p, 94)
 
+    def test_size_ceiling(self):
+        from qlattice.qcombin import ZSIGMONDY_MAX_BITS
+
+        # 2^2048 - 1 is at the ceiling and factors as far as trial division
+        # goes; one more bit is refused before any division
+        assert ZSIGMONDY_MAX_BITS == 2048
+        with pytest.raises(ResourceLimitError, match="over the trial-division ceiling of 2048"):
+            zsigmondy_prime(2, 2049)
+        with pytest.raises(ResourceLimitError, match=r"^256\^100000-1 has up to 800000 bits"):
+            zsigmondy_prime(256, 100000)
+        with pytest.raises(ResourceLimitError, match="^cofactor "):
+            zsigmondy_prime(2, 2048, ceiling=10)
+
+    def test_exception_markers_ignore_the_size_ceiling(self):
+        q = 2 ** 5000 - 1
+        assert zsigmondy_prime(q, 2).clause == "q_plus_one_power_of_two"
+
     def test_unfactorable_cofactor_reports_resource_limit(self):
         # q^b - 1 with two huge prime factors and a tiny ceiling cannot complete
         with pytest.raises(ResourceLimitError):

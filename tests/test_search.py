@@ -26,7 +26,9 @@ from qlattice import (
     qbinom,
     subspace_at,
 )
-from qlattice.search import ENV_TIME_BUDGET, SearchResult
+from qlattice import search as search_module
+from qlattice.gfspace import lattice
+from qlattice.search import ENV_TIME_BUDGET, SearchResult, _symmetric
 
 
 # The recursive branch and bound that max_family replaced, kept as the
@@ -96,6 +98,47 @@ def _reference_defect(adjacency):
             if not (adjacency[j] >> i) & 1:
                 return f"edge ({i}, {j}) is not symmetric"
     return None
+
+
+def _pairwise_graph(ctx, n, predicate, limits):
+    """The pair loop build_graph ran before LineIncidence, kept as the oracle.
+
+    One popcount of the AND of two line masks per vertex pair, against the
+    line counts of the meet dimensions the predicate allows.
+    """
+    lat = lattice(ctx, n)
+    if isinstance(predicate, ModularProfile):
+        admissible = {d for d in range(n + 1) if d % predicate.b in predicate.K}
+
+        def allowed(d, di, dj):
+            return d % predicate.b in predicate.L
+
+    else:
+        admissible = set(range(1, n + 1))
+
+        def allowed(d, di, dj):
+            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
+
+    if limits.dim_filter is not None:
+        admissible &= set(limits.dim_filter)
+    span = range(n + 1)
+    shared = [
+        [{qbinom(d, 1, ctx.q) for d in range(min(di, dj) + 1) if allowed(d, di, dj)} for dj in span]
+        for di in span
+    ]
+    positions = [g for g in range(len(lat)) if lat.dims[g] in admissible]
+    lines = [lat.lines[g] for g in positions]
+    dims = [lat.dims[g] for g in positions]
+    adjacency = [0] * len(positions)
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            if (lines[i] & lines[j]).bit_count() in shared[dims[i]][dims[j]]:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    vertices = tuple(
+        SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
+    )
+    return vertices, tuple(adjacency)
 
 
 def _random_adjacency(rng, size, density):
@@ -301,6 +344,78 @@ class TestCompatGraph:
                     want.add((i, j))
         got = {(i, j) for i in range(g.size) for j in range(i + 1, g.size) if g.adjacency[i] >> j & 1}
         assert got == want
+
+
+KERNEL_PREDICATES = [
+    ModularProfile(2, (1,), (0,)),
+    ModularProfile(3, (2,), (1,)),
+    ModularProfile(3, (0, 2), (1,)),
+    ModularProfile(4, (1, 2), (0, 3)),
+    FractionSet(((1, 2),)),
+    FractionSet(((1, 3), (1, 2))),
+    FractionSet(((1, 3), (2, 3), (3, 4))),
+]
+
+
+class TestGraphKernel:
+    """build_graph against the pair loop it replaced, vertex for vertex and bit for bit."""
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+    @pytest.mark.parametrize("predicate", KERNEL_PREDICATES, ids=repr)
+    def test_matches_pairwise_oracle(self, q, n, predicate):
+        ctx = field(q)
+        for dims in (None, (), (1,), (2,), (1, 2), (0, 2, 3), tuple(range(n + 1))):
+            limits = SearchLimits(dim_filter=dims)
+            graph = build_graph(ctx, n, predicate, limits)
+            vertices, adjacency = _pairwise_graph(ctx, n, predicate, limits)
+            assert graph.vertices == vertices, dims
+            assert graph.adjacency == adjacency, dims
+
+    def test_matches_pairwise_oracle_gf2_5(self):
+        ctx = field(2)
+        for predicate in (FractionSet(((1, 2),)), ModularProfile(3, (2,), (1,))):
+            graph = build_graph(ctx, 5, predicate)
+            assert (graph.vertices, graph.adjacency) == _pairwise_graph(
+                ctx, 5, predicate, SearchLimits()
+            )
+
+
+class TestSymmetryCheck:
+    """The tile transpose of CompatGraph's symmetry check against the per-edge walk."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 17, 23])
+    def test_every_one_sided_edge_found(self, monkeypatch, size):
+        # tiles of 8 bits, so most sizes span several tiles and a partial one
+        monkeypatch.setattr(search_module, "_TILE", 8)
+        adjacency = _random_adjacency(random.Random(size), size, 0.5)
+        assert _symmetric(adjacency)
+        for i in range(size):
+            for j in range(size):
+                if i != j:
+                    broken = list(adjacency)
+                    broken[i] ^= 1 << j
+                    assert not _symmetric(broken), (i, j)
+
+    @pytest.mark.parametrize("tile", [8, 16, 64, 2048])
+    def test_random_graphs_at_every_tile_size(self, monkeypatch, tile):
+        monkeypatch.setattr(search_module, "_TILE", tile)
+        rng = random.Random(tile)
+        for _ in range(10):
+            size = rng.randint(1, 90)
+            adjacency = _random_adjacency(rng, size, rng.random())
+            assert _symmetric(adjacency)
+            i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+            if i != j:
+                adjacency[i] ^= 1 << j
+                assert not _symmetric(adjacency)
+                with pytest.raises(DomainError) as info:
+                    CompatGraph(field(2), 5, "modular", tuple(POOL[:size]), tuple(adjacency))
+                assert str(info.value) == _reference_defect(adjacency)
+
+    def test_lattice_graph_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_TILE", 64)
+        graph = build_graph(field(2), 5, FractionSet(((1, 2),)))
+        assert graph.size == 373 and _symmetric(graph.adjacency)
 
 
 class TestMaxFamily:
