@@ -455,8 +455,7 @@ def _grid_xs(cctx: CertificateContext, filtered: bool) -> list[int]:
     span = cctx.s - cctx.r
     xs = list(range(span + 1)) if span >= 0 else []
     if filtered:
-        b = cctx.profile.b
-        xs = [x for x in xs if all((x - kt) % b != 0 for kt in cctx.profile.K)]
+        xs = [x for x in xs if not cctx.profile.admits(x)]
     return xs
 
 

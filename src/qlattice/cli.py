@@ -19,8 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     DomainError,
@@ -69,20 +67,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Plumbing knobs shared by all subcommands."""
-
-    format: str = "json"
-    lattice_budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.format not in ("json", "csv", "table"):
-            raise DomainError(f"unknown format {self.format!r}")
-        if self.lattice_budget is not None and self.lattice_budget < 1:
-            raise DomainError("lattice budget must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +154,15 @@ def _member_indices(family: Family, sub: Family) -> list[int]:
 # subcommand handlers: each returns (payload, exit_code)
 
 
-def _cmd_qbinom(args, config):
+def _cmd_qbinom(args):
     return qbinom(args.n, args.k, args.q), EXIT_OK
 
 
-def _cmd_altsum(args, config):
+def _cmd_altsum(args):
     return alt_sum(args.n, args.q), EXIT_OK
 
 
-def _cmd_zsigmondy(args, config):
+def _cmd_zsigmondy(args):
     marker = zsigmondy_exception(args.q, args.b)
     if marker is not None:
         payload = {
@@ -200,7 +184,7 @@ def _cmd_zsigmondy(args, config):
     }, EXIT_OK
 
 
-def _cmd_enum(args, config):
+def _cmd_enum(args):
     field_order(args.q)
     payload = {
         "n": args.n,
@@ -216,7 +200,7 @@ def _cmd_enum(args, config):
     return payload, EXIT_OK
 
 
-def _cmd_check(args, config):
+def _cmd_check(args):
     family = _load_family(args.family)
     if args.profile:
         kind = "modular"
@@ -228,7 +212,7 @@ def _cmd_check(args, config):
     return payload, EXIT_OK if result.ok else EXIT_VERDICT
 
 
-def _cmd_bound(args, config):
+def _cmd_bound(args):
     if args.theorem == "main":
         report = bound_theorem1(args.n, args.q, _profile_from_args(args))
     elif args.theorem == "frac":
@@ -249,7 +233,7 @@ def _cmd_bound(args, config):
     return report.to_json_dict(), EXIT_OK
 
 
-def _cmd_certify(args, config):
+def _cmd_certify(args):
     family = _load_family(args.family)
     profile = profile_from_dict(_load_json(args.profile))
     cctx = certificate_context(family.ctx, family.n, profile, p=args.prime)
@@ -258,7 +242,7 @@ def _cmd_certify(args, config):
     return payload, EXIT_OK if cert.verdict == "independent" else EXIT_VERDICT
 
 
-def _cmd_partition(args, config):
+def _cmd_partition(args):
     family = _load_family(args.family)
     if args.prime is not None:
         cells = partition_mod_prime(family, args.prime)
@@ -274,7 +258,7 @@ def _cmd_partition(args, config):
     return {"kind": "power-cells", "b": args.base, **partition.to_json_dict()}, EXIT_OK
 
 
-def _cmd_gram(args, config):
+def _cmd_gram(args):
     family = _load_family(args.family)
     a, denom = _fraction_pair(args.frac)
     if denom != args.base:
@@ -305,7 +289,7 @@ def _search_limits(args) -> SearchLimits:
     return SearchLimits(**kwargs)
 
 
-def _cmd_search(args, config):
+def _cmd_search(args):
     field_order(args.q)
     if args.profile:
         predicate = profile_from_dict(_load_json(args.profile))
@@ -323,7 +307,7 @@ def _cmd_search(args, config):
     return payload, EXIT_OK if result.exhausted else EXIT_RESOURCE
 
 
-def _cmd_example(args, config):
+def _cmd_example(args):
     if args.kind == "uniform":
         if args.k is None or args.s is None or args.q is None:
             raise DomainError("example uniform needs --k, --s, --q")
@@ -503,11 +487,12 @@ def main(argv=None) -> int:
 
     saved_budget = os.environ.get(ENV_LATTICE_BUDGET)
     try:
-        config = RunConfig(format=args.format, lattice_budget=args.lattice_budget)
-        if config.lattice_budget is not None:
-            os.environ[ENV_LATTICE_BUDGET] = str(config.lattice_budget)
-        payload, code = args.handler(args, config)
-        text = _render_exact(payload, config.format)
+        if args.lattice_budget is not None:
+            if args.lattice_budget < 1:
+                raise DomainError("lattice budget must be positive")
+            os.environ[ENV_LATTICE_BUDGET] = str(args.lattice_budget)
+        payload, code = args.handler(args)
+        text = _render_exact(payload, args.format)
     except ResourceLimitError as exc:
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_RESOURCE

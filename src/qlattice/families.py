@@ -6,14 +6,14 @@ profiles and fraction sets), evaluates the three size bounds with their exact
 case analysis, partitions families by dimension residues and by base-power
 cells, and runs the Gram-matrix rank analysis on a single cell.
 
-The checkers and the Gram identity cross-check take each pair's meet
-dimension from gfspace.meet_dim, a rank count that needs no lattice and no
-line masks: a family file may live in an ambient such as GF(256)^40, too big
-for either. A caller that already holds the members' line masks, as a
-certificate context does, gets check_modular's exact verdict from
-check_modular_lines instead, one member at a time through
-gfspace.LineIncidence. shared_line_counts turns either predicate into the
-line counts it allows a pair, for that check and for search.build_graph.
+Each discipline is a rule on member dimensions and one on meet dimensions,
+written once as the admits and meets methods of ModularProfile and
+FractionSet. The checkers test members with admits, then take the first
+pair of offending_pairs, which uses gfspace.meet_dim, a rank count that
+needs no lattice and no line masks: a family file may live in an ambient
+such as GF(256)^40, too big for either. Callers that hold the line masks
+(a certificate context, search.build_graph) read rows of allowed pairs from
+compatible_rows, the one line-count kernel, instead.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ __all__ = [
     "fractions_from_strings",
     "fractions_to_strings",
     "shared_line_counts",
+    "compatible_rows",
+    "offending_pairs",
     "check_modular",
     "check_modular_lines",
     "check_fractional",
@@ -137,7 +139,8 @@ class ModularProfile:
     """Dimension discipline mod b: member dims in K, intersection dims in L.
 
     K and L are disjoint subsets of [0, b). K may be empty only for
-    checker-style uses; the bound evaluators require both nonempty.
+    checker-style uses; the bound evaluators require both nonempty. Member
+    dims obey d mod b in K (admits), meet dims d mod b in L (meets).
     """
 
     b: int
@@ -166,6 +169,14 @@ class ModularProfile:
     def s(self) -> int:
         return len(self.L)
 
+    def admits(self, d: int) -> bool:
+        """Whether a member may have dimension d: d mod b in K."""
+        return d % self.b in self.K
+
+    def meets(self, d: int, di: int, dj: int) -> bool:
+        """Whether members of dimensions di and dj may meet in dimension d: d mod b in L."""
+        return d % self.b in self.L
+
     def to_dict(self) -> dict:
         return {"b": self.b, "K": list(self.K), "L": list(self.L)}
 
@@ -183,7 +194,14 @@ def profile_to_dict(profile: ModularProfile) -> dict:
 
 @dataclass(frozen=True)
 class FractionSet:
-    """Distinct irreducible fractions 0 < a/b < 1, kept in ascending order."""
+    """Distinct irreducible fractions 0 < a/b < 1, kept in ascending order.
+
+    Members of dims di, dj may meet in dim d when d·b == a·di or a·dj for
+    some listed a/b (meets), and a member must have dim d > 0 (admits). The
+    zero subspace meets every member in dim 0 = (a/b)·0, so only admits
+    keeps it out; the bounds count nonzero subspaces, and with it
+    {0, a line, GF(2)^2} would pass {1/4, 1/3, 1/2} above bound_frac_general's 2.
+    """
 
     fractions: tuple[tuple[int, int], ...]
 
@@ -205,6 +223,14 @@ class FractionSet:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.fractions)
+
+    def admits(self, d: int) -> bool:
+        """Whether a member may have dimension d: d > 0."""
+        return d > 0
+
+    def meets(self, d: int, di: int, dj: int) -> bool:
+        """Whether dims di and dj may meet in dim d: d·b == a·di or a·dj, some a/b."""
+        return any(d * b == a * di or d * b == a * dj for a, b in self.fractions)
 
     @property
     def max_denominator(self) -> int:
@@ -267,40 +293,75 @@ def shared_line_counts(
     """Allowed shared-line counts of a pair, by the pair's two dimensions.
 
     Entry [di][dj] holds [d 1]_q for every meet dimension d <= min(di, dj)
-    that the predicate's pairwise condition admits for members of
-    dimensions di and dj: d in L mod b for a modular profile, d·b == a·di or
-    d·b == a·dj for some listed a/b for a fraction set. Two subspaces meet in
-    dimension d exactly when their line masks share [d 1]_q lines, so this
-    one table turns either predicate into a question about line counts.
+    that predicate.meets(d, di, dj) allows. Two subspaces meet in dimension
+    d exactly when their line masks share [d 1]_q lines, so this one table
+    turns either predicate into a question about line counts.
     """
-    if isinstance(predicate, ModularProfile):
-        l_set = set(predicate.L)
-
-        def allowed(d: int, di: int, dj: int) -> bool:
-            return d % predicate.b in l_set
-
-    elif isinstance(predicate, FractionSet):
-
-        def allowed(d: int, di: int, dj: int) -> bool:
-            return any(d * b == a * di or d * b == a * dj for a, b in predicate)
-
-    else:
-        raise DomainError("predicate must be a ModularProfile or a FractionSet")
     span = range(n + 1)
     return tuple(
         tuple(
-            frozenset(qbinom(d, 1, q) for d in range(min(di, dj) + 1) if allowed(d, di, dj))
+            frozenset(
+                qbinom(d, 1, q) for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj)
+            )
             for dj in span
         )
         for di in span
     )
 
 
+def compatible_rows(
+    lines: Sequence[int], dims: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
+) -> Iterator[int]:
+    """Row i, for each entry i in turn: a mask of the entries j it may pair with.
+
+    Entry j has line mask lines[j] and dimension dims[j]; it is in row i when
+    lines[i] and lines[j] share a count of lines in allowed[dims[i]][dims[j]]
+    (a shared_line_counts table). gfspace.LineIncidence counts a whole row
+    at once. Rows come lazily, so a caller may stop at the first bad one.
+    """
+    by_dim: dict[int, int] = {}
+    for j, d in enumerate(dims):
+        by_dim[d] = by_dim.get(d, 0) | 1 << j
+    # targets[d]: for each line count c, the entries a d-dimensional entry
+    # accepts when they share c lines with it.
+    targets = {}
+    for di in by_dim:
+        within: dict[int, int] = {}
+        for dj, members in by_dim.items():
+            for count in allowed[di][dj]:
+                within[count] = within.get(count, 0) | members
+        targets[di] = sorted(within.items())
+    incidence = LineIncidence(lines)
+    select = incidence.select
+    for mask, d in zip(lines, dims):
+        planes = incidence.planes(mask)
+        row = 0
+        for count, within in targets[d]:
+            row |= select(planes, (count,), within)
+        yield row
+
+
+def offending_pairs(
+    family: Family, predicate: Union[ModularProfile, FractionSet]
+) -> Iterator[tuple[int, int, int]]:
+    """(i, j, meet dim) of each pair the predicate's meets refuses, in canonical order.
+
+    Each meet is one gfspace.meet_dim; member dims are left to admits.
+    """
+    members = family.members
+    for i, vi in enumerate(members):
+        for j in range(i + 1, len(members)):
+            vj = members[j]
+            d = meet_dim(vi, vj)
+            if not predicate.meets(d, vi.dim, vj.dim):
+                yield i, j, d
+
+
 def _member_violation(family: Family, profile: ModularProfile) -> Optional[CheckResult]:
     """The first member whose dimension is not in K mod b, as a failed check."""
-    b, k_set = profile.b, set(profile.K)
+    b = profile.b
     for i, m in enumerate(family):
-        if m.dim % b not in k_set:
+        if not profile.admits(m.dim):
             return CheckResult(
                 False, (i,), f"member {i} has dim {m.dim} ≡ {m.dim % b} (mod {b}), not in K"
             )
@@ -322,13 +383,8 @@ def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
     failed = _member_violation(family, profile)
     if failed is not None:
         return failed
-    b, l_set = profile.b, set(profile.L)
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            d = meet_dim(family[i], family[j])
-            if d % b not in l_set:
-                return _pair_violation(i, j, d, b)
-    return _PASS
+    bad = next(offending_pairs(family, profile), None)
+    return _PASS if bad is None else _pair_violation(*bad, profile.b)
 
 
 def check_modular_lines(
@@ -336,61 +392,46 @@ def check_modular_lines(
 ) -> CheckResult:
     """check_modular from the members' line masks, lines[i] that of member i.
 
-    The verdict, witness and detail are check_modular's. Pairs are read a
-    member at a time through gfspace.LineIncidence: the planes of member i
-    count the lines it shares with every member, and the allowed counts come
-    from shared_line_counts. For callers that already hold the masks, such
-    as a certificate context's lattice; the masks are not checked against
-    the members.
+    The verdict, witness and detail are check_modular's; pairs come from
+    compatible_rows. For callers that already hold the masks, such as a
+    certificate context's lattice; the masks are not checked against the
+    members.
     """
     failed = _member_violation(family, profile)
     if failed is not None:
         return failed
-    q, n, dims = family.ctx.q, family.n, family.dims
-    allowed = shared_line_counts(profile, n, q)
-    # by_dim[d]: the members of dimension d; dim_of: d from the count [d 1]_q
-    by_dim = [0] * (n + 1)
-    for j, d in enumerate(dims):
-        by_dim[d] |= 1 << j
-    dim_of = {qbinom(d, 1, q): d for d in range(n + 1)}
-    incidence = LineIncidence(lines)
+    q, n = family.ctx.q, family.n
     full = (1 << len(family)) - 1
-    for i, mask in enumerate(lines):
-        later = full & ~((2 << i) - 1)
-        if not later:
-            break
-        planes = incidence.planes(mask)
-        good = 0
-        for dj, members in enumerate(by_dim):
-            if members & later:
-                good |= incidence.select(planes, allowed[dims[i]][dj], members & later)
-        bad = later & ~good
+    rows = compatible_rows(lines, family.dims, shared_line_counts(profile, n, q))
+    for i, row in enumerate(rows):
+        bad = full & ~row & ~((2 << i) - 1)
         if bad:
             j = (bad & -bad).bit_length() - 1
-            count = sum(((plane >> j) & 1) << k for k, plane in enumerate(planes))
-            return _pair_violation(i, j, dim_of[count], profile.b)
+            count = (lines[i] & lines[j]).bit_count()
+            d = next(d for d in range(n + 1) if qbinom(d, 1, q) == count)
+            return _pair_violation(i, j, d, profile.b)
     return _PASS
 
 
 def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:
-    """Every pair meets in a fraction a/b of one of the two member dimensions.
+    """Every member nonzero; every pair meets in a listed fraction of a member dim.
 
-    The test is exact cross-multiplication: dim(Vi∩Vj)·b == a·dim(Vi) or
-    == a·dim(Vj) for some listed a/b. Since every a is positive, a pair of
-    positive-dimensional members meeting in dim 0 can never pass.
+    The rules are FractionSet's, members first; the first offending member
+    or pair (canonical order) is returned as the witness.
     """
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            vi, vj = family[i], family[j]
-            d = meet_dim(vi, vj)
-            if not any(d * b == a * vi.dim or d * b == a * vj.dim for a, b in fractions):
-                return CheckResult(
-                    False,
-                    (i, j),
-                    f"pair ({i}, {j}) meets in dim {d}, no listed fraction of dims "
-                    f"{vi.dim} or {vj.dim}",
-                )
-    return _PASS
+    for i, m in enumerate(family):
+        if not fractions.admits(m.dim):
+            return CheckResult(False, (i,), f"member {i} has dim {m.dim}, not positive")
+    bad = next(offending_pairs(family, fractions), None)
+    if bad is None:
+        return _PASS
+    i, j, d = bad
+    return CheckResult(
+        False,
+        (i, j),
+        f"pair ({i}, {j}) meets in dim {d}, no listed fraction of dims "
+        f"{family[i].dim} or {family[j].dim}",
+    )
 
 
 # ---------------------------------------------------------------------------

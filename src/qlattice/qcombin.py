@@ -298,18 +298,21 @@ def ceil_log(b: int, n: int) -> int:
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, e) with q = p^e for p prime, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    found, _ = trial_factor(q)
-    if len(found) != 1:
-        return None
-    p = found[0]
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else None
+    """(p, e) with q = p^e for p prime, or None when q is not a prime power.
+
+    Each exponent e <= log2 q is tried through the integer e-th root of q,
+    and an exact root is tested with is_prime. Only e itself gives a prime
+    root of p^e, and no trial division runs, so a large prime q answers at
+    once.
+    """
+    for e in range(1, q.bit_length()):
+        # Newton's method from above converges to floor(q^(1/e)).
+        root = 1 << -(-q.bit_length() // e)
+        while (step := ((e - 1) * root + q // root ** (e - 1)) // e) < root:
+            root = step
+        if root ** e == q and is_prime(root):
+            return root, e
+    return None
 
 
 _THEOREM_IDS = ("theorem_main", "frac_general", "frac_singleton", "frankl_graham")

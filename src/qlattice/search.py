@@ -10,14 +10,14 @@ gives the bounds; colors that cannot beat the best clique at node entry
 is fully deterministic, and budget exhaustion is reported as a result state
 rather than an error.
 
-Edges come from the lattice's line masks through gfspace.LineIncidence, a
-row at a time: the lines of vertex u, added into bit planes, count the lines
-u shares with every vertex at once, and families.shared_line_counts says
-which counts each pair of dimensions allows. The symmetry check of
-CompatGraph transposes the adjacency in square tiles of big ints, so its
-memory stays at one band of tiles. The frac-uniform generator, like the
-family checkers, takes its violation list from per-pair meet_dim: it works
-on the members alone and builds no lattice.
+Vertices are the subspaces whose dimension the predicate admits, and edges
+join the pairs whose meet it allows (its admits and meets methods). The
+adjacency rows come from families.compatible_rows, which counts the lines a
+vertex shares with every vertex at once. The symmetry check of CompatGraph
+transposes the adjacency in square tiles of big ints, so its memory stays
+at one band of tiles. The frac-uniform generator takes its violations from
+families.offending_pairs, per-pair meet_dim on the members alone: it builds
+no lattice.
 """
 
 from __future__ import annotations
@@ -33,18 +33,23 @@ from .errors import DomainError, StructureError
 from .qcombin import qbinom
 from .gfspace import (
     FieldContext,
-    LineIncidence,
     SubspaceIndex,
     canonicalize,
     enumerate_subspaces,
     field,
     field_order,
     lattice,
-    meet_dim,
     require_subspace_budget,
     subspace_at,
 )
-from .families import Family, FractionSet, ModularProfile, shared_line_counts
+from .families import (
+    Family,
+    FractionSet,
+    ModularProfile,
+    compatible_rows,
+    offending_pairs,
+    shared_line_counts,
+)
 
 __all__ = [
     "ENV_TIME_BUDGET",
@@ -236,61 +241,31 @@ def build_graph(
 ) -> CompatGraph:
     """Compatibility graph of all candidate subspaces under a predicate.
 
-    Modular profiles admit dimensions congruent mod b to a member of K and
-    join pairs whose intersection dimension is congruent to a member of L;
-    fraction sets admit every positive dimension and join pairs passing the
-    exact cross-multiplication test. Each adjacency row is selected from
-    the bit-sliced shared-line counts of its vertex (LineIncidence), one
-    allowed count at a time, ANDed with the vertices of the dimensions that
-    allow it. Ambients over the lattice budget raise ResourceLimitError.
+    The vertices are the subspaces of every dimension d with
+    predicate.admits(d) (and in limits.dim_filter, when given), in lattice
+    order; two vertices are joined when predicate.meets allows their meet.
+    The rows come from families.compatible_rows over the lattice's line
+    masks. Ambients over the lattice budget raise ResourceLimitError.
     """
     limits = limits or SearchLimits()
     lat = lattice(ctx, n)
     if isinstance(predicate, ModularProfile):
         kind = "modular"
-        admissible = {d for d in range(n + 1) if d % predicate.b in predicate.K}
     elif isinstance(predicate, FractionSet):
         kind = "fractional"
-        admissible = set(range(1, n + 1))
     else:
         raise DomainError("predicate must be a ModularProfile or a FractionSet")
-    if limits.dim_filter is not None:
-        admissible &= set(limits.dim_filter)
-    allowed = shared_line_counts(predicate, n, ctx.q)
-
-    # Vertices are whole dimension blocks of the lattice order, so the
-    # vertices of dimension d are one run of bits, by_dim[d].
-    dims = sorted(admissible)
-    positions: list[int] = []
-    by_dim = [0] * (n + 1)
-    for d in dims:
-        start, stop = lat.offsets[d], lat.offsets[d] + qbinom(n, d, ctx.q)
-        by_dim[d] = ((1 << (stop - start)) - 1) << len(positions)
-        positions.extend(range(start, stop))
-    # targets[d]: for each line count c, the vertices a d-dimensional vertex
-    # joins when they share c lines with it.
-    targets = {}
-    for di in dims:
-        within: dict[int, int] = {}
-        for dj in dims:
-            for count in allowed[di][dj]:
-                within[count] = within.get(count, 0) | by_dim[dj]
-        targets[di] = sorted(within.items())
-
-    # No row holds its own vertex: a vertex of dimension d shares [d 1]_q
-    # lines with itself, a meet of dimension d, which no predicate allows
-    # (K and L are disjoint, and every listed fraction is below 1).
-    lines = [lat.lines[g] for g in positions]
-    incidence = LineIncidence(lines)
-    select = incidence.select
-    adjacency = []
-    for mask, g in zip(lines, positions):
-        planes = incidence.planes(mask)
-        row = 0
-        for count, within in targets[lat.dims[g]]:
-            row |= select(planes, (count,), within)
-        adjacency.append(row)
-
+    keep = limits.dim_filter
+    dims = {d for d in range(n + 1) if predicate.admits(d) and (keep is None or d in keep)}
+    positions = [g for g, d in enumerate(lat.dims) if d in dims]
+    # No row holds its own vertex: the [d 1]_q lines it shares with itself
+    # are a meet of dimension d, which no predicate admitting d allows (K
+    # and L are disjoint, and every listed fraction is below 1).
+    adjacency = compatible_rows(
+        [lat.lines[g] for g in positions],
+        [lat.dims[g] for g in positions],
+        shared_line_counts(predicate, n, ctx.q),
+    )
     vertices = tuple(
         SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
     )
@@ -471,18 +446,11 @@ def gen_example_frac_uniform(s: int, n: int, q: int) -> FracUniformExample:
     field_order(q)
     require_subspace_budget(n, s, q)
     ctx = field(q)
-    members = tuple(enumerate_subspaces(ctx, n, s))
+    family = Family(ctx, n, tuple(enumerate_subspaces(ctx, n, s)))
     reduced = sorted({(i // math.gcd(i, s), s // math.gcd(i, s)) for i in range(1, s)})
     fractions = FractionSet(tuple(reduced))
-    violations = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = meet_dim(members[i], members[j])
-            if not any(d * b == a * s for a, b in fractions):
-                violations.append((i, j))
-    return FracUniformExample(
-        Family(ctx, n, members), fractions, tuple(violations)
-    )
+    violations = tuple((i, j) for i, j, _ in offending_pairs(family, fractions))
+    return FracUniformExample(family, fractions, violations)
 
 
 def gen_example_bisection(n: int, q: int) -> BisectionExample:

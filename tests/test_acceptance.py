@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria, each with a runtime ceiling.
+"""Acceptance gate: thirteen end-to-end criteria, each with a runtime ceiling.
 
 Every test prints one PASS/FAIL line so a transcript of this module reads as
 a checklist. The ceilings are generous on purpose; blowing one usually means
@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 import time
 
 from qlattice import (
     Family,
+    FractionSet,
     LatticeFunction,
     ModularProfile,
     SearchLimits,
     ZsigmondyException,
     alt_sum,
+    bound_frac_general,
     bound_singleton,
     bound_theorem1,
     build_graph,
@@ -35,6 +38,7 @@ from qlattice import (
     generalized_inversion_check,
     gram_analysis,
     independence_certificate,
+    is_prime,
     lattice,
     max_family,
     moebius_transform,
@@ -265,3 +269,21 @@ def test_12_fractional_cell_bounds():
                 assert profile.K == (k,)
                 cell = [d for d in fam.dims if d % 3 in profile.K]
                 assert len(cell) <= report.bound
+
+
+def test_13_fractional_dominance_sweep():
+    with criterion(13, "no exhausted fractional search beats its size bounds", 300.0):
+        pool = [(a, b) for b in range(2, 6) for a in range(1, b) if math.gcd(a, b) == 1]
+        sets = [FractionSet(c) for r in (1, 2, 3) for c in itertools.combinations(pool, r)]
+        assert len(sets) == 129
+        for q, n in ((2, 2), (2, 3), (2, 4), (3, 3), (4, 3)):
+            ctx = field(q)
+            for fractions in sets:
+                result = max_family(build_graph(ctx, n, fractions))
+                assert result.exhausted
+                assert check_fractional(result.family, fractions)
+                assert result.size <= bound_frac_general(n, q, fractions).bound, fractions
+                if len(fractions) == 1:
+                    (a, b), = fractions
+                    if is_prime(b):
+                        assert result.size <= bound_singleton(n, q, a, b).bound, fractions

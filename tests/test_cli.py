@@ -101,6 +101,39 @@ class TestExitCodes:
         assert payload["ok"] is False
         assert payload["witness"] is not None
 
+    def test_zero_subspace_fails_a_fractional_check(self, write_json):
+        family = write_json("zero.json", {"q": {"p": 2, "e": 1}, "n": 2,
+                                          "subspaces": [[], [[1, 0]], [[1, 0], [0, 1]]]})
+        code, out, err = run(["check", "--family", family, "--fractions", "1/2,1/3,1/4"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"kind": "fractional", "size": 3, "ok": False,
+                                   "witness": [0], "detail": "member 0 has dim 0, not positive"}
+        code, out, _ = run(["bound", "--theorem", "frac", "--n", "2", "--q", "2",
+                            "--fractions", "1/2,1/3,1/4"])
+        assert code == 0 and json.loads(out)["bound"] == 2
+
+    def test_lattice_budget_must_be_positive(self):
+        code, out, err = run(["qbinom", "4", "2", "2", "--lattice-budget", "0"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "DomainError",
+                                            "message": "lattice budget must be positive"}
+
+    @pytest.mark.parametrize("argv", [
+        ["enum", "--n", "3", "--q", "2305843009213693951", "--dim", "1", "--count-only"],
+        ["search", "--n", "3", "--q", "2305843009213693951", "--fractions", "1/2"],
+    ])
+    def test_large_prime_q_answers_at_once(self, argv):
+        # q = 2^61 - 1 is prime: trial division up to its square root never
+        # returned. A fresh process, so a regression fails at the timeout.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qlattice.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qlattice.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"] == {
+            "kind": "DomainError",
+            "message": "q = 2305843009213693951 exceeds the supported ceiling 256",
+        }
+
     def test_excluded_pair_is_a_usage_error_for_bounds(self):
         code, out, err = run(
             ["bound", "--theorem", "main", "--n", "6", "--q", "2",
@@ -291,7 +324,7 @@ class TestTotality:
     def test_unexpected_exceptions_become_json_errors(self, monkeypatch, exc, code):
         import qlattice.cli as cli
 
-        def boom(args, config):
+        def boom(args):
             raise exc
 
         monkeypatch.setattr(cli, "_cmd_qbinom", boom)

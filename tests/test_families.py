@@ -118,6 +118,21 @@ class TestProfileAndFractions:
         assert fs.fractions == ((1, 3), (1, 2), (2, 3))
         assert fs.max_denominator == 3
 
+    def test_profile_rules(self):
+        p = ModularProfile(4, (1, 2), (0, 3))
+        assert [d for d in range(9) if p.admits(d)] == [1, 2, 5, 6]
+        assert [d for d in range(9) if p.meets(d, 5, 6)] == [0, 3, 4, 7, 8]
+
+    def test_fraction_rules(self):
+        fs = FractionSet(((1, 3), (1, 2)))
+        assert [d for d in range(5) if fs.admits(d)] == [1, 2, 3, 4]
+        # 1/3 of 6 or 1/2 of 4 or 6, exactly; no rounding of 1/3 of 4
+        assert [d for d in range(7) if fs.meets(d, 4, 6)] == [2, 3]
+        assert [d for d in range(7) if fs.meets(d, 4, 5)] == [2]
+        # every fraction of dimension 0 is 0: the meet rule alone would
+        # admit the zero subspace next to anything
+        assert fs.meets(0, 0, 5)
+
     def test_fraction_strings(self):
         fs = fractions_from_strings(["1/2", "2/3"])
         assert fs.fractions == ((1, 2), (2, 3))
@@ -171,6 +186,22 @@ class TestCheckers:
         F2 = field(2)
         fam = Family(F2, 4, (Subspace(F2, 4, ((1, 0, 0, 0),)),))
         assert check_fractional(fam, FractionSet(((1, 2),))).ok
+
+    def test_fractional_zero_subspace_fails_as_a_member(self):
+        # the search graph has no dimension-0 vertex; the checker agrees,
+        # and the family stays within bound_frac_general's 2
+        F2 = field(2)
+        zero = canonicalize(F2, 2, [])
+        line, plane = canonicalize(F2, 2, [[1, 0]]), canonicalize(F2, 2, [[1, 0], [0, 1]])
+        fs = fractions_from_strings(["1/2", "1/3", "1/4"])
+        res = check_fractional(Family(F2, 2, (zero, line, plane)), fs)
+        assert res == CheckResult(False, (0,), "member 0 has dim 0, not positive")
+        assert check_fractional(Family(F2, 2, (line, plane)), fs).ok
+        assert bound_frac_general(2, 2, fs).bound == 2
+        # members are checked before pairs, as in check_modular
+        other = canonicalize(F2, 2, [[0, 1]])
+        res = check_fractional(Family(F2, 2, (line, other, zero)), FractionSet(((1, 2),)))
+        assert res.witness == (2,)
 
     def test_fractional_exact_arithmetic(self):
         # dims 3 and 2 with intersection dim 1: 1/2 matches via the dim-2 member,

@@ -281,6 +281,28 @@ class TestAuxiliaries:
         assert prime_power(12) is None
         assert prime_power(1) is None
 
+    def test_prime_power_matches_trial_division(self):
+        def oracle(q):
+            found, _ = trial_factor(q) if q >= 2 else ([], q)
+            if len(found) != 1:
+                return None
+            p, e = found[0], 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+
+        assert all(prime_power(q) == oracle(q) for q in range(-2, 5000))
+
+    def test_prime_power_large(self):
+        m61 = 2 ** 61 - 1
+        assert prime_power(m61) == (m61, 1)
+        assert prime_power(m61 ** 3) == (m61, 3)
+        assert prime_power(3 ** 40) == (3, 40)
+        assert prime_power(2 ** 400) == (2, 400)
+        assert prime_power(2 ** 400 + 1) is None
+        assert prime_power(m61 * (2 ** 31 - 1)) is None
+
 
 class TestBoundReport:
     def test_validation(self):
