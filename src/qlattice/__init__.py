@@ -40,7 +40,9 @@ from .gfspace import (
     LineIncidence,
     Subspace,
     SubspaceIndex,
+    budget,
     canonicalize,
+    check_deadline,
     containment_vector,
     contains,
     enumerate_subspaces,

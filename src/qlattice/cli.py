@@ -8,7 +8,10 @@ budgets inside result payloads are data, not crashes. No exception escapes
 main() as a traceback: running out of memory, stack depth or float range
 exits 3, and any other exception exits 2; either way stderr carries one JSON
 error object naming the exception type. Integers print exactly, however many
-digits they have (qbinom's size ceiling bounds them).
+digits they have (qbinom's size ceiling bounds them). Each command runs
+inside one gfspace.budget scope: --lattice-budget and --time-budget hold
+for the whole command and are gone when main() returns, and the time
+budget counts from the start of the command, lattice and graph included.
 """
 
 from __future__ import annotations
@@ -17,19 +20,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
-from .errors import (
-    DomainError,
-    QLatticeError,
-    ResourceLimitError,
-    StructureError,
-    UnsupportedParametersError,
-)
+from .errors import DomainError, ResourceLimitError
 from .qcombin import alt_sum, qbinom, zsigmondy_exception, zsigmondy_prime
 from .gfspace import (
-    ENV_LATTICE_BUDGET,
+    budget,
     enumerate_subspaces,
     field,
     field_order,
@@ -55,6 +51,7 @@ from .families import (
 )
 from .certificates import VARIANTS, certificate_context, independence_certificate
 from .search import (
+    DEFAULT_MAX_NODES,
     SearchLimits,
     build_graph,
     gen_example_bisection,
@@ -278,24 +275,14 @@ def _cmd_gram(args):
     return payload, EXIT_OK if report.rank_lower_bound_holds else EXIT_VERDICT
 
 
-def _search_limits(args) -> SearchLimits:
-    kwargs = {}
-    if args.max_nodes is not None:
-        kwargs["max_nodes"] = args.max_nodes
-    if args.time_budget is not None:
-        kwargs["time_budget"] = args.time_budget
-    if args.dims is not None:
-        kwargs["dim_filter"] = _int_list(args.dims)
-    return SearchLimits(**kwargs)
-
-
 def _cmd_search(args):
     field_order(args.q)
     if args.profile:
         predicate = profile_from_dict(_load_json(args.profile))
     else:
         predicate = fractions_from_strings(args.fractions.split(","))
-    limits = _search_limits(args)
+    dims = None if args.dims is None else _int_list(args.dims)
+    limits = SearchLimits(max_nodes=args.max_nodes, dim_filter=dims)
     require_lattice_budget(args.n, args.q)
     graph = build_graph(field(args.q), args.n, predicate, limits)
     result = max_family(graph, limits)
@@ -436,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--profile", help="profile JSON path")
     group.add_argument("--fractions", help='comma list like "1/2"')
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None, help="seconds")
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--time-budget", type=float, default=None, help="seconds for the whole command")
     p.add_argument("--dims", default=None, help="comma list restricting vertex dimensions")
     p.set_defaults(handler=_cmd_search)
 
@@ -485,38 +472,17 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return code if code == 0 else EXIT_USAGE
 
-    saved_budget = os.environ.get(ENV_LATTICE_BUDGET)
     try:
-        if args.lattice_budget is not None:
-            if args.lattice_budget < 1:
-                raise DomainError("lattice budget must be positive")
-            os.environ[ENV_LATTICE_BUDGET] = str(args.lattice_budget)
-        payload, code = args.handler(args)
+        with budget(args.lattice_budget, getattr(args, "time_budget", None)):
+            payload, code = args.handler(args)
         text = _render_exact(payload, args.format)
-    except ResourceLimitError as exc:
-        sys.stderr.write(render(_error_payload(exc), "json"))
-        return EXIT_RESOURCE
-    except (UnsupportedParametersError, DomainError, StructureError) as exc:
-        sys.stderr.write(render(_error_payload(exc), "json"))
-        return EXIT_USAGE
-    except QLatticeError as exc:
-        sys.stderr.write(render(_error_payload(exc), "json"))
-        return EXIT_USAGE
-    except (MemoryError, RecursionError, OverflowError) as exc:
+    except (ResourceLimitError, MemoryError, RecursionError, OverflowError) as exc:
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_RESOURCE
     except Exception as exc:
-        # the command-line boundary: report, never a traceback
+        # the command-line boundary: any other error exits 2, never a traceback
         sys.stderr.write(render(_error_payload(exc), "json"))
         return EXIT_USAGE
-    finally:
-        # --lattice-budget must not outlive the command when main() is
-        # driven in-process.
-        if args.lattice_budget is not None:
-            if saved_budget is None:
-                os.environ.pop(ENV_LATTICE_BUDGET, None)
-            else:
-                os.environ[ENV_LATTICE_BUDGET] = saved_budget
 
     sys.stdout.write(text)
     return code

@@ -7,7 +7,9 @@ canonical form. Per-pair meet dimensions come from meet_dim, a rank count
 against the stored pivot rows that builds no Subspace; intersect, which builds
 the meet itself, stays as the reference route. Questions about a whole list
 of subspaces at once (which contain u, how many lines each shares with u) go
-through LineIncidence, the line masks turned on their side.
+through LineIncidence, the line masks turned on their side. Budgets travel
+in one scope: budget(lattice, seconds) holds a lattice budget and a deadline
+for a block, and check_deadline(phase) raises once the deadline has passed.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -17,8 +19,12 @@ run through base-q integers in ascending order. Under this order the first
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
+import math
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -32,8 +38,50 @@ DEFAULT_LATTICE_BUDGET = 10 ** 6
 MAX_Q = 256
 
 
+# (lattice budget or None, time.monotonic() deadline) of the innermost budget().
+_SCOPE = contextvars.ContextVar("qlattice_budget", default=(None, math.inf))
+
+
+@contextmanager
+def budget(lattice: Optional[int] = None, seconds: Optional[float] = None):
+    """Run a block under a lattice budget and a deadline seconds from now.
+
+    None keeps the enclosing scope's value, inf sets no deadline, and a
+    nested deadline can only be sooner.
+    """
+    if lattice is not None and lattice < 1:
+        raise DomainError("lattice budget must be positive")
+    if seconds is not None and not seconds > 0:
+        raise DomainError(f"time_budget must be positive, got {seconds}")
+    outer, deadline = _SCOPE.get()
+    if seconds is not None:
+        deadline = min(deadline, time.monotonic() + seconds)
+    token = _SCOPE.set((outer if lattice is None else lattice, deadline))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def current_deadline() -> Optional[float]:
+    """The time.monotonic() value the current scope ends at, or None."""
+    deadline = _SCOPE.get()[1]
+    return deadline if deadline < math.inf else None
+
+
+def check_deadline(phase: str, **progress) -> None:
+    """ResourceLimitError, partial {"phase": phase, **progress}, past the deadline."""
+    if time.monotonic() > _SCOPE.get()[1]:
+        raise ResourceLimitError(
+            f"time budget ran out in {phase}", partial={"phase": phase, **progress}
+        )
+
+
 def lattice_budget() -> int:
-    """Enumeration budget: max subspaces materialized per ambient (env-overridable)."""
+    """Max subspaces materialized per ambient: the scope's, else QL_LATTICE_BUDGET's."""
+    scoped = _SCOPE.get()[0]
+    if scoped is not None:
+        return scoped
     raw = os.environ.get(ENV_LATTICE_BUDGET)
     if raw is None:
         return DEFAULT_LATTICE_BUDGET
@@ -650,7 +698,9 @@ def lattice_size(n: int, q: int) -> int:
 
 
 def require_lattice_budget(n: int, q: int) -> None:
-    """ResourceLimitError when the lattice of GF(q)^n exceeds the lattice budget."""
+    """DomainError for n < 0, ResourceLimitError when the lattice of GF(q)^n is over budget."""
+    if n < 0:
+        raise DomainError(f"ambient dimension must be >= 0, got {n}")
     _require_budget(lattice_size(n, q), f"subspaces of GF({q})^{n}", "size")
 
 

@@ -8,7 +8,8 @@ depth is not limited by the interpreter's recursion limit. Greedy coloring
 gives the bounds; colors that cannot beat the best clique at node entry
 (at or below k_min = len(best) - len(current)) are not recorded. The search
 is fully deterministic, and budget exhaustion is reported as a result state
-rather than an error.
+rather than an error. The time budget is the gfspace.budget deadline:
+build_graph checks it between phases and rows, max_family at every node.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
@@ -23,7 +24,6 @@ no lattice.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +35,8 @@ from .gfspace import (
     FieldContext,
     SubspaceIndex,
     canonicalize,
+    check_deadline,
+    current_deadline,
     enumerate_subspaces,
     field,
     field_order,
@@ -52,7 +54,6 @@ from .families import (
 )
 
 __all__ = [
-    "ENV_TIME_BUDGET",
     "DEFAULT_MAX_NODES",
     "SearchLimits",
     "CompatGraph",
@@ -67,45 +68,25 @@ __all__ = [
     "gen_example_bisection",
 ]
 
-ENV_TIME_BUDGET = "QL_TIME_BUDGET_SECS"
-
 DEFAULT_MAX_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Budgets for graph construction and clique search.
+    """Node budget and vertex dimensions for graph construction and clique search.
 
-    time_budget None defers to the QL_TIME_BUDGET_SECS environment variable,
-    and to no limit when that is unset. dim_filter, when given, restricts
-    graph vertices to the listed dimensions on top of the unary condition.
+    dim_filter, when given, restricts graph vertices to the listed
+    dimensions on top of the unary condition. Time is gfspace.budget's.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
-    time_budget: Optional[float] = None
     dim_filter: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.max_nodes < 1:
             raise DomainError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise DomainError(f"time_budget must be positive, got {self.time_budget}")
         if self.dim_filter is not None:
             object.__setattr__(self, "dim_filter", tuple(sorted(set(self.dim_filter))))
-
-    def effective_time_budget(self) -> float:
-        if self.time_budget is not None:
-            return self.time_budget
-        raw = os.environ.get(ENV_TIME_BUDGET)
-        if raw is None:
-            return math.inf
-        try:
-            value = float(raw)
-        except ValueError:
-            raise DomainError(f"{ENV_TIME_BUDGET} must be a number, got {raw!r}")
-        if not value > 0:
-            raise DomainError(f"{ENV_TIME_BUDGET} must be positive, got {value}")
-        return value
 
 
 @dataclass(frozen=True)
@@ -202,7 +183,7 @@ def _symmetric(rows: Sequence[int]) -> bool:
     as bytes. Each of its tiles is transposed in a few big-int operations
     per stage (_swap_masks), and the transposed tiles, laid side by side,
     must give back the low (j+1)·tile bits of the band's own rows. Memory
-    stays at about one band of bits.
+    stays at about one band of bits; the budget deadline is checked per band.
     """
     count = len(rows)
     tile = 8
@@ -213,6 +194,7 @@ def _symmetric(rows: Sequence[int]) -> bool:
     lane = (1 << tile) - 1
     padding = [bytes(width)] * (tiles * tile - count)
     for j in range(tiles):
+        check_deadline("graph", bands_checked=j, bands=tiles)
         band = [
             ((mask >> (j * tile)) & lane).to_bytes(width, "little")
             for mask in rows[: (j + 1) * tile]
@@ -245,27 +227,36 @@ def build_graph(
     predicate.admits(d) (and in limits.dim_filter, when given), in lattice
     order; two vertices are joined when predicate.meets allows their meet.
     The rows come from families.compatible_rows over the lattice's line
-    masks. Ambients over the lattice budget raise ResourceLimitError.
+    masks. A dim_filter entry outside [0, n] raises DomainError. Ambients
+    over the lattice budget raise ResourceLimitError, and so does the budget
+    deadline, checked after the lattice ("lattice") and per row ("graph").
     """
     limits = limits or SearchLimits()
+    keep = limits.dim_filter
+    for d in keep or ():
+        if not 0 <= d <= n:
+            raise DomainError(f"dim_filter entry {d} lies outside [0, {n}]")
     lat = lattice(ctx, n)
+    check_deadline("lattice")
     if isinstance(predicate, ModularProfile):
         kind = "modular"
     elif isinstance(predicate, FractionSet):
         kind = "fractional"
     else:
         raise DomainError("predicate must be a ModularProfile or a FractionSet")
-    keep = limits.dim_filter
     dims = {d for d in range(n + 1) if predicate.admits(d) and (keep is None or d in keep)}
     positions = [g for g, d in enumerate(lat.dims) if d in dims]
     # No row holds its own vertex: the [d 1]_q lines it shares with itself
     # are a meet of dimension d, which no predicate admitting d allows (K
     # and L are disjoint, and every listed fraction is below 1).
-    adjacency = compatible_rows(
+    adjacency = []
+    for row in compatible_rows(
         [lat.lines[g] for g in positions],
         [lat.dims[g] for g in positions],
         shared_line_counts(predicate, n, ctx.q),
-    )
+    ):
+        adjacency.append(row)
+        check_deadline("graph", rows=len(adjacency), vertices=len(positions))
     vertices = tuple(
         SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
     )
@@ -302,17 +293,14 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     color cannot lift the current clique above the best one. Colors at or
     below k_min = len(best) - len(current) at node entry are not recorded,
     because the best clique only grows, so those vertices are always pruned.
-    When the node or time budget runs out, the best family found so far is
-    returned with exhausted False.
+    When limits.max_nodes or the budget deadline runs out, the best family
+    found so far is returned with exhausted False.
     """
     limits = limits or SearchLimits()
     count = graph.size
     adjacency = graph.adjacency
     budget_nodes = limits.max_nodes
-    deadline = None
-    window = limits.effective_time_budget()
-    if math.isfinite(window):
-        deadline = time.monotonic() + window
+    deadline = current_deadline()
 
     full = (1 << count) - 1
     bits = [1 << v for v in range(count)]

@@ -44,3 +44,25 @@ def family_file(write_json):
         return write_json(name, family_to_dict(family))
 
     return _write
+
+
+class FakeClock:
+    """A time.monotonic stand-in: returns now, then moves now on by step."""
+
+    def __init__(self, now: float = 0.0, step: float = 0.0):
+        self.now, self.step = now, step
+
+    def __call__(self) -> float:
+        now = self.now
+        self.now += self.step
+        return now
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Patch time.monotonic, which budget scopes read, with a FakeClock."""
+    import time
+
+    clock = FakeClock()
+    monkeypatch.setattr(time, "monotonic", clock)
+    return clock

@@ -223,6 +223,117 @@ class TestExitCodes:
         assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1057)
 
 
+SEARCH3 = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
+
+
+class TestBudgetScope:
+    """--lattice-budget and --time-budget hold for one command, through gfspace.budget."""
+
+    @pytest.fixture
+    def outside(self, monkeypatch):
+        """The scope and environment main() must leave as it found them."""
+        from qlattice.gfspace import DEFAULT_LATTICE_BUDGET, ENV_LATTICE_BUDGET
+
+        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+
+        def environ():
+            # pytest rewrites PYTEST_CURRENT_TEST between set-up and call
+            return {k: v for k, v in os.environ.items() if k != "PYTEST_CURRENT_TEST"}
+
+        before = environ()
+
+        def check():
+            assert qlattice.lattice_budget() == DEFAULT_LATTICE_BUDGET
+            assert qlattice.gfspace.current_deadline() is None
+            assert environ() == before
+
+        return check
+
+    @staticmethod
+    def _record(monkeypatch, name, seen, fail=None):
+        """Wrap cli.<name> to note the scope it runs in, then raise fail if given."""
+        import qlattice.cli as cli
+
+        original = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((qlattice.lattice_budget(), qlattice.gfspace.current_deadline()))
+            if fail is not None:
+                raise fail
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    def test_restored_after_success(self, monkeypatch, outside, fake_clock):
+        seen = []
+        self._record(monkeypatch, "max_family", seen)
+        code, out, err = run(SEARCH3 + ["--lattice-budget", "100", "--time-budget", "30"])
+        assert (code, err) == (0, "")
+        assert seen == [(100, 30.0)]
+        outside()
+
+    def test_restored_after_resource_error(self, outside):
+        code, out, err = run(SEARCH3 + ["--lattice-budget", "5", "--time-budget", "30"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+        outside()
+
+    def test_restored_after_unexpected_exception(self, monkeypatch, outside, fake_clock):
+        seen = []
+        self._record(monkeypatch, "qbinom", seen, fail=RuntimeError("boom"))
+        code, out, err = run(["qbinom", "4", "2", "2", "--lattice-budget", "7"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "RuntimeError", "message": "boom"}
+        assert seen == [(7, None)]
+        outside()
+
+    @pytest.mark.parametrize("step,phase", [(5, "lattice"), (1, "graph")])
+    def test_time_budget_covers_lattice_and_graph(self, fake_clock, step, phase):
+        # entry reads 0, the lattice check reads step, the first row check 2·step
+        fake_clock.step = step
+        code, out, err = run(SEARCH3 + ["--time-budget", "1.5"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "kind": "ResourceLimitError", "message": f"time budget ran out in {phase}"}
+
+    def test_time_budget_runs_out_in_search(self, fake_clock):
+        fake_clock.step = 1
+        # entry 0, lattice 1, 15 rows 2..16, one symmetry band 17, nodes from 18
+        code, out, err = run(SEARCH3 + ["--time-budget", "20.5"])
+        assert (code, err) == (3, "")
+        payload = json.loads(out)
+        assert (payload["vertices"], payload["exhausted"], payload["nodes"]) == (15, False, 3)
+
+    def test_time_budget_validation(self):
+        for value in ("0", "-2", "nan"):
+            code, out, err = run(SEARCH3 + ["--time-budget", value])
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == {
+                "kind": "DomainError",
+                "message": f"time_budget must be positive, got {float(value)}"}
+
+    def test_infinite_time_budget_is_no_budget(self):
+        assert run(SEARCH3 + ["--time-budget", "inf"]) == run(SEARCH3)
+
+    def test_negative_ambient_exits_two(self):
+        code, out, err = run(["search", "--n", "-1", "--q", "2", "--fractions", "1/2"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "DomainError", "message": "ambient dimension must be >= 0, got -1"}
+
+    @pytest.mark.parametrize("dim", ["9", "-1", "4"])
+    def test_dims_outside_the_ambient_exit_two(self, dim):
+        code, out, err = run(SEARCH3 + ["--dims", f"1,{dim}"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "DomainError", "message": f"dim_filter entry {dim} lies outside [0, 3]"}
+
+    def test_dims_at_the_ends_of_the_ambient(self):
+        code, out, _ = run(SEARCH3 + ["--dims", "0,3"])
+        assert code == 0
+        assert json.loads(out)["vertices"] == 1
+
+
 # Every subcommand with extreme arguments: huge n, q = 256, empty lists.
 # {E} is an empty family in GF(256)^100000.
 EXTREME = [

@@ -14,7 +14,9 @@ from qlattice import (
     ResourceLimitError,
     Subspace,
     SubspaceIndex,
+    budget,
     canonicalize,
+    check_deadline,
     containment_vector,
     contains,
     enumerate_subspaces,
@@ -24,6 +26,7 @@ from qlattice import (
     index_of,
     intersect,
     lattice,
+    lattice_budget,
     lattice_size,
     line_mask,
     meet_dim,
@@ -32,7 +35,12 @@ from qlattice import (
     union_space,
     zero_subspace,
 )
-from qlattice.gfspace import ENV_LATTICE_BUDGET
+from qlattice.gfspace import (
+    DEFAULT_LATTICE_BUDGET,
+    ENV_LATTICE_BUDGET,
+    current_deadline,
+    require_lattice_budget,
+)
 
 
 class TestField:
@@ -329,6 +337,88 @@ class TestLattice:
                 lattice(field(2), 2)
         finally:
             lattice.cache_clear()
+
+
+class TestBudgetScope:
+    def test_validation_messages(self):
+        with pytest.raises(DomainError, match=r"^lattice budget must be positive$"):
+            with budget(lattice=0):
+                pass
+        for seconds in (0, -2.0, float("nan")):
+            with pytest.raises(DomainError, match=r"^time_budget must be positive, got "):
+                with budget(seconds=seconds):
+                    pass
+
+    def test_lattice_budget_scope_before_environment(self, monkeypatch):
+        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+        assert lattice_budget() == DEFAULT_LATTICE_BUDGET
+        monkeypatch.setenv(ENV_LATTICE_BUDGET, "50")
+        assert lattice_budget() == 50
+        with budget(lattice=7):
+            assert lattice_budget() == 7
+            with budget(seconds=5):
+                assert lattice_budget() == 7
+            with budget(lattice=9):
+                assert lattice_budget() == 9
+            assert lattice_budget() == 7
+        assert lattice_budget() == 50
+
+    def test_lowered_scope_refuses_cached_lattice(self):
+        lattice(field(2), 3)
+        with budget(lattice=10):
+            with pytest.raises(ResourceLimitError) as exc:
+                lattice(field(2), 3)
+        assert exc.value.partial == {"size": 16}
+        assert len(lattice(field(2), 3)) == 16
+
+    def test_deadline_counts_from_entry(self, fake_clock):
+        fake_clock.now = 100.0
+        assert current_deadline() is None
+        with budget(seconds=2.5):
+            assert current_deadline() == 102.5
+            check_deadline("lattice")
+            fake_clock.now = 102.5
+            check_deadline("lattice")
+            fake_clock.now = 102.6
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
+                check_deadline("graph", rows=3, vertices=9)
+            assert exc.value.partial == {"phase": "graph", "rows": 3, "vertices": 9}
+        assert current_deadline() is None
+        check_deadline("graph")
+
+    def test_infinite_seconds_set_no_deadline(self, fake_clock):
+        with budget(seconds=float("inf")):
+            assert current_deadline() is None
+            fake_clock.now = 1e300
+            check_deadline("search")
+
+    def test_nested_scope_cannot_extend_the_deadline(self, fake_clock):
+        with budget(seconds=10):
+            with budget(seconds=100):
+                assert current_deadline() == 10
+            with budget(seconds=1):
+                assert current_deadline() == 1
+            with budget(lattice=5, seconds=float("inf")):
+                assert current_deadline() == 10
+            assert current_deadline() == 10
+
+    def test_scope_restored_after_an_error(self, monkeypatch):
+        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+        with pytest.raises(RuntimeError):
+            with budget(lattice=3, seconds=60):
+                raise RuntimeError("boom")
+        assert current_deadline() is None
+        assert lattice_budget() == DEFAULT_LATTICE_BUDGET
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_ambient_rejected(self, n):
+        message = rf"^ambient dimension must be >= 0, got {n}$"
+        with pytest.raises(DomainError, match=message):
+            require_lattice_budget(n, 2)
+        with pytest.raises(DomainError, match=message):
+            lattice(field(2), n)
+        with pytest.raises(DomainError, match=message):
+            Lattice(field(2), n)
 
 
 class TestLineMask:

@@ -1,6 +1,7 @@
 """Compatibility graphs, exact maximum-family search, and the three generators."""
 
 import random
+import time
 
 import pytest
 
@@ -8,11 +9,13 @@ from qlattice import (
     CompatGraph,
     DomainError,
     FractionSet,
+    ResourceLimitError,
     Family,
     ModularProfile,
     SearchLimits,
     SubspaceIndex,
     bound_theorem1,
+    budget,
     build_graph,
     check_fractional,
     check_modular,
@@ -28,7 +31,7 @@ from qlattice import (
 )
 from qlattice import search as search_module
 from qlattice.gfspace import lattice
-from qlattice.search import ENV_TIME_BUDGET, SearchResult, _symmetric
+from qlattice.search import SearchResult, _symmetric
 
 
 # The recursive branch and bound that max_family replaced, kept as the
@@ -196,27 +199,17 @@ class TestLimits:
     def test_defaults(self):
         lim = SearchLimits()
         assert lim.max_nodes == 10**7
-        assert lim.time_budget is None
         assert lim.dim_filter is None
 
     def test_validation(self):
         with pytest.raises(DomainError):
             SearchLimits(max_nodes=0)
         with pytest.raises(DomainError):
-            SearchLimits(time_budget=0)
+            with budget(seconds=0):
+                pass
         with pytest.raises(DomainError):
-            SearchLimits(time_budget=-2.0)
-
-    def test_env_time_budget(self, monkeypatch):
-        monkeypatch.setenv(ENV_TIME_BUDGET, "2.5")
-        assert SearchLimits().effective_time_budget() == 2.5
-        monkeypatch.setenv(ENV_TIME_BUDGET, "junk")
-        with pytest.raises(DomainError):
-            SearchLimits().effective_time_budget()
-
-    def test_explicit_budget_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_TIME_BUDGET, "2.5")
-        assert SearchLimits(time_budget=9.0).effective_time_budget() == 9.0
+            with budget(seconds=-2.0):
+                pass
 
 
 class TestCompatGraph:
@@ -366,6 +359,10 @@ class TestGraphKernel:
         ctx = field(q)
         for dims in (None, (), (1,), (2,), (1, 2), (0, 2, 3), tuple(range(n + 1))):
             limits = SearchLimits(dim_filter=dims)
+            if max(dims or (0,)) > n:
+                with pytest.raises(DomainError, match=f"^dim_filter entry {max(dims)} "):
+                    build_graph(ctx, n, predicate, limits)
+                continue
             graph = build_graph(ctx, n, predicate, limits)
             vertices, adjacency = _pairwise_graph(ctx, n, predicate, limits)
             assert graph.vertices == vertices, dims
@@ -474,7 +471,8 @@ class TestMaxFamily:
 
     def test_time_budget_is_result_state(self):
         g = build_graph(field(2), 4, FractionSet(((1, 2),)), SearchLimits())
-        res = max_family(g, SearchLimits(time_budget=1e-9))
+        with budget(seconds=1e-9):
+            res = max_family(g, SearchLimits())
         assert not res.exhausted
 
     def test_determinism(self):
@@ -498,6 +496,53 @@ class TestMaxFamily:
         assert set(d) == {"size", "exhausted", "nodes", "family"}
         assert d["size"] == 7
         assert d["exhausted"] is True
+
+
+class TestDeadline:
+    """The deadline of a budget scope, read through a patched time.monotonic."""
+
+    PREDICATE = FractionSet(((1, 2),))
+
+    def test_expiry_after_the_lattice(self, fake_clock):
+        with budget(seconds=5):
+            fake_clock.now = 6
+            with pytest.raises(ResourceLimitError, match=r"in lattice$") as exc:
+                build_graph(field(2), 4, self.PREDICATE)
+        assert exc.value.partial == {"phase": "lattice"}
+
+    def test_expiry_between_rows(self, fake_clock):
+        fake_clock.step = 1
+        # entry reads 0, the lattice check 1, and the check after row r reads r + 1
+        with budget(seconds=4.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
+                build_graph(field(2), 4, self.PREDICATE)
+        assert exc.value.partial == {"phase": "graph", "rows": 4, "vertices": 66}
+
+    def test_expiry_in_the_symmetry_check(self, fake_clock):
+        fake_clock.step = 1
+        # all 66 rows pass; the check before the first band reads 68
+        with budget(seconds=67.5):
+            with pytest.raises(ResourceLimitError) as exc:
+                build_graph(field(2), 4, self.PREDICATE)
+        assert exc.value.partial == {"phase": "graph", "bands_checked": 0, "bands": 1}
+
+    def test_graph_unchanged_under_a_distant_deadline(self, fake_clock):
+        fake_clock.step = 1
+        with budget(seconds=1e6):
+            graph = build_graph(field(2), 4, self.PREDICATE)
+        assert graph == build_graph(field(2), 4, self.PREDICATE)
+
+    def test_expiry_during_search_returns_best_so_far(self, fake_clock):
+        graph = build_graph(field(2), 4, self.PREDICATE)
+        fake_clock.step = 1
+        # entry reads 0; node k's check reads k, so node 11 is refused
+        with budget(seconds=10.5):
+            res = max_family(graph, SearchLimits())
+        assert not res.exhausted
+        assert res.nodes == 10
+        assert 1 <= res.size <= 8
+        assert check_fractional(res.family, self.PREDICATE).ok
+        assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=10)))
 
 
 class TestAgainstReference:
