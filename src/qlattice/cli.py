@@ -457,10 +457,21 @@ def _render_exact(payload, fmt: str) -> str:
 
 
 def _error_payload(exc: Exception) -> dict:
+    """The stderr object of a failed command: kind, message, and clause or partial if set."""
     payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
     clause = getattr(exc, "clause", "")
     if clause:
         payload["error"]["clause"] = clause
+    partial = getattr(exc, "partial", None)
+    if partial is not None:
+        # As in the message, a count over 256 bits is named by its bit length,
+        # so a JSON reader's default limit on digits can still parse stderr.
+        payload["error"]["partial"] = {
+            key: f"at least 2^{value.bit_length() - 1}"
+            if isinstance(value, int) and value.bit_length() > 256
+            else value
+            for key, value in partial.items()
+        }
     return payload
 
 

@@ -9,7 +9,15 @@ gives the bounds; colors that cannot beat the best clique at node entry
 (at or below k_min = len(best) - len(current)) are not recorded. The search
 is fully deterministic, and budget exhaustion is reported as a result state
 rather than an error. The time budget is the gfspace.budget deadline:
-build_graph checks it between phases and rows, max_family at every node.
+build_graph checks it between phases and rows, max_family every 1024 rows
+of its table build (raising, like build_graph) and at every node.
+
+max_family holds candidate sets in reversed bit order, vertex v at bit
+position count - v counted from 1. Greedy coloring takes the lowest-index
+vertex of a set next, and in this order that vertex is the set's top bit,
+found by one bit_length() with no negate-and-AND to isolate it; clearing
+top bits also shrinks the ints. The tree is node for node the one of index
+order, and the graph's own adjacency stays in index order.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
@@ -283,6 +291,10 @@ class SearchResult:
         }
 
 
+# Each byte with its eight bits in reverse order.
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Exact maximum clique of the compatibility graph, within budgets.
 
@@ -295,6 +307,16 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     because the best clique only grows, so those vertices are always pruned.
     When limits.max_nodes or the budget deadline runs out, the best family
     found so far is returned with exhausted False.
+
+    Candidate sets are held in reversed bit order: vertex v sits at bit
+    position b = count - v, counted from 1, so b = x.bit_length() names the
+    lowest-index vertex of x, the next one greedy coloring takes, without
+    isolating its bit first. The tables are indexed by b (entry 0 unused):
+    bits[b] is that bit, and nonadj[b] the reversed row of the vertex's
+    non-neighbours and itself, built once per call row by row, with the
+    budget deadline ("search") checked after every 1024 rows. A child's
+    candidates are its parent's & ~nonadj[b]. The tree is the one index
+    order gives.
     """
     limits = limits or SearchLimits()
     count = graph.size
@@ -302,14 +324,22 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     budget_nodes = limits.max_nodes
     deadline = current_deadline()
 
+    # Bit j of a row in index order lands on bit count - 1 - j once reversed.
+    width = -(-count // 8)
+    pad = 8 * width - count
     full = (1 << count) - 1
-    bits = [1 << v for v in range(count)]
-    nonadj = [full & ~adjacency[v] & ~bits[v] for v in range(count)]
+    nonadj = [0]
+    for v in reversed(range(count)):
+        row = (full ^ adjacency[v] ^ (1 << v)).to_bytes(width, "little")
+        nonadj.append(int.from_bytes(row.translate(_BIT_REVERSED), "big") >> pad)
+        if not (count - v) % 1024:
+            check_deadline("search", rows=count - v, vertices=count)
+    bits = [0, *(1 << j for j in range(count))]
     best: list[int] = []
     current: list[int] = []
     nodes = 0
     aborted = False
-    # Each frame is [candidates, vertices, colors, next index]: a node's
+    # Each frame is [candidates, positions, colors, next index]: a node's
     # remaining candidates and its recorded coloring, walked from the end.
     stack: list[list] = []
     candidates = full
@@ -321,7 +351,7 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
                 break
             nodes += 1
             k_min = len(best) - len(current)
-            vertices: list[int] = []
+            positions: list[int] = []
             colors: list[int] = []
             color = 0
             rest = candidates
@@ -330,18 +360,17 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
                 avail = rest
                 if color <= k_min:
                     while avail:
-                        low = avail & -avail
-                        rest ^= low
-                        avail &= nonadj[low.bit_length() - 1]
+                        b = avail.bit_length()
+                        rest ^= bits[b]
+                        avail &= nonadj[b]
                 else:
                     while avail:
-                        low = avail & -avail
-                        v = low.bit_length() - 1
-                        vertices.append(v)
+                        b = avail.bit_length()
+                        positions.append(b)
                         colors.append(color)
-                        rest ^= low
-                        avail &= nonadj[v]
-            stack.append([candidates, vertices, colors, len(vertices) - 1])
+                        rest ^= bits[b]
+                        avail &= nonadj[b]
+            stack.append([candidates, positions, colors, len(positions) - 1])
         elif current:
             # A leaf: the clique cannot grow.
             if len(current) > len(best):
@@ -356,14 +385,15 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
                 if current:
                     current.pop()
                 continue
-            v = frame[1][i]
+            b = frame[1][i]
             frame[3] = i - 1
-            # v leaves the node's candidates before its subtree rather than
-            # after: the child's candidates lie in adjacency[v], which lacks v.
-            candidates = frame[0]
-            frame[0] = candidates ^ bits[v]
-            candidates &= adjacency[v]
-            current.append(v)
+            # b leaves the node's candidates before its subtree rather than
+            # after, so the child's candidates, which must lack b, are the
+            # remaining ones outside nonadj[b].
+            candidates = frame[0] ^ bits[b]
+            frame[0] = candidates
+            candidates &= ~nonadj[b]
+            current.append(count - b)
             break
         else:
             break

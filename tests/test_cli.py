@@ -293,8 +293,21 @@ class TestBudgetScope:
         fake_clock.step = step
         code, out, err = run(SEARCH3 + ["--time-budget", "1.5"])
         assert (code, out) == (3, "")
+        progress = {"lattice": {}, "graph": {"rows": 1, "vertices": 15}}[phase]
         assert json.loads(err)["error"] == {
-            "kind": "ResourceLimitError", "message": f"time budget ran out in {phase}"}
+            "kind": "ResourceLimitError",
+            "message": f"time budget ran out in {phase}",
+            "partial": {"phase": phase, **progress},
+        }
+
+    def test_lattice_budget_error_carries_the_size(self):
+        code, out, err = run(SEARCH3 + ["--lattice-budget", "5"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "kind": "ResourceLimitError",
+            "message": "16 subspaces of GF(2)^3 exceed the lattice budget 5",
+            "partial": {"size": 16},
+        }
 
     def test_time_budget_runs_out_in_search(self, fake_clock):
         fake_clock.step = 1
@@ -421,6 +434,11 @@ class TestTotality:
         code, out, err = run(argv)
         assert (code, out) == (3, "")
         assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
+
+    def test_huge_count_in_partial_is_named_by_bit_length(self):
+        code, out, err = run(["example", "uniform", "--k", "100", "--s", "100", "--q", "256"])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["partial"] == {"count": "at least 2^80000"}
 
     def test_safe_prime_override_answers_at_once(self):
         # checking p by factoring p - 1 ran for minutes on this safe prime;

@@ -544,10 +544,33 @@ class TestDeadline:
         assert check_fractional(res.family, self.PREDICATE).ok
         assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=10)))
 
+    def test_expiry_in_the_table_build(self, fake_clock):
+        graph = build_graph(field(2), 6, self.PREDICATE)
+        assert graph.size == 2824
+        fake_clock.step = 1
+        # entry reads 0, the check after 1024 table rows 1, after 2048 rows 2
+        with budget(seconds=1.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in search$") as exc:
+                max_family(graph, SearchLimits())
+        assert exc.value.partial == {"phase": "search", "rows": 2048, "vertices": 2824}
+
+
+def _assert_same_tree(graph, max_nodes):
+    """max_family and the reference agree on one budget; the graph is left as it was."""
+    adjacency = list(graph.adjacency)
+    limits = SearchLimits(max_nodes=max_nodes)
+    assert _outcome(max_family(graph, limits)) == _outcome(_reference_max_family(graph, limits))
+    assert list(graph.adjacency) == adjacency
+
+
+# max_family reverses each row through whole bytes and shifts the padding
+# back out: sizes on both sides of byte and 30-bit digit widths.
+WIDTH_SIZES = [0, 7, 8, 9, 15, 16, 17, 29, 30, 31, 63, 64, 65]
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("density", DENSITIES)
-    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("size", sorted(set(SIZES + WIDTH_SIZES)))
     def test_random_graphs(self, size, density):
         _assert_same_search(_random_graph(size, density))
 
@@ -555,6 +578,15 @@ class TestAgainstReference:
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
     def test_lattice_graphs(self, q, n, predicate):
         _assert_same_search(build_graph(field(q), n, predicate, SearchLimits()))
+
+    @pytest.mark.parametrize("max_nodes", [1, 100, 20000])
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+    def test_full_lattice_graphs(self, q, n, predicate, max_nodes):
+        _assert_same_tree(build_graph(field(q), n, predicate), max_nodes)
+
+    def test_gf2_6_half_first_nodes(self):
+        _assert_same_tree(build_graph(field(2), 6, FractionSet(((1, 2),))), 2000)
 
     @pytest.mark.parametrize("density", DENSITIES)
     def test_clique_size_matches_networkx(self, density):
