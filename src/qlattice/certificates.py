@@ -52,6 +52,7 @@ from .gfspace import (
     union_space,
 )
 from .families import Family, ModularProfile, check_modular_lines
+from .options import VARIANTS
 
 __all__ = [
     "VARIANTS",
@@ -66,8 +67,6 @@ __all__ = [
     "independence_certificate",
     "span_check",
 ]
-
-VARIANTS = ("lemma41", "swallow1", "lemma52", "swallow2")
 
 
 # ---------------------------------------------------------------------------

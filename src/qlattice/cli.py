@@ -12,13 +12,17 @@ digits they have (qbinom's size ceiling bounds them). Each command runs
 inside one gfspace.budget scope: --lattice-budget and --time-budget hold
 for the whole command and are gone when main() returns, and the time
 budget counts from the start of the command, lattice and graph included.
+
+A command loads only the layers it runs. This module loads errors, qcombin,
+gfspace and options (the parser's --variant choices and --max-nodes
+default); each handler imports what it calls from families, certificates
+and search when it runs, so qbinom, altsum, zsigmondy and enum never load
+those layers, and no command loads moebius.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -31,34 +35,7 @@ from .gfspace import (
     field_order,
     require_lattice_budget,
 )
-from .families import (
-    Family,
-    bound_frac_general,
-    bound_frankl_graham,
-    bound_singleton,
-    bound_theorem1,
-    check_fractional,
-    check_modular,
-    family_from_dict,
-    family_to_dict,
-    fractions_from_strings,
-    fractions_to_strings,
-    partition_jk,
-    partition_mod_prime,
-    power_cell,
-    profile_from_dict,
-    gram_analysis,
-)
-from .certificates import VARIANTS, certificate_context, independence_certificate
-from .search import (
-    DEFAULT_MAX_NODES,
-    SearchLimits,
-    build_graph,
-    gen_example_bisection,
-    gen_example_frac_uniform,
-    gen_example_uniform,
-    max_family,
-)
+from .options import DEFAULT_MAX_NODES, VARIANTS
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -87,6 +64,9 @@ def render(payload, fmt: str) -> str:
         width = max(len(k) for k in keys) if keys else 0
         lines = [f"{k.ljust(width)}  {_compact(payload[k])}" for k in keys]
         return "\n".join(lines) + "\n"
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(keys)
@@ -128,12 +108,14 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"{path} is not valid JSON: {exc}")
 
 
-def _load_family(path: str) -> Family:
+def _load_family(path: str) -> "Family":
+    from .families import family_from_dict
+
     return family_from_dict(_load_json(path))
 
 
 def _profile_from_args(args) -> "ModularProfile":
-    from .families import ModularProfile
+    from .families import ModularProfile, profile_from_dict
 
     if getattr(args, "profile", None):
         return profile_from_dict(_load_json(args.profile))
@@ -142,13 +124,14 @@ def _profile_from_args(args) -> "ModularProfile":
     return ModularProfile(args.b, _int_list(args.K), _int_list(args.L))
 
 
-def _member_indices(family: Family, sub: Family) -> list[int]:
+def _member_indices(family: "Family", sub: "Family") -> list[int]:
     position = {m: i for i, m in enumerate(family)}
     return [position[m] for m in sub]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, exit_code)
+# subcommand handlers: each returns (payload, exit_code), and imports the
+# families, certificates and search names it calls when it runs
 
 
 def _cmd_qbinom(args):
@@ -198,6 +181,13 @@ def _cmd_enum(args):
 
 
 def _cmd_check(args):
+    from .families import (
+        check_fractional,
+        check_modular,
+        fractions_from_strings,
+        profile_from_dict,
+    )
+
     family = _load_family(args.family)
     if args.profile:
         kind = "modular"
@@ -210,6 +200,14 @@ def _cmd_check(args):
 
 
 def _cmd_bound(args):
+    from .families import (
+        bound_frac_general,
+        bound_frankl_graham,
+        bound_singleton,
+        bound_theorem1,
+        fractions_from_strings,
+    )
+
     if args.theorem == "main":
         report = bound_theorem1(args.n, args.q, _profile_from_args(args))
     elif args.theorem == "frac":
@@ -231,6 +229,9 @@ def _cmd_bound(args):
 
 
 def _cmd_certify(args):
+    from .families import profile_from_dict
+    from .certificates import certificate_context, independence_certificate
+
     family = _load_family(args.family)
     profile = profile_from_dict(_load_json(args.profile))
     cctx = certificate_context(family.ctx, family.n, profile, p=args.prime)
@@ -240,6 +241,8 @@ def _cmd_certify(args):
 
 
 def _cmd_partition(args):
+    from .families import partition_jk, partition_mod_prime
+
     family = _load_family(args.family)
     if args.prime is not None:
         cells = partition_mod_prime(family, args.prime)
@@ -256,6 +259,8 @@ def _cmd_partition(args):
 
 
 def _cmd_gram(args):
+    from .families import gram_analysis, power_cell
+
     family = _load_family(args.family)
     a, denom = _fraction_pair(args.frac)
     if denom != args.base:
@@ -276,6 +281,9 @@ def _cmd_gram(args):
 
 
 def _cmd_search(args):
+    from .families import fractions_from_strings, profile_from_dict
+    from .search import SearchLimits, build_graph, max_family
+
     field_order(args.q)
     if args.profile:
         predicate = profile_from_dict(_load_json(args.profile))
@@ -295,6 +303,9 @@ def _cmd_search(args):
 
 
 def _cmd_example(args):
+    from .families import family_to_dict, fractions_to_strings
+    from .search import gen_example_bisection, gen_example_frac_uniform, gen_example_uniform
+
     if args.kind == "uniform":
         if args.k is None or args.s is None or args.q is None:
             raise DomainError("example uniform needs --k, --s, --q")

@@ -713,7 +713,9 @@ class Lattice:
     derives from it through LineIncidence: bit u of contains_mask[w] says u
     lies inside w, that is, u holds none of the lines outside w. Family
     checks use meet_dim per pair instead, as family files may live in
-    ambients too big for a lattice.
+    ambients too big for a lattice. The build checks the budget deadline
+    ("lattice") after each dimension's enumeration and after each
+    dimension's line masks; a build that runs out leaves nothing cached.
     """
 
     def __init__(self, ctx: FieldContext, n: int):
@@ -724,10 +726,15 @@ class Lattice:
         for d in range(n + 1):
             self.offsets.append(len(subs))
             subs.extend(enumerate_subspaces(ctx, n, d))
+            check_deadline("lattice", dim=d, subspaces=len(subs))
         self.subspaces: tuple[Subspace, ...] = tuple(subs)
         self.dims: tuple[int, ...] = tuple(s.dim for s in subs)
         self.position: dict[Subspace, int] = {s: i for i, s in enumerate(subs)}
-        self.lines: tuple[int, ...] = tuple(line_mask(s) for s in subs)
+        lines: list[int] = []
+        for d, end in enumerate([*self.offsets[1:], len(subs)]):
+            lines.extend(map(line_mask, subs[len(lines):end]))
+            check_deadline("lattice", dim=d, line_masks=len(lines))
+        self.lines: tuple[int, ...] = tuple(lines)
         self._contains_mask: Optional[list[int]] = None
         self._joins: dict[tuple[int, int], int] = {}
 

@@ -60,6 +60,7 @@ from .families import (
     offending_pairs,
     shared_line_counts,
 )
+from .options import DEFAULT_MAX_NODES
 
 __all__ = [
     "DEFAULT_MAX_NODES",
@@ -75,8 +76,6 @@ __all__ = [
     "gen_example_frac_uniform",
     "gen_example_bisection",
 ]
-
-DEFAULT_MAX_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -313,10 +312,11 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     lowest-index vertex of x, the next one greedy coloring takes, without
     isolating its bit first. The tables are indexed by b (entry 0 unused):
     bits[b] is that bit, and nonadj[b] the reversed row of the vertex's
-    non-neighbours and itself, built once per call row by row, with the
-    budget deadline ("search") checked after every 1024 rows. A child's
-    candidates are its parent's & ~nonadj[b]. The tree is the one index
-    order gives.
+    non-neighbours, the vertex itself left out, so that the coloring step
+    avail &= nonadj[b] also drops the vertex it has just colored. The rows
+    are built once per call, with the budget deadline ("search") checked
+    after every 1024 rows. A child's candidates are its parent's, less b,
+    & ~nonadj[b]. The tree is the one index order gives.
     """
     limits = limits or SearchLimits()
     count = graph.size

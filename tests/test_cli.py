@@ -229,6 +229,13 @@ SEARCH3 = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
 class TestBudgetScope:
     """--lattice-budget and --time-budget hold for one command, through gfspace.budget."""
 
+    @pytest.fixture(autouse=True)
+    def built_lattice(self):
+        """Build GF(2)^3 before any clock is faked. A first build checks the
+        deadline once per dimension step, so the clock reads counted below
+        are those of a command that finds the lattice cached."""
+        qlattice.lattice(qlattice.field(2), 3)
+
     @pytest.fixture
     def outside(self, monkeypatch):
         """The scope and environment main() must leave as it found them."""
@@ -250,11 +257,10 @@ class TestBudgetScope:
         return check
 
     @staticmethod
-    def _record(monkeypatch, name, seen, fail=None):
-        """Wrap cli.<name> to note the scope it runs in, then raise fail if given."""
-        import qlattice.cli as cli
-
-        original = getattr(cli, name)
+    def _record(monkeypatch, module, name, seen, fail=None):
+        """Wrap <module>.<name>, where the handler reads it, to note the scope it
+        runs in, then raise fail if given."""
+        original = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             seen.append((qlattice.lattice_budget(), qlattice.gfspace.current_deadline()))
@@ -262,11 +268,12 @@ class TestBudgetScope:
                 raise fail
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
     def test_restored_after_success(self, monkeypatch, outside, fake_clock):
+        # the search handler imports max_family from qlattice.search when it runs
         seen = []
-        self._record(monkeypatch, "max_family", seen)
+        self._record(monkeypatch, qlattice.search, "max_family", seen)
         code, out, err = run(SEARCH3 + ["--lattice-budget", "100", "--time-budget", "30"])
         assert (code, err) == (0, "")
         assert seen == [(100, 30.0)]
@@ -280,7 +287,7 @@ class TestBudgetScope:
 
     def test_restored_after_unexpected_exception(self, monkeypatch, outside, fake_clock):
         seen = []
-        self._record(monkeypatch, "qbinom", seen, fail=RuntimeError("boom"))
+        self._record(monkeypatch, qlattice.cli, "qbinom", seen, fail=RuntimeError("boom"))
         code, out, err = run(["qbinom", "4", "2", "2", "--lattice-budget", "7"])
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == {"kind": "RuntimeError", "message": "boom"}

@@ -38,6 +38,7 @@ from qlattice import (
 from qlattice.gfspace import (
     DEFAULT_LATTICE_BUDGET,
     ENV_LATTICE_BUDGET,
+    _cached_lattice,
     current_deadline,
     require_lattice_budget,
 )
@@ -409,6 +410,33 @@ class TestBudgetScope:
                 raise RuntimeError("boom")
         assert current_deadline() is None
         assert lattice_budget() == DEFAULT_LATTICE_BUDGET
+
+    @pytest.mark.parametrize("seconds, partial", [
+        (2.5, {"dim": 2, "subspaces": 15}),
+        (6.5, {"dim": 2, "line_masks": 15}),
+    ])
+    def test_expiry_during_the_lattice_build(self, fake_clock, seconds, partial):
+        # entry reads 0; enumerating dimensions 0..3 reads 1..4, their line
+        # masks 5..8, so dimension 2 of either step is the first refused
+        lattice.cache_clear()
+        fake_clock.step = 1
+        with budget(seconds=seconds):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in lattice$") as exc:
+                lattice(field(2), 3)
+        assert exc.value.partial == {"phase": "lattice", **partial}
+        assert _cached_lattice.cache_info().currsize == 0
+        fake_clock.step = 0
+        built = lattice(field(2), 3)
+        assert (len(built), len(built.lines), built.offsets) == (16, 16, [0, 1, 8, 15])
+        assert built.lines == tuple(line_mask(s) for s in built.subspaces)
+
+    def test_distant_deadline_builds_the_same_lattice(self, fake_clock):
+        fake_clock.step = 1
+        with budget(seconds=1e6):
+            timed = Lattice(field(3), 3)
+        plain = Lattice(field(3), 3)
+        assert (timed.subspaces, timed.offsets, timed.lines) == (
+            plain.subspaces, plain.offsets, plain.lines)
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_ambient_rejected(self, n):

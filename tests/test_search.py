@@ -503,6 +503,13 @@ class TestDeadline:
 
     PREDICATE = FractionSet(((1, 2),))
 
+    @pytest.fixture(autouse=True)
+    def built_lattice(self):
+        """Build GF(2)^4 before any clock is faked. A first build checks the
+        deadline once per dimension step, so the clock reads counted below
+        are those of a cached lattice."""
+        lattice(field(2), 4)
+
     def test_expiry_after_the_lattice(self, fake_clock):
         with budget(seconds=5):
             fake_clock.now = 6

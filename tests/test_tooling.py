@@ -1,7 +1,11 @@
 """Source guards: checks on the package's code itself rather than its answers."""
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +77,76 @@ def test_guard_allows_reads():
 
 def test_guard_scans_the_whole_package():
     assert {"cli.py", "gfspace.py", "search.py"} <= {path.name for path in SOURCES}
+
+
+# ---------------------------------------------------------------------------
+# lazy loading: the package and the command line load only what they run
+
+SUBMODULES = sorted(path.stem for path in SOURCES if path.stem != "__init__")
+SRC = str(pathlib.Path(qlattice.__file__).resolve().parents[1])
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports qlattice from this tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+
+
+LOADED_BY_CLI = """
+import contextlib, io, sys
+from qlattice.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("qlattice")))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("qbinom 4 2 2", {"families", "certificates", "search", "moebius"}),
+    ("zsigmondy 2 3", {"certificates", "search", "moebius"}),
+    ("bound --theorem singleton --n 4 --q 2 --frac 1/2", {"certificates", "search", "moebius"}),
+])
+def test_light_commands_leave_heavy_layers_unloaded(argv, absent):
+    code, *loaded = _fresh(LOADED_BY_CLI, *argv.split()).stdout.split()
+    assert code == "0"
+    assert {"qlattice.cli", "qlattice.gfspace"} <= set(loaded)
+    assert not {f"qlattice.{name}" for name in absent} & set(loaded)
+
+
+def test_import_loads_no_layer_until_a_name_is_used():
+    out = _fresh(
+        "import sys, qlattice\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qlattice')))\n"
+        "from qlattice import Family\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qlattice')))\n"
+    ).stdout.splitlines()
+    assert out[0] == "qlattice"
+    assert "qlattice.families" in out[1].split()
+    assert not {"qlattice.certificates", "qlattice.search", "qlattice.moebius"} & set(out[1].split())
+
+
+def test_every_export_is_its_home_modules_object():
+    assert len(set(qlattice.__all__)) == len(qlattice.__all__)
+    for home, names in qlattice._EXPORTS.items():
+        module = importlib.import_module(f"qlattice.{home}")
+        for name in names:
+            value = getattr(qlattice, name)
+            assert value is getattr(module, name)
+            assert getattr(value, "__module__", module.__name__) == module.__name__
+
+
+def test_dir_lists_every_export_and_submodule():
+    assert set(qlattice.__all__) | set(SUBMODULES) <= set(dir(qlattice))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_is_an_attribute(name):
+    assert getattr(qlattice, name) is importlib.import_module(f"qlattice.{name}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        qlattice.no_such_name
+    with pytest.raises(ImportError):
+        from qlattice import no_such_name  # noqa: F401
