@@ -13,9 +13,9 @@ row reads one bit per point. A point's line count is the popcount of its line
 mask (gfspace.line_mask), the lines it shares with a member the popcount of
 the AND of the two masks. The members' masks are read from the context
 lattice's lines once per call. The certificate first re-checks the family
-against the profile with families.check_modular_lines, which counts the
-lines each member shares with every other through gfspace.LineIncidence:
-check_modular's verdict and detail, with no per-pair meet_dim.
+against the profile with families.check_modular_lines, which reads rows of
+allowed pairs from gfspace.compatible_rows: check_modular's verdict and
+detail, with one meet_dim only for a failing pair.
 
 Rank and span run over packed rows: a row is one int whose lane j, a fixed
 number of whole bytes wide, holds entry j mod p. A row operation is one
@@ -24,7 +24,9 @@ every lane at once (_Lanes). Rows are converted through array and
 int.from_bytes, never entry by entry. The rows that depend only on the
 context, not on the family (the columns of the points, the g_xy rows and the
 echelon basis of the f rows), are built once per CertificateContext, on
-first use.
+first use. A certificate's rows stay packed until their rank is taken, then
+are unpacked once for its entries; CertificateMatrix.from_entries and
+rank_mod_p, which take lists of entries, remain the reference route.
 """
 
 from __future__ import annotations
@@ -53,20 +55,6 @@ from .gfspace import (
 )
 from .families import Family, ModularProfile, check_modular_lines
 from .options import VARIANTS
-
-__all__ = [
-    "VARIANTS",
-    "CertificateContext",
-    "CertificateMatrix",
-    "SpanReport",
-    "certificate_context",
-    "eval_f",
-    "eval_g_xy",
-    "eval_g_i",
-    "product_reduce",
-    "independence_certificate",
-    "span_check",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +124,6 @@ class CertificateContext:
         factors = lanes.pack(_k_factors(self, lattice(self.ctx, self.n).lines))
         count = sum(qbinom(self.n, x, self.q) for x in range(self.s - self.r + 1))
         return tuple(column * lanes.lane & factors for column in self._columns[:count])
-
-    @cached_property
-    def _grid_entries(self) -> tuple[tuple[int, ...], ...]:
-        """The g_xy rows as certificate entries."""
-        return tuple(map(self._lanes.unpack, self._grid_rows))
 
     @cached_property
     def _f_basis(self) -> dict[int, int]:
@@ -479,21 +462,25 @@ def independence_certificate(
     if not verdict:
         raise DomainError(f"family violates the profile: {verdict.detail}")
 
+    lanes = cctx._lanes
     labels: list[tuple] = []
-    rows: list[Sequence[int]] = []
+    rows: list[int] = []
     if variant in ("swallow1", "swallow2"):
         for i, member in enumerate(members):
             labels.append(("g_i", i))
-            rows.append(_g_i_row(cctx, member, lat.lines))
+            rows.append(lanes.pack(_g_i_row(cctx, member, lat.lines)))
 
-    grid = cctx._grid_entries
+    grid = cctx._grid_rows
     for x in _grid_xs(cctx, filtered=variant in ("lemma52", "swallow2")):
         start = cctx.points[0].offset(x)
         for y in range(1, qbinom(cctx.n, x, cctx.q) + 1):
             labels.append(("g_xy", x, y))
             rows.append(grid[start + y - 1])
 
-    return CertificateMatrix.from_entries(labels, cctx.point_labels, rows, cctx.p)
+    rank = len(lanes.echelon(rows))
+    verdict = "independent" if rank == len(rows) else "inconclusive"
+    entries = tuple(map(lanes.unpack, rows))
+    return CertificateMatrix(tuple(labels), cctx.point_labels, entries, rank, verdict, cctx.p)
 
 
 @dataclass(frozen=True)

@@ -88,16 +88,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _fraction_pair(text: str) -> tuple[int, int]:
-    head, sep, tail = text.strip().partition("/")
-    if not sep:
-        raise DomainError(f"fraction {text!r} must look like a/b")
-    try:
-        return int(head), int(tail)
-    except ValueError:
-        raise DomainError(f"fraction {text!r} must have integer parts")
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -206,6 +196,7 @@ def _cmd_bound(args):
         bound_singleton,
         bound_theorem1,
         fractions_from_strings,
+        parse_fraction,
     )
 
     if args.theorem == "main":
@@ -219,7 +210,7 @@ def _cmd_bound(args):
     elif args.theorem == "singleton":
         if not args.frac:
             raise DomainError("--theorem singleton needs --frac a/b")
-        a, b = _fraction_pair(args.frac)
+        a, b = parse_fraction(args.frac)
         report = bound_singleton(args.n, args.q, a, b)
     else:
         if args.k is None or args.b is None or args.mus is None:
@@ -259,10 +250,10 @@ def _cmd_partition(args):
 
 
 def _cmd_gram(args):
-    from .families import gram_analysis, power_cell
+    from .families import gram_analysis, parse_fraction, power_cell
 
     family = _load_family(args.family)
-    a, denom = _fraction_pair(args.frac)
+    a, denom = parse_fraction(args.frac)
     if denom != args.base:
         raise DomainError(
             f"--frac denominator {denom} must equal --base {args.base}"

@@ -12,8 +12,9 @@ FractionSet. The checkers test members with admits, then take the first
 pair of offending_pairs, which uses gfspace.meet_dim, a rank count that
 needs no lattice and no line masks: a family file may live in an ambient
 such as GF(256)^40, too big for either. Callers that hold the line masks
-(a certificate context, search.build_graph) read rows of allowed pairs from
-compatible_rows, the one line-count kernel, instead.
+(a certificate context, search.build_graph) turn a predicate into a
+shared_line_counts table and read rows of allowed pairs from
+gfspace.compatible_rows, the one line-count row builder, instead.
 """
 
 from __future__ import annotations
@@ -37,44 +38,13 @@ from .qcombin import (
 )
 from .gfspace import (
     FieldContext,
-    LineIncidence,
     Subspace,
     canonicalize,
+    compatible_rows,
     field_from_dict,
     line_mask,
     meet_dim,
 )
-
-__all__ = [
-    "Family",
-    "ModularProfile",
-    "FractionSet",
-    "CheckResult",
-    "PartitionJK",
-    "GramReport",
-    "family_from_dict",
-    "family_to_dict",
-    "profile_from_dict",
-    "profile_to_dict",
-    "fractions_from_strings",
-    "fractions_to_strings",
-    "shared_line_counts",
-    "compatible_rows",
-    "offending_pairs",
-    "check_modular",
-    "check_modular_lines",
-    "check_fractional",
-    "bound_theorem1",
-    "bound_frankl_graham",
-    "bound_frac_general",
-    "bound_singleton",
-    "partition_mod_prime",
-    "power_cell",
-    "partition_dims",
-    "partition_jk",
-    "fractional_cell_bound",
-    "gram_analysis",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +93,15 @@ def family_to_dict(family: Family) -> dict:
 
 
 def family_from_dict(data: dict) -> Family:
-    """Family from its JSON form; basis rows are canonicalized on load."""
+    """Family from its JSON form; basis rows are canonicalized on load.
+
+    A field that cannot be built reports its own error, not a malformed family.
+    """
     try:
-        ctx = field_from_dict(data["q"])
-        n = int(data["n"])
-        raw = data["subspaces"]
+        field_data, n, raw = data["q"], int(data["n"]), data["subspaces"]
     except (KeyError, TypeError, ValueError):
         raise DomainError("malformed family description: keys q, n, subspaces required")
+    ctx = field_from_dict(field_data)
     members = tuple(canonicalize(ctx, n, rows) for rows in raw)
     return Family(ctx, n, members)
 
@@ -208,10 +180,7 @@ class FractionSet:
     def __post_init__(self):
         seen = set()
         for a, b in self.fractions:
-            if not (0 < a < b):
-                raise DomainError(f"fraction {a}/{b} outside (0, 1)")
-            if gcd(a, b) != 1:
-                raise DomainError(f"fraction {a}/{b} is not in lowest terms")
+            _require_fraction(a, b)
             if (a, b) in seen:
                 raise DomainError(f"fraction {a}/{b} repeated")
             seen.add((a, b))
@@ -239,18 +208,28 @@ class FractionSet:
         return max(b for _, b in self.fractions)
 
 
+def _require_fraction(a: int, b: int) -> None:
+    """DomainError unless a/b lies in (0, 1) and is in lowest terms."""
+    if not (0 < a < b):
+        raise DomainError(f"fraction {a}/{b} outside (0, 1)")
+    if gcd(a, b) != 1:
+        raise DomainError(f"fraction {a}/{b} is not in lowest terms")
+
+
+def parse_fraction(text: str) -> tuple[int, int]:
+    """(a, b) from "a/b", literally: its value is not checked, and 2/4 stays 2/4."""
+    head, sep, tail = text.strip().partition("/")
+    if not sep:
+        raise DomainError(f"fraction {text!r} must look like a/b")
+    try:
+        return int(head), int(tail)
+    except ValueError:
+        raise DomainError(f"fraction {text!r} must have integer parts")
+
+
 def fractions_from_strings(items: Iterable[str]) -> FractionSet:
     """Parse "a/b" strings literally; non-reduced input is rejected, not fixed."""
-    parsed = []
-    for text in items:
-        head, sep, tail = text.strip().partition("/")
-        if not sep:
-            raise DomainError(f"fraction {text!r} must look like a/b")
-        try:
-            parsed.append((int(head), int(tail)))
-        except ValueError:
-            raise DomainError(f"fraction {text!r} must have integer parts")
-    return FractionSet(tuple(parsed))
+    return FractionSet(tuple(map(parse_fraction, items)))
 
 
 def fractions_to_strings(fractions: FractionSet) -> list[str]:
@@ -309,38 +288,6 @@ def shared_line_counts(
     )
 
 
-def compatible_rows(
-    lines: Sequence[int], dims: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
-) -> Iterator[int]:
-    """Row i, for each entry i in turn: a mask of the entries j it may pair with.
-
-    Entry j has line mask lines[j] and dimension dims[j]; it is in row i when
-    lines[i] and lines[j] share a count of lines in allowed[dims[i]][dims[j]]
-    (a shared_line_counts table). gfspace.LineIncidence counts a whole row
-    at once. Rows come lazily, so a caller may stop at the first bad one.
-    """
-    by_dim: dict[int, int] = {}
-    for j, d in enumerate(dims):
-        by_dim[d] = by_dim.get(d, 0) | 1 << j
-    # targets[d]: for each line count c, the entries a d-dimensional entry
-    # accepts when they share c lines with it.
-    targets = {}
-    for di in by_dim:
-        within: dict[int, int] = {}
-        for dj, members in by_dim.items():
-            for count in allowed[di][dj]:
-                within[count] = within.get(count, 0) | members
-        targets[di] = sorted(within.items())
-    incidence = LineIncidence(lines)
-    select = incidence.select
-    for mask, d in zip(lines, dims):
-        planes = incidence.planes(mask)
-        row = 0
-        for count, within in targets[d]:
-            row |= select(planes, (count,), within)
-        yield row
-
-
 def offending_pairs(
     family: Family, predicate: Union[ModularProfile, FractionSet]
 ) -> Iterator[tuple[int, int, int]]:
@@ -393,23 +340,22 @@ def check_modular_lines(
     """check_modular from the members' line masks, lines[i] that of member i.
 
     The verdict, witness and detail are check_modular's; pairs come from
-    compatible_rows. For callers that already hold the masks, such as a
+    gfspace.compatible_rows, and only the witness pair's meet dimension
+    from meet_dim. For callers that already hold the masks, such as a
     certificate context's lattice; the masks are not checked against the
     members.
     """
     failed = _member_violation(family, profile)
     if failed is not None:
         return failed
-    q, n = family.ctx.q, family.n
     full = (1 << len(family)) - 1
-    rows = compatible_rows(lines, family.dims, shared_line_counts(profile, n, q))
+    allowed = shared_line_counts(profile, family.n, family.ctx.q)
+    rows = compatible_rows(lines, family.dims, allowed)
     for i, row in enumerate(rows):
         bad = full & ~row & ~((2 << i) - 1)
         if bad:
             j = (bad & -bad).bit_length() - 1
-            count = (lines[i] & lines[j]).bit_count()
-            d = next(d for d in range(n + 1) if qbinom(d, 1, q) == count)
-            return _pair_violation(i, j, d, profile.b)
+            return _pair_violation(i, j, meet_dim(family[i], family[j]), profile.b)
     return _PASS
 
 
@@ -522,10 +468,7 @@ def bound_frac_general(n: int, q: int, fractions: FractionSet) -> BoundReport:
 
 def bound_singleton(n: int, q: int, a: int, b: int) -> BoundReport:
     """Single-fraction bound (b-1)·([n 1] + 1)·ceil_log(b, n) + 2, b prime."""
-    if not (0 < a < b):
-        raise DomainError(f"fraction {a}/{b} outside (0, 1)")
-    if gcd(a, b) != 1:
-        raise DomainError(f"fraction {a}/{b} is not in lowest terms")
+    _require_fraction(a, b)
     if not is_prime(b):
         raise DomainError(f"denominator {b} must be prime")
     if n < 1:

@@ -7,9 +7,12 @@ canonical form. Per-pair meet dimensions come from meet_dim, a rank count
 against the stored pivot rows that builds no Subspace; intersect, which builds
 the meet itself, stays as the reference route. Questions about a whole list
 of subspaces at once (which contain u, how many lines each shares with u) go
-through LineIncidence, the line masks turned on their side. Budgets travel
-in one scope: budget(lattice, seconds) holds a lattice budget and a deadline
-for a block, and check_deadline(phase) raises once the deadline has passed.
+through LineIncidence, the line masks turned on their side, and
+compatible_rows is the one builder of rows over a whole list: the lattice's
+containment table, a certificate's family re-check and search's adjacency all
+come from it. Budgets travel in one scope: budget(lattice, seconds) holds a
+lattice budget and a deadline for a block, and check_deadline(phase) raises
+once the deadline has passed.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -181,6 +184,9 @@ class FieldContext:
             raise DomainError(f"field characteristic must be prime, got {p}")
         if e < 1:
             raise DomainError(f"field degree must be >= 1, got {e}")
+        if e >= MAX_Q.bit_length() or (p > MAX_Q and e > 1):
+            # p^e > MAX_Q already; the power itself could be too big to compute or print
+            raise DomainError(f"q = {p}^{e} exceeds the supported ceiling {MAX_Q}")
         q = p ** e
         if q > MAX_Q:
             raise DomainError(f"q = {q} exceeds the supported ceiling {MAX_Q}")
@@ -310,10 +316,11 @@ def field_from_dict(data: dict) -> FieldContext:
     """Field from its JSON form {"p":…, "e":…, "modulus":… (optional)}."""
     try:
         p, e = int(data["p"]), int(data["e"])
+        modulus = data.get("modulus")
+        modulus = tuple(map(int, modulus)) if modulus is not None else None
     except (KeyError, TypeError, ValueError):
         raise DomainError(f"malformed field description: {data!r}")
-    modulus = data.get("modulus")
-    return _field_cached(p, e, tuple(int(c) for c in modulus) if modulus is not None else None)
+    return _field_cached(p, e, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +646,11 @@ class LineIncidence:
       bit j of plane k; about log2 [n 1]_q planes suffice.
     - select(planes, counts, within) picks the entries of `within` whose
       count lies in `counts`, with one AND per plane and count.
-    - holding_any(lines) is the OR of up[l] over a set of lines.
 
     Shared counts say more than they seem to: dim(U∩W) = d exactly when
-    the line masks of U and W share [d 1]_q lines.
+    the line masks of U and W share [d 1]_q lines, and U lies in W exactly
+    when they share all [dim U 1]_q lines of U. compatible_rows turns both
+    into rows over the whole list.
     """
 
     __slots__ = ("up",)
@@ -684,12 +692,38 @@ class LineIncidence:
             out |= chosen
         return out
 
-    def holding_any(self, lines: int) -> int:
-        """The entries that contain at least one of the given lines."""
-        up, out = self.up, 0
-        for line in _bits(lines & ((1 << len(up)) - 1)):
-            out |= up[line]
-        return out
+
+def compatible_rows(
+    lines: Sequence[int], dims: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
+) -> Iterator[int]:
+    """Row i, for each entry i in turn: a mask of the entries j it may pair with.
+
+    Entry j has line mask lines[j] and dimension dims[j]; it is in row i when
+    lines[i] and lines[j] share a count of lines in allowed[dims[i]][dims[j]]
+    (families.shared_line_counts for a predicate, or {[dim j 1]_q} for
+    containment). LineIncidence counts a whole row at once. Rows come
+    lazily, so a caller may stop at the first bad one.
+    """
+    by_dim: dict[int, int] = {}
+    for j, d in enumerate(dims):
+        by_dim[d] = by_dim.get(d, 0) | 1 << j
+    # targets[d]: for each line count c, the entries a d-dimensional entry
+    # accepts when they share c lines with it.
+    targets = {}
+    for di in by_dim:
+        within: dict[int, int] = {}
+        for dj, members in by_dim.items():
+            for count in allowed[di][dj]:
+                within[count] = within.get(count, 0) | members
+        targets[di] = sorted(within.items())
+    incidence = LineIncidence(lines)
+    select = incidence.select
+    for mask, d in zip(lines, dims):
+        planes = incidence.planes(mask)
+        row = 0
+        for count, within in targets[d]:
+            row |= select(planes, (count,), within)
+        yield row
 
 
 def lattice_size(n: int, q: int) -> int:
@@ -710,8 +744,8 @@ class Lattice:
     Global order is dimension-major: all of dimension 0, then 1, and so on,
     each dimension in enumeration order. Incidence comes from lines[u], the
     line_mask of subspace u, built once here. The lazy contains_mask table
-    derives from it through LineIncidence: bit u of contains_mask[w] says u
-    lies inside w, that is, u holds none of the lines outside w. Family
+    derives from it through compatible_rows: bit u of contains_mask[w] says
+    u lies inside w, that is, w holds all [dim u 1]_q lines of u. Family
     checks use meet_dim per pair instead, as family files may live in
     ambients too big for a lattice. The build checks the budget deadline
     ("lattice") after each dimension's enumeration and after each
@@ -736,7 +770,6 @@ class Lattice:
             check_deadline("lattice", dim=d, line_masks=len(lines))
         self.lines: tuple[int, ...] = tuple(lines)
         self._contains_mask: Optional[list[int]] = None
-        self._joins: dict[tuple[int, int], int] = {}
 
     def __len__(self):
         return len(self.subspaces)
@@ -749,26 +782,19 @@ class Lattice:
 
     @property
     def contains_mask(self) -> list[int]:
-        """Bit u of entry w: subspace u lies in w, so u has no line outside w."""
+        """Bit u of entry w: subspace u lies in w, so w holds all lines of u."""
         if self._contains_mask is None:
-            incidence = LineIncidence(self.lines)
-            full = (1 << len(self)) - 1
-            every = (1 << qbinom(self.n, 1, self.ctx.q)) - 1
-            self._contains_mask = [
-                full & ~incidence.holding_any(every & ~outer) for outer in self.lines
+            span = range(self.n + 1)
+            inside = [
+                [frozenset({qbinom(du, 1, self.ctx.q)} if du <= dw else ()) for du in span]
+                for dw in span
             ]
+            self._contains_mask = list(compatible_rows(self.lines, self.dims, inside))
         return self._contains_mask
 
     def join(self, i: int, j: int) -> int:
-        """Global index of the lattice join of subspaces i and j."""
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        got = self._joins.get(key)
-        if got is None:
-            got = self.global_index(union_space(self.subspaces[i], self.subspaces[j]))
-            self._joins[key] = got
-        return got
+        """Global index of the lattice join of subspaces i and j, by union_space."""
+        return self.global_index(union_space(self.subspaces[i], self.subspaces[j]))
 
 
 @lru_cache(maxsize=None)

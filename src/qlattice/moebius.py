@@ -1,8 +1,9 @@
 """Zeta/Moebius machinery on the subspace lattice, mod a caller-chosen modulus.
 
 Transforms are dense O(L^2) containment scans over a cached Lattice; values are
-residues. Nothing here assumes the modulus arises from a full-order prime
-search, so the module is reusable for generic poset experiments.
+residues. Join fibres are read from containment and shared line counts, so no
+join is built. Nothing here assumes the modulus arises from a full-order
+prime search, so the module is reusable for generic poset experiments.
 """
 from __future__ import annotations
 
@@ -132,14 +133,23 @@ def interval_sum(alpha: LatticeFunction, lower: Subspace, upper: Subspace) -> in
 
 
 def join_sum(alpha: LatticeFunction, lower: Subspace, upper: Subspace) -> int:
-    """sum of alpha(U) over all U whose join with lower equals upper."""
+    """sum of alpha(U) over all U whose join with lower equals upper.
+
+    With W = lower inside Y = upper, U ∨ W = Y exactly when U lies in Y and
+    dim(U∩W) = dim U - (dim Y - dim W), that is, U and W share
+    [dim U - dim Y + dim W 1]_q lines; no join is built.
+    """
     lat, p = alpha.lat, alpha.p
     wi, yi = lat.global_index(lower), lat.global_index(upper)
-    if not (lat.contains_mask[yi] >> wi) & 1:
+    inside = lat.contains_mask[yi]
+    if not (inside >> wi) & 1:
         raise DomainError("lower is not contained in upper")
+    lines, dims, gap = lat.lines, lat.dims, lat.dims[yi] - lat.dims[wi]
+    # shared[d]: the line count a d-dimensional U shares with W; -1 matches none
+    shared = [qbinom(d - gap, 1, lat.ctx.q) if d >= gap else -1 for d in range(lat.n + 1)]
     acc = 0
-    for u in range(len(lat)):
-        if lat.join(u, wi) == yi:
+    for u in _bits(inside):
+        if (lines[u] & lines[wi]).bit_count() == shared[dims[u]]:
             acc += alpha.values[u]
     return acc % p
 

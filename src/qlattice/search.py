@@ -21,7 +21,7 @@ order, and the graph's own adjacency stays in index order.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
-adjacency rows come from families.compatible_rows, which counts the lines a
+adjacency rows come from gfspace.compatible_rows, which counts the lines a
 vertex shares with every vertex at once. The symmetry check of CompatGraph
 transposes the adjacency in square tiles of big ints, so its memory stays
 at one band of tiles. The frac-uniform generator takes its violations from
@@ -44,6 +44,7 @@ from .gfspace import (
     SubspaceIndex,
     canonicalize,
     check_deadline,
+    compatible_rows,
     current_deadline,
     enumerate_subspaces,
     field,
@@ -56,26 +57,10 @@ from .families import (
     Family,
     FractionSet,
     ModularProfile,
-    compatible_rows,
     offending_pairs,
     shared_line_counts,
 )
 from .options import DEFAULT_MAX_NODES
-
-__all__ = [
-    "DEFAULT_MAX_NODES",
-    "SearchLimits",
-    "CompatGraph",
-    "SearchResult",
-    "build_graph",
-    "max_family",
-    "UniformExample",
-    "FracUniformExample",
-    "BisectionExample",
-    "gen_example_uniform",
-    "gen_example_frac_uniform",
-    "gen_example_bisection",
-]
 
 
 @dataclass(frozen=True)
@@ -233,7 +218,7 @@ def build_graph(
     The vertices are the subspaces of every dimension d with
     predicate.admits(d) (and in limits.dim_filter, when given), in lattice
     order; two vertices are joined when predicate.meets allows their meet.
-    The rows come from families.compatible_rows over the lattice's line
+    The rows come from gfspace.compatible_rows over the lattice's line
     masks. A dim_filter entry outside [0, n] raises DomainError. Ambients
     over the lattice budget raise ResourceLimitError, and so does the budget
     deadline, checked after the lattice ("lattice") and per row ("graph").

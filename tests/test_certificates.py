@@ -554,10 +554,10 @@ class TestCertificatesMatchOracle:
         cctx, fam = tight
         independence_certificate(cctx, fam, "lemma41")
         span_check(cctx, fam, [("g_xy", 0, 1)])
-        grid, basis = cctx._grid_entries, cctx._f_basis
+        grid, basis = cctx._grid_rows, cctx._f_basis
         independence_certificate(cctx, fam, "swallow1")
         span_check(cctx, fam, [("g_i", 0)])
-        assert cctx._grid_entries is grid and cctx._f_basis is basis
+        assert cctx._grid_rows is grid and cctx._f_basis is basis
         assert cctx == certificate_context(field(2), 3, cctx.profile)
 
 

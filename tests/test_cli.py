@@ -112,6 +112,56 @@ class TestExitCodes:
                             "--fractions", "1/2,1/3,1/4"])
         assert code == 0 and json.loads(out)["bound"] == 2
 
+    @pytest.mark.parametrize("q, message", [
+        ({"p": 4, "e": 1}, "field characteristic must be prime, got 4"),
+        ({"p": 2, "e": 2, "modulus": [1, 0, 1]}, "modulus [1, 0, 1] is reducible over GF(2)"),
+        ({"p": 3, "e": 6}, "q = 729 exceeds the supported ceiling 256"),
+        ({"p": 2, "e": 20000}, "q = 2^20000 exceeds the supported ceiling 256"),
+    ])
+    def test_family_field_error_reaches_stderr(self, write_json, q, message):
+        family = write_json("family.json", {"q": q, "n": 2, "subspaces": [[[1, 0]]]})
+        code, out, err = run(["check", "--family", family, "--fractions", "1/2"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "DomainError", "message": message}
+
+    def test_malformed_family_still_named(self, write_json):
+        family = write_json("family.json", {"q": {"p": 2, "e": 1}, "subspaces": []})
+        code, out, err = run(["check", "--family", family, "--fractions", "1/2"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == (
+            "malformed family description: keys q, n, subspaces required"
+        )
+
+    def test_huge_field_degree_answers_at_once(self, tmp_path):
+        # 2^(10^9) took 7.7 s and 430 MB to refuse. A fresh process, so a
+        # regression fails at the timeout.
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"q": {"p": 2, "e": 10 ** 9}, "n": 2, "subspaces": []}))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qlattice.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlattice.cli", "check", "--family", str(family),
+             "--fractions", "1/2"],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"] == {
+            "kind": "DomainError",
+            "message": "q = 2^1000000000 exceeds the supported ceiling 256",
+        }
+
+    @pytest.mark.parametrize("text, message", [
+        ("1-2", "fraction '1-2' must look like a/b"),
+        ("a/2", "fraction 'a/2' must have integer parts"),
+        ("3/2", "fraction 3/2 outside (0, 1)"),
+        ("2/4", "fraction 2/4 is not in lowest terms"),
+    ])
+    @pytest.mark.parametrize("flag", [["--theorem", "singleton", "--frac"],
+                                      ["--theorem", "frac", "--fractions"]])
+    def test_one_fraction_parser_and_validator(self, flag, text, message):
+        code, out, err = run(["bound", "--n", "4", "--q", "2", *flag, text])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"kind": "DomainError", "message": message}
+
     def test_lattice_budget_must_be_positive(self):
         code, out, err = run(["qbinom", "4", "2", "2", "--lattice-budget", "0"])
         assert (code, out) == (2, "")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qlattice import (
     DomainError,
+    FieldContext,
     Lattice,
     LineIncidence,
     ResourceLimitError,
@@ -72,6 +74,22 @@ class TestField:
     def test_inverse_of_zero_rejected(self):
         with pytest.raises(DomainError):
             field(4).inv(0)
+
+    def test_degree_over_the_ceiling_refused_before_the_power(self):
+        # 2^(10^9) would take seconds and hundreds of MB to compute
+        start = time.monotonic()
+        for e in (9, 20000, 10 ** 9):
+            with pytest.raises(DomainError, match=rf"^q = 2\^{e} exceeds the supported ceiling 256$"):
+                FieldContext(2, e)
+        assert time.monotonic() - start < 1
+        with pytest.raises(DomainError, match=r"^q = 289 exceeds the supported ceiling 256$"):
+            FieldContext(17, 2)
+        with pytest.raises(DomainError, match=r"^q = 257 exceeds the supported ceiling 256$"):
+            FieldContext(257, 1)
+        # a Mersenne prime of 664 digits: its 7th power has more digits than str() allows
+        big = 2 ** 2203 - 1
+        with pytest.raises(DomainError, match=rf"^q = {big}\^7 exceeds the supported ceiling 256$"):
+            FieldContext(big, 7)
 
     def test_non_prime_power_rejected(self):
         for q in (0, 1, 6, 12, 100):
@@ -276,7 +294,7 @@ class TestLattice:
         assert lat.contains_mask[0] == 1
 
     def test_contains_mask_matches_contains(self):
-        for q, n in ((3, 2), (4, 3)):
+        for q, n in ((2, 3), (3, 2), (4, 3)):
             lat = lattice(field(q), n)
             for w_pos, w in enumerate(lat.subspaces):
                 mask = lat.contains_mask[w_pos]
@@ -519,20 +537,11 @@ class TestLineIncidence:
             )
             assert LineIncidence.select(planes, counts, within) == want
 
-    def test_holding_any(self):
-        rng = random.Random(6)
-        lines = lattice(field(3), 3).lines
-        incidence = LineIncidence(lines)
-        for _ in range(40):
-            wanted = rng.getrandbits(13)
-            want = sum(1 << j for j, v in enumerate(lines) if v & wanted)
-            assert incidence.holding_any(wanted) == want
-
     def test_degenerate_lists(self):
         empty = LineIncidence([])
-        assert empty.up == () and empty.planes(0b111) == [] and empty.holding_any(0b1) == 0
+        assert empty.up == () and empty.planes(0b111) == []
         zeros = LineIncidence([0, 0])
-        assert zeros.planes(0b11) == [] and zeros.holding_any(0b11) == 0
+        assert zeros.planes(0b11) == []
         # no planes: every entry shares 0 lines
         assert LineIncidence.select([], [0], 0b11) == 0b11
         assert LineIncidence.select([], [1], 0b11) == 0

@@ -176,6 +176,20 @@ class TestIntervalAndJoinSums:
                         assert chk.holds, (w.rows, y.rows, chk)
                         assert chk.interval_side == chk.join_side
 
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4)])
+    def test_join_sum_matches_union_space_fibre(self, q, n):
+        # the fibre over Y is every U with U ∨ W = Y, each join canonicalised
+        lat = lattice(field(q), n)
+        alpha = LatticeFunction.random(lat, 11, random.Random(10 * q + n))
+        joins = [[lat.join(u, w) for u in range(len(lat))] for w in range(len(lat))]
+        masks = lat.contains_mask
+        for yi, y in enumerate(lat.subspaces):
+            for wi, w in enumerate(lat.subspaces):
+                if (masks[yi] >> wi) & 1:
+                    fibre = [u for u, j in enumerate(joins[wi]) if j == yi]
+                    want = sum(alpha.values[u] for u in fibre) % 11
+                    assert join_sum(alpha, w, y) == want, (w.rows, y.rows)
+
     def test_all_join_sums_vanish_iff_alpha_zero(self):
         F2 = field(2)
         lat = lattice(F2, 3)

@@ -79,6 +79,34 @@ def test_guard_scans_the_whole_package():
     assert {"cli.py", "gfspace.py", "search.py"} <= {path.name for path in SOURCES}
 
 
+def _constructs(source: str, name: str) -> list[int]:
+    """Line numbers of every call of name, bare or as a module attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_builds_line_incidence(path):
+    # Rows over a whole lattice come from gfspace.compatible_rows alone.
+    found = _constructs(path.read_text(encoding="utf-8"), "LineIncidence")
+    if path.name == "gfspace.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_construction_guard_sees_both_spellings():
+    source = "a = LineIncidence(x)\nb = gfspace.LineIncidence(x)\nc = LineIncidence.select"
+    assert _constructs(source, "LineIncidence") == [1, 2]
+
+
 # ---------------------------------------------------------------------------
 # lazy loading: the package and the command line load only what they run
 
