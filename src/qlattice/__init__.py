@@ -1,11 +1,11 @@
 """Exact combinatorics of subspace families over finite fields.
 
-Layers: q-binomial arithmetic and prime machinery (qcombin), canonical
-subspaces and the containment lattice (gfspace), lattice transforms and
-inversion checks (moebius), family checkers, bounds, partitions, and the
-Gram analysis (families), rank-based independence certificates
-(certificates), exhaustive clique search and generators (search), and the
-command-line surface (cli).
+Layers: the frozen-record base (records), q-binomial arithmetic and prime
+machinery (qcombin), canonical subspaces and the containment lattice
+(gfspace), lattice transforms and inversion checks (moebius), family
+checkers, bounds, partitions, and the Gram analysis (families), rank-based
+independence certificates (certificates), exhaustive clique search and
+generators (search), and the command-line surface (cli).
 
 Every name below loads its home module on first use (PEP 562), so
 ``import qlattice`` and a command that needs one layer pay for that layer
@@ -62,7 +62,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "options", "cli")
+_SUBMODULES = (*_EXPORTS, "options", "records", "cli")
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import mod
@@ -55,14 +54,14 @@ from .gfspace import (
 )
 from .families import Family, ModularProfile, check_modular_lines
 from .options import VARIANTS
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # context
 
 
-@dataclass(frozen=True)
-class CertificateContext:
+class CertificateContext(Record):
     """Frozen evaluation setting: ambient, profile, prime, and point set.
 
     The evaluation points are the containment vectors (capped at dimension s)
@@ -91,8 +90,8 @@ class CertificateContext:
         return self.profile.r
 
     # Family-independent rows, built on first use. cached_property writes the
-    # instance __dict__ directly, so it works on the frozen dataclass, and
-    # eq, hash and repr ignore what it stores.
+    # instance __dict__ directly, so it works on the frozen record, and eq,
+    # hash and repr, which read the fields only, ignore what it stores.
 
     @cached_property
     def _lanes(self) -> "_Lanes":
@@ -386,8 +385,7 @@ def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertificateMatrix:
+class CertificateMatrix(Record):
     """Evaluation matrix with its rank and one-sided verdict.
 
     Row labels are ("g_i", i) or ("g_xy", x, y); columns are labeled by the
@@ -403,7 +401,7 @@ class CertificateMatrix:
     verdict: str
     p: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.rank > min(len(self.rows), len(self.points)):
             raise DomainError("rank exceeds matrix shape")
         expected = "independent" if self.rank == len(self.rows) else "inconclusive"
@@ -483,8 +481,7 @@ def independence_certificate(
     return CertificateMatrix(tuple(labels), cctx.point_labels, entries, rank, verdict, cctx.p)
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(Record):
     """Per-sample answer to "does this g lie in the span of the f rows"."""
 
     samples: tuple[tuple, ...]

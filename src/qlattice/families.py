@@ -20,8 +20,7 @@ gfspace.compatible_rows, the one line-count row builder, instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -45,21 +44,21 @@ from .gfspace import (
     line_mask,
     meet_dim,
 )
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # domain types
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Ordered list of pairwise-distinct canonical subspaces of one ambient."""
 
     ctx: FieldContext
     n: int
     members: tuple[Subspace, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         seen = set()
         for i, m in enumerate(self.members):
             if not isinstance(m, Subspace):
@@ -106,8 +105,7 @@ def family_from_dict(data: dict) -> Family:
     return Family(ctx, n, members)
 
 
-@dataclass(frozen=True)
-class ModularProfile:
+class ModularProfile(Record):
     """Dimension discipline mod b: member dims in K, intersection dims in L.
 
     K and L are disjoint subsets of [0, b). K may be empty only for
@@ -119,7 +117,7 @@ class ModularProfile:
     K: tuple[int, ...]
     L: tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if self.b < 2:
             raise DomainError(f"modulus b must be >= 2, got {self.b}")
         K = tuple(sorted(set(self.K)))
@@ -164,8 +162,7 @@ def profile_to_dict(profile: ModularProfile) -> dict:
     return profile.to_dict()
 
 
-@dataclass(frozen=True)
-class FractionSet:
+class FractionSet(Record):
     """Distinct irreducible fractions 0 < a/b < 1, kept in ascending order.
 
     Members of dims di, dj may meet in dim d when d·b == a·di or a·dj for
@@ -177,14 +174,16 @@ class FractionSet:
 
     fractions: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def _validate(self):
         seen = set()
         for a, b in self.fractions:
             _require_fraction(a, b)
             if (a, b) in seen:
                 raise DomainError(f"fraction {a}/{b} repeated")
             seen.add((a, b))
-        ordered = tuple(sorted(self.fractions, key=lambda ab: Fraction(ab[0], ab[1])))
+        # a/b < c/d exactly when a·d < c·b, the denominators being positive
+        by_value = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+        ordered = tuple(sorted(self.fractions, key=by_value))
         object.__setattr__(self, "fractions", ordered)
 
     def __len__(self) -> int:
@@ -236,8 +235,7 @@ def fractions_to_strings(fractions: FractionSet) -> list[str]:
     return [f"{a}/{b}" for a, b in fractions]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Verdict of a family check, with the first offending witness on failure.
 
     witness is None on pass, (i,) for a bad member dimension, (i, j) for a bad
@@ -552,8 +550,7 @@ def partition_dims(dims: Sequence[int], b: int) -> tuple[dict[tuple[int, int], l
     return {key: cells[key] for key in sorted(cells)}, leftovers
 
 
-@dataclass(frozen=True)
-class PartitionJK:
+class PartitionJK(Record):
     """Power-cell partition: cells keyed by (j, k), plus leftover indices."""
 
     cells: dict[tuple[int, int], tuple[int, ...]]
@@ -678,8 +675,7 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
 # Gram analysis of one power cell
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(Record):
     """Results of the Gram-matrix analysis of a single (j, k) power cell.
 
     N counts shared lines between members, P is N divided entrywise by the
@@ -791,7 +787,9 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
         if i != l
     )
 
-    det_p = det_bareiss(reduced) % modulus
+    # N = divisor·P, so one elimination of P gives det(P) and rank(N).
+    rank_n, last = _bareiss([list(row) for row in reduced])
+    det_p = (last if rank_n == m else 0) % modulus
     det_p_expected = (pow(unit, m, modulus) * (-1) ** (m - 1) * (m - 1)) % modulus
     if m >= 2:
         leading = [row[: m - 1] for row in reduced[: m - 1]]
@@ -803,7 +801,6 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
     else:
         det_q = det_q_expected = det_q_matches = None
 
-    rank_n = integer_rank(gram)
     return GramReport(
         m=m,
         divisor=divisor,

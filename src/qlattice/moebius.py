@@ -8,12 +8,12 @@ prime search, so the module is reusable for generic poset experiments.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainError
 from .gfspace import Lattice, Subspace, _bits, lattice
 from .qcombin import qbinom
+from .records import Record
 
 
 def moebius_value(dim_lower: int, dim_upper: int, q: int) -> int:
@@ -30,8 +30,7 @@ def moebius_value(dim_lower: int, dim_upper: int, q: int) -> int:
     return (-1) ** d * q ** (d * (d - 1) // 2)
 
 
-@dataclass(frozen=True)
-class LatticeFunction:
+class LatticeFunction(Record):
     """Residue-valued function on every subspace of one ambient.
 
     values are stored reduced mod p in canonical global order (dimension-major).
@@ -43,7 +42,7 @@ class LatticeFunction:
     p: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if self.p < 2:
             raise DomainError(f"modulus must be >= 2, got {self.p}")
         if len(self.values) != len(self.lat):
@@ -154,8 +153,7 @@ def join_sum(alpha: LatticeFunction, lower: Subspace, upper: Subspace) -> int:
     return acc % p
 
 
-@dataclass(frozen=True)
-class InversionCheck:
+class InversionCheck(Record):
     holds: bool
     interval_side: int
     join_side: int
@@ -197,8 +195,7 @@ def gap_of(H: Iterable[int], n: int) -> int:
     return max(candidates)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(Record):
     """Premise/conclusion flags for the support-vanishing argument.
 
     Premises: alpha vanishes on dimensions >= g; beta = zeta(alpha) is supported

@@ -7,11 +7,11 @@ floating-point values in the module and are never used to branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .errors import DomainError, ResourceLimitError, UnsupportedParametersError
+from .records import Fresh, Record
 
 DEFAULT_FACTOR_CEILING = 10 ** 7
 
@@ -175,8 +175,7 @@ def has_order(q: int, p: int, b: int) -> bool:
     return all(pow(q, b // r, p) != 1 for r in primes)
 
 
-@dataclass(frozen=True)
-class ZsigmondyException:
+class ZsigmondyException(Record):
     """Marker for the two (q, b) pairs with no full-order prime divisor.
 
     ``clause`` identifies which exclusion fired: "q_plus_one_power_of_two"
@@ -318,8 +317,7 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 _THEOREM_IDS = ("theorem_main", "frac_general", "frac_singleton", "frankl_graham")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of a bound evaluation.
 
     ``bound`` is an exact nonnegative integer; real-valued intermediates live in
@@ -331,9 +329,9 @@ class BoundReport:
     inputs_echo: dict
     branch: str
     bound: int
-    auxiliaries: dict = field(default_factory=dict)
+    auxiliaries: dict = Fresh(dict)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.theorem_id not in _THEOREM_IDS:
             raise DomainError(f"unknown theorem_id {self.theorem_id!r}")
         if self.bound < 0:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -61,10 +60,10 @@ from .families import (
     shared_line_counts,
 )
 from .options import DEFAULT_MAX_NODES
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Record):
     """Node budget and vertex dimensions for graph construction and clique search.
 
     dim_filter, when given, restricts graph vertices to the listed
@@ -74,15 +73,14 @@ class SearchLimits:
     max_nodes: int = DEFAULT_MAX_NODES
     dim_filter: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self):
+    def _validate(self):
         if self.max_nodes < 1:
             raise DomainError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if self.dim_filter is not None:
             object.__setattr__(self, "dim_filter", tuple(sorted(set(self.dim_filter))))
 
 
-@dataclass(frozen=True)
-class CompatGraph:
+class CompatGraph(Record):
     """Compatibility graph: vertices pass the unary condition, edges the pairwise one.
 
     Each vertex is a (dim, pos) SubspaceIndex of GF(q)^n; the adjacency is a
@@ -95,7 +93,7 @@ class CompatGraph:
     vertices: tuple[SubspaceIndex, ...]
     adjacency: tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         n, q = self.n, self.ctx.q
         widths = [qbinom(n, d, q) for d in range(n + 1)]
         for i, v in enumerate(self.vertices):
@@ -255,8 +253,7 @@ def build_graph(
     return CompatGraph(ctx, n, kind, vertices, tuple(adjacency))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Best family found, whether the search space was exhausted, and the node count."""
 
     family: Family

@@ -1,6 +1,5 @@
 """Rank certificates: the f/g evaluation functions and their matrices mod p."""
 
-import dataclasses
 import itertools
 import random
 
@@ -8,6 +7,7 @@ import pytest
 
 from qlattice import (
     VARIANTS,
+    CertificateContext,
     CertificateMatrix,
     ContainmentVector,
     DomainError,
@@ -392,8 +392,9 @@ class TestSpanCheck:
         # points cut to the zero subspace leave one f row, all ones, whose
         # span holds only the rows that are constant over the points
         cctx, fam = tight
-        cut = dataclasses.replace(cctx, S=1, points=tuple(
-            ContainmentVector(v.ctx, v.n, 0, v.mask & 1) for v in cctx.points))
+        cut = CertificateContext(
+            cctx.ctx, cctx.n, cctx.profile, cctx.p, S=1, point_labels=cctx.point_labels,
+            points=tuple(ContainmentVector(v.ctx, v.n, 0, v.mask & 1) for v in cctx.points))
         samples = [("g_xy", 0, 1)] + [("g_i", i) for i in range(len(fam))]
         want = tuple(len(set(_spec_row(cctx, fam, tag))) == 1 for tag in samples)
         assert span_check(cut, fam, samples).solvable == want

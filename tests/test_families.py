@@ -1,6 +1,7 @@
 """Family checkers, bound evaluators, partitions, and the Gram rank argument."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -41,8 +42,8 @@ from qlattice import (
     profile_to_dict,
     qbinom,
 )
-from qlattice.families import CheckResult, partition_dims
-from qlattice.gfspace import ENV_LATTICE_BUDGET, canonicalize
+from qlattice.families import CheckResult, _bareiss, partition_dims
+from qlattice.gfspace import ENV_LATTICE_BUDGET, canonicalize, line_mask
 
 
 def coordinate_subspace(ctx, n, dim):
@@ -117,6 +118,29 @@ class TestProfileAndFractions:
         fs = FractionSet(((2, 3), (1, 2), (1, 3)))
         assert fs.fractions == ((1, 3), (1, 2), (2, 3))
         assert fs.max_denominator == 3
+
+    def test_order_matches_fraction_order(self):
+        # the set is sorted by cross-multiplication; Fraction is the oracle
+        from fractions import Fraction
+
+        rng = random.Random(2020)
+        for trial in range(300):
+            top = rng.choice((10, 10 ** 6, 10 ** 40, 2 ** 200))
+            size, pairs = rng.randint(1, 12), set()
+            while len(pairs) < size:
+                b = rng.randint(2, top)
+                a = rng.randint(1, b - 1)
+                g = math.gcd(a, b)
+                pairs.add((a // g, b // g))
+                if b < top // 2:
+                    # a neighbour one part in 2b^2 away
+                    near = Fraction(a, b) + Fraction(1, 2 * b * b)
+                    if near < 1:
+                        pairs.add((near.numerator, near.denominator))
+            items = list(pairs)
+            rng.shuffle(items)
+            fs = FractionSet(tuple(items))
+            assert fs.fractions == tuple(sorted(items, key=lambda ab: Fraction(*ab))), trial
 
     def test_profile_rules(self):
         p = ModularProfile(4, (1, 2), (0, 3))
@@ -624,6 +648,19 @@ class TestExactLinearAlgebra:
             if rows == cols:
                 assert det_bareiss(m) == sympy.Matrix(m).det(), m
 
+    def test_one_elimination_of_p_gives_rank_of_n_and_det_of_p(self):
+        # N = d·P entrywise, so rank(N) = rank(P); gram_analysis reads both
+        # rank(N) and det(P) from a single _bareiss of P
+        rng = random.Random(1302)
+        for _ in range(200):
+            m, k, d = rng.randint(1, 7), rng.randint(0, 7), rng.choice((1, 3, 7, 2 ** 61 - 1))
+            a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+            b = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+            p = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
+            rank, last = _bareiss([list(row) for row in p])
+            assert rank == integer_rank([[d * v for v in row] for row in p]), (p, d)
+            assert (last if rank == m else 0) == det_bareiss(p), p
+
     def test_edge_shapes(self):
         assert integer_rank([]) == 0
         assert integer_rank([[0, 0, 0]]) == 0
@@ -654,6 +691,14 @@ class TestGram:
         assert rep.rank_n >= 6
         assert rep.rank_lower_bound_holds
         assert rep.det_p_matches and rep.det_q_matches
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rank_n_is_the_rank_of_the_gram_matrix(self, n):
+        family = gen_example_bisection(n, 2).family
+        masks = [line_mask(member) for member in family]
+        gram = [[(x & y).bit_count() for y in masks] for x in masks]
+        rep = gram_analysis(family, 2, 1, 1, 1)
+        assert rep.rank_n == integer_rank(gram)
 
     def test_singleton_cell(self):
         F2 = field(2)

@@ -107,6 +107,52 @@ def test_construction_guard_sees_both_spellings():
     assert _constructs(source, "LineIncidence") == [1, 2]
 
 
+def _imports(source: str, module: str) -> list[int]:
+    """Line numbers of every import of module: statements, import_module and __import__."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("import_module", "__import__")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names = [node.args[0].value]
+        else:
+            continue
+        if any(name.partition(".")[0] == module for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # Records derive from records.Record, which generates no code when a
+    # module loads; dataclasses would also load inspect on every command.
+    assert _imports(path.read_text(encoding="utf-8"), "dataclasses") == []
+
+
+def test_import_guard_sees_each_spelling():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "import os, dataclasses as dc\n"
+        "def f():\n"
+        "    import dataclasses\n"
+        "importlib.import_module('dataclasses')\n"
+        "__import__('dataclasses')\n"
+        "from .dataclasses import x\n"
+        "import dataclasses_json\n"
+        "import_module(name)\n"
+    )
+    assert _imports(source, "dataclasses") == [1, 2, 3, 5, 6, 7]
+
+
 # ---------------------------------------------------------------------------
 # lazy loading: the package and the command line load only what they run
 
@@ -126,20 +172,30 @@ import contextlib, io, sys
 from qlattice.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.startswith("qlattice")))
+print(code, *sorted(sys.modules))
 """
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("argv, absent", [
     ("qbinom 4 2 2", {"families", "certificates", "search", "moebius"}),
     ("zsigmondy 2 3", {"certificates", "search", "moebius"}),
     ("bound --theorem singleton --n 4 --q 2 --frac 1/2", {"certificates", "search", "moebius"}),
+    ("search --n 3 --q 2 --fractions 1/2", {"certificates", "moebius"}),
+    ("certify --family {D}/planes7.json --profile {D}/profile_tight.json --variant swallow1",
+     {"search", "moebius"}),
+    ("gram --family {D}/bisection3.json --base 2 --frac 1/2", {"certificates", "search", "moebius"}),
 ])
 def test_light_commands_leave_heavy_layers_unloaded(argv, absent):
-    code, *loaded = _fresh(LOADED_BY_CLI, *argv.split()).stdout.split()
+    code, *loaded = _fresh(LOADED_BY_CLI, *argv.format(D=DATA).split()).stdout.split()
     assert code == "0"
     assert {"qlattice.cli", "qlattice.gfspace"} <= set(loaded)
     assert not {f"qlattice.{name}" for name in absent} & set(loaded)
+    # nor dataclasses (which loads inspect, ast and dis) or fractions: no
+    # command needs them, and each costs every cold command start-up time
+    assert not {"dataclasses", "inspect", "fractions"} & set(loaded)
 
 
 def test_import_loads_no_layer_until_a_name_is_used():
