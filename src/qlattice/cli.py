@@ -12,6 +12,9 @@ digits they have (qbinom's size ceiling bounds them). Each command runs
 inside one gfspace.budget scope: --lattice-budget and --time-budget hold
 for the whole command and are gone when main() returns, and the time
 budget counts from the start of the command, lattice and graph included.
+enum, search and example call field(q) before any size check: it checks q
+at once and builds its arithmetic tables only when they are first read, so a
+bad q is reported first, and a count or a budget refusal never pays for them.
 
 A command loads only the layers it runs. This module loads errors, qcombin,
 gfspace and options (the parser's --variant choices and --max-nodes
@@ -28,13 +31,7 @@ import sys
 
 from .errors import DomainError, ResourceLimitError
 from .qcombin import alt_sum, qbinom, zsigmondy_exception, zsigmondy_prime
-from .gfspace import (
-    budget,
-    enumerate_subspaces,
-    field,
-    field_order,
-    require_lattice_budget,
-)
+from .gfspace import budget, enumerate_subspaces, field
 from .options import DEFAULT_MAX_NODES, VARIANTS
 
 EXIT_OK = 0
@@ -155,7 +152,7 @@ def _cmd_zsigmondy(args):
 
 
 def _cmd_enum(args):
-    field_order(args.q)
+    ctx = field(args.q)
     payload = {
         "n": args.n,
         "q": args.q,
@@ -165,7 +162,7 @@ def _cmd_enum(args):
     if not args.count_only:
         payload["subspaces"] = [
             [list(row) for row in space.rows]
-            for space in enumerate_subspaces(field(args.q), args.n, args.dim)
+            for space in enumerate_subspaces(ctx, args.n, args.dim)
         ]
     return payload, EXIT_OK
 
@@ -275,15 +272,14 @@ def _cmd_search(args):
     from .families import fractions_from_strings, profile_from_dict
     from .search import SearchLimits, build_graph, max_family
 
-    field_order(args.q)
+    ctx = field(args.q)
     if args.profile:
         predicate = profile_from_dict(_load_json(args.profile))
     else:
         predicate = fractions_from_strings(args.fractions.split(","))
     dims = None if args.dims is None else _int_list(args.dims)
     limits = SearchLimits(max_nodes=args.max_nodes, dim_filter=dims)
-    require_lattice_budget(args.n, args.q)
-    graph = build_graph(field(args.q), args.n, predicate, limits)
+    graph = build_graph(ctx, args.n, predicate, limits)
     result = max_family(graph, limits)
     payload = {
         "vertices": graph.size,

@@ -386,7 +386,7 @@ def _echo_profile(n: int, q: int, profile: ModularProfile) -> dict:
     return {"n": n, "q": q, "b": profile.b, "K": list(profile.K), "L": list(profile.L)}
 
 
-def bound_theorem1(n: int, q: int, profile: ModularProfile, *, _theorem_id: str = "theorem_main") -> BoundReport:
+def bound_theorem1(n: int, q: int, profile: ModularProfile) -> BoundReport:
     """Size bound for families following a modular profile.
 
     Returns capital_N(n, s, r, q) when (s + max K <= n and r(s-r+1) <= b-1) or
@@ -409,20 +409,25 @@ def bound_theorem1(n: int, q: int, profile: ModularProfile, *, _theorem_id: str 
         branch = "both-disjuncts" if (first and second) else (
             "first-disjunct" if first else "second-disjunct"
         )
-        return BoundReport(_theorem_id, _echo_profile(n, q, profile), branch, base, aux)
+        return BoundReport("theorem_main", _echo_profile(n, q, profile), branch, base, aux)
     correction = sum(qbinom(n, k, q) for k in profile.K)
     aux["correction"] = str(correction)
     return BoundReport(
-        _theorem_id, _echo_profile(n, q, profile), "otherwise", base + correction, aux
+        "theorem_main", _echo_profile(n, q, profile), "otherwise", base + correction, aux
     )
 
 
 def bound_frankl_graham(n: int, q: int, k: int, b: int, mus: Iterable[int]) -> BoundReport:
-    """Single-dimension-class specialization: K = {k mod b}, r = 1."""
+    """Single-dimension-class specialization: K = {k mod b}, r = 1.
+
+    bound_theorem1's report for that profile, under its own id and with k
+    added to the echoed inputs.
+    """
     profile = ModularProfile(b, (k % b,), tuple(mus))
-    report = bound_theorem1(n, q, profile, _theorem_id="frankl_graham")
-    report.inputs_echo["k"] = k
-    return report
+    main = bound_theorem1(n, q, profile)
+    return BoundReport(
+        "frankl_graham", {**main.inputs_echo, "k": k}, main.branch, main.bound, main.auxiliaries
+    )
 
 
 def bound_frac_general(n: int, q: int, fractions: FractionSet) -> BoundReport:

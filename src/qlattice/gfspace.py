@@ -167,14 +167,22 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible of degree {e} over GF({p})")  # unreachable
 
 
+_TABLES = frozenset({"_add", "_mul", "_neg", "_inv"})
+
+
 class FieldContext:
-    """Arithmetic tables for GF(p^e), q = p^e <= 256.
+    """Arithmetic tables for GF(p^e), q = p^e <= 256, built on first use.
 
     Elements are integer codes in [0, q): the base-p digits of a code are the
     coefficients (constant term first) of the residue polynomial; for e = 1 the
     code is the residue mod p. The default modulus is the monic irreducible of
     degree e with the smallest integer code, so a given (p, e) always names the
     same field representation unless a modulus is passed explicitly.
+
+    The constructor makes every check at once. The four tables (_add, _mul,
+    _neg, _inv; about a second at q = 256) are built together on the first
+    read of any of them; equality, hash, repr and to_dict read none. Only
+    this module reads them.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
@@ -202,7 +210,13 @@ class FieldContext:
             if not _is_irreducible(mod, p):
                 raise DomainError(f"modulus {list(mod)} is reducible over GF({p})")
             self.modulus = mod
+
+    def __getattr__(self, name):
+        # Reached only for an empty slot or an unknown name.
+        if name not in _TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._build_tables()
+        return object.__getattribute__(self, name)
 
     def _decode(self, code: int) -> list[int]:
         digits = []
@@ -218,32 +232,30 @@ class FieldContext:
         return code
 
     def _build_tables(self):
+        """Fill all four tables; each is set only once it is complete."""
         p, e, q = self.p, self.e, self.q
         if e == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
-            self._neg = [(-a) % p for a in range(q)]
+            add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            mul = [[a * b % p for b in range(q)] for a in range(q)]
+            neg = [(-a) % p for a in range(q)]
         else:
             polys = [self._decode(c) for c in range(q)]
-            self._add = [
+            add = [
                 [self._encode([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q)]
                 for a in range(q)
             ]
-            self._mul = [
+            mul = [
                 [
                     self._encode(_poly_mod(_poly_mul(polys[a], polys[b], p), self.modulus, p))
                     for b in range(q)
                 ]
                 for a in range(q)
             ]
-            self._neg = [self._encode([(-x) % p for x in polys[a]]) for a in range(q)]
+            neg = [self._encode([(-x) % p for x in polys[a]]) for a in range(q)]
         inv: list[Optional[int]] = [None] * q
         for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+            inv[a] = mul[a].index(1)
+        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -291,25 +303,18 @@ def _field_cached(p: int, e: int, modulus: Optional[tuple]) -> FieldContext:
     return FieldContext(p, e, modulus)
 
 
-def field_order(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, after the checks field(q) makes; builds no tables.
+def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
+    """The field with q elements (q a prime power <= 256), cached per modulus.
 
-    Commands that may stop at a size ceiling check q with this first, so a
-    bad q is still reported first, and build the field's tables (over a
-    second for q = 256) only once the ceiling has passed.
+    q is checked at once; the arithmetic tables are built on first use, so
+    a command may call this before it checks its sizes.
     """
     pe = prime_power(q)
     if pe is None:
         raise DomainError(f"q = {q} is not a prime power")
     if q > MAX_Q:
         raise DomainError(f"q = {q} exceeds the supported ceiling {MAX_Q}")
-    return pe
-
-
-def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
-    """The field with q elements (q a prime power <= 256), cached per modulus."""
-    p, e = field_order(q)
-    return _field_cached(p, e, tuple(modulus) if modulus is not None else None)
+    return _field_cached(*pe, tuple(modulus) if modulus is not None else None)
 
 
 def field_from_dict(data: dict) -> FieldContext:
@@ -531,24 +536,16 @@ def _build_from_pattern(
     return Subspace(ctx, n, tuple(tuple(r) for r in rows))
 
 
-def require_subspace_budget(n: int, dim: int, q: int) -> None:
-    """The checks enumerate_subspaces makes before it builds any subspace.
-
-    DomainError for dim outside [0, n], ResourceLimitError when [n dim]_q
-    exceeds the lattice budget; no field is needed.
-    """
-    if not 0 <= dim <= n:
-        raise DomainError(f"dimension {dim} outside [0, {n}]")
-    _require_budget(qbinom(n, dim, q), f"subspaces of dimension {dim}")
-
-
 def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspace]:
     """All dim-dimensional subspaces of GF(q)^n in canonical order.
 
-    Streams qbinom(n, dim, q) subspaces; raises ResourceLimitError up front when
-    that count exceeds the lattice budget.
+    Streams qbinom(n, dim, q) subspaces, reading no field table. Raises at
+    the call, before any subspace: DomainError for dim outside [0, n],
+    ResourceLimitError when that count exceeds the lattice budget.
     """
-    require_subspace_budget(n, dim, ctx.q)
+    if not 0 <= dim <= n:
+        raise DomainError(f"dimension {dim} outside [0, {n}]")
+    _require_budget(qbinom(n, dim, ctx.q), f"subspaces of dimension {dim}")
 
     def gen():
         if dim == 0:

@@ -15,9 +15,13 @@ from .records import Fresh, Record
 
 DEFAULT_FACTOR_CEILING = 10 ** 7
 
-# Exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster 2015);
-# without 41 the limit is psi_12 = 318665857834031151167461, a pseudoprime.
+# Exact below PSI_13, the least strong pseudoprime to all of them (Sorenson
+# and Webster 2015); without 41 the limit is psi_12 = 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+# _pocklington tries the bases a = 2, 3, ... below this for each prime factor of n - 1.
+_POCKLINGTON_MAX_BASE = 1000
 
 
 # Largest Gaussian binomial computed, in bits. [n k]_q lies below
@@ -100,6 +104,33 @@ def is_prime(n: int) -> bool:
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pocklington(n: int, ceiling: int) -> bool:
+    """True when Pocklington's theorem proves the odd probable prime n prime.
+
+    n - 1 is trial-factored up to ceiling; a leftover part below PSI_13 that
+    is_prime accepts counts as factored too. With F the factored part of
+    n - 1, n is prime when F^2 > n and each prime f dividing F has a base a
+    with a^(n-1) = 1 mod n and gcd(a^((n-1)/f) - 1, n) = 1. A base with
+    a^(n-1) != 1 mod n shows n composite; otherwise False means no proof was
+    found, not that n is composite.
+    """
+    factors, rest = trial_factor(n - 1, ceiling)
+    if 1 < rest < PSI_13 and is_prime(rest):
+        factors.append(rest)
+        rest = 1
+    if ((n - 1) // rest) ** 2 <= n:
+        return False
+    for f in factors:
+        for a in range(2, min(n, _POCKLINGTON_MAX_BASE)):
+            if pow(a, n - 1, n) != 1:
+                return False
+            if math.gcd(pow(a, (n - 1) // f, n) - 1, n) == 1:
                 break
         else:
             return False
@@ -210,10 +241,13 @@ def zsigmondy_prime(
 
     The two excluded (q, b) shapes return a ZsigmondyException marker instead
     of a prime; that marker is an answer, not an error. Factoring is trial
-    division up to ``ceiling`` plus a deterministic primality check on the
-    cofactor; an unfactorable composite cofactor raises ResourceLimitError
-    carrying the partial factorization. So does a q^b - 1 too large to
-    trial-factor: b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
+    division up to ``ceiling`` plus a primality check on the cofactor; an
+    unfactorable composite cofactor raises ResourceLimitError carrying the
+    partial factorization. is_prime is exact only below PSI_13, so a larger
+    cofactor that would be the answer must also pass _pocklington, with
+    cofactor - 1 trial-divided to the same ceiling; without that proof it
+    raises ResourceLimitError with the same partial data. So does a q^b - 1
+    too large to trial-factor: b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
     """
     exc = zsigmondy_exception(q, b)
     if exc is not None:
@@ -226,18 +260,25 @@ def zsigmondy_prime(
         )
     m = q ** b - 1
     found, rem = trial_factor(m, ceiling)
-    if rem > 1:
-        if is_prime(rem):
-            found.append(rem)
-        else:
-            raise ResourceLimitError(
-                f"cofactor {rem} of {q}^{b}-1 is composite and exceeds the "
-                f"trial-division ceiling {ceiling}",
-                partial={"factored": found, "cofactor": rem},
-            )
+    partial = {"factored": found, "cofactor": rem}
+    if rem > 1 and not is_prime(rem):
+        raise ResourceLimitError(
+            f"cofactor {rem} of {q}^{b}-1 is composite and exceeds the "
+            f"trial-division ceiling {ceiling}",
+            partial=partial,
+        )
     for p in found:
         if has_order(q, p, b):
             return p
+    if rem > 1:
+        if rem >= PSI_13 and not _pocklington(rem, ceiling):
+            raise ResourceLimitError(
+                f"cofactor {rem} of {q}^{b}-1 is a probable prime that trial division "
+                f"of cofactor - 1 to {ceiling} cannot prove prime",
+                partial=partial,
+            )
+        if has_order(q, rem, b):
+            return rem
     raise ArithmeticError(f"no full-order prime divisor of {q}^{b}-1 found")
 
 

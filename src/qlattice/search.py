@@ -47,9 +47,8 @@ from .gfspace import (
     current_deadline,
     enumerate_subspaces,
     field,
-    field_order,
     lattice,
-    require_subspace_budget,
+    require_lattice_budget,
     subspace_at,
 )
 from .families import (
@@ -89,7 +88,6 @@ class CompatGraph(Record):
 
     ctx: FieldContext
     n: int
-    kind: str
     vertices: tuple[SubspaceIndex, ...]
     adjacency: tuple[int, ...]
 
@@ -217,23 +215,22 @@ def build_graph(
     predicate.admits(d) (and in limits.dim_filter, when given), in lattice
     order; two vertices are joined when predicate.meets allows their meet.
     The rows come from gfspace.compatible_rows over the lattice's line
-    masks. A dim_filter entry outside [0, n] raises DomainError. Ambients
-    over the lattice budget raise ResourceLimitError, and so does the budget
-    deadline, checked after the lattice ("lattice") and per row ("graph").
+    masks. The lattice budget is checked first, so an ambient over it
+    raises ResourceLimitError before anything else is looked at; then a
+    dim_filter entry outside [0, n] raises DomainError. The budget deadline
+    raises ResourceLimitError too, checked after the lattice ("lattice")
+    and per row ("graph").
     """
+    require_lattice_budget(n, ctx.q)
     limits = limits or SearchLimits()
     keep = limits.dim_filter
     for d in keep or ():
         if not 0 <= d <= n:
             raise DomainError(f"dim_filter entry {d} lies outside [0, {n}]")
+    if not isinstance(predicate, (ModularProfile, FractionSet)):
+        raise DomainError("predicate must be a ModularProfile or a FractionSet")
     lat = lattice(ctx, n)
     check_deadline("lattice")
-    if isinstance(predicate, ModularProfile):
-        kind = "modular"
-    elif isinstance(predicate, FractionSet):
-        kind = "fractional"
-    else:
-        raise DomainError("predicate must be a ModularProfile or a FractionSet")
     dims = {d for d in range(n + 1) if predicate.admits(d) and (keep is None or d in keep)}
     positions = [g for g, d in enumerate(lat.dims) if d in dims]
     # No row holds its own vertex: the [d 1]_q lines it shares with itself
@@ -250,7 +247,7 @@ def build_graph(
     vertices = tuple(
         SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
     )
-    return CompatGraph(ctx, n, kind, vertices, tuple(adjacency))
+    return CompatGraph(ctx, n, vertices, tuple(adjacency))
 
 
 class SearchResult(Record):
@@ -419,8 +416,6 @@ def gen_example_uniform(k: int, s: int, q: int) -> UniformExample:
     if k < 1 or s < 1:
         raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     n = k + s
-    field_order(q)
-    require_subspace_budget(n, k, q)
     ctx = field(q)
     members = tuple(enumerate_subspaces(ctx, n, k))
     b = s + 2
@@ -443,8 +438,6 @@ def gen_example_frac_uniform(s: int, n: int, q: int) -> FracUniformExample:
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    field_order(q)
-    require_subspace_budget(n, s, q)
     ctx = field(q)
     family = Family(ctx, n, tuple(enumerate_subspaces(ctx, n, s)))
     reduced = sorted({(i // math.gcd(i, s), s // math.gcd(i, s)) for i in range(1, s)})
@@ -462,8 +455,6 @@ def gen_example_bisection(n: int, q: int) -> BisectionExample:
     """
     if n < 2:
         raise DomainError(f"ambient dimension must be >= 2, got {n}")
-    field_order(q)
-    require_subspace_budget(n - 1, 1, q)
     ctx = field(q)
     e1 = (1,) + (0,) * (n - 1)
     members = []

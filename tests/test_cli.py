@@ -204,16 +204,24 @@ class TestExitCodes:
         assert payload["exception"]["clause"] == "q_2_b_6"
 
     def test_zsigmondy_with_large_prime_factor_finishes(self):
-        # a fresh process, so a regression fails at the timeout instead of hanging
+        # a fresh process, so a regression fails at the timeout instead of
+        # hanging; the 33-digit cofactor of 5^47 - 1 is prime, but above
+        # PSI_13 and with no Pocklington proof in reach it is no answer
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qlattice.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "qlattice.cli", "zsigmondy", "5", "47"],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        payload = json.loads(proc.stdout)
-        assert payload["prime"] == 177635683940025046467781066894531
-        assert payload["order"] == 47
+        assert (proc.returncode, proc.stdout) == (3, "")
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "ResourceLimitError"
+        assert error["partial"] == {"factored": [2], "cofactor": 177635683940025046467781066894531}
+
+    def test_zsigmondy_proves_a_large_prime(self):
+        # 2^89 - 1 is above PSI_13, and 2^89 - 2 factors completely
+        code, out, err = run(["zsigmondy", "2", "89"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["prime"] == 618970019642690137449562111
 
     def test_lattice_budget_exhaustion_exits_three(self):
         code, out, err = run(
@@ -520,23 +528,41 @@ class TestTotality:
 
 
 class TestFieldTablesBuiltOnlyWhenUsed:
-    """Size ceilings and counts run before field(q) builds its tables."""
+    """Size ceilings, counts and listings never build a field's tables."""
 
     @pytest.fixture
     def no_tables(self, monkeypatch):
-        import qlattice.cli as cli
-        import qlattice.search as search
+        from qlattice import gfspace
 
-        def refuse(q, modulus=None):
-            raise AssertionError(f"field({q}) built")
+        def refuse(ctx):
+            raise AssertionError(f"tables of {ctx!r} built")
 
-        monkeypatch.setattr(cli, "field", refuse)
-        monkeypatch.setattr(search, "field", refuse)
+        # fields cached by earlier tests may hold their tables already
+        gfspace._field_cached.cache_clear()
+        monkeypatch.setattr(gfspace.FieldContext, "_build_tables", refuse)
 
     def test_enum_count_only(self, no_tables):
         code, out, err = run(["enum", "--n", "3", "--q", "256", "--dim", "1", "--count-only"])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"count": 65793, "dim": 1, "n": 3, "q": 256}
+
+    def test_enum_listing(self, no_tables):
+        # listing builds canonical bases, which needs no field arithmetic
+        code, out, err = run(["enum", "--n", "2", "--q", "256", "--dim", "1"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["count"] == len(payload["subspaces"]) == 257
+        assert payload["subspaces"][0] == [[0, 1]] and payload["subspaces"][-1] == [[1, 255]]
+
+    def test_example_uniform(self, no_tables):
+        code, out, err = run(["example", "uniform", "--k", "1", "--s", "1", "--q", "256"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["size"] == 257
+
+    def test_fixture_refuses_arithmetic(self, no_tables):
+        code, _, err = run(["example", "bisection", "--n", "2", "--q", "256"])
+        assert code == 2
+        assert "tables of GF(256; modulus=" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "6", "--q", "256", "--fractions", "1/2"],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlattice import (
+    BoundReport,
     DomainError,
     Family,
     FractionSet,
@@ -401,6 +402,18 @@ class TestFranklGraham:
         assert fg.bound == t1.bound == 7
         assert fg.theorem_id == "frankl_graham"
         assert fg.inputs_echo["k"] == 2
+
+    def test_is_theorem1_under_its_own_id(self):
+        # the "otherwise" branch adds a correction, the disjuncts do not
+        cases = ((2, 4, (0, 2), "otherwise"), (3, 5, (0, 1), "second-disjunct"))
+        for n, k, mus, branch in cases:
+            fg = bound_frankl_graham(n, 2, k, 3, mus)
+            t1 = bound_theorem1(n, 2, ModularProfile(3, (k % 3,), mus))
+            assert fg == BoundReport(
+                "frankl_graham", {**t1.inputs_echo, "k": k}, branch, t1.bound, t1.auxiliaries
+            )
+            assert t1.branch == branch and t1.theorem_id == "theorem_main"
+            assert "k" not in t1.inputs_echo
 
     def test_k_reduced_mod_b(self):
         fg = bound_frankl_graham(3, 2, 5, 3, (1,))

@@ -112,6 +112,98 @@ class TestField:
             field(4, modulus=(1, 0, 1))
 
 
+class _Refused(Exception):
+    pass
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """Contexts that tried to build their tables; each attempt raises _Refused."""
+    from qlattice import gfspace
+
+    attempts = []
+
+    def refuse(ctx):
+        attempts.append(ctx)
+        raise _Refused
+
+    # a field cached by an earlier test may hold its tables already
+    gfspace._field_cached.cache_clear()
+    monkeypatch.setattr(gfspace.FieldContext, "_build_tables", refuse)
+    return attempts
+
+
+class TestTablesOnFirstUse:
+    @pytest.mark.parametrize("first_use", [
+        lambda F: F.add(1, 2),
+        lambda F: F.mul(3, 5),
+        lambda F: line_mask(Subspace(F, 2, ((1, 7),))),
+    ], ids=["add", "mul", "line_mask"])
+    def test_field_256_builds_at_the_first_arithmetic(self, refused, first_use):
+        F = field(256)
+        assert refused == []
+        with pytest.raises(_Refused):
+            first_use(F)
+        assert refused == [F]
+
+    def test_handle_reads_no_table(self, refused):
+        F = field(256)
+        assert F == field(256) and F is field(256) and F != field(2)
+        assert hash(F) == hash(FieldContext(2, 8))
+        assert repr(F) == "GF(256; modulus=[1, 1, 0, 1, 1, 0, 0, 0, 1])"
+        assert F.to_dict() == {"p": 2, "e": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]}
+        assert field_from_dict(F.to_dict()) == F
+        space = Subspace(F, 3, ((1, 0, 200), (0, 1, 7)))
+        assert space == Subspace(F, 3, ((1, 0, 200), (0, 1, 7)))
+        assert {space: 1}[space] == 1 and space.dim == 2 and space.pivots == (0, 1)
+        assert index_of(space) == SubspaceIndex(2, 1 + 256 + 200 * 256 + 7 + 1)
+        assert subspace_at(F, 3, index_of(space)) == space
+        assert len(list(enumerate_subspaces(F, 2, 1))) == 257
+        assert refused == []
+
+    def test_unknown_attribute_builds_nothing(self, refused):
+        F = field(256)
+        with pytest.raises(AttributeError, match="'FieldContext' object has no attribute 'tables'"):
+            F.tables
+        assert refused == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: field(6),
+        lambda: field(512),
+        lambda: field(4, modulus=(1, 0, 1)),
+        lambda: FieldContext(6),
+        lambda: FieldContext(2, 0),
+        lambda: FieldContext(2, 9),
+        lambda: FieldContext(2, 2, modulus=(1, 1, 0)),
+        lambda: FieldContext(5, 1, modulus=(1, 1)),
+    ])
+    def test_refused_constructor_builds_nothing(self, refused, make):
+        with pytest.raises(DomainError):
+            make()
+        assert refused == []
+
+    def test_tables_built_once(self, monkeypatch):
+        from qlattice import gfspace
+
+        builds = []
+        original = gfspace.FieldContext._build_tables
+
+        def counting(ctx):
+            builds.append(ctx)
+            original(ctx)
+
+        monkeypatch.setattr(gfspace.FieldContext, "_build_tables", counting)
+        F = FieldContext(2, 4)
+        assert builds == []
+        assert F.mul(2, 9) == F.mul(9, 2) and F.add(5, 5) == 0
+        assert [F.mul(a, F.inv(a)) for a in range(1, 16)] == [1] * 15
+        assert F.sub(3, 3) == F.neg(0) == 0
+        line = canonicalize(F, 3, ((2, 4, 6),))
+        assert line_mask(line) == 1 << (index_of(line).pos - 1)
+        assert meet_dim(line, full_space(F, 3)) == 1
+        assert builds == [F]
+
+
 class TestSubspace:
     def test_strict_rref_enforced(self):
         F2 = field(2)
@@ -339,10 +431,8 @@ class TestLattice:
     def test_huge_count_named_by_its_bits(self):
         # [200 100]_256 has about 80000 bits, far more digits than Python
         # turns into a string by default; the message must not try
-        from qlattice.gfspace import require_subspace_budget
-
         with pytest.raises(ResourceLimitError) as info:
-            require_subspace_budget(200, 100, 256)
+            enumerate_subspaces(field(256), 200, 100)
         count = qbinom(200, 100, 256)
         assert str(info.value).startswith(f"at least 2^{count.bit_length() - 1} subspaces")
         assert info.value.partial == {"count": count}

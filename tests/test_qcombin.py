@@ -255,6 +255,77 @@ class TestZsigmondy:
             zsigmondy_prime(2, 101, ceiling=10 ** 3)
 
 
+
+# The first Carmichael numbers: a^(n-1) = 1 mod n for every a prime to n.
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657)
+
+
+class TestProvenCofactors:
+    """is_prime is exact only below PSI_13; larger answers need a Pocklington proof."""
+
+    def test_psi_13_is_the_first_strong_pseudoprime_to_the_witnesses(self):
+        from qlattice.qcombin import PSI_13
+
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(PSI_13) and not sympy.isprime(PSI_13)
+
+    def test_pocklington_matches_sympy(self):
+        from qlattice.qcombin import _pocklington
+
+        sympy = pytest.importorskip("sympy")
+        for n in [*range(3, 20001, 2), *CARMICHAEL]:
+            assert _pocklington(n, 10 ** 4) == sympy.isprime(n), n
+
+    def test_pocklington_false_means_no_proof(self):
+        from qlattice.qcombin import _pocklington
+
+        # 2^127 - 2 = 2·3^3·7^2·19·43·73·127·337·5419·92737·649657·77158673929
+        assert _pocklington(2 ** 127 - 1, 10 ** 6)
+        assert not _pocklington(2 ** 127 - 1, 10 ** 4)
+
+    def test_mersenne_cofactor_is_proved(self):
+        # 2^89 - 1 is above PSI_13, and 2^89 - 2 factors completely
+        assert zsigmondy_prime(2, 89, ceiling=10 ** 4) == 2 ** 89 - 1
+
+    def test_unproved_cofactor_is_refused(self):
+        # the 33-digit prime (5^47 - 1)/4: its p - 1 keeps a 26-digit part
+        cofactor = 177635683940025046467781066894531
+        with pytest.raises(ResourceLimitError, match="^cofactor 1776.* cannot prove prime$") as info:
+            zsigmondy_prime(5, 47, ceiling=10 ** 4)
+        assert info.value.partial == {"factored": [2], "cofactor": cofactor}
+
+    def test_smaller_answer_needs_no_proof(self):
+        # 223 has order 37 at 7; the unproved cofactor 4805...401 is not the answer
+        assert zsigmondy_prime(7, 37, ceiling=10 ** 4) == 223
+
+    def test_against_sympy(self):
+        from qlattice.qcombin import PSI_13
+
+        sympy = pytest.importorskip("sympy")
+        ceiling = 10 ** 4
+        outcomes = set()
+        for q in range(2, 11):
+            for b in range(2, 200 // q.bit_length()):
+                if zsigmondy_exception(q, b) is not None:
+                    continue
+                m = q ** b - 1
+                found, rem = trial_factor(m, ceiling)
+                first = next((p for p in found if sympy.n_order(q, p) == b), None)
+                try:
+                    answer = zsigmondy_prime(q, b, ceiling)
+                except ResourceLimitError as exc:
+                    # a composite cofactor, or a prime one that would be the
+                    # answer but is beyond is_prime's exact range
+                    assert exc.partial == {"factored": found, "cofactor": rem}
+                    assert not sympy.isprime(rem) or (first is None and rem >= PSI_13)
+                    outcomes.add("composite" if not sympy.isprime(rem) else "unproved")
+                    continue
+                assert sympy.isprime(answer) and sympy.n_order(q, answer) == b
+                assert answer == (first or rem), (q, b)
+                outcomes.add("proved" if answer >= PSI_13 else "exact")
+        assert outcomes == {"composite", "unproved", "proved", "exact"}
+
+
 class TestAuxiliaries:
     def test_primorial_prime_set(self):
         assert primorial_prime_set(2, 8) == [3, 5]

@@ -160,14 +160,14 @@ POOL = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d,
 
 def _graph(adjacency):
     """A CompatGraph over GF(2)^5 on the first len(adjacency) subspaces."""
-    return CompatGraph(field(2), 5, "modular", tuple(POOL[: len(adjacency)]), tuple(adjacency))
+    return CompatGraph(field(2), 5, tuple(POOL[: len(adjacency)]), tuple(adjacency))
 
 
 def _random_graph(size, density):
     """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
     rng = random.Random(size * 100 + round(density * 10))
     vertices = tuple(rng.sample(POOL, size))
-    return CompatGraph(field(2), 5, "modular", vertices, tuple(_random_adjacency(rng, size, density)))
+    return CompatGraph(field(2), 5, vertices, tuple(_random_adjacency(rng, size, density)))
 
 
 def _outcome(result):
@@ -259,10 +259,10 @@ class TestCompatGraph:
         # GF(2)^3 has 7 lines, 7 planes and one 3-space; a bare int vertex used
         # to pass here and crash max_family in subspace_at
         with pytest.raises(DomainError, match=r"^vertex 1 is not a \(dim, pos\) index"):
-            CompatGraph(field(2), 3, "modular", (SubspaceIndex(1, 1), vertex), (0, 0))
+            CompatGraph(field(2), 3, (SubspaceIndex(1, 1), vertex), (0, 0))
 
     def test_valid_vertex_shapes_accepted(self):
-        g = CompatGraph(field(2), 3, "modular", ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0, 0, 0))
+        g = CompatGraph(field(2), 3, ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0, 0, 0))
         assert max_family(g).size == 1
 
     def test_tight_profile_graph_is_complete(self):
@@ -406,7 +406,7 @@ class TestSymmetryCheck:
                 adjacency[i] ^= 1 << j
                 assert not _symmetric(adjacency)
                 with pytest.raises(DomainError) as info:
-                    CompatGraph(field(2), 5, "modular", tuple(POOL[:size]), tuple(adjacency))
+                    CompatGraph(field(2), 5, tuple(POOL[:size]), tuple(adjacency))
                 assert str(info.value) == _reference_defect(adjacency)
 
     def test_lattice_graph_across_tiles(self, monkeypatch):

@@ -107,6 +107,51 @@ def test_construction_guard_sees_both_spellings():
     assert _constructs(source, "LineIncidence") == [1, 2]
 
 
+FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_build_tables"}
+
+
+def _table_reads(source: str) -> list[int]:
+    """Line numbers of every use of a field table or of _build_tables, getattr included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES:
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in FIELD_TABLES
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_reads_field_tables(path):
+    # gfspace alone decides when a field's tables are built (on first use)
+    found = _table_reads(path.read_text(encoding="utf-8"))
+    if path.name == "gfspace.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_table_guard_sees_each_spelling():
+    source = (
+        "a = ctx._add[x][y]\n"
+        "mul, neg = ctx._mul, f.ctx._neg\n"
+        "b = ctx._inv\n"
+        "ctx._build_tables()\n"
+        "c = getattr(ctx, '_mul')\n"
+        "d = ctx.add(x, y) + ctx.mul(x, y) + ctx.inv(x)\n"
+        "e = getattr(ctx, 'mul')\n"
+        "_add = 1\n"
+    )
+    assert _table_reads(source) == [1, 2, 2, 3, 4, 5]
+
+
 def _imports(source: str, module: str) -> list[int]:
     """Line numbers of every import of module: statements, import_module and __import__."""
     lines = []
