@@ -48,7 +48,7 @@ _EXPORTS = {
         "det_bareiss", "family_from_dict", "family_to_dict", "fractional_cell_bound",
         "fractions_from_strings", "fractions_to_strings", "gram_analysis",
         "integer_rank", "partition_dims", "partition_jk", "partition_mod_prime",
-        "power_cell", "profile_from_dict", "profile_to_dict", "shared_line_counts",
+        "power_cell", "profile_from_dict", "shared_line_counts",
     ),
     "certificates": (
         "VARIANTS", "CertificateContext", "CertificateMatrix", "SpanReport",

@@ -12,6 +12,8 @@ digits they have (qbinom's size ceiling bounds them). Each command runs
 inside one gfspace.budget scope: --lattice-budget and --time-budget hold
 for the whole command and are gone when main() returns, and the time
 budget counts from the start of the command, lattice and graph included.
+They are the only way to set a command's budgets; no environment variable
+is read.
 enum, search and example call field(q) before any size check: it checks q
 at once and builds its arithmetic tables only when they are first read, so a
 bad q is reported first, and a count or a budget refusal never pays for them.

@@ -158,10 +158,6 @@ def profile_from_dict(data: dict) -> ModularProfile:
         raise DomainError("malformed profile description: keys b, K, L required")
 
 
-def profile_to_dict(profile: ModularProfile) -> dict:
-    return profile.to_dict()
-
-
 class FractionSet(Record):
     """Distinct irreducible fractions 0 < a/b < 1, kept in ascending order.
 

@@ -10,9 +10,11 @@ of subspaces at once (which contain u, how many lines each shares with u) go
 through LineIncidence, the line masks turned on their side, and
 compatible_rows is the one builder of rows over a whole list: the lattice's
 containment table, a certificate's family re-check and search's adjacency all
-come from it. Budgets travel in one scope: budget(lattice, seconds) holds a
-lattice budget and a deadline for a block, and check_deadline(phase) raises
-once the deadline has passed.
+come from it. Budgets travel in one scope and nowhere else: budget(lattice,
+seconds) holds a lattice budget and a deadline for a block, and
+check_deadline(phase) raises once the deadline has passed; outside every
+scope the budget is DEFAULT_LATTICE_BUDGET, with no deadline. field(q) and
+field_from_dict give one shared context per field.
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -25,24 +27,22 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
-import os
 import time
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .qcombin import is_prime, prime_power, qbinom
 from .records import Record
 
-ENV_LATTICE_BUDGET = "QL_LATTICE_BUDGET"
 DEFAULT_LATTICE_BUDGET = 10 ** 6
 
 MAX_Q = 256
 
 
-# (lattice budget or None, time.monotonic() deadline) of the innermost budget().
-_SCOPE = contextvars.ContextVar("qlattice_budget", default=(None, math.inf))
+# (lattice budget, time.monotonic() deadline) of the innermost budget().
+_SCOPE = contextvars.ContextVar("qlattice_budget", default=(DEFAULT_LATTICE_BUDGET, math.inf))
 
 
 @contextmanager
@@ -81,20 +81,8 @@ def check_deadline(phase: str, **progress) -> None:
 
 
 def lattice_budget() -> int:
-    """Max subspaces materialized per ambient: the scope's, else QL_LATTICE_BUDGET's."""
-    scoped = _SCOPE.get()[0]
-    if scoped is not None:
-        return scoped
-    raw = os.environ.get(ENV_LATTICE_BUDGET)
-    if raw is None:
-        return DEFAULT_LATTICE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_LATTICE_BUDGET} must be an integer, got {raw!r}")
-    if value < 1:
-        raise DomainError(f"{ENV_LATTICE_BUDGET} must be >= 1, got {value}")
-    return value
+    """Max subspaces materialized per ambient: the scope's, else DEFAULT_LATTICE_BUDGET."""
+    return _SCOPE.get()[0]
 
 
 def _require_budget(count: int, what: str, key: str = "count") -> None:
@@ -274,9 +262,6 @@ class FieldContext:
             raise DomainError("0 has no inverse")
         return self._inv[a]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldContext)
@@ -300,11 +285,19 @@ class FieldContext:
 
 @lru_cache(maxsize=None)
 def _field_cached(p: int, e: int, modulus: Optional[tuple]) -> FieldContext:
-    return FieldContext(p, e, modulus)
+    """The one context per field value (p, e, modulus); None names the default.
+
+    The default modulus is looked up under its explicit value too, so field(q)
+    and field_from_dict(field(q).to_dict()) share one context and its tables.
+    """
+    ctx = FieldContext(p, e, modulus)
+    if modulus is None and ctx.modulus is not None:
+        return _field_cached(p, e, ctx.modulus)
+    return ctx
 
 
-def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
-    """The field with q elements (q a prime power <= 256), cached per modulus.
+def field(q: int) -> FieldContext:
+    """The field with q elements (q a prime power <= 256), default modulus, cached.
 
     q is checked at once; the arithmetic tables are built on first use, so
     a command may call this before it checks its sizes.
@@ -314,7 +307,7 @@ def field(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
         raise DomainError(f"q = {q} is not a prime power")
     if q > MAX_Q:
         raise DomainError(f"q = {q} exceeds the supported ceiling {MAX_Q}")
-    return _field_cached(*pe, tuple(modulus) if modulus is not None else None)
+    return _field_cached(*pe, None)
 
 
 def field_from_dict(data: dict) -> FieldContext:
@@ -647,8 +640,8 @@ class LineIncidence:
     - planes(u) adds up[l] for each line l of u into bit planes with a
       ripple carry, so bit k of entry j's count of lines shared with u is
       bit j of plane k; about log2 [n 1]_q planes suffice.
-    - select(planes, counts, within) picks the entries of `within` whose
-      count lies in `counts`, with one AND per plane and count.
+    - select(planes, count, within) picks the entries of `within` whose
+      count is `count`, with one AND per plane.
 
     Shared counts say more than they seem to: dim(U∩W) = d exactly when
     the line masks of U and W share [d 1]_q lines, and U lies in W exactly
@@ -683,17 +676,13 @@ class LineIncidence:
         return planes
 
     @staticmethod
-    def select(planes: Sequence[int], counts: Iterable[int], within: int) -> int:
-        """The entries of within (a mask) whose count in planes lies in counts."""
-        out, top = 0, len(planes)
-        for count in counts:
-            if count >> top:
-                continue
-            chosen = within
-            for k, plane in enumerate(planes):
-                chosen = chosen & plane if (count >> k) & 1 else chosen & ~plane
-            out |= chosen
-        return out
+    def select(planes: Sequence[int], count: int, within: int) -> int:
+        """The entries of within (a mask) whose count in planes is count."""
+        if count >> len(planes):
+            return 0
+        for k, plane in enumerate(planes):
+            within = within & plane if (count >> k) & 1 else within & ~plane
+        return within
 
 
 def compatible_rows(
@@ -725,7 +714,7 @@ def compatible_rows(
         planes = incidence.planes(mask)
         row = 0
         for count, within in targets[d]:
-            row |= select(planes, (count,), within)
+            row |= select(planes, count, within)
         yield row
 
 
@@ -809,9 +798,6 @@ def lattice(ctx: FieldContext, n: int) -> Lattice:
     """The cached Lattice of GF(q)^n; a lowered budget refuses a cached one too."""
     require_lattice_budget(n, ctx.q)
     return _cached_lattice(ctx, n)
-
-
-lattice.cache_clear = _cached_lattice.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class LatticeFunction(Record):
         return not any(self.values)
 
     @staticmethod
-    def from_values(lat: Lattice, p: int, values: Iterable[int]) -> "LatticeFunction":
-        return LatticeFunction(lat, p, tuple(values))
-
-    @staticmethod
     def zeros(lat: Lattice, p: int) -> "LatticeFunction":
         return LatticeFunction(lat, p, (0,) * len(lat))
 

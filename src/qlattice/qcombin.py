@@ -6,6 +6,7 @@ floating-point values in the module and are never used to branch.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -22,6 +23,11 @@ PSI_13 = 3317044064679887385961981
 
 # _pocklington tries the bases a = 2, 3, ... below this for each prime factor of n - 1.
 _POCKLINGTON_MAX_BASE = 1000
+
+# _rho_factor's cap: about a second of steps. Its cost grows with the square
+# root of the smallest prime factor, so factors up to about 10^12 are in reach.
+_RHO_MAX_STEPS = 1 << 21
+_RHO_BATCH = 128
 
 
 # Largest Gaussian binomial computed, in bits. [n k]_q lies below
@@ -113,17 +119,24 @@ def is_prime(n: int) -> bool:
 def _pocklington(n: int, ceiling: int) -> bool:
     """True when Pocklington's theorem proves the odd probable prime n prime.
 
-    n - 1 is trial-factored up to ceiling; a leftover part below PSI_13 that
-    is_prime accepts counts as factored too. With F the factored part of
-    n - 1, n is prime when F^2 > n and each prime f dividing F has a base a
-    with a^(n-1) = 1 mod n and gcd(a^((n-1)/f) - 1, n) = 1. A base with
+    n - 1 is trial-factored up to ceiling, and _rho_factor splits the
+    composite leftover further; a piece counts as factored only when it lies
+    below PSI_13 and is_prime accepts it. With F the factored part of n - 1,
+    n is prime when F^2 > n and each prime f dividing F has a base a with
+    a^(n-1) = 1 mod n and gcd(a^((n-1)/f) - 1, n) = 1. A base with
     a^(n-1) != 1 mod n shows n composite; otherwise False means no proof was
     found, not that n is composite.
     """
     factors, rest = trial_factor(n - 1, ceiling)
-    if 1 < rest < PSI_13 and is_prime(rest):
-        factors.append(rest)
-        rest = 1
+    pieces, rest = [rest], 1
+    while pieces:
+        m = pieces.pop()
+        if m < PSI_13 and is_prime(m):
+            factors.append(m)
+        elif m > 1 and not is_prime(m) and (f := _rho_factor(m)) is not None:
+            pieces += [f, m // f]
+        else:
+            rest *= m
     if ((n - 1) // rest) ** 2 <= n:
         return False
     for f in factors:
@@ -135,6 +148,44 @@ def _pocklington(n: int, ceiling: int) -> bool:
         else:
             return False
     return True
+
+
+def _rho_factor(m: int) -> Optional[int]:
+    """A proper factor of the composite m, or None after _RHO_MAX_STEPS steps.
+
+    Pollard's rho with Brent's cycle search: y runs through y -> y^2 + c
+    mod m, and x holds its value at each power-of-two step r. The next r
+    values are compared with x, one gcd per batch of products of x - y; a
+    batch whose gcd is m is replayed one step at a time. A cycle that closes
+    with no proper factor starts again with the next c.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            steps += r
+            for k in range(0, r, _RHO_BATCH):
+                if steps >= _RHO_MAX_STEPS:
+                    return None
+                start, prod = y, 1
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * (x - y) % m
+                steps += _RHO_BATCH
+                g = math.gcd(prod, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g == m:
+            y, g = start, 1
+            while g == 1:
+                y = (y * y + c) % m
+                g = math.gcd(x - y, m)
+        if g != m:
+            return g
 
 
 def primes() -> Iterator[int]:
@@ -245,9 +296,10 @@ def zsigmondy_prime(
     unfactorable composite cofactor raises ResourceLimitError carrying the
     partial factorization. is_prime is exact only below PSI_13, so a larger
     cofactor that would be the answer must also pass _pocklington, with
-    cofactor - 1 trial-divided to the same ceiling; without that proof it
-    raises ResourceLimitError with the same partial data. So does a q^b - 1
-    too large to trial-factor: b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
+    cofactor - 1 trial-divided to the same ceiling and its leftover split
+    by _rho_factor; without that proof it raises ResourceLimitError with the
+    same partial data. So does a q^b - 1 too large to trial-factor:
+    b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
     """
     exc = zsigmondy_exception(q, b)
     if exc is not None:
@@ -282,9 +334,9 @@ def zsigmondy_prime(
     raise ArithmeticError(f"no full-order prime divisor of {q}^{b}-1 found")
 
 
-def require_zsigmondy_prime(q: int, b: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> int:
+def require_zsigmondy_prime(q: int, b: int) -> int:
     """zsigmondy_prime, with the exception marker promoted to an error."""
-    result = zsigmondy_prime(q, b, ceiling)
+    result = zsigmondy_prime(q, b)
     if isinstance(result, ZsigmondyException):
         raise UnsupportedParametersError(
             f"(q, b) = ({q}, {b}) is excluded: {result.message()}", clause=result.clause

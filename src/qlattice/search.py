@@ -421,10 +421,6 @@ def gen_example_uniform(k: int, s: int, q: int) -> UniformExample:
     b = s + 2
     K = (k % b,)
     L = tuple(sorted({(k - i) % b for i in range(1, s + 1)}))
-    if K[0] in L:
-        raise StructureError(
-            f"no disjoint profile exists for k={k}, s={s} at modulus {b}"
-        )
     return UniformExample(Family(ctx, n, members), ModularProfile(b, K, L))
 
 

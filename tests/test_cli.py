@@ -204,18 +204,22 @@ class TestExitCodes:
         assert payload["exception"]["clause"] == "q_2_b_6"
 
     def test_zsigmondy_with_large_prime_factor_finishes(self):
-        # a fresh process, so a regression fails at the timeout instead of
-        # hanging; the 33-digit cofactor of 5^47 - 1 is prime, but above
-        # PSI_13 and with no Pocklington proof in reach it is no answer
+        # fresh processes, so a regression fails at the timeout instead of
+        # hanging; each answer is above PSI_13, and its p - 1 keeps a
+        # composite part after trial division that rho splits for the proof
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qlattice.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlattice.cli", "zsigmondy", "5", "47"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stdout) == (3, "")
-        error = json.loads(proc.stderr)["error"]
-        assert error["kind"] == "ResourceLimitError"
-        assert error["partial"] == {"factored": [2], "cofactor": 177635683940025046467781066894531}
+        for q, b, prime in [
+            (2, 107, 162259276829213363391578010288127),
+            (5, 47, 177635683940025046467781066894531),
+            (3, 71, 3754733257489862401973357979128773),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qlattice.cli", "zsigmondy", str(q), str(b)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout) == {
+                "q": q, "b": b, "prime": prime, "order": b, "exception": None}
 
     def test_zsigmondy_proves_a_large_prime(self):
         # 2^89 - 1 is above PSI_13, and 2^89 - 2 factors completely
@@ -232,7 +236,7 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
         # The flag is scoped to the command, not the process.
-        assert os.environ.get("QL_LATTICE_BUDGET") is None
+        assert qlattice.lattice_budget() == qlattice.gfspace.DEFAULT_LATTICE_BUDGET
 
     def test_lowered_budget_applies_to_cached_lattice(self):
         argv = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
@@ -281,6 +285,43 @@ class TestExitCodes:
         assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1057)
 
 
+# Usage errors found after parsing: (id, argv, DomainError message). {missing}
+# names a file that does not exist and {bad} one that holds no JSON.
+BOUND = ["bound", "--n", "4", "--q", "2", "--theorem"]
+USAGE_ERRORS = [
+    ("int-list", BOUND + ["main", "--b", "3", "--K", "2,x", "--L", "1"],
+     "expected a comma-separated integer list, got '2,x'"),
+    ("missing-file", ["check", "--family", "{missing}", "--fractions", "1/2"],
+     "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    ("invalid-json", ["check", "--family", "{bad}", "--fractions", "1/2"],
+     "{bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("main-inline", BOUND + ["main", "--b", "3", "--K", "2"],
+     "give --profile, or all of --b, --K, --L"),
+    ("frac", BOUND + ["frac"], "--theorem frac needs --fractions"),
+    ("singleton", BOUND + ["singleton"], "--theorem singleton needs --frac a/b"),
+    ("frankl-graham", BOUND + ["frankl-graham", "--k", "2", "--b", "3"],
+     "--theorem frankl-graham needs --k, --b, --mus"),
+    ("gram-base", ["gram", "--family", BISECTION3, "--base", "3", "--frac", "1/2"],
+     "--frac denominator 2 must equal --base 3"),
+    ("uniform", ["example", "uniform", "--k", "2", "--s", "1"],
+     "example uniform needs --k, --s, --q"),
+    ("frac-uniform", ["example", "frac-uniform", "--s", "2", "--q", "2"],
+     "example frac-uniform needs --s, --n, --q"),
+    ("bisection", ["example", "bisection", "--q", "2"], "example bisection needs --n, --q"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [case[1:] for case in USAGE_ERRORS], ids=[case[0] for case in USAGE_ERRORS]
+)
+def test_usage_errors_exit_two(tmp_path, argv, message):
+    paths = {"missing": str(tmp_path / "missing.json"), "bad": str(tmp_path / "bad.json")}
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+    code, out, err = run([arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"kind": "DomainError", "message": message.format(**paths)}
+
+
 SEARCH3 = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
 
 
@@ -295,11 +336,9 @@ class TestBudgetScope:
         qlattice.lattice(qlattice.field(2), 3)
 
     @pytest.fixture
-    def outside(self, monkeypatch):
+    def outside(self):
         """The scope and environment main() must leave as it found them."""
-        from qlattice.gfspace import DEFAULT_LATTICE_BUDGET, ENV_LATTICE_BUDGET
-
-        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+        from qlattice.gfspace import DEFAULT_LATTICE_BUDGET
 
         def environ():
             # pytest rewrites PYTEST_CURRENT_TEST between set-up and call

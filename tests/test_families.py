@@ -14,6 +14,7 @@ from qlattice import (
     Family,
     FractionSet,
     ModularProfile,
+    ResourceLimitError,
     StructureError,
     Subspace,
     UnsupportedParametersError,
@@ -40,11 +41,10 @@ from qlattice import (
     partition_mod_prime,
     power_cell,
     profile_from_dict,
-    profile_to_dict,
     qbinom,
 )
 from qlattice.families import CheckResult, _bareiss, partition_dims
-from qlattice.gfspace import ENV_LATTICE_BUDGET, canonicalize, line_mask
+from qlattice.gfspace import budget, canonicalize, line_mask
 
 
 def coordinate_subspace(ctx, n, dim):
@@ -101,7 +101,7 @@ class TestProfileAndFractions:
 
     def test_profile_json_round_trip(self):
         p = ModularProfile(3, (2,), (1,))
-        d = profile_to_dict(p)
+        d = p.to_dict()
         assert d == {"b": 3, "K": [2], "L": [1]}
         assert profile_from_dict(d) == p
 
@@ -331,22 +331,24 @@ class TestCheckersMatchIntersectOracle:
 
 
 class TestLargeAmbient:
-    def test_gf256_40_family_checks_without_a_lattice(self, monkeypatch):
+    def test_gf256_40_family_checks_without_a_lattice(self):
         # any lattice or line mask of GF(256)^40 would trip a budget of 1
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "1")
         ctx, n = field(256), 40
         rng = random.Random(11)
         vectors = [[rng.randrange(256) for _ in range(n)] for _ in range(33)]
-        assert canonicalize(ctx, n, vectors).dim == 33
-        a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
-        fam = Family(ctx, n, (a, b))  # dims 20 and 20, meeting in dim 7
-        assert check_modular(fam, ModularProfile(3, (2,), (1,))).ok
-        res = check_modular(fam, ModularProfile(3, (2,), (0,)))
-        assert (res.ok, res.witness) == (False, (0, 1))
-        assert res.detail == "pair (0, 1) meets in dim 7 ≡ 1 (mod 3), not in L"
-        assert check_fractional(fam, FractionSet(((7, 20),))).ok
-        res = check_fractional(fam, FractionSet(((1, 2),)))
-        assert (res.ok, res.witness) == (False, (0, 1))
+        with budget(lattice=1):
+            assert canonicalize(ctx, n, vectors).dim == 33
+            a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
+            fam = Family(ctx, n, (a, b))  # dims 20 and 20, meeting in dim 7
+            assert check_modular(fam, ModularProfile(3, (2,), (1,))).ok
+            res = check_modular(fam, ModularProfile(3, (2,), (0,)))
+            assert (res.ok, res.witness) == (False, (0, 1))
+            assert res.detail == "pair (0, 1) meets in dim 7 ≡ 1 (mod 3), not in L"
+            assert check_fractional(fam, FractionSet(((7, 20),))).ok
+            res = check_fractional(fam, FractionSet(((1, 2),)))
+            assert (res.ok, res.witness) == (False, (0, 1))
+            with pytest.raises(ResourceLimitError):
+                line_mask(a)
 
 
 class TestBoundTheorem1:

@@ -38,7 +38,6 @@ from qlattice import (
 )
 from qlattice.gfspace import (
     DEFAULT_LATTICE_BUDGET,
-    ENV_LATTICE_BUDGET,
     _cached_lattice,
     current_deadline,
     require_lattice_budget,
@@ -109,7 +108,13 @@ class TestField:
     def test_reducible_modulus_rejected(self):
         # x^2 + 1 factors over GF(2)
         with pytest.raises(DomainError):
-            field(4, modulus=(1, 0, 1))
+            field_from_dict({"p": 2, "e": 2, "modulus": [1, 0, 1]})
+
+    @pytest.mark.parametrize("q", [4, 9, 256])
+    def test_one_context_per_field(self, q):
+        F = field(q)
+        assert field_from_dict(F.to_dict()) is F
+        assert field_from_dict({"p": F.p, "e": F.e}) is F
 
 
 class _Refused(Exception):
@@ -161,6 +166,14 @@ class TestTablesOnFirstUse:
         assert len(list(enumerate_subspaces(F, 2, 1))) == 257
         assert refused == []
 
+    def test_both_routes_share_a_fresh_context(self, refused):
+        # the fixture emptied the cache, so no route finds a context with tables
+        F = field_from_dict({"p": 2, "e": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1]})
+        assert field(256) is F and field_from_dict({"p": 2, "e": 8}) is F
+        with pytest.raises(_Refused):
+            F.add(1, 2)
+        assert refused == [F]
+
     def test_unknown_attribute_builds_nothing(self, refused):
         F = field(256)
         with pytest.raises(AttributeError, match="'FieldContext' object has no attribute 'tables'"):
@@ -170,7 +183,7 @@ class TestTablesOnFirstUse:
     @pytest.mark.parametrize("make", [
         lambda: field(6),
         lambda: field(512),
-        lambda: field(4, modulus=(1, 0, 1)),
+        lambda: field_from_dict({"p": 2, "e": 2, "modulus": [1, 0, 1]}),
         lambda: FieldContext(6),
         lambda: FieldContext(2, 0),
         lambda: FieldContext(2, 9),
@@ -201,6 +214,23 @@ class TestTablesOnFirstUse:
         line = canonicalize(F, 3, ((2, 4, 6),))
         assert line_mask(line) == 1 << (index_of(line).pos - 1)
         assert meet_dim(line, full_space(F, 3)) == 1
+        assert builds == [F]
+
+    def test_tables_built_once_across_both_routes(self, monkeypatch):
+        from qlattice import gfspace
+
+        builds = []
+        original = gfspace.FieldContext._build_tables
+
+        def counting(ctx):
+            builds.append(ctx)
+            original(ctx)
+
+        monkeypatch.setattr(gfspace.FieldContext, "_build_tables", counting)
+        gfspace._field_cached.cache_clear()
+        F = field_from_dict({"p": 2, "e": 4, "modulus": [1, 1, 0, 0, 1]})
+        assert F.mul(2, 9) == field(16).mul(2, 9)
+        assert field_from_dict({"p": 2, "e": 4}).inv(7) == field(16).inv(7)
         assert builds == [F]
 
 
@@ -418,15 +448,13 @@ class TestLattice:
         assert lat.join(0, 5) == 5
         assert lat.join(15, 3) == 15
 
-    def test_budget_enforced(self, monkeypatch):
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "10")
-        lattice.cache_clear()
-        try:
+    def test_budget_enforced(self):
+        _cached_lattice.cache_clear()
+        with budget(lattice=10):
             with pytest.raises(ResourceLimitError) as exc:
                 lattice(field(2), 3)
-            assert exc.value.partial == {"size": 16}
-        finally:
-            lattice.cache_clear()
+        assert exc.value.partial == {"size": 16}
+        assert _cached_lattice.cache_info().currsize == 0
 
     def test_huge_count_named_by_its_bits(self):
         # [200 100]_256 has about 80000 bits, far more digits than Python
@@ -436,15 +464,6 @@ class TestLattice:
         count = qbinom(200, 100, 256)
         assert str(info.value).startswith(f"at least 2^{count.bit_length() - 1} subspaces")
         assert info.value.partial == {"count": count}
-
-    def test_budget_env_validation(self, monkeypatch):
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "zero")
-        lattice.cache_clear()
-        try:
-            with pytest.raises(DomainError):
-                lattice(field(2), 2)
-        finally:
-            lattice.cache_clear()
 
 
 class TestBudgetScope:
@@ -457,11 +476,8 @@ class TestBudgetScope:
                 with budget(seconds=seconds):
                     pass
 
-    def test_lattice_budget_scope_before_environment(self, monkeypatch):
-        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+    def test_lattice_budget_scopes_nest(self):
         assert lattice_budget() == DEFAULT_LATTICE_BUDGET
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "50")
-        assert lattice_budget() == 50
         with budget(lattice=7):
             assert lattice_budget() == 7
             with budget(seconds=5):
@@ -469,7 +485,7 @@ class TestBudgetScope:
             with budget(lattice=9):
                 assert lattice_budget() == 9
             assert lattice_budget() == 7
-        assert lattice_budget() == 50
+        assert lattice_budget() == DEFAULT_LATTICE_BUDGET
 
     def test_lowered_scope_refuses_cached_lattice(self):
         lattice(field(2), 3)
@@ -510,8 +526,7 @@ class TestBudgetScope:
                 assert current_deadline() == 10
             assert current_deadline() == 10
 
-    def test_scope_restored_after_an_error(self, monkeypatch):
-        monkeypatch.delenv(ENV_LATTICE_BUDGET, raising=False)
+    def test_scope_restored_after_an_error(self):
         with pytest.raises(RuntimeError):
             with budget(lattice=3, seconds=60):
                 raise RuntimeError("boom")
@@ -525,7 +540,7 @@ class TestBudgetScope:
     def test_expiry_during_the_lattice_build(self, fake_clock, seconds, partial):
         # entry reads 0; enumerating dimensions 0..3 reads 1..4, their line
         # masks 5..8, so dimension 2 of either step is the first refused
-        lattice.cache_clear()
+        _cached_lattice.cache_clear()
         fake_clock.step = 1
         with budget(seconds=seconds):
             with pytest.raises(ResourceLimitError, match=r"^time budget ran out in lattice$") as exc:
@@ -579,11 +594,13 @@ class TestLineMask:
         lat = lattice(field(3), 3)
         assert lat.lines == tuple(line_mask(s) for s in lat.subspaces)
 
-    def test_budget_enforced(self, monkeypatch):
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "6")
-        with pytest.raises(ResourceLimitError) as exc:
-            line_mask(zero_subspace(field(2), 3))
+    def test_budget_enforced(self):
+        with budget(lattice=6):
+            with pytest.raises(ResourceLimitError) as exc:
+                line_mask(zero_subspace(field(2), 3))
         assert exc.value.partial == {"count": 7}
+        with budget(lattice=7):
+            assert line_mask(zero_subspace(field(2), 3)) == 0
 
 
 def _count_at(planes, j):
@@ -624,7 +641,10 @@ class TestLineIncidence:
                 for j, v in enumerate(lines)
                 if within >> j & 1 and (u & v).bit_count() in counts
             )
-            assert LineIncidence.select(planes, counts, within) == want
+            chosen = 0
+            for count in counts:
+                chosen |= LineIncidence.select(planes, count, within)
+            assert chosen == want
 
     def test_degenerate_lists(self):
         empty = LineIncidence([])
@@ -632,8 +652,8 @@ class TestLineIncidence:
         zeros = LineIncidence([0, 0])
         assert zeros.planes(0b11) == []
         # no planes: every entry shares 0 lines
-        assert LineIncidence.select([], [0], 0b11) == 0b11
-        assert LineIncidence.select([], [1], 0b11) == 0
+        assert LineIncidence.select([], 0, 0b11) == 0b11
+        assert LineIncidence.select([], 1, 0b11) == 0
         # lines that no entry holds count for nothing
         pair = LineIncidence([0b01, 0b11])
         assert [_count_at(pair.planes(0b111), j) for j in (0, 1)] == [1, 2]
@@ -662,15 +682,17 @@ class TestMeetDim:
             assert meet_dim(zero, space) == 0
             assert meet_dim(space, full) == space.dim
 
-    def test_large_ambient_needs_no_budget(self, monkeypatch):
+    def test_large_ambient_needs_no_budget(self):
         # 33 random vectors of GF(256)^40; a spans the first 20, b the last 20
-        monkeypatch.setenv(ENV_LATTICE_BUDGET, "1")
         ctx, n = field(256), 40
         rng = random.Random(5)
         vectors = [[rng.randrange(256) for _ in range(n)] for _ in range(33)]
-        assert canonicalize(ctx, n, vectors).dim == 33
-        a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
-        assert meet_dim(a, b) == meet_dim(b, a) == intersect(a, b).dim == 7
+        with budget(lattice=1):
+            assert canonicalize(ctx, n, vectors).dim == 33
+            a, b = canonicalize(ctx, n, vectors[:20]), canonicalize(ctx, n, vectors[13:])
+            assert meet_dim(a, b) == meet_dim(b, a) == intersect(a, b).dim == 7
+            with pytest.raises(ResourceLimitError):
+                line_mask(a)
 
     def test_different_ambients_rejected(self):
         with pytest.raises(DomainError):

@@ -55,13 +55,13 @@ class TestMoebiusValue:
 class TestLatticeFunction:
     def test_values_reduced_mod_p(self):
         lat = lattice(field(2), 2)
-        f = LatticeFunction.from_values(lat, 3, [5, -1, 0, 1, 2])
+        f = LatticeFunction(lat, 3, (5, -1, 0, 1, 2))
         assert f.values == (2, 2, 0, 1, 2)
 
     def test_length_checked(self):
         lat = lattice(field(2), 2)
         with pytest.raises(DomainError):
-            LatticeFunction.from_values(lat, 3, [1, 2])
+            LatticeFunction(lat, 3, (1, 2))
 
     def test_modulus_checked(self):
         lat = lattice(field(2), 2)
@@ -118,7 +118,7 @@ class TestTransforms:
         rng = random.Random(11)
         a = LatticeFunction.random(lat, 7, rng)
         b = LatticeFunction.random(lat, 7, rng)
-        s = LatticeFunction.from_values(lat, 7, [x + y for x, y in zip(a.values, b.values)])
+        s = LatticeFunction(lat, 7, tuple(x + y for x, y in zip(a.values, b.values)))
         za, zb, zs = zeta_transform(a), zeta_transform(b), zeta_transform(s)
         assert zs.values == tuple((x + y) % 7 for x, y in zip(za.values, zb.values))
 
@@ -155,7 +155,7 @@ class TestIntervalAndJoinSums:
         # {full} plus the two other lines
         F2 = field(2)
         lat = lattice(F2, 2)
-        alpha = LatticeFunction.from_values(lat, 11, [1, 2, 3, 4, 5])
+        alpha = LatticeFunction(lat, 11, (1, 2, 3, 4, 5))
         line = lat.subspaces[1]
         full = full_space(F2, 2)
         expected = (alpha.values[2] + alpha.values[3] + alpha.values[4]) % 11
@@ -279,7 +279,7 @@ class TestVanishing:
         tail = (0,) * (len(lat) - free)
         premise_count = 0
         for head in itertools.product(range(3), repeat=free):
-            alpha = LatticeFunction.from_values(lat, 3, head + tail)
+            alpha = LatticeFunction(lat, 3, head + tail)
             rep = vanishing_check(alpha, {0}, 2)
             assert rep.alpha_vanishes_from_g
             assert rep.gap_sufficient

@@ -279,20 +279,56 @@ class TestProvenCofactors:
     def test_pocklington_false_means_no_proof(self):
         from qlattice.qcombin import _pocklington
 
-        # 2^127 - 2 = 2·3^3·7^2·19·43·73·127·337·5419·92737·649657·77158673929
+        # 2^127 - 2 = 2·3^3·7^2·19·43·73·127·337·5419·92737·649657·77158673929:
+        # trial division finds the part below 10^4 and rho splits the rest
         assert _pocklington(2 ** 127 - 1, 10 ** 6)
-        assert not _pocklington(2 ** 127 - 1, 10 ** 4)
+        assert _pocklington(2 ** 127 - 1, 10 ** 4)
+        # n - 1 = 2·P·Q with primes P, Q above 10^15: rho reaches its step
+        # cap before it splits P·Q, so n is prime but unproved
+        P, Q = 1000000000000037, 1000000000002667
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(P) and sympy.isprime(Q) and sympy.isprime(2 * P * Q + 1)
+        assert not _pocklington(2 * P * Q + 1, 10 ** 4)
+
+    def test_rho_splits_what_trial_division_leaves(self):
+        from qlattice.qcombin import _rho_factor
+
+        # the composite leftovers of p - 1 for the answers to (2, 107),
+        # (5, 47) and (3, 71) split into their two prime factors
+        for small, large in [
+            (20394401, 28059810762433),
+            (332207361361, 42272797713043),
+            (2664097031, 374857981681),
+        ]:
+            assert _rho_factor(small * large) in (small, large)
+        # small shapes, squares and a prime power: any proper factor
+        for m in (15, 9, 25, 7 ** 4):
+            assert 1 < _rho_factor(m) < m and m % _rho_factor(m) == 0, m
 
     def test_mersenne_cofactor_is_proved(self):
         # 2^89 - 1 is above PSI_13, and 2^89 - 2 factors completely
         assert zsigmondy_prime(2, 89, ceiling=10 ** 4) == 2 ** 89 - 1
 
+    @pytest.mark.parametrize("q, b, prime", [
+        (2, 107, 162259276829213363391578010288127),
+        (5, 47, 177635683940025046467781066894531),
+        (3, 71, 3754733257489862401973357979128773),
+    ])
+    def test_rho_proves_large_answers(self, q, b, prime):
+        # each p - 1 keeps a composite part of 21 to 26 digits after trial division
+        sympy = pytest.importorskip("sympy")
+        assert zsigmondy_prime(q, b, ceiling=10 ** 4) == prime
+        assert prime == min(p for p in sympy.primefactors(q ** b - 1) if sympy.n_order(q, p) == b)
+
     def test_unproved_cofactor_is_refused(self):
-        # the 33-digit prime (5^47 - 1)/4: its p - 1 keeps a 26-digit part
-        cofactor = 177635683940025046467781066894531
-        with pytest.raises(ResourceLimitError, match="^cofactor 1776.* cannot prove prime$") as info:
-            zsigmondy_prime(5, 47, ceiling=10 ** 4)
-        assert info.value.partial == {"factored": [2], "cofactor": cofactor}
+        # the 110-digit prime (7^131 - 1)/6: trial division of p - 1 to 10^4
+        # leaves a 98-digit composite that rho cannot split within its cap
+        sympy = pytest.importorskip("sympy")
+        cofactor = (7 ** 131 - 1) // 6
+        assert sympy.isprime(cofactor)
+        with pytest.raises(ResourceLimitError, match="^cofactor 8505.* cannot prove prime$") as info:
+            zsigmondy_prime(7, 131, ceiling=10 ** 4)
+        assert info.value.partial == {"factored": [2, 3], "cofactor": cofactor}
 
     def test_smaller_answer_needs_no_proof(self):
         # 223 has order 37 at 7; the unproved cofactor 4805...401 is not the answer
@@ -323,7 +359,9 @@ class TestProvenCofactors:
                 assert sympy.isprime(answer) and sympy.n_order(q, answer) == b
                 assert answer == (first or rem), (q, b)
                 outcomes.add("proved" if answer >= PSI_13 else "exact")
-        assert outcomes == {"composite", "unproved", "proved", "exact"}
+        # rho proves every large answer here; test_unproved_cofactor_is_refused
+        # covers the refusal
+        assert outcomes == {"composite", "proved", "exact"}
 
 
 class TestAuxiliaries:

@@ -44,10 +44,28 @@ def _environ_writes(source: str) -> list[int]:
     return lines
 
 
+def _environ_reads(source: str) -> list[int]:
+    """Line numbers of every use of os.environ or os.getenv, imports included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "os" and {"environ", "getenv"} & {a.name for a in node.names}:
+                lines.append(node.lineno)
+        elif _is_environ(node) or (
+            isinstance(node, ast.Attribute) and node.attr == "getenv"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        ) or (isinstance(node, ast.Name) and node.id == "getenv"):
+            lines.append(node.lineno)
+    return lines
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_writes_the_environment(path):
-    # Budgets travel in gfspace.budget scopes; the environment is only read.
-    assert _environ_writes(path.read_text(encoding="utf-8")) == []
+    # Budgets travel in gfspace.budget scopes only: the environment is
+    # neither written nor read.
+    source = path.read_text(encoding="utf-8")
+    assert _environ_writes(source) == []
+    assert _environ_reads(source) == []
 
 
 @pytest.mark.parametrize(
@@ -73,6 +91,28 @@ def test_guard_sees_each_kind_of_write(source):
 
 def test_guard_allows_reads():
     assert _environ_writes("os.environ.get('X')\nx = os.environ['X']\ny = dict(os.environ)") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "os.environ.get('X')",
+        "x = os.environ['X']",
+        "y = dict(os.environ)",
+        "'X' in os.environ",
+        "os.getenv('X')",
+        "environ.get('X')",
+        "getenv('X', '1')",
+        "from os import environ",
+        "from os import path, getenv",
+    ],
+)
+def test_read_guard_sees_each_kind_of_read(source):
+    assert _environ_reads(source) == [1]
+
+
+def test_read_guard_ignores_other_names():
+    assert _environ_reads("import os\nos.path.join('a')\nself.environ = 1\nenvironment = 2") == []
 
 
 def test_guard_scans_the_whole_package():
