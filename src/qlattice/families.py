@@ -20,7 +20,7 @@ gfspace.compatible_rows, the one line-count row builder, instead.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -177,9 +177,11 @@ class FractionSet(Record):
             if (a, b) in seen:
                 raise DomainError(f"fraction {a}/{b} repeated")
             seen.add((a, b))
-        # a/b < c/d exactly when a·d < c·b, the denominators being positive
+        # a/b < c/d exactly when a·d < c·b, the denominators being positive;
+        # each is stored as a tuple, so [[1, 2]] and ((1, 2),) give equal,
+        # hashable sets
         by_value = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
-        ordered = tuple(sorted(self.fractions, key=by_value))
+        ordered = tuple(sorted(seen, key=by_value))
         object.__setattr__(self, "fractions", ordered)
 
     def __len__(self) -> int:
@@ -260,6 +262,7 @@ _PASS = CheckResult(True, None, "all members and pairs conform")
 # checkers
 
 
+@lru_cache(maxsize=256)
 def shared_line_counts(
     predicate: Union[ModularProfile, FractionSet], n: int, q: int
 ) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -269,6 +272,10 @@ def shared_line_counts(
     that predicate.meets(d, di, dj) allows. Two subspaces meet in dimension
     d exactly when their line masks share [d 1]_q lines, so this one table
     turns either predicate into a question about line counts.
+
+    The table is computed once per (predicate, n, q), in a bounded cache,
+    and shared by every caller (check_modular_lines, search.build_graph);
+    it is made of tuples and frozensets, so no caller can change it.
     """
     span = range(n + 1)
     return tuple(

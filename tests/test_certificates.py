@@ -1,5 +1,6 @@
 """Rank certificates: the f/g evaluation functions and their matrices mod p."""
 
+import collections
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from qlattice import (
     ContainmentVector,
     DomainError,
     Family,
+    FractionSet,
     ModularProfile,
     SubspaceIndex,
     certificate_context,
@@ -29,6 +31,8 @@ from qlattice import (
     product_reduce,
     qbinom,
     rank_mod_p,
+    build_graph,
+    shared_line_counts,
     span_check,
     subspace_at,
     union_space,
@@ -551,15 +555,105 @@ class TestCertificatesMatchOracle:
         _check_against_oracle(cctx, fam)
         assert span_check(cctx, fam, [("g_xy", 0, 1), ("g_i", 0)]).all_solvable
 
-    def test_context_rows_built_once(self, tight):
+    def test_context_rows_built_once(self, tight, monkeypatch):
         cctx, fam = tight
         independence_certificate(cctx, fam, "lemma41")
         span_check(cctx, fam, [("g_xy", 0, 1)])
-        grid, basis = cctx._grid_rows, cctx._f_basis
+        grid, basis, block = cctx._grid_rows, cctx._f_basis, cctx._grid
         independence_certificate(cctx, fam, "swallow1")
         span_check(cctx, fam, [("g_i", 0)])
-        assert cctx._grid_rows is grid and cctx._f_basis is basis
+        assert cctx._grid_rows is grid and cctx._f_basis is basis and cctx._grid is block
         assert cctx == certificate_context(field(2), 3, cctx.profile)
+
+        calls = collections.Counter()
+
+        def counting(name):
+            real = getattr(_Lanes, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return counted
+
+        for name in ("echelon", "unpack"):
+            monkeypatch.setattr(_Lanes, name, counting(name))
+        # the grid-only variants take rows, entries and rank from the block
+        for variant in ("lemma41", "lemma52"):
+            first = independence_certificate(cctx, fam, variant)
+            calls.clear()
+            assert independence_certificate(cctx, fam, variant) == first
+            assert not calls, variant
+        # a swallow variant eliminates its member rows and the block's once
+        for variant in ("swallow1", "swallow2"):
+            calls.clear()
+            independence_certificate(cctx, fam, variant)
+            assert calls == {"echelon": 1}, variant
+
+    def test_shared_line_table_computed_once(self, tight):
+        cctx, fam = tight
+        shared_line_counts.cache_clear()
+        for variant in VARIANTS * 2:
+            independence_certificate(cctx, fam, variant)
+        build_graph(cctx.ctx, cctx.n, cctx.profile)
+        assert shared_line_counts.cache_info()[:2] == (8, 1)  # (hits, misses)
+        for fractions in (((1, 2),), [[1, 2]], ((1, 2),)):
+            build_graph(cctx.ctx, cctx.n, FractionSet(fractions))
+        build_graph(field(3), 3, cctx.profile)
+        assert shared_line_counts.cache_info()[:2] == (10, 3)
+
+
+def _variant_labels(cctx, fam, variant):
+    """The row labels a variant selects, from its definition."""
+    labels = [("g_i", i) for i in range(len(fam))] if variant.startswith("swallow") else []
+    for x in range(cctx.s - cctx.r + 1):
+        if variant in ("lemma41", "swallow1") or not cctx.profile.admits(x):
+            labels += [("g_xy", x, y) for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)]
+    return tuple(labels)
+
+
+class TestContextReuse:
+    """One context serves many families and variants as a fresh one would."""
+
+    @pytest.mark.parametrize("kind", [(2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (1, 3, 2),
+                                      (2, 1, 3)])
+    def test_reused_context_matches_fresh(self, kind):
+        ex = gen_example_uniform(*kind)
+        family, profile = ex.family, ex.profile
+        ctx, n, k = family.ctx, family.n, kind[0]
+        rng = random.Random(f"reuse {kind}")
+        members = list(family.members)
+        stray = next(enumerate_subspaces(ctx, n, rng.choice((k - 1, k + 1))))
+        bad = rng.sample(members, len(members) // 3)
+        bad.insert(rng.randrange(len(bad) + 1), stray)
+        families = [Family(ctx, n, tuple(rng.sample(members, len(members))))]
+        families += [Family(ctx, n, tuple(rng.sample(members, rng.randint(1, len(members)))))
+                     for _ in range(3)]
+        violating = Family(ctx, n, tuple(bad))
+        calls = [(fam, variant) for fam in families + [violating] for variant in VARIANTS]
+        calls = calls * 2
+        rng.shuffle(calls)
+
+        cctx = certificate_context(ctx, n, profile)
+        spec = {}
+        want = check_modular(violating, profile)
+        assert not want
+        for fam, variant in calls:
+            if fam is violating:
+                with pytest.raises(DomainError) as exc:
+                    independence_certificate(cctx, fam, variant)
+                assert str(exc.value) == f"family violates the profile: {want.detail}"
+                continue
+            cert = independence_certificate(cctx, fam, variant)
+            assert cert.rows == _variant_labels(cctx, fam, variant)
+            fresh = certificate_context(ctx, n, profile)
+            assert cert == independence_certificate(fresh, fam, variant), variant
+            assert cert.rank == CertificateMatrix.from_entries(
+                cert.rows, cert.points, cert.entries, cctx.p).rank
+            for label, row in zip(cert.rows, cert.entries):
+                key = ("g_i", fam[label[1]]) if label[0] == "g_i" else label
+                if key not in spec:
+                    spec[key] = tuple(v % cctx.p for v in _spec_row(cctx, fam, label))
+                assert row == spec[key], (variant, label)
 
 
 def _revalidation(cctx, family):

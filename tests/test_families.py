@@ -22,6 +22,7 @@ from qlattice import (
     bound_frankl_graham,
     bound_singleton,
     bound_theorem1,
+    build_graph,
     check_fractional,
     check_modular,
     det_bareiss,
@@ -42,6 +43,7 @@ from qlattice import (
     power_cell,
     profile_from_dict,
     qbinom,
+    shared_line_counts,
 )
 from qlattice.families import CheckResult, _bareiss, partition_dims
 from qlattice.gfspace import budget, canonicalize, line_mask
@@ -143,6 +145,16 @@ class TestProfileAndFractions:
             fs = FractionSet(tuple(items))
             assert fs.fractions == tuple(sorted(items, key=lambda ab: Fraction(*ab))), trial
 
+    def test_list_fractions_are_stored_as_tuples(self):
+        from_lists = FractionSet([[1, 2], [1, 3]])
+        from_tuples = FractionSet(((1, 3), (1, 2)))
+        assert from_lists.fractions == ((1, 3), (1, 2))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert len({from_lists, from_tuples}) == 1
+        F2 = field(2)
+        assert build_graph(F2, 3, from_lists) == build_graph(F2, 3, from_tuples)
+
     def test_profile_rules(self):
         p = ModularProfile(4, (1, 2), (0, 3))
         assert [d for d in range(9) if p.admits(d)] == [1, 2, 5, 6]
@@ -165,6 +177,37 @@ class TestProfileAndFractions:
         for bad in ("2/4", "1/0", "0/3", "3/2", "x/2", "1/2/3", "", "1"):
             with pytest.raises(DomainError):
                 fractions_from_strings([bad])
+
+
+class TestSharedLineCounts:
+    def test_table_matches_meets(self):
+        rng = random.Random(16)
+        predicates = []
+        for _ in range(10):
+            b = rng.randint(2, 6)
+            residues = rng.sample(range(b), rng.randint(1, b))
+            cut = rng.randint(0, len(residues) - 1)
+            predicates.append(ModularProfile(b, tuple(residues[:cut]), tuple(residues[cut:])))
+        for _ in range(10):
+            pairs = set()
+            while len(pairs) < rng.randint(1, 4):
+                b = rng.randint(2, 7)
+                a = rng.randint(1, b - 1)
+                pairs.add((a // math.gcd(a, b), b // math.gcd(a, b)))
+            predicates.append(FractionSet([list(pair) for pair in pairs]))
+        # each table is asked for twice, so the second answer comes from the cache
+        asks = [(pred, n, q) for pred in predicates for n in range(7) for q in (2, 3, 4)] * 2
+        rng.shuffle(asks)
+        for pred, n, q in asks:
+            table = shared_line_counts(pred, n, q)
+            assert isinstance(table, tuple) and len(table) == n + 1
+            for di, dj in itertools.product(range(n + 1), repeat=2):
+                allowed = table[di][dj]
+                assert isinstance(allowed, frozenset)
+                counts = {qbinom(d, 1, q): d for d in range(min(di, dj) + 1)}
+                assert allowed <= counts.keys()
+                for count, d in counts.items():
+                    assert (count in allowed) == pred.meets(d, di, dj), (pred, n, q, di, dj, d)
 
 
 class TestCheckers:
