@@ -638,31 +638,45 @@ def fractional_cell_bound(
 # exact integer linear algebra (Bareiss determinant, fraction-free rank)
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination of m in place: (rank, signed last pivot).
+def _bareiss(m: list[list[int]], lead: int = 0) -> tuple[int, int, int]:
+    """Fraction-free elimination of m in place: (rank, signed last pivot, leading minor).
 
     Pivots column by column and skips a column with no pivot left. Every
     entry stays an integer minor of the input, so each division is exact. For
     a square matrix of full rank the signed last pivot is the determinant.
+    While the first lead columns (lead <= the number of rows) are processed,
+    pivots come only from the first lead rows, so the signed pivot after lead
+    steps is the determinant of the leading lead×lead block; if one of those
+    columns has no pivot there, that determinant is 0 and pivots come from
+    any row from then on.
     """
     rows, cols = len(m), len(m[0]) if m else 0
     rank, prev, sign = 0, 1, 1
+    minor, restricted = int(lead == 0), lead > 0
     for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][col]), None)
+        limit = lead if restricted else rows
+        pivot_row = next((r for r in range(rank, limit) if m[r][col]), None)
+        if pivot_row is None and restricted:
+            restricted = False
+            pivot_row = next((r for r in range(rank, rows) if m[r][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
             sign = -sign
-        top, pivot = m[rank], m[rank][col]
+        top, pivot = m[rank][col:], m[rank][col]
+        # entries left of col are already zero below the pivot row
         for r in range(rank + 1, rows):
-            f = m[r][col]
-            m[r] = [(a * pivot - f * b) // prev for a, b in zip(m[r], top)]
+            row = m[r]
+            f = row[col]
+            row[col:] = [(a * pivot - f * b) // prev for a, b in zip(row[col:], top)]
         prev = pivot
         rank += 1
+        if restricted and rank == lead:
+            minor, restricted = sign * prev, False
         if rank == rows:
             break
-    return rank, sign * prev
+    return rank, sign * prev, minor
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
@@ -670,7 +684,7 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     m = [list(row) for row in matrix]
     if any(len(row) != len(m) for row in m):
         raise DomainError("determinant needs a square matrix")
-    rank, last = _bareiss(m)
+    rank, last, _ = _bareiss(m)
     return last if rank == len(m) else 0
 
 
@@ -740,7 +754,8 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
     qbinom(b^(k-1), 1, q) (exact, or StructureError), reduces mod
     D = [b 1] over the base q^(b^(k-1)), checks the diagonal-zero and constant
     off-diagonal congruences, compares det(P) and det(Q) against their closed
-    forms, and reports the exact integer rank of N against m - 1.
+    forms, and reports the exact integer rank of N against m - 1. One
+    fraction-free elimination of P gives rank(N), det(P) and det(Q).
     """
     if b < 2:
         raise DomainError(f"base b must be >= 2, got {b}")
@@ -795,13 +810,13 @@ def gram_analysis(subfamily: Family, b: int, a: int, j: int, k: int) -> GramRepo
         if i != l
     )
 
-    # N = divisor·P, so one elimination of P gives det(P) and rank(N).
-    rank_n, last = _bareiss([list(row) for row in reduced])
+    # N = divisor·P, so one elimination of P gives rank(N) and det(P), and
+    # its first m - 1 steps give det(Q) of the leading (m-1)×(m-1) block.
+    rank_n, last, leading = _bareiss([list(row) for row in reduced], m - 1)
     det_p = (last if rank_n == m else 0) % modulus
     det_p_expected = (pow(unit, m, modulus) * (-1) ** (m - 1) * (m - 1)) % modulus
     if m >= 2:
-        leading = [row[: m - 1] for row in reduced[: m - 1]]
-        det_q: Optional[int] = det_bareiss(leading) % modulus
+        det_q: Optional[int] = leading % modulus
         det_q_expected: Optional[int] = (
             pow(unit, m - 1, modulus) * (-1) ** (m - 2) * (m - 2)
         ) % modulus

@@ -326,7 +326,8 @@ def zsigmondy_prime(
         if rem >= PSI_13 and not _pocklington(rem, ceiling):
             raise ResourceLimitError(
                 f"cofactor {rem} of {q}^{b}-1 is a probable prime that trial division "
-                f"of cofactor - 1 to {ceiling} cannot prove prime",
+                f"of cofactor - 1 to {ceiling} and Pollard-Brent rho on the leftover "
+                f"cannot prove prime",
                 partial=partial,
             )
         if has_order(q, rem, b):

@@ -715,9 +715,59 @@ class TestExactLinearAlgebra:
             a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
             b = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
             p = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
-            rank, last = _bareiss([list(row) for row in p])
+            rank, last, minor = _bareiss([list(row) for row in p])
             assert rank == integer_rank([[d * v for v in row] for row in p]), (p, d)
             assert (last if rank == m else 0) == det_bareiss(p), p
+            assert minor == 1  # the empty leading block
+
+    @staticmethod
+    def _leading_singular(rng, m):
+        # a leading (m-1)×(m-1) block of rank m - 2, bordered by a random
+        # last row and column, so the whole is usually nonsingular
+        k = m - 2
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m - 1)]
+        b = [[rng.randint(-4, 4) for _ in range(m - 1)] for _ in range(k)]
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m - 1)] for i in range(m - 1)]
+        rows = [row + [rng.randint(-6, 6)] for row in rows]
+        return rows + [[rng.randint(-6, 6) for _ in range(m)]]
+
+    def test_leading_minor_from_one_pass(self):
+        # one _bareiss of P with lead m - 1 gives rank(P), det(P) and det(Q)
+        # of the leading block, as sympy and the two-pass route do
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1703)
+        leading_singular_whole_not = 0
+        for trial in range(300):
+            m = rng.randint(1, 7)
+            if trial % 3 == 0 and m >= 2:
+                p = self._leading_singular(rng, m)
+            else:
+                k = rng.randint(0, m)
+                a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+                b = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+                p = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(m)]
+            rank, last, minor = _bareiss([list(row) for row in p], m - 1)
+            det_p = last if rank == m else 0
+            leading = [row[: m - 1] for row in p[: m - 1]]
+            assert rank == sympy.Matrix(p).rank(), p
+            assert det_p == sympy.Matrix(p).det(), p
+            assert minor == (sympy.Matrix(leading).det() if m >= 2 else 1), p
+            two_pass_rank, two_pass_last, _ = _bareiss([list(row) for row in p])
+            assert (rank, det_p) == (two_pass_rank, two_pass_last if two_pass_rank == m else 0)
+            assert minor == det_bareiss(leading), p
+            if minor == 0 and det_p != 0:
+                leading_singular_whole_not += 1
+        assert leading_singular_whole_not >= 20
+
+    def test_leading_minor_edge_cases(self):
+        # a singular leading block whose pivots come from the last row
+        assert _bareiss([[0, 1], [1, 0]], 1) == (2, -1, 0)
+        assert _bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 2) == (3, -1, 0)
+        # a column without any pivot inside the leading block, rows = lead
+        assert _bareiss([[0, 1], [0, 2]], 2) == (1, 1, 0)
+        assert _bareiss([[2, 1], [1, 1]], 2) == (2, 1, 1)
+        assert _bareiss([[2, 1], [1, 1]], 1) == (2, 1, 2)
+        assert _bareiss([[0, 3], [1, 0]], 2) == (2, -3, -3)
 
     def test_edge_shapes(self):
         assert integer_rank([]) == 0
@@ -757,6 +807,11 @@ class TestGram:
         gram = [[(x & y).bit_count() for y in masks] for x in masks]
         rep = gram_analysis(family, 2, 1, 1, 1)
         assert rep.rank_n == integer_rank(gram)
+        # det(P) and det(Q) agree with separate eliminations of P and Q
+        reduced = [[v // rep.divisor for v in row] for row in gram]
+        leading = [row[:-1] for row in reduced[:-1]]
+        assert rep.det_p == det_bareiss(reduced) % rep.modulus
+        assert rep.det_q == det_bareiss(leading) % rep.modulus
 
     def test_singleton_cell(self):
         F2 = field(2)

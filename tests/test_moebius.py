@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qlattice import (
     DomainError,
+    Lattice,
     LatticeFunction,
     field,
     full_space,
@@ -23,6 +24,8 @@ from qlattice import (
     zero_subspace,
     zeta_transform,
 )
+from qlattice import moebius
+from qlattice.gfspace import _bits
 
 
 class TestMoebiusValue:
@@ -121,6 +124,86 @@ class TestTransforms:
         s = LatticeFunction(lat, 7, tuple(x + y for x, y in zip(a.values, b.values)))
         za, zb, zs = zeta_transform(a), zeta_transform(b), zeta_transform(s)
         assert zs.values == tuple((x + y) % 7 for x, y in zip(za.values, zb.values))
+
+
+def _zeta_reference(alpha):
+    """The bit walk: beta(W) sums alpha(U) over each bit U of contains_mask[W]."""
+    lat, p, vals = alpha.lat, alpha.p, alpha.values
+    out = []
+    for w in range(len(lat)):
+        acc = 0
+        for u in _bits(lat.contains_mask[w]):
+            acc += vals[u]
+        out.append(acc % p)
+    return tuple(out)
+
+
+def _moebius_reference(beta):
+    """The bit walk with the interval weight moebius_value(dim U, dim W)."""
+    lat, p, vals, dims = beta.lat, beta.p, beta.values, beta.lat.dims
+    out = []
+    for w in range(len(lat)):
+        acc = 0
+        for u in _bits(lat.contains_mask[w]):
+            acc += moebius_value(dims[u], dims[w], lat.ctx.q) * vals[u]
+        out.append(acc % p)
+    return tuple(out)
+
+
+# n = 0 has one subspace, whose getter returns a tuple only through the sentinel
+GATHER_AMBIENTS = [(2, n) for n in range(6)] + [(3, n) for n in range(5)] + [(4, 3), (5, 3)]
+
+
+class TestGatheredTransforms:
+    @pytest.mark.parametrize("q,n", GATHER_AMBIENTS)
+    def test_match_the_bit_walk(self, q, n):
+        lat = lattice(field(q), n)
+        rng = random.Random(1000 * q + n)
+        for p in (2, 6, 7, 2 ** 61 - 1):
+            for alpha in (
+                LatticeFunction.random(lat, p, rng),
+                LatticeFunction.from_callable(lat, p, lambda s: p - 1),
+                LatticeFunction.indicator(lat, p, lat.subspaces[-1]),
+            ):
+                beta = zeta_transform(alpha)
+                assert beta.values == _zeta_reference(alpha), (q, n, p)
+                assert moebius_transform(alpha).values == _moebius_reference(alpha), (q, n, p)
+                assert moebius_transform(beta) == alpha
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        reads = []
+        getter = vars(Lattice)["contains_mask"].fget
+
+        def counted(self):
+            reads.append(self)
+            return getter(self)
+
+        monkeypatch.setattr(Lattice, "contains_mask", property(counted))
+        return reads
+
+    def test_table_built_once_per_lattice(self, monkeypatch):
+        reads = self._count_reads(monkeypatch)
+        lat = Lattice(field(2), 3)  # not the cached lattice, so no table yet
+        alpha = LatticeFunction.random(lat, 7, random.Random(4))
+        beta = zeta_transform(alpha)
+        assert len(reads) == 1
+        assert moebius_transform(beta) == alpha
+        assert zeta_transform(alpha) == beta
+        assert len(reads) == 1
+
+    def test_cache_is_bounded(self, monkeypatch):
+        cap = moebius._gatherers.cache_info().maxsize
+        assert cap is not None
+        reads = self._count_reads(monkeypatch)
+        lattices = [Lattice(field(2), 2) for _ in range(cap + 2)]
+        for lat in lattices:
+            zeta_transform(LatticeFunction.zeros(lat, 3))
+            assert moebius._gatherers.cache_info().currsize <= cap
+        assert len(reads) == cap + 2
+        # the oldest lattice was evicted, so its table is rebuilt
+        zeta_transform(LatticeFunction.zeros(lattices[0], 3))
+        assert len(reads) == cap + 3
 
 
 class TestIntervalAndJoinSums:

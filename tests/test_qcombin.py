@@ -329,6 +329,8 @@ class TestProvenCofactors:
         with pytest.raises(ResourceLimitError, match="^cofactor 8505.* cannot prove prime$") as info:
             zsigmondy_prime(7, 131, ceiling=10 ** 4)
         assert info.value.partial == {"factored": [2, 3], "cofactor": cofactor}
+        # the message names both steps of the proof attempt
+        assert "trial division of cofactor - 1 to 10000 and Pollard-Brent rho" in str(info.value)
 
     def test_smaller_answer_needs_no_proof(self):
         # 223 has order 37 at 7; the unproved cofactor 4805...401 is not the answer

@@ -239,6 +239,54 @@ def test_import_guard_sees_each_spelling():
 
 
 # ---------------------------------------------------------------------------
+# the benchmark tracer wraps names of this package by string
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _wrapped_pairs(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of the WRAPPED table in the tracer's source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "WRAPPED" for target in node.targets
+        ):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("no WRAPPED table")
+
+
+def _unresolved(pairs) -> list[tuple[str, str]]:
+    """The pairs that do not name a function of a qlattice module."""
+    missing = []
+    for module, attr in pairs:
+        try:
+            found = callable(getattr(importlib.import_module(f"qlattice.{module}"), attr))
+        except (ImportError, AttributeError):
+            found = False
+        if not found:
+            missing.append((module, attr))
+    return missing
+
+
+def test_tracer_wraps_only_existing_names():
+    # a renamed function would make Tracer.install raise, failing every traced run
+    pairs = _wrapped_pairs(TRACER.read_text(encoding="utf-8"))
+    assert ("moebius", "zeta_transform") in pairs
+    assert _unresolved(pairs) == []
+    # the tracer replaces this property with a traced one
+    from qlattice.gfspace import Lattice
+
+    assert isinstance(vars(Lattice)["contains_mask"], property)
+
+
+def test_tracer_guard_sees_a_rename():
+    source = 'WRAPPED = (("moebius", "zeta_transform", "t"), ("moebius", "zeta", "t"),\n' \
+             '           ("no_such_module", "f", "t"))\n'
+    assert _wrapped_pairs(source) == [
+        ("moebius", "zeta_transform"), ("moebius", "zeta"), ("no_such_module", "f")]
+    assert _unresolved(_wrapped_pairs(source)) == [("moebius", "zeta"), ("no_such_module", "f")]
+
+
+# ---------------------------------------------------------------------------
 # lazy loading: the package and the command line load only what they run
 
 SUBMODULES = sorted(path.stem for path in SOURCES if path.stem != "__init__")
