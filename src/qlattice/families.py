@@ -10,10 +10,13 @@ Each discipline is a rule on member dimensions and one on meet dimensions,
 written once as the admits and meets methods of ModularProfile and
 FractionSet. The checkers test members with admits, then take the first
 pair of offending_pairs, which uses gfspace.meet_dim, a rank count that
-needs no lattice and no line masks: a family file may live in an ambient
-such as GF(256)^40, too big for either. Callers that hold the line masks
-(a certificate context, search.build_graph) turn a predicate into a
-shared_line_counts table and read rows of allowed pairs from
+needs no lattice and no line masks (over GF(2) it works on rows packed as
+ints): a family file may live in an ambient such as GF(256)^40, too big for
+either. offending_pairs judges each meet from a table of allowed meet
+dimensions keyed by the pair's two dimensions, built from predicate.meets
+once per call over the member dimensions that occur. Callers that hold the
+line masks (a certificate context, search.build_graph) turn a predicate
+into a shared_line_counts table and read rows of allowed pairs from
 gfspace.compatible_rows, the one line-count row builder, instead.
 """
 
@@ -294,14 +297,27 @@ def offending_pairs(
 ) -> Iterator[tuple[int, int, int]]:
     """(i, j, meet dim) of each pair the predicate's meets refuses, in canonical order.
 
-    Each meet is one gfspace.meet_dim; member dims are left to admits.
+    Each meet is one gfspace.meet_dim, judged by a table of the meet
+    dimensions predicate.meets allows, keyed by the pair's two dimensions
+    and spanning only the member dimensions that occur. A row of the table
+    is built once per call, when a member of its dimension first leads a
+    pair, so a family that fails early pays for few rows. Member dims are
+    left to admits.
     """
-    members = family.members
+    members, dims = family.members, family.dims
+    present = set(dims)
+    allowed: dict[int, dict[int, frozenset[int]]] = {}
     for i, vi in enumerate(members):
+        di = dims[i]
+        row = allowed.get(di)
+        if row is None:
+            row = allowed[di] = {
+                dj: frozenset(d for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj))
+                for dj in present
+            }
         for j in range(i + 1, len(members)):
-            vj = members[j]
-            d = meet_dim(vi, vj)
-            if not predicate.meets(d, vi.dim, vj.dim):
+            d = meet_dim(vi, members[j])
+            if d not in row[dims[j]]:
                 yield i, j, d
 
 

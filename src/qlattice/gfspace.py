@@ -4,17 +4,20 @@ A subspace is identified with its unique reduced-row-echelon basis, so equality
 and hashing are componentwise. The ambient enumeration order, the per-dimension
 index bijection, line masks and containment vectors all build on that
 canonical form. Per-pair meet dimensions come from meet_dim, a rank count
-against the stored pivot rows that builds no Subspace; intersect, which builds
-the meet itself, stays as the reference route. Questions about a whole list
-of subspaces at once (which contain u, how many lines each shares with u) go
-through LineIncidence, the line masks turned on their side, and
-compatible_rows is the one builder of rows over a whole list: the lattice's
-containment table, a certificate's family re-check and search's adjacency all
-come from it. Budgets travel in one scope and nowhere else: budget(lattice,
+against the stored pivot rows that builds no Subspace. Over GF(2) it reduces
+rows packed as ints, one XOR a step, packed on a subspace's first meet;
+every other field reads the arithmetic tables entry by entry. intersect,
+which builds the meet itself, stays as the reference route. Questions about
+a whole list of subspaces at once (which contain u, how many lines each
+shares with u) go through LineIncidence, the line masks turned on their
+side, and compatible_rows is the one builder of rows over a whole list: the
+lattice's containment table, a certificate's family re-check and search's
+adjacency all come from it. Budgets travel in one scope and nowhere else: budget(lattice,
 seconds) holds a lattice budget and a deadline for a block, and
 check_deadline(phase) raises once the deadline has passed; outside every
 scope the budget is DEFAULT_LATTICE_BUDGET, with no deadline. field(q) and
-field_from_dict give one shared context per field.
+field_from_dict give one shared context per field, whose tables are built on
+first use from the powers of one generator (a discrete log).
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -168,7 +171,7 @@ class FieldContext:
     same field representation unless a modulus is passed explicitly.
 
     The constructor makes every check at once. The four tables (_add, _mul,
-    _neg, _inv; about a second at q = 256) are built together on the first
+    _neg, _inv; about 0.01 s at q = 256) are built together on the first
     read of any of them; equality, hash, repr and to_dict read none. Only
     this module reads them.
     """
@@ -220,30 +223,54 @@ class FieldContext:
         return code
 
     def _build_tables(self):
-        """Fill all four tables; each is set only once it is complete."""
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            mul = [[a * b % p for b in range(q)] for a in range(q)]
-            neg = [(-a) % p for a in range(q)]
+        """Fill all four tables from one discrete log; each is set only once it is complete.
+
+        exp lists the powers of a generator of the multiplicative group, log
+        inverts it, and every product is exp[log a + log b]. Addition works
+        digit by digit: XOR for p = 2, else the base-p digits one at a time.
+        """
+        p, q = self.p, self.q
+        exp = self._generator_powers()
+        log = [0] * q
+        for k, code in enumerate(exp):
+            log[code] = k
+        nonzero = log[1:]
+        exp2 = exp + exp
+        mul = [[0] * q] + [[0] + [exp2[a + b] for b in nonzero] for a in nonzero]
+        if p == 2:
+            add = [[a ^ b for b in range(q)] for a in range(q)]
         else:
-            polys = [self._decode(c) for c in range(q)]
-            add = [
-                [self._encode([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = [
-                [
-                    self._encode(_poly_mod(_poly_mul(polys[a], polys[b], p), self.modulus, p))
-                    for b in range(q)
+            # code a = a0 + p·rest: add its lowest digit and, p times over, the rest
+            digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+            add = digit
+            while len(add) < q:
+                add = [
+                    [c + p * r for r in add[a // p] for c in digit[a % p]]
+                    for a in range(p * len(add))
                 ]
-                for a in range(q)
-            ]
-            neg = [self._encode([(-x) % p for x in polys[a]]) for a in range(q)]
-        inv: list[Optional[int]] = [None] * q
-        for a in range(1, q):
-            inv[a] = mul[a].index(1)
+        neg = [row.index(0) for row in add]
+        inv: list[Optional[int]] = [None] + [exp[-k % (q - 1)] for k in nonzero]
         self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
+
+    def _generator_powers(self) -> list[int]:
+        """Codes of g^0, ..., g^(q-2) for the generator g with the smallest code.
+
+        Candidates are stepped through their powers by multiplying residue
+        polynomials (a prime field's modulus is x) until the power returns
+        to 1; the first whose cycle has q - 1 elements generates.
+        """
+        p, q = self.p, self.q
+        modulus = self.modulus or (0, 1)
+        for g in range(1, q):
+            step, power, powers = self._decode(g), [1], [1]
+            while True:
+                power = _poly_mod(_poly_mul(power, step, p), modulus, p)
+                if power == [1]:
+                    break
+                powers.append(self._encode(power))
+            if len(powers) == q - 1:
+                return powers
+        raise ArithmeticError(f"GF({q}) has no generator")  # unreachable for a field
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -331,13 +358,16 @@ class Subspace(Record):
     rows is a tuple of row tuples of element codes; the zero subspace has no
     rows. Construction validates canonical form, so equal subspaces are equal
     values. Use canonicalize() to build one from arbitrary spanning rows.
-    pivots, each row's pivot column, is derived, not a field: eq, hash and
-    repr ignore it.
+    Two slots are derived, not fields, and eq, hash and repr ignore both:
+    pivots, each row's pivot column, set on construction, and over GF(2)
+    only _gf2_rows, the rows packed as (pivot bit, row) ints with column 0
+    as the top bit, which meet_dim fills on first use, so building a
+    lattice does not pay for them. Only this module reads _gf2_rows.
     """
 
     # Built on every lattice and canonicalize path: slots, and eq and hash
     # written out, which are about twice as fast as the generic ones.
-    __slots__ = ("ctx", "n", "rows", "pivots")
+    __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows")
     ctx: FieldContext
     n: int
     rows: tuple[tuple[int, ...], ...]
@@ -456,16 +486,48 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return canonicalize(ctx, n, [r for r in inter_rows if any(r)])
 
 
+def _pack_gf2(space: Subspace) -> tuple[tuple[int, int], ...]:
+    """space's (pivot bit, row) ints over GF(2), column 0 the top bit, kept on space."""
+    try:
+        return space._gf2_rows
+    except AttributeError:
+        top = (1 << space.n) >> 1
+        packed = tuple(
+            (top >> piv, int("".join(map(str, row)), 2))
+            for piv, row in zip(space.pivots, space.rows)
+        )
+        object.__setattr__(space, "_gf2_rows", packed)
+        return packed
+
+
 def meet_dim(a: Subspace, b: Subspace) -> int:
     """dim(a ∩ b) = dim a + dim b - rank of a's rows stacked on b's.
 
     Each row of b is reduced against the pivot rows kept so far: a's reduced
     basis, then the residuals of earlier rows of b scaled to a leading 1. A
-    row that leaves a nonzero residual raises the rank. No Subspace and no
-    lattice is built, so this works in every ambient, with no budget.
+    row that leaves a nonzero residual raises the rank. Over GF(2) the rows
+    are ints (Subspace._gf2_rows, packed on first use), a reduction step is
+    one XOR and a residual's pivot is its top bit; every other field reads
+    its arithmetic tables entry by entry. No Subspace and no lattice is
+    built, so this works in every ambient, with no budget.
     """
     _check_same_ambient(a, b)
     ctx, n = a.ctx, a.n
+    if ctx.q == 2:
+        try:
+            rows_a, rows_b = a._gf2_rows, b._gf2_rows
+        except AttributeError:
+            rows_a, rows_b = _pack_gf2(a), _pack_gf2(b)
+        basis = list(rows_a)
+        for _, row in rows_b:
+            if len(basis) == n:
+                break
+            for bit, prow in basis:
+                if row & bit:
+                    row ^= prow
+            if row:
+                basis.append((1 << (row.bit_length() - 1), row))
+        return len(rows_a) + len(rows_b) - len(basis)
     add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
     basis = list(zip(a.pivots, a.rows))
     for row in b.rows:

@@ -130,19 +130,23 @@ def moebius_transform(beta: LatticeFunction) -> LatticeFunction:
 
 
 def interval_sum(alpha: LatticeFunction, lower: Subspace, upper: Subspace) -> int:
-    """sum over T in [lower, upper] of moebius_value(dim T, dim upper) zeta(alpha)(T)."""
-    lat, p = alpha.lat, alpha.p
-    beta = zeta_transform(alpha)
-    q = lat.ctx.q
+    """sum over T in [lower, upper] of moebius_value(dim T, dim upper) zeta(alpha)(T).
+
+    zeta(alpha)(T) is gathered for the T of the interval only; the sum is
+    reduced mod p once, at the end.
+    """
+    lat, p, q = alpha.lat, alpha.p, alpha.lat.ctx.q
     wi, yi = lat.global_index(lower), lat.global_index(upper)
     masks = lat.contains_mask
     if not (masks[yi] >> wi) & 1:
         raise DomainError("lower is not contained in upper")
-    dims = lat.dims
+    dims, getters = lat.dims, _gatherers(lat)
+    weight = [moebius_value(d, dims[yi], q) for d in range(lat.n + 1)]
+    padded = alpha.values + (0,)
     acc = 0
     for t in _bits(masks[yi]):
         if (masks[t] >> wi) & 1:
-            acc += moebius_value(dims[t], dims[yi], q) * beta.values[t]
+            acc += weight[dims[t]] * sum(getters[t](padded))
     return acc % p
 
 

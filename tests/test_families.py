@@ -45,8 +45,8 @@ from qlattice import (
     qbinom,
     shared_line_counts,
 )
-from qlattice.families import CheckResult, _bareiss, partition_dims
-from qlattice.gfspace import budget, canonicalize, line_mask
+from qlattice.families import CheckResult, _bareiss, offending_pairs, partition_dims
+from qlattice.gfspace import budget, canonicalize, lattice, line_mask, meet_dim
 
 
 def coordinate_subspace(ctx, n, dim):
@@ -208,6 +208,99 @@ class TestSharedLineCounts:
                 assert allowed <= counts.keys()
                 for count, d in counts.items():
                     assert (count in allowed) == pred.meets(d, di, dj), (pred, n, q, di, dj, d)
+
+
+def _reference_offending_pairs(family, predicate):
+    """offending_pairs as one predicate.meets call per pair, meets built by intersect."""
+    for i, vi in enumerate(family):
+        for j in range(i + 1, len(family)):
+            vj = family[j]
+            d = intersect(vi, vj).dim
+            if not predicate.meets(d, vi.dim, vj.dim):
+                yield i, j, d
+
+
+class _CountingPredicate:
+    """A predicate that records each meets call it answers."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def meets(self, d, di, dj):
+        self.calls.append((d, di, dj))
+        return self.inner.meets(d, di, dj)
+
+
+def _random_predicates(rng, count):
+    predicates = []
+    for _ in range(count):
+        b = rng.randint(2, 5)
+        residues = rng.sample(range(b), rng.randint(1, b))
+        cut = rng.randint(0, len(residues) - 1)
+        predicates.append(ModularProfile(b, tuple(residues[:cut]), tuple(residues[cut:])))
+        pairs = {(1, 2)} if rng.random() < 0.3 else set()
+        while len(pairs) < rng.randint(1, 3):
+            b = rng.randint(2, 6)
+            a = rng.randint(1, b - 1)
+            pairs.add((a // math.gcd(a, b), b // math.gcd(a, b)))
+        predicates.append(FractionSet(tuple(pairs)))
+    return predicates
+
+
+class TestOffendingPairs:
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (4, 3)])
+    def test_table_matches_per_pair_meets(self, q, n):
+        rng = random.Random(180 + 10 * q + n)
+        subs = list(lattice(field(q), n).subspaces)
+        predicates = _random_predicates(rng, 6)
+        for _ in range(8):
+            family = Family(field(q), n, tuple(rng.sample(subs, rng.randint(0, 14))))
+            for predicate in predicates:
+                want = list(_reference_offending_pairs(family, predicate))
+                assert list(offending_pairs(family, predicate)) == want, (family.dims, predicate)
+
+    def test_half_depends_on_which_member(self):
+        # 1/2 of dim 2 allows a meet of 1, 1/2 of dim 4 a meet of 2
+        F2, n = field(2), 5
+        plane = canonicalize(F2, n, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+        space = canonicalize(F2, n, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+        other = canonicalize(F2, n, [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]])
+        spread = canonicalize(F2, n, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+        family = Family(F2, n, (plane, space, other, spread))
+        assert family.dims == (2, 4, 2, 4)
+        half = FractionSet(((1, 2),))
+        got = list(offending_pairs(family, half))
+        # plane ⊂ space (2 = half of 4), other meets space in a line (1 = half
+        # of 2), plane and other are disjoint, the two 4-spaces meet in dim 3
+        assert got == list(_reference_offending_pairs(family, half))
+        assert got == [(0, 2, 0), (1, 3, 3)]
+        assert [meet_dim(family[i], family[j]) for i, j in ((0, 1), (1, 2), (0, 3), (2, 3))] == [
+            2, 1, 1, 2
+        ]
+        reversed_family = Family(F2, n, family.members[::-1])
+        assert list(offending_pairs(reversed_family, half)) == [(0, 2, 3), (1, 3, 0)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: ModularProfile(3, (1, 2), (0,)),
+        lambda: FractionSet(((1, 2), (1, 3))),
+    ], ids=["modular", "fractional"])
+    def test_table_asks_only_for_dimensions_that_occur(self, make):
+        subs = list(lattice(field(2), 5).subspaces)
+        rng = random.Random(7)
+        family = Family(field(2), 5, tuple(rng.sample([s for s in subs if s.dim in (1, 4)], 10)))
+        counting = _CountingPredicate(make())
+        list(offending_pairs(family, counting))
+        dims = set(family.dims)
+        assert dims == {1, 4}
+        assert len(counting.calls) == len(set(counting.calls))
+        assert {(di, dj) for _, di, dj in counting.calls} == set(itertools.product(dims, repeat=2))
+        assert all(0 <= d <= min(di, dj) for d, di, dj in counting.calls)
+
+    def test_empty_family_asks_nothing(self):
+        counting = _CountingPredicate(FractionSet(((1, 2),)))
+        with budget(lattice=1):
+            assert list(offending_pairs(Family(field(256), 100000, ()), counting)) == []
+        assert counting.calls == []
 
 
 class TestCheckers:

@@ -1,5 +1,7 @@
 """Finite fields, canonical subspaces, enumeration, and the subspace lattice."""
 
+import copy
+import pickle
 import random
 import time
 
@@ -31,6 +33,7 @@ from qlattice import (
     lattice_size,
     line_mask,
     meet_dim,
+    prime_power,
     qbinom,
     subspace_at,
     union_space,
@@ -39,6 +42,8 @@ from qlattice import (
 from qlattice.gfspace import (
     DEFAULT_LATTICE_BUDGET,
     _cached_lattice,
+    _poly_mod,
+    _poly_mul,
     current_deadline,
     require_lattice_budget,
 )
@@ -115,6 +120,72 @@ class TestField:
         F = field(q)
         assert field_from_dict(F.to_dict()) is F
         assert field_from_dict({"p": F.p, "e": F.e}) is F
+
+
+def _reference_tables(ctx):
+    """The four tables built the direct way: every sum and product of residues.
+
+    For e > 1 each product multiplies two residue polynomials and reduces
+    mod the modulus, q^2 times; kept as the oracle of the discrete-log build.
+    """
+    p, e, q = ctx.p, ctx.e, ctx.q
+    if e == 1:
+        add = [[(a + b) % p for b in range(q)] for a in range(q)]
+        mul = [[a * b % p for b in range(q)] for a in range(q)]
+        neg = [(-a) % p for a in range(q)]
+    else:
+        polys = [ctx._decode(c) for c in range(q)]
+        add = [
+            [ctx._encode([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q)]
+            for a in range(q)
+        ]
+        mul = [
+            [ctx._encode(_poly_mod(_poly_mul(polys[a], polys[b], p), ctx.modulus, p)) for b in range(q)]
+            for a in range(q)
+        ]
+        neg = [ctx._encode([(-x) % p for x in polys[a]]) for a in range(q)]
+    inv = [None] * q
+    for a in range(1, q):
+        inv[a] = mul[a].index(1)
+    return add, mul, neg, inv
+
+
+class TestDiscreteLogTables:
+    PRIME_POWERS = [q for q in range(2, 65) if prime_power(q)] + [243, 256]
+    # x^4+x^3+x^2+x+1 is irreducible but not primitive: x has order 5
+    MODULI = [
+        (2, 3, (1, 0, 1, 1)),
+        (2, 4, (1, 0, 0, 1, 1)),
+        (2, 4, (1, 1, 1, 1, 1)),
+        (3, 2, (2, 1, 1)),
+        (3, 2, (1, 0, 1)),
+        (3, 3, (1, 2, 0, 1)),
+        (5, 2, (2, 0, 1)),
+        (2, 6, (1, 1, 0, 1, 1, 0, 1)),
+    ]
+
+    @staticmethod
+    def _built(ctx):
+        return ctx._add, ctx._mul, ctx._neg, ctx._inv
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_default_modulus_matches_reference(self, q):
+        ctx = FieldContext(*prime_power(q))
+        assert self._built(ctx) == _reference_tables(ctx)
+
+    @pytest.mark.parametrize("p,e,modulus", MODULI)
+    def test_explicit_modulus_matches_reference(self, p, e, modulus):
+        ctx = FieldContext(p, e, modulus)
+        assert self._built(ctx) == _reference_tables(ctx)
+
+    def test_generator_powers_cover_the_group(self):
+        ctx = FieldContext(2, 8)
+        powers = ctx._generator_powers()
+        assert powers[0] == 1 and sorted(powers) == list(range(1, 256))
+        # x (code 2) has order 51 under the default modulus, so x + 1 generates
+        assert powers[1] == 3
+        assert FieldContext(2)._generator_powers() == [1]
+        assert FieldContext(7)._generator_powers() == [1, 3, 2, 6, 4, 5]
 
 
 class _Refused(Exception):
@@ -699,6 +770,73 @@ class TestMeetDim:
             meet_dim(zero_subspace(field(2), 3), zero_subspace(field(2), 4))
         with pytest.raises(DomainError):
             meet_dim(zero_subspace(field(2), 3), zero_subspace(field(3), 3))
+        # also once the GF(2) rows are packed
+        small, large = full_space(field(2), 3), full_space(field(2), 4)
+        assert meet_dim(small, small) == 3 and meet_dim(large, large) == 4
+        for a, b in ((small, large), (large, small), (small, full_space(field(3), 3)),
+                     (full_space(field(4), 3), small)):
+            with pytest.raises(DomainError):
+                meet_dim(a, b)
+
+    def test_gf2_every_ordered_pair_matches_intersect(self):
+        subs = list(lattice(field(2), 4).subspaces)
+        for u in subs:
+            for w in subs:
+                assert meet_dim(u, w) == intersect(u, w).dim, (u, w)
+        assert all(len(s._gf2_rows) == s.dim for s in subs)
+
+    @given(
+        n=st.integers(0, 12),
+        seeds=st.tuples(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32)),
+        counts=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gf2_random_rows_match_intersect(self, n, seeds, counts):
+        ctx, rngs = field(2), [random.Random(seed) for seed in seeds]
+        a, b = (
+            canonicalize(ctx, n, [[rng.randrange(2) for _ in range(n)] for _ in range(count)])
+            for rng, count in zip(rngs, counts)
+        )
+        assert meet_dim(a, b) == intersect(a, b).dim
+        assert meet_dim(b, a) == intersect(b, a).dim
+
+    def test_gf2_large_ambient_needs_no_budget(self):
+        # a spans the first 25 of 40 random vectors of GF(2)^200, b the last 25
+        ctx, n = field(2), 200
+        rng = random.Random(18)
+        vectors = [[rng.randrange(2) for _ in range(n)] for _ in range(40)]
+        with budget(lattice=1):
+            a, b = canonicalize(ctx, n, vectors[:25]), canonicalize(ctx, n, vectors[15:])
+            assert (a.dim, b.dim, canonicalize(ctx, n, vectors).dim) == (25, 25, 40)
+            assert meet_dim(a, b) == meet_dim(b, a) == intersect(a, b).dim == 10
+            with pytest.raises(ResourceLimitError):
+                line_mask(a)
+
+    def test_rows_packed_on_first_meet_over_gf2_only(self):
+        fresh = list(enumerate_subspaces(field(2), 4, 2))
+        assert not any(hasattr(s, "_gf2_rows") for s in fresh)
+        a = canonicalize(field(2), 4, [[1, 1, 0, 1], [0, 0, 1, 1]])
+        assert not hasattr(a, "_gf2_rows")
+        assert meet_dim(a, fresh[0]) == intersect(a, fresh[0]).dim
+        assert a._gf2_rows == ((0b1000, 0b1101), (0b0010, 0b0011))
+        assert hasattr(fresh[0], "_gf2_rows")
+        u = canonicalize(field(3), 3, [[1, 2, 0]])
+        assert meet_dim(u, u) == 1 and not hasattr(u, "_gf2_rows")
+
+    def test_packed_subspace_is_the_same_value(self):
+        ctx = field(2)
+        packed = canonicalize(ctx, 3, [[1, 1, 0], [0, 1, 1]])
+        meet_dim(packed, packed)
+        fresh = Subspace(ctx, 3, packed.rows)
+        assert not hasattr(fresh, "_gf2_rows") and hasattr(packed, "_gf2_rows")
+        assert packed == fresh and hash(packed) == hash(fresh) and repr(packed) == repr(fresh)
+        assert {fresh: 1}[packed] == 1
+        assert Subspace._fields == ("ctx", "n", "rows")
+        # records stay unsupported by copy and pickle, packed or not
+        for space in (packed, fresh):
+            for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+                with pytest.raises(AttributeError):
+                    clone(space)
 
 
 class TestStoredPivots:

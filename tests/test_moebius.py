@@ -273,6 +273,24 @@ class TestIntervalAndJoinSums:
                     want = sum(alpha.values[u] for u in fibre) % 11
                     assert join_sum(alpha, w, y) == want, (w.rows, y.rows)
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_interval_sum_matches_the_full_zeta(self, q, n):
+        # the weighted sum of the whole zeta transform over [W, Y], reduced mod p
+        lat = lattice(field(q), n)
+        rng = random.Random(1000 * q + n)
+        masks, dims = lat.contains_mask, lat.dims
+        for p in (2, 7, 2 ** 61 - 1):
+            alpha = LatticeFunction.random(lat, p, rng)
+            beta = zeta_transform(alpha).values
+            for yi, y in enumerate(lat.subspaces):
+                for wi in _bits(masks[yi]):
+                    want = sum(
+                        moebius_value(dims[t], dims[yi], q) * beta[t]
+                        for t in _bits(masks[yi])
+                        if (masks[t] >> wi) & 1
+                    ) % p
+                    assert interval_sum(alpha, lat.subspaces[wi], y) == want, (wi, yi, p)
+
     def test_all_join_sums_vanish_iff_alpha_zero(self):
         F2 = field(2)
         lat = lattice(F2, 3)

@@ -148,24 +148,33 @@ def test_construction_guard_sees_both_spellings():
 
 
 FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_build_tables"}
+PACKED_ROWS = {"_gf2_rows"}
+_BY_NAME = {"getattr", "setattr", "hasattr", "delattr", "__getattribute__", "__setattr__"}
+
+
+def _attribute_uses(source: str, names: set) -> list[int]:
+    """Line numbers of every use of an attribute in names, getattr and its kin included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in _BY_NAME
+            and any(isinstance(arg, ast.Constant) and arg.value in names for arg in node.args)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def _table_reads(source: str) -> list[int]:
     """Line numbers of every use of a field table or of _build_tables, getattr included."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES:
-            lines.append(node.lineno)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("getattr", "setattr", "hasattr")
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in FIELD_TABLES
-        ):
-            lines.append(node.lineno)
-    return sorted(lines)
+    return _attribute_uses(source, FIELD_TABLES)
+
+
+def _packed_row_reads(source: str) -> list[int]:
+    """Line numbers of every use of Subspace's packed GF(2) rows, getattr included."""
+    return _attribute_uses(source, PACKED_ROWS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -190,6 +199,31 @@ def test_table_guard_sees_each_spelling():
         "_add = 1\n"
     )
     assert _table_reads(source) == [1, 2, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_reads_packed_rows(path):
+    # the packed GF(2) row format stays behind gfspace and its meet_dim
+    found = _packed_row_reads(path.read_text(encoding="utf-8"))
+    if path.name == "gfspace.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_packed_row_guard_sees_each_spelling():
+    source = (
+        "rows = space._gf2_rows\n"
+        "a, b = u._gf2_rows, w.pivots\n"
+        "c = getattr(space, '_gf2_rows', None)\n"
+        "object.__setattr__(space, '_gf2_rows', ())\n"
+        "d = hasattr(space, '_gf2_rows')\n"
+        "e = space.__getattribute__('_gf2_rows')\n"
+        "__slots__ = ('rows', '_gf2_rows')\n"
+        "f = space.rows\n"
+        "_gf2_rows = 1\n"
+    )
+    assert _packed_row_reads(source) == [1, 2, 3, 4, 5, 6]
 
 
 def _imports(source: str, module: str) -> list[int]:
