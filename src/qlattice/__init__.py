@@ -1,11 +1,12 @@
 """Exact combinatorics of subspace families over finite fields.
 
 Layers: the frozen-record base (records), q-binomial arithmetic and prime
-machinery (qcombin), canonical subspaces and the containment lattice
-(gfspace), lattice transforms and inversion checks (moebius), family
-checkers, bounds, partitions, and the Gram analysis (families), rank-based
-independence certificates (certificates), exhaustive clique search and
-generators (search), and the command-line surface (cli).
+machinery (qcombin), the lattice budget and deadline scope (budgets),
+canonical subspaces and the containment lattice (gfspace), lattice
+transforms and inversion checks (moebius), family checkers, bounds,
+partitions, and the Gram analysis (families), rank-based independence
+certificates (certificates), exhaustive clique search and generators
+(search), and the command-line surface (cli).
 
 Every name below loads its home module on first use (PEP 562), so
 ``import qlattice`` and a command that needs one layer pay for that layer
@@ -28,12 +29,12 @@ _EXPORTS = {
         "primorial_prime_set", "qbinom", "require_zsigmondy_prime", "trial_factor",
         "zsigmondy_exception", "zsigmondy_prime",
     ),
+    "budgets": ("budget", "check_deadline", "lattice_budget"),
     "gfspace": (
         "ContainmentVector", "FieldContext", "Lattice", "LineIncidence", "Subspace",
-        "SubspaceIndex", "budget", "canonicalize", "check_deadline",
-        "containment_vector", "contains", "enumerate_subspaces", "field",
-        "field_from_dict", "full_space", "index_of", "intersect", "lattice",
-        "lattice_budget", "lattice_size", "line_mask", "meet_dim", "subspace_at",
+        "SubspaceIndex", "canonicalize", "containment_vector", "contains",
+        "enumerate_subspaces", "field", "field_from_dict", "full_space", "index_of",
+        "intersect", "lattice", "lattice_size", "line_mask", "meet_dim", "subspace_at",
         "union_space", "zero_subspace",
     ),
     "moebius": (
@@ -44,8 +45,8 @@ _EXPORTS = {
     "families": (
         "CheckResult", "Family", "FractionSet", "GramReport", "ModularProfile",
         "PartitionJK", "bound_frac_general", "bound_frankl_graham", "bound_singleton",
-        "bound_theorem1", "check_fractional", "check_modular", "check_modular_lines",
-        "det_bareiss", "family_from_dict", "family_to_dict", "fractional_cell_bound",
+        "bound_theorem1", "check_fractional", "check_modular", "det_bareiss",
+        "family_from_dict", "family_to_dict", "fractional_cell_bound",
         "fractions_from_strings", "fractions_to_strings", "gram_analysis",
         "integer_rank", "partition_dims", "partition_jk", "partition_mod_prime",
         "power_cell", "profile_from_dict", "shared_line_counts",

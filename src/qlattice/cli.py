@@ -9,7 +9,7 @@ main() as a traceback: running out of memory, stack depth or float range
 exits 3, and any other exception exits 2; either way stderr carries one JSON
 error object naming the exception type. Integers print exactly, however many
 digits they have (qbinom's size ceiling bounds them). Each command runs
-inside one gfspace.budget scope: --lattice-budget and --time-budget hold
+inside one budgets.budget scope: --lattice-budget and --time-budget hold
 for the whole command and are gone when main() returns, and the time
 budget counts from the start of the command, lattice and graph included.
 They are the only way to set a command's budgets; no environment variable
@@ -19,10 +19,10 @@ at once and builds its arithmetic tables only when they are first read, so a
 bad q is reported first, and a count or a budget refusal never pays for them.
 
 A command loads only the layers it runs. This module loads errors, qcombin,
-gfspace and options (the parser's --variant choices and --max-nodes
-default); each handler imports what it calls from families, certificates
-and search when it runs, so qbinom, altsum, zsigmondy and enum never load
-those layers, and no command loads moebius.
+budgets and options (the parser's --variant choices and --max-nodes
+default); each handler imports what it calls from gfspace, families,
+certificates and search when it runs, so qbinom, altsum and zsigmondy load
+none of those layers, enum only gfspace, and no command loads moebius.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import argparse
 import json
 import sys
 
+from .budgets import budget
 from .errors import DomainError, ResourceLimitError
 from .qcombin import alt_sum, qbinom, zsigmondy_exception, zsigmondy_prime
-from .gfspace import budget, enumerate_subspaces, field
 from .options import DEFAULT_MAX_NODES, VARIANTS
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def _member_indices(family: "Family", sub: "Family") -> list[int]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, exit_code), and imports the
-# families, certificates and search names it calls when it runs
+# gfspace, families, certificates and search names it calls when it runs
 
 
 def _cmd_qbinom(args):
@@ -154,6 +154,8 @@ def _cmd_zsigmondy(args):
 
 
 def _cmd_enum(args):
+    from .gfspace import enumerate_subspaces, field
+
     ctx = field(args.q)
     payload = {
         "n": args.n,
@@ -272,6 +274,7 @@ def _cmd_gram(args):
 
 def _cmd_search(args):
     from .families import fractions_from_strings, profile_from_dict
+    from .gfspace import field
     from .search import SearchLimits, build_graph, max_family
 
     ctx = field(args.q)

@@ -14,10 +14,10 @@ needs no lattice and no line masks (over GF(2) it works on rows packed as
 ints): a family file may live in an ambient such as GF(256)^40, too big for
 either. offending_pairs judges each meet from a table of allowed meet
 dimensions keyed by the pair's two dimensions, built from predicate.meets
-once per call over the member dimensions that occur. Callers that hold the
-line masks (a certificate context, search.build_graph) turn a predicate
-into a shared_line_counts table and read rows of allowed pairs from
-gfspace.compatible_rows, the one line-count row builder, instead.
+once per call over the member dimensions that occur. Callers that hold a
+whole lattice's line masks (a certificate context, search.build_graph) turn
+a predicate into a shared_line_counts table and read rows of allowed pairs
+from gfspace.compatible_rows, the one line-count row builder, instead.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .gfspace import (
     FieldContext,
     Subspace,
     canonicalize,
-    compatible_rows,
     field_from_dict,
     line_mask,
     meet_dim,
@@ -277,8 +276,9 @@ def shared_line_counts(
     turns either predicate into a question about line counts.
 
     The table is computed once per (predicate, n, q), in a bounded cache,
-    and shared by every caller (check_modular_lines, search.build_graph);
-    it is made of tuples and frozensets, so no caller can change it.
+    and shared by every caller (search.build_graph and a certificate
+    context's compatibility rows, built once per context); it is made of
+    tuples and frozensets, so no caller can change it.
     """
     span = range(n + 1)
     return tuple(
@@ -349,31 +349,6 @@ def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
         return failed
     bad = next(offending_pairs(family, profile), None)
     return _PASS if bad is None else _pair_violation(*bad, profile.b)
-
-
-def check_modular_lines(
-    family: Family, profile: ModularProfile, lines: Sequence[int]
-) -> CheckResult:
-    """check_modular from the members' line masks, lines[i] that of member i.
-
-    The verdict, witness and detail are check_modular's; pairs come from
-    gfspace.compatible_rows, and only the witness pair's meet dimension
-    from meet_dim. For callers that already hold the masks, such as a
-    certificate context's lattice; the masks are not checked against the
-    members.
-    """
-    failed = _member_violation(family, profile)
-    if failed is not None:
-        return failed
-    full = (1 << len(family)) - 1
-    allowed = shared_line_counts(profile, family.n, family.ctx.q)
-    rows = compatible_rows(lines, family.dims, allowed)
-    for i, row in enumerate(rows):
-        bad = full & ~row & ~((2 << i) - 1)
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            return _pair_violation(i, j, meet_dim(family[i], family[j]), profile.b)
-    return _PASS
 
 
 def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:

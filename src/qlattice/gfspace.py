@@ -11,13 +11,12 @@ which builds the meet itself, stays as the reference route. Questions about
 a whole list of subspaces at once (which contain u, how many lines each
 shares with u) go through LineIncidence, the line masks turned on their
 side, and compatible_rows is the one builder of rows over a whole list: the
-lattice's containment table, a certificate's family re-check and search's
-adjacency all come from it. Budgets travel in one scope and nowhere else: budget(lattice,
-seconds) holds a lattice budget and a deadline for a block, and
-check_deadline(phase) raises once the deadline has passed; outside every
-scope the budget is DEFAULT_LATTICE_BUDGET, with no deadline. field(q) and
-field_from_dict give one shared context per field, whose tables are built on
-first use from the powers of one generator (a discrete log).
+lattice's containment table, a certificate context's compatibility table
+and search's adjacency all come from it. Sizes are checked against the
+lattice budget of the budgets scope, and the lattice build checks its
+deadline. field(q) and field_from_dict give one shared context per field,
+whose tables are built on first use from the powers of one generator (a
+discrete log).
 
 Enumeration order within one dimension: pivot patterns are sorted so that the
 pattern occupying the rightmost columns comes first (compare the column sets
@@ -27,80 +26,16 @@ run through base-q integers in ascending order. Under this order the first
 """
 from __future__ import annotations
 
-import contextvars
 import itertools
-import math
-import time
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .budgets import _require_budget, check_deadline
+from .errors import DomainError
 from .qcombin import is_prime, prime_power, qbinom
 from .records import Record
 
-DEFAULT_LATTICE_BUDGET = 10 ** 6
-
 MAX_Q = 256
-
-
-# (lattice budget, time.monotonic() deadline) of the innermost budget().
-_SCOPE = contextvars.ContextVar("qlattice_budget", default=(DEFAULT_LATTICE_BUDGET, math.inf))
-
-
-@contextmanager
-def budget(lattice: Optional[int] = None, seconds: Optional[float] = None):
-    """Run a block under a lattice budget and a deadline seconds from now.
-
-    None keeps the enclosing scope's value, inf sets no deadline, and a
-    nested deadline can only be sooner.
-    """
-    if lattice is not None and lattice < 1:
-        raise DomainError("lattice budget must be positive")
-    if seconds is not None and not seconds > 0:
-        raise DomainError(f"time_budget must be positive, got {seconds}")
-    outer, deadline = _SCOPE.get()
-    if seconds is not None:
-        deadline = min(deadline, time.monotonic() + seconds)
-    token = _SCOPE.set((outer if lattice is None else lattice, deadline))
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def current_deadline() -> Optional[float]:
-    """The time.monotonic() value the current scope ends at, or None."""
-    deadline = _SCOPE.get()[1]
-    return deadline if deadline < math.inf else None
-
-
-def check_deadline(phase: str, **progress) -> None:
-    """ResourceLimitError, partial {"phase": phase, **progress}, past the deadline."""
-    if time.monotonic() > _SCOPE.get()[1]:
-        raise ResourceLimitError(
-            f"time budget ran out in {phase}", partial={"phase": phase, **progress}
-        )
-
-
-def lattice_budget() -> int:
-    """Max subspaces materialized per ambient: the scope's, else DEFAULT_LATTICE_BUDGET."""
-    return _SCOPE.get()[0]
-
-
-def _require_budget(count: int, what: str, key: str = "count") -> None:
-    """Raise ResourceLimitError when count objects exceed the lattice budget.
-
-    A count over 256 bits is named by its bit length, never in decimal: such
-    a count may have more digits than Python converts to a string. The
-    partial data keep the exact count.
-    """
-    budget = lattice_budget()
-    if count > budget:
-        size = count if count.bit_length() <= 256 else f"at least 2^{count.bit_length() - 1}"
-        raise ResourceLimitError(
-            f"{size} {what} exceed the lattice budget {budget}", partial={key: count}
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ depth is not limited by the interpreter's recursion limit. Greedy coloring
 gives the bounds; colors that cannot beat the best clique at node entry
 (at or below k_min = len(best) - len(current)) are not recorded. The search
 is fully deterministic, and budget exhaustion is reported as a result state
-rather than an error. The time budget is the gfspace.budget deadline:
+rather than an error. The time budget is the budgets.budget deadline:
 build_graph checks it between phases and rows, max_family every 1024 rows
 of its table build (raising, like build_graph) and at every node.
 
@@ -36,15 +36,14 @@ import time
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .budgets import check_deadline, current_deadline
 from .errors import DomainError, StructureError
 from .qcombin import qbinom
 from .gfspace import (
     FieldContext,
     SubspaceIndex,
     canonicalize,
-    check_deadline,
     compatible_rows,
-    current_deadline,
     enumerate_subspaces,
     field,
     lattice,
@@ -66,7 +65,7 @@ class SearchLimits(Record):
     """Node budget and vertex dimensions for graph construction and clique search.
 
     dim_filter, when given, restricts graph vertices to the listed
-    dimensions on top of the unary condition. Time is gfspace.budget's.
+    dimensions on top of the unary condition. Time is budgets.budget's.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES

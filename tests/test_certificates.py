@@ -18,7 +18,6 @@ from qlattice import (
     SubspaceIndex,
     certificate_context,
     check_modular,
-    check_modular_lines,
     enumerate_subspaces,
     eval_f,
     eval_g_i,
@@ -590,16 +589,21 @@ class TestCertificatesMatchOracle:
             assert calls == {"echelon": 1}, variant
 
     def test_shared_line_table_computed_once(self, tight):
-        cctx, fam = tight
+        # one miss per (predicate, n, q), shared by the context's re-check
+        # table and build_graph
+        _, fam = tight
         shared_line_counts.cache_clear()
+        cctx = certificate_context(field(2), 3, tight[0].profile)
         for variant in VARIANTS * 2:
             independence_certificate(cctx, fam, variant)
+        assert shared_line_counts.cache_info()[:2] == (0, 1)  # (hits, misses)
         build_graph(cctx.ctx, cctx.n, cctx.profile)
-        assert shared_line_counts.cache_info()[:2] == (8, 1)  # (hits, misses)
+        independence_certificate(certificate_context(field(2), 3, cctx.profile), fam, "lemma41")
+        assert shared_line_counts.cache_info()[:2] == (2, 1)
         for fractions in (((1, 2),), [[1, 2]], ((1, 2),)):
             build_graph(cctx.ctx, cctx.n, FractionSet(fractions))
         build_graph(field(3), 3, cctx.profile)
-        assert shared_line_counts.cache_info()[:2] == (10, 3)
+        assert shared_line_counts.cache_info()[:2] == (4, 3)
 
 
 def _variant_labels(cctx, fam, variant):
@@ -665,77 +669,176 @@ def _revalidation(cctx, family):
     return "pass"
 
 
-def _star_and_stray(q):
-    """Planes of GF(q)^4 through one line, and a plane missing that line.
+def _expected(family, profile):
+    """_revalidation's answer, from check_modular."""
+    want = check_modular(family, profile)
+    return "pass" if want else f"family violates the profile: {want.detail}"
 
-    Under the profile b = 4, K = {2}, L = {1} the planes through the line
-    pass (each pair meets in the line); the stray plane meets some of them
-    in dimension 0.
+
+def _greedy_family(ctx, n, profile, rng):
+    """A maximal family that passes check_modular, from the admitted subspaces in random order.
+
+    A candidate joins when its meet_dim with every member so far lands in
+    L mod b, so the family is built without the code under test. A first
+    pass takes only candidates of a dimension not yet present, so the
+    family mixes dimensions wherever two of them can meet in L.
+    """
+    lat = lattice(ctx, n)
+    candidates = [s for s in lat.subspaces if profile.admits(s.dim)]
+    rng.shuffle(candidates)
+    members = []
+    for new_dims_only in (True, False):
+        for cand in candidates:
+            if cand in members or (new_dims_only and cand.dim in {m.dim for m in members}):
+                continue
+            if all(profile.meets(meet_dim(cand, m), cand.dim, m.dim) for m in members):
+                members.append(cand)
+    return members
+
+
+def _star_case(q, n):
+    """(field, profile, passing members, stray, non-admitted member) on GF(q)^n.
+
+    For n >= 4: planes through one line under b = 4, K = {2}, L = {1}; the
+    stray plane misses the line and meets some star plane in dimension 0.
+    For n = 3: the lines under b = 4, K = {1, 3}, L = {0}; the stray is the
+    whole space, which meets every line in dimension 1.
     """
     ctx = field(q)
-    lat = lattice(ctx, 4)
-    axis = lat.subspaces[lat.offsets[1]]
-    planes = [s for s in enumerate_subspaces(ctx, 4, 2)]
-    star = [s for s in planes if meet_dim(s, axis) == 1]
-    stray = next(s for s in planes if meet_dim(s, axis) == 0)
-    return ctx, star, stray
+    lat = lattice(ctx, n)
+    if n == 3:
+        profile = ModularProfile(4, (1, 3), (0,))
+        star = list(enumerate_subspaces(ctx, n, 1))
+        stray = lat.subspaces[-1]
+        other = lat.subspaces[lat.offsets[2]]
+    else:
+        profile = ModularProfile(4, (2,), (1,))
+        axis = lat.subspaces[lat.offsets[1]]
+        planes = list(enumerate_subspaces(ctx, n, 2))
+        star = [s for s in planes if meet_dim(s, axis) == 1]
+        stray = next(s for s in planes if meet_dim(s, axis) == 0)
+        other = lat.subspaces[lat.offsets[1] + 1]
+    return ctx, profile, star, stray, other
+
+
+AMBIENTS = [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
 
 
 class TestRevalidation:
-    """The certificate's profile check from line masks equals check_modular exactly."""
+    """The certificate's re-check from its context's table equals check_modular exactly."""
 
     @pytest.mark.parametrize("kind", [(2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3),
                                       (1, 2, 3), (2, 2, 3)])
     def test_uniform_examples_and_stricter_profiles(self, kind):
         ex = gen_example_uniform(*kind)
         family, profile = ex.family, ex.profile
-        lat = lattice(family.ctx, family.n)
         rng = random.Random(str(kind))
         shuffled = Family(family.ctx, family.n, tuple(rng.sample(family.members, len(family))))
         for prof in {profile, ModularProfile(profile.b, profile.K, profile.L[1:]),
                      ModularProfile(profile.b, profile.K, profile.L[:-1])}:
             cctx = certificate_context(family.ctx, family.n, prof)
             for fam in (family, shuffled):
-                lines = [lat.lines[lat.global_index(m)] for m in fam]
-                want = check_modular(fam, prof)
-                assert check_modular_lines(fam, prof, lines) == want
-                expect = "pass" if want else f"family violates the profile: {want.detail}"
-                assert _revalidation(cctx, fam) == expect
+                assert _revalidation(cctx, fam) == _expected(fam, prof)
 
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_failures_at_a_member_the_first_pair_and_a_late_pair(self, q):
-        ctx, star, stray = _star_and_stray(q)
-        profile = ModularProfile(4, (2,), (1,))
-        cctx = certificate_context(ctx, 4, profile)
-        bad = next(i for i, s in enumerate(star) if meet_dim(s, stray) == 0)
-        line = lattice(ctx, 4).subspaces[lattice(ctx, 4).offsets[1] + 1]
+    @pytest.mark.parametrize("q, n", AMBIENTS)
+    def test_failures_at_a_member_the_first_pair_and_a_late_pair(self, q, n):
+        ctx, profile, star, stray, other = _star_case(q, n)
+        cctx = certificate_context(ctx, n, profile)
+        clash = [not profile.meets(meet_dim(s, stray), 0, 0) for s in star]
+        bad = clash.index(True)
+        ok = [s for s, c in zip(star, clash) if not c]
+        rest = star[:bad] + star[bad + 1 :]
+        m = len(star)
         cases = {
-            "valid": star,
-            "first pair": [stray, star[bad]] + star[:bad] + star[bad + 1 :],
-            "late pair": star + [stray],
-            "member": star + [line],
-            "member before an earlier pair": [stray, star[bad], line] + star[:bad],
+            "valid": (star, None),
+            "valid, reversed": (star[::-1], None),
+            "first pair": ([stray, star[bad]] + rest, (0, 1)),
+            "first pair, partner later": ([stray] + star, (0, bad + 1)),
+            "late pair": (star + [stray], (bad, m)),
+            "only the last pair": (ok + [star[bad], stray], (len(ok), len(ok) + 1)),
+            "member": (star + [other], (m,)),
+            "member first": ([other] + star, (0,)),
+            "member after a failing pair": ([stray, star[bad], other] + rest, (2,)),
         }
-        seen = set()
-        for name, members in cases.items():
-            fam = Family(ctx, 4, tuple(members))
-            want = check_modular(fam, profile)
-            seen.add(want.witness)
-            lines = [lattice(ctx, 4).lines[lattice(ctx, 4).global_index(m)] for m in fam]
-            assert check_modular_lines(fam, profile, lines) == want, name
-            expect = "pass" if want else f"family violates the profile: {want.detail}"
-            assert _revalidation(cctx, fam) == expect, name
-        assert seen == {None, (0, 1), (bad, len(star)), (len(star),), (2,)}
+        for name, (members, witness) in cases.items():
+            fam = Family(ctx, n, tuple(members))
+            assert check_modular(fam, profile).witness == witness, name
+            assert _revalidation(cctx, fam) == _expected(fam, profile), name
+
+    @pytest.mark.parametrize("q, n, b, K, L", [
+        (2, 4, 3, (1, 2), (0,)),
+        (2, 5, 3, (1, 2), (0,)),
+        (2, 4, 4, (1, 3), (0, 2)),
+        (2, 5, 4, (1, 2), (0, 3)),
+        (3, 4, 4, (1, 2), (0,)),
+        (3, 3, 4, (1, 2), (0,)),
+        (4, 3, 4, (1, 2), (0, 3)),
+    ])
+    def test_mixed_dimensions_subfamilies_and_orders(self, q, n, b, K, L):
+        ctx, profile = field(q), ModularProfile(b, K, L)
+        cctx = certificate_context(ctx, n, profile)
+        lat = lattice(ctx, n)
+        rng = random.Random(f"recheck {q} {n} {b} {K} {L}")
+        for _ in range(3):
+            members = _greedy_family(ctx, n, profile, rng)
+            assert len({m.dim for m in members}) >= 2
+            families = [members, members[::-1], rng.sample(members, len(members))]
+            families += [rng.sample(members, rng.randint(0, len(members))) for _ in range(4)]
+            for chosen in families[:]:
+                for _ in range(3):
+                    stray = rng.choice([s for s in lat.subspaces if s not in chosen])
+                    spoiled = list(chosen)
+                    spoiled.insert(rng.randint(0, len(spoiled)), stray)
+                    families.append(spoiled)
+            for chosen in families:
+                fam = Family(ctx, n, tuple(chosen))
+                assert _revalidation(cctx, fam) == _expected(fam, profile)
 
     def test_no_meet_dim_call(self, monkeypatch):
-        import qlattice.families as families_module
+        # the re-check reads meet_dim from certificates, for a witness only
+        import qlattice.certificates as certificates_module
 
         ex = gen_example_uniform(2, 2, 2)
         cctx = certificate_context(ex.family.ctx, ex.family.n, ex.profile)
+        calls = []
 
         def refuse(a, b):
+            calls.append((a, b))
             raise AssertionError("meet_dim called")
 
-        monkeypatch.setattr(families_module, "meet_dim", refuse)
+        monkeypatch.setattr(certificates_module, "meet_dim", refuse)
         for variant in VARIANTS:
             assert independence_certificate(cctx, ex.family, variant).verdict == "independent"
+        assert calls == []
+        # a failing family reaches the patched name, so the check above can fail
+        strict = certificate_context(cctx.ctx, cctx.n, ModularProfile(4, (2,), (1,)))
+        with pytest.raises(AssertionError, match="meet_dim called"):
+            independence_certificate(strict, ex.family, "lemma41")
+        assert len(calls) == 1
+
+    def test_table_built_once_per_context(self, monkeypatch):
+        import qlattice.certificates as certificates_module
+
+        calls = []
+        real = certificates_module.compatible_rows
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certificates_module, "compatible_rows", counted)
+        ctx, profile, star, stray, _ = _star_case(2, 4)
+        family = Family(ctx, 4, tuple(star))
+        spoiled = Family(ctx, 4, tuple(star) + (stray,))
+        cctx = certificate_context(ctx, 4, profile)
+        for variant in VARIANTS * 2:
+            independence_certificate(cctx, family, variant)
+            with pytest.raises(DomainError, match="^family violates the profile: pair"):
+                independence_certificate(cctx, spoiled, variant)
+        assert len(calls) == 1
+        # the table covers the admitted dimension blocks, nothing else
+        lines, dims, allowed = calls[0]
+        assert list(dims) == [2] * qbinom(4, 2, 2)
+        assert allowed is shared_line_counts(profile, 4, 2)
+        independence_certificate(certificate_context(ctx, 4, profile), family, "lemma41")
+        assert len(calls) == 2

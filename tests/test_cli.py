@@ -236,7 +236,7 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "ResourceLimitError"
         # The flag is scoped to the command, not the process.
-        assert qlattice.lattice_budget() == qlattice.gfspace.DEFAULT_LATTICE_BUDGET
+        assert qlattice.lattice_budget() == qlattice.budgets.DEFAULT_LATTICE_BUDGET
 
     def test_lowered_budget_applies_to_cached_lattice(self):
         argv = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
@@ -326,7 +326,7 @@ SEARCH3 = ["search", "--n", "3", "--q", "2", "--fractions", "1/2"]
 
 
 class TestBudgetScope:
-    """--lattice-budget and --time-budget hold for one command, through gfspace.budget."""
+    """--lattice-budget and --time-budget hold for one command, through budgets.budget."""
 
     @pytest.fixture(autouse=True)
     def built_lattice(self):
@@ -338,7 +338,7 @@ class TestBudgetScope:
     @pytest.fixture
     def outside(self):
         """The scope and environment main() must leave as it found them."""
-        from qlattice.gfspace import DEFAULT_LATTICE_BUDGET
+        from qlattice.budgets import DEFAULT_LATTICE_BUDGET
 
         def environ():
             # pytest rewrites PYTEST_CURRENT_TEST between set-up and call
@@ -348,7 +348,7 @@ class TestBudgetScope:
 
         def check():
             assert qlattice.lattice_budget() == DEFAULT_LATTICE_BUDGET
-            assert qlattice.gfspace.current_deadline() is None
+            assert qlattice.budgets.current_deadline() is None
             assert environ() == before
 
         return check
@@ -360,7 +360,7 @@ class TestBudgetScope:
         original = getattr(module, name)
 
         def wrapped(*args, **kwargs):
-            seen.append((qlattice.lattice_budget(), qlattice.gfspace.current_deadline()))
+            seen.append((qlattice.lattice_budget(), qlattice.budgets.current_deadline()))
             if fail is not None:
                 raise fail
             return original(*args, **kwargs)

@@ -46,7 +46,8 @@ from qlattice import (
     shared_line_counts,
 )
 from qlattice.families import CheckResult, _bareiss, offending_pairs, partition_dims
-from qlattice.gfspace import budget, canonicalize, lattice, line_mask, meet_dim
+from qlattice.budgets import budget
+from qlattice.gfspace import canonicalize, lattice, line_mask, meet_dim
 
 
 def coordinate_subspace(ctx, n, dim):

@@ -39,12 +39,11 @@ from qlattice import (
     union_space,
     zero_subspace,
 )
+from qlattice.budgets import DEFAULT_LATTICE_BUDGET, current_deadline
 from qlattice.gfspace import (
-    DEFAULT_LATTICE_BUDGET,
     _cached_lattice,
     _poly_mod,
     _poly_mul,
-    current_deadline,
     require_lattice_budget,
 )
 

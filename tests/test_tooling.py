@@ -61,7 +61,7 @@ def _environ_reads(source: str) -> list[int]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_writes_the_environment(path):
-    # Budgets travel in gfspace.budget scopes only: the environment is
+    # Budgets travel in budgets.budget scopes only: the environment is
     # neither written nor read.
     source = path.read_text(encoding="utf-8")
     assert _environ_writes(source) == []
@@ -145,6 +145,51 @@ def test_only_gfspace_builds_line_incidence(path):
 def test_construction_guard_sees_both_spellings():
     source = "a = LineIncidence(x)\nb = gfspace.LineIncidence(x)\nc = LineIncidence.select"
     assert _constructs(source, "LineIncidence") == [1, 2]
+
+
+def _references(source: str, name: str) -> list[int]:
+    """Line numbers of every use of name: bare, as an attribute, or imported."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            or (isinstance(node, ast.FunctionDef) and node.name == name)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+ROW_BUILDER_USERS = {"gfspace.py", "search.py", "certificates.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_whole_list_callers_read_compatible_rows(path):
+    # compatible_rows builds rows over a whole list: the lattice's
+    # containment table, search's adjacency and a certificate context's
+    # compatibility table. families checks pairs by meet_dim only.
+    found = _references(path.read_text(encoding="utf-8"), "compatible_rows")
+    if path.name in ROW_BUILDER_USERS:
+        assert found
+    else:
+        assert found == []
+
+
+def test_reference_guard_sees_each_spelling():
+    source = (
+        "from .gfspace import compatible_rows\n"
+        "from .gfspace import (\n"
+        "    compatible_rows as rows,\n"
+        ")\n"
+        "rows = compatible_rows(a, b, c)\n"
+        "rows = gfspace.compatible_rows(a, b, c)\n"
+        "f = compatible_rows\n"
+        "def compatible_rows(lines, dims, allowed): pass\n"
+        "'compatible_rows'\n"
+        "compatible = rows_of(x)\n"
+    )
+    assert _references(source, "compatible_rows") == [1, 3, 5, 6, 7, 8]
 
 
 FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_build_tables"}
@@ -347,8 +392,8 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ("qbinom 4 2 2", {"families", "certificates", "search", "moebius"}),
-    ("zsigmondy 2 3", {"certificates", "search", "moebius"}),
+    ("qbinom 4 2 2", {"gfspace", "families", "certificates", "search", "moebius"}),
+    ("zsigmondy 2 3", {"gfspace", "certificates", "search", "moebius"}),
     ("bound --theorem singleton --n 4 --q 2 --frac 1/2", {"certificates", "search", "moebius"}),
     ("search --n 3 --q 2 --fractions 1/2", {"certificates", "moebius"}),
     ("certify --family {D}/planes7.json --profile {D}/profile_tight.json --variant swallow1",
@@ -358,7 +403,9 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 def test_light_commands_leave_heavy_layers_unloaded(argv, absent):
     code, *loaded = _fresh(LOADED_BY_CLI, *argv.format(D=DATA).split()).stdout.split()
     assert code == "0"
-    assert {"qlattice.cli", "qlattice.gfspace"} <= set(loaded)
+    # the budget scope is all a command needs before its handler runs
+    assert {"qlattice.cli", "qlattice.budgets"} <= set(loaded)
+    assert ("gfspace" in absent) != ("qlattice.gfspace" in loaded)
     assert not {f"qlattice.{name}" for name in absent} & set(loaded)
     # nor dataclasses (which loads inspect, ast and dis) or fractions: no
     # command needs them, and each costs every cold command start-up time
