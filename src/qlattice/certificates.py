@@ -38,12 +38,25 @@ use: the columns of the points, the g_xy rows, the echelon basis of the f
 rows, and one grid block per filter (every g_xy row, or those lemma52 and
 swallow2 keep) with its labels, packed rows, entries and rank. lemma41 and
 lemma52 take their labels, entries and rank from the block once the family
-has passed its re-check. swallow1 and swallow2 pack only their member rows
-and eliminate them ahead of the block's rows, the order their labels run
-in. Grid rows first, even from a cached grid basis, is slower: 27 ms
-against 18 ms for swallow1 on gen_example_uniform(3, 2, 2), 155 member rows
-and 32 grid rows, on a 2-vCPU Xeon. CertificateMatrix.from_entries and
-rank_mod_p, which take lists of entries, remain the reference route.
+has passed its re-check. swallow1 and swallow2 eliminate their member rows
+ahead of the block's rows, the order their labels run in. Grid rows first,
+even from a cached grid basis, is slower: 27 ms against 18 ms for swallow1
+on gen_example_uniform(3, 2, 2), 155 member rows and 32 grid rows, on a
+2-vCPU Xeon. CertificateMatrix.from_entries and rank_mod_p, which take lists
+of entries, remain the reference route.
+
+A member's g_i row depends on its lattice position and the context, not on
+the family, so the context keeps every row it has built, by position, as
+a packed row and its entries tuple (CertificateContext._member_rows). A
+position's row is built and packed the first time a swallow certificate
+of a family that passed its re-check, or a span_check g_i sample, asks for
+it; every later call reads it, and the returned CertificateMatrix shares
+the stored entries tuples. The store grows with the distinct members seen
+and is never cleared. On GF(2)^6 with gen_example_uniform(3, 3, 2) a row
+takes about 33 KB and all 1395 members 44 MB (tracemalloc); a full-family
+swallow1 on a fresh context peaks at 57 MB with the store, where building
+every row per call peaked at 76 MB, and a repeat call takes 0.04 s instead
+of 0.8 s.
 """
 
 from __future__ import annotations
@@ -192,6 +205,16 @@ class CertificateContext(Record):
         return tuple(rows), tuple(index)
 
     @cached_property
+    def _member_rows(self) -> dict[int, tuple[int, tuple[int, ...]]]:
+        """g_i rows by the member's lattice position: (packed row, entries).
+
+        A g_i row depends on the member's position and the context only,
+        never on the family it came in, so _g_i_rows fills this store once
+        per position, on first use, and every later family reads it.
+        """
+        return {}
+
+    @cached_property
     def _g_i_values(self) -> dict[int, int]:
         """g_i at a point, by the line count [d 1]_q it shares with the member."""
         mu_counts = _line_counts(self.profile.L, self.q, self.p)
@@ -325,6 +348,20 @@ def _g_i_row(cctx: CertificateContext, member: int, points: Iterable[int]) -> li
     """g_i of the member with line mask `member` at each point, given their line masks."""
     shared = map(int.bit_count, map(member.__and__, points))
     return list(map(cctx._g_i_values.__getitem__, shared))
+
+
+def _g_i_rows(cctx: CertificateContext, where: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(packed row, entries) of g_i for the members at lattice positions `where`.
+
+    Rows come from cctx._member_rows; a position not yet there is built
+    with _g_i_row and packed once, then stored.
+    """
+    store, lines = cctx._member_rows, lattice(cctx.ctx, cctx.n).lines
+    for g in where:
+        if g not in store:
+            entries = _g_i_row(cctx, lines[g], lines)
+            store[g] = cctx._lanes.pack(entries), tuple(entries)
+    return [store[g] for g in where]
 
 
 def eval_g_i(cctx: CertificateContext, i: int, family: Family, v: ContainmentVector) -> int:
@@ -569,18 +606,16 @@ def independence_certificate(
     lat = lattice(cctx.ctx, cctx.n)
     where = [lat.position[m] for m in family]
     _recheck(cctx, family, where)
-    members = [lat.lines[g] for g in where]
 
     grid = cctx._grid_filtered if variant in ("lemma52", "swallow2") else cctx._grid
     labels, entries = grid.labels, grid.entries
     if variant in ("lemma41", "lemma52"):
         rank = grid.rank
     else:
-        lanes = cctx._lanes
-        g_i = [_g_i_row(cctx, member, lat.lines) for member in members]
-        labels = tuple(("g_i", i) for i in range(len(members))) + labels
-        entries = tuple(map(tuple, g_i)) + entries
-        rank = len(lanes.echelon(chain(map(lanes.pack, g_i), grid.rows)))
+        g_i = _g_i_rows(cctx, where)
+        labels = tuple(("g_i", i) for i in range(len(g_i))) + labels
+        entries = tuple(row[1] for row in g_i) + entries
+        rank = len(cctx._lanes.echelon(chain([row[0] for row in g_i], grid.rows)))
     verdict = "independent" if rank == len(labels) else "inconclusive"
     return CertificateMatrix(labels, cctx.point_labels, entries, rank, verdict, cctx.p)
 
@@ -618,8 +653,7 @@ def span_check(cctx: CertificateContext, family: Family, sample: Iterable[tuple]
         if tag[0] == "g_xy" and len(tag) == 3:
             row = cctx._grid_rows[_grid_index(cctx, tag[1], tag[2])]
         elif tag[0] == "g_i" and len(tag) == 2:
-            member = lat.lines[lat.global_index(_member(family, tag[1]))]
-            row = lanes.pack(_g_i_row(cctx, member, lat.lines))
+            row = _g_i_rows(cctx, [lat.global_index(_member(family, tag[1]))])[0][0]
         else:
             raise DomainError(f"sample id {item!r} must be ('g_xy', x, y) or ('g_i', i)")
         ids.append(tag)

@@ -293,16 +293,19 @@ class Subspace(Record):
     rows is a tuple of row tuples of element codes; the zero subspace has no
     rows. Construction validates canonical form, so equal subspaces are equal
     values. Use canonicalize() to build one from arbitrary spanning rows.
-    Two slots are derived, not fields, and eq, hash and repr ignore both:
-    pivots, each row's pivot column, set on construction, and over GF(2)
-    only _gf2_rows, the rows packed as (pivot bit, row) ints with column 0
+    Three slots are derived, not fields, and eq, hash and repr ignore them:
+    pivots, each row's pivot column, set on construction; over GF(2)
+    only, _gf2_rows, the rows packed as (pivot bit, row) ints with column 0
     as the top bit, which meet_dim fills on first use, so building a
-    lattice does not pay for them. Only this module reads _gf2_rows.
+    lattice does not pay for them; and _hash, the hash of (ctx, n, rows),
+    which the first hash stores, so a Lattice.position lookup of a member
+    hashes its rows once per subspace, not once per lookup. Only this
+    module reads _gf2_rows.
     """
 
     # Built on every lattice and canonicalize path: slots, and eq and hash
     # written out, which are about twice as fast as the generic ones.
-    __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows")
+    __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows", "_hash")
     ctx: FieldContext
     n: int
     rows: tuple[tuple[int, ...], ...]
@@ -343,7 +346,12 @@ class Subspace(Record):
         return (self.ctx, self.n, self.rows) == (other.ctx, other.n, other.rows)
 
     def __hash__(self):
-        return hash((self.ctx, self.n, self.rows))
+        # getattr's default costs less than a try on the first, missing read
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash((self.ctx, self.n, self.rows))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __repr__(self):
         return f"Subspace(n={self.n}, dim={self.dim}, rows={self.rows})"

@@ -36,6 +36,7 @@ from qlattice import (
     subspace_at,
     union_space,
 )
+import qlattice.certificates as certificates_module
 from qlattice.certificates import _Lanes
 
 
@@ -566,27 +567,44 @@ class TestCertificatesMatchOracle:
 
         calls = collections.Counter()
 
-        def counting(name):
-            real = getattr(_Lanes, name)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
-            def counted(self, *args):
+            def counted(*args):
                 calls[name] += 1
-                return real(self, *args)
+                return real(*args)
             return counted
 
-        for name in ("echelon", "unpack"):
-            monkeypatch.setattr(_Lanes, name, counting(name))
+        for name in ("echelon", "unpack", "pack"):
+            monkeypatch.setattr(_Lanes, name, counting(_Lanes, name))
+        monkeypatch.setattr(certificates_module, "_g_i_row",
+                            counting(certificates_module, "_g_i_row"))
         # the grid-only variants take rows, entries and rank from the block
         for variant in ("lemma41", "lemma52"):
             first = independence_certificate(cctx, fam, variant)
             calls.clear()
             assert independence_certificate(cctx, fam, variant) == first
             assert not calls, variant
-        # a swallow variant eliminates its member rows and the block's once
+        # a swallow variant reads its member rows from the context's store,
+        # packs none of them, and eliminates them and the block's rows once
         for variant in ("swallow1", "swallow2"):
+            first = independence_certificate(cctx, fam, variant)
             calls.clear()
-            independence_certificate(cctx, fam, variant)
+            assert independence_certificate(cctx, fam, variant) == first
             assert calls == {"echelon": 1}, variant
+        # on a fresh context each member's row is built and packed once,
+        # whatever the variant and however often it is asked for
+        fresh = certificate_context(field(2), 3, cctx.profile)
+        for variant in ("lemma41", "lemma52"):
+            independence_certificate(fresh, fam, variant)
+        span_check(fresh, fam, [("g_xy", 0, 1)])
+        calls.clear()
+        for variant in VARIANTS * 2:
+            independence_certificate(fresh, fam, variant)
+        span_check(fresh, fam, [("g_i", i) for i in range(len(fam))])
+        assert calls == {"_g_i_row": len(fam), "pack": len(fam), "echelon": 4}
+        lat = lattice(field(2), 3)
+        assert sorted(fresh._member_rows) == sorted(lat.position[m] for m in fam)
 
     def test_shared_line_table_computed_once(self, tight):
         # one miss per (predicate, n, q), shared by the context's re-check
@@ -658,6 +676,132 @@ class TestContextReuse:
                 if key not in spec:
                     spec[key] = tuple(v % cctx.p for v in _spec_row(cctx, fam, label))
                 assert row == spec[key], (variant, label)
+
+
+# the uniform examples (k, s, q) the warm verification benchmark certifies
+WARM_BASES = [(2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (1, 3, 2), (2, 1, 3), (2, 2, 3),
+              (3, 2, 2)]
+
+
+class TestMemberRowStore:
+    """Each member's g_i row is built once per context and lattice position."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Line masks passed to _g_i_row, and _Lanes.pack calls, by the context's lanes."""
+        built, packs = collections.Counter(), collections.Counter()
+        real_row, real_pack = certificates_module._g_i_row, _Lanes.pack
+
+        def row(cctx, member, points):
+            built[id(cctx), member] += 1
+            return real_row(cctx, member, points)
+
+        def pack(lanes, values):
+            packs[id(lanes)] += 1
+            return real_pack(lanes, values)
+
+        monkeypatch.setattr(certificates_module, "_g_i_row", row)
+        monkeypatch.setattr(_Lanes, "pack", pack)
+        return built, packs
+
+    @pytest.mark.parametrize("kind", WARM_BASES)
+    def test_overlapping_subfamilies_build_each_position_once(self, kind, counted):
+        built, packs = counted
+        ex = gen_example_uniform(*kind)
+        ctx, n, profile = ex.family.ctx, ex.family.n, ex.profile
+        lat = lattice(ctx, n)
+        rng = random.Random(f"member rows {kind}")
+        members = list(ex.family.members)
+        size = min(16, len(members))
+        # subfamilies drawn from a pool twice their size overlap
+        pool = rng.sample(members, min(len(members), 2 * size))
+        families = [Family(ctx, n, tuple(rng.sample(pool, rng.randint(1, size))))
+                    for _ in range(4)]
+        calls = [(fam, variant) for fam in families for variant in VARIANTS] * 2
+        rng.shuffle(calls)
+
+        cctx = certificate_context(ctx, n, profile)
+        for variant in VARIANTS:  # the grid blocks and the re-check table
+            independence_certificate(cctx, Family(ctx, n, ()), variant)
+        seen = set()
+        for fam, variant in calls:
+            before = packs[id(cctx._lanes)]
+            cert = independence_certificate(cctx, fam, variant)
+            assert cert == independence_certificate(certificate_context(ctx, n, profile), fam,
+                                                    variant), variant
+            new = {m for m in fam if m not in seen} if variant.startswith("swallow") else set()
+            assert packs[id(cctx._lanes)] - before == len(new), variant
+            seen |= new
+            store = cctx._member_rows
+            for label, entries in zip(cert.rows, cert.entries):
+                if label[0] == "g_i":  # the matrix shares the stored tuples
+                    assert entries is store[lat.position[fam[label[1]]]][1]
+        mine = {member: count for (owner, member), count in built.items() if owner == id(cctx)}
+        assert mine == {lat.lines[lat.position[m]]: 1 for m in seen}
+        store = cctx._member_rows
+        assert sorted(store) == sorted(lat.position[m] for m in seen)
+        for g, (row, entries) in store.items():
+            single = Family(ctx, n, (lat.subspaces[g],))
+            spec = tuple(v % cctx.p for v in _spec_row(cctx, single, ("g_i", 0)))
+            assert entries == spec and cctx._lanes.unpack(row) == spec
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+    def test_violating_family_leaves_a_warm_store_unchanged(self, q, n, counted):
+        built, packs = counted
+        ctx, profile, star, stray, other = _star_case(q, n)
+        half = len(star) // 2
+        cctx = certificate_context(ctx, n, profile)
+        for variant in VARIANTS:
+            independence_certificate(cctx, Family(ctx, n, tuple(star[:half])), variant)
+        snapshot = dict(cctx._member_rows)
+        assert len(snapshot) == half
+        built.clear()
+        packs.clear()
+        # a failing pair or a member the profile does not admit, next to
+        # stored members and to members not yet stored
+        for members in (star + [stray], [stray] + star, star[:half] + [other],
+                        star[half:] + [other], [other] + star[half:]):
+            spoiled = Family(ctx, n, tuple(members))
+            want = check_modular(spoiled, profile)
+            assert not want
+            for variant in VARIANTS:
+                with pytest.raises(DomainError) as exc:
+                    independence_certificate(cctx, spoiled, variant)
+                assert str(exc.value) == f"family violates the profile: {want.detail}"
+                store = cctx._member_rows
+                assert store.keys() == snapshot.keys()
+                assert all(store[g] is snapshot[g] for g in snapshot)
+        assert not built and not packs
+
+    def test_span_check_g_i_samples_read_the_store(self, tight, counted):
+        built, _ = counted
+        cctx, fam = tight
+        for context, family in ((certificate_context(cctx.ctx, cctx.n, cctx.profile), fam),
+                                _uniform_2_1_3()):
+            # the same context cut to the zero subspace: no g_i lies in the span
+            cut = CertificateContext(
+                context.ctx, context.n, context.profile, context.p, S=1,
+                point_labels=context.point_labels,
+                points=tuple(ContainmentVector(v.ctx, v.n, 0, v.mask & 1)
+                             for v in context.points))
+            samples = [("g_i", i) for i in range(len(family))]
+            for c in (context, cut):
+                # each sample's row built and packed per call, the route before the store
+                lanes, lat = c._lanes, lattice(c.ctx, c.n)
+                lines = [lat.lines[lat.position[m]] for m in family]
+                before = tuple(not lanes.lead(c._f_basis, lanes.pack(
+                    certificates_module._g_i_row(c, member, lat.lines)))[1] for member in lines)
+                built.clear()
+                assert span_check(c, family, samples).solvable == before
+                assert sorted(built.values()) == [1] * len(set(lines))
+                # warm: the samples and a swallow certificate build nothing more
+                built.clear()
+                assert span_check(c, family, samples).solvable == before
+                if c is context:
+                    independence_certificate(c, family, "swallow1")
+                assert not built
+            assert any(span_check(context, family, samples).solvable)
+            assert not any(span_check(cut, family, samples).solvable)
 
 
 def _revalidation(cctx, family):
@@ -796,8 +940,6 @@ class TestRevalidation:
 
     def test_no_meet_dim_call(self, monkeypatch):
         # the re-check reads meet_dim from certificates, for a witness only
-        import qlattice.certificates as certificates_module
-
         ex = gen_example_uniform(2, 2, 2)
         cctx = certificate_context(ex.family.ctx, ex.family.n, ex.profile)
         calls = []
@@ -817,8 +959,6 @@ class TestRevalidation:
         assert len(calls) == 1
 
     def test_table_built_once_per_context(self, monkeypatch):
-        import qlattice.certificates as certificates_module
-
         calls = []
         real = certificates_module.compatible_rows
 

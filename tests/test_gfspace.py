@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qlattice import (
     DomainError,
+    Family,
     FieldContext,
     Lattice,
     LineIncidence,
@@ -23,6 +24,8 @@ from qlattice import (
     containment_vector,
     contains,
     enumerate_subspaces,
+    family_from_dict,
+    family_to_dict,
     field,
     field_from_dict,
     full_space,
@@ -837,6 +840,24 @@ class TestMeetDim:
                 with pytest.raises(AttributeError):
                     clone(space)
 
+    def test_packed_and_hashed_subspace_is_the_same_value(self):
+        ctx = field(2)
+        packed = canonicalize(ctx, 4, [[1, 1, 0, 1], [0, 1, 1, 1]])
+        meet_dim(packed, packed)
+        hash(packed)
+        assert hasattr(packed, "_gf2_rows") and hasattr(packed, "_hash")
+        fresh = Subspace(ctx, 4, packed.rows)
+        assert not hasattr(fresh, "_gf2_rows") and not hasattr(fresh, "_hash")
+        assert packed == fresh and repr(packed) == repr(fresh)
+        assert not hasattr(fresh, "_hash")
+        assert hash(packed) == hash(fresh) == hash((ctx, 4, packed.rows))
+        assert {fresh: 1}[packed] == 1 and {packed: 1}[fresh] == 1
+        assert "_hash" not in repr(packed) and Subspace._fields == ("ctx", "n", "rows")
+        for space in (packed, fresh):
+            for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+                with pytest.raises(AttributeError):
+                    clone(space)
+
 
 class TestStoredPivots:
     def test_pivots_match_rows(self):
@@ -852,6 +873,68 @@ class TestStoredPivots:
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert Subspace._fields == ("ctx", "n", "rows")
         assert "pivots" not in repr(a)
+
+
+class TestStoredHash:
+    """The first hash of a subspace is kept on it; every route to a value agrees."""
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
+    def test_every_route_hashes_and_compares_equal(self, q, n):
+        ctx, rng = field(q), random.Random(f"hash {q} {n}")
+        for d in range(n + 1):
+            enumerated = list(enumerate_subspaces(ctx, n, d))
+            for space in enumerated:
+                # spanning rows: the basis plus a random combination of it, shuffled
+                extra = [0] * n
+                for row in space.rows:
+                    c = rng.randrange(q)
+                    extra = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(extra, row)]
+                spanning = [list(row) for row in space.rows] + [extra]
+                rng.shuffle(spanning)
+                routes = [
+                    space,
+                    canonicalize(ctx, n, spanning),
+                    subspace_at(ctx, n, index_of(space)),
+                    Subspace(ctx, n, space.rows),
+                ]
+                assert not any(hasattr(s, "_hash") for s in routes)
+                for rounds in range(2):  # before any hash, then with every hash kept
+                    for a in routes:
+                        for b in routes:
+                            assert a == b and hash(a) == hash(b)
+                    assert all(hasattr(s, "_hash") for s in routes), rounds
+                assert hash(space) == hash((ctx, n, space.rows))
+            # members loaded from JSON were hashed by the duplicate check
+            loaded = family_from_dict(family_to_dict(Family(ctx, n, tuple(enumerated))))
+            assert all(hasattr(s, "_hash") for s in loaded)
+            assert loaded.members == tuple(enumerated)
+            assert list(map(hash, loaded)) == list(map(hash, enumerated))
+            assert {s: i for i, s in enumerate(loaded)} == {s: i for i, s in enumerate(enumerated)}
+
+    def test_unequal_values_stay_apart(self):
+        # equal hashes never make equal values: eq reads the fields only
+        ctx = field(2)
+        a, b = Subspace(ctx, 3, ((1, 0, 0),)), Subspace(ctx, 3, ((0, 1, 0),))
+        hash(a)
+        object.__setattr__(b, "_hash", a._hash)
+        assert a != b and hash(a) == hash(b) and len({a, b}) == 2
+        assert Subspace(field(3), 3, a.rows) != a and Subspace(ctx, 4, ((1, 0, 0, 0),)) != a
+
+    def test_global_index_rejects_outsiders_once_hashed(self):
+        lat = lattice(field(2), 3)
+        outsiders = [
+            Subspace(field(2), 4, ((1, 0, 0, 0),)),
+            Subspace(field(3), 3, ((1, 0, 0),)),
+            Subspace(field(4), 3, ((1, 0, 0),)),
+            Subspace(field(2), 2, ()),
+        ]
+        for space in outsiders:
+            for _ in range(2):  # with the hash not yet kept, then kept
+                with pytest.raises(DomainError):
+                    lat.global_index(space)
+            assert hasattr(space, "_hash")
+        inside = Subspace(field(2), 3, ((1, 0, 0), (0, 1, 0)))
+        assert lat.global_index(inside) == lat.global_index(inside) == 11
 
 
 class TestContainmentVector:
