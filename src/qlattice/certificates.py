@@ -21,12 +21,9 @@ use, one compatibility row per lattice entry whose dimension the profile
 admits (gfspace.compatible_rows over the shared_line_counts table, as
 search.build_graph builds its adjacency). A call then walks its members
 from last to first with the mask of the later ones: one AND per member,
-about 5 us for 16 members and 0.5 ms for 1395, and one meet_dim only for
-the witness pair of a failing family. The verdict and its detail are
-check_modular's. The table costs about 1 ms to build on GF(2)^5 and
-GF(3)^4 and about 20 ms on GF(2)^6 and GF(3)^5, and holds A^2 bits for A
-admitted entries: at most 1 MB on GF(2)^6 (2825 entries), about 100 MB
-on GF(2)^7.
+and one meet_dim only for the witness pair of a failing family. The
+verdict and its detail are check_modular's. The table holds A^2 bits for
+A admitted entries, so it grows with the square of the lattice.
 
 Rank and span run over packed rows: a row is one int whose lane j, a fixed
 number of whole bytes wide, holds entry j mod p. A row operation is one
@@ -39,11 +36,11 @@ rows, and one grid block per filter (every g_xy row, or those lemma52 and
 swallow2 keep) with its labels, packed rows, entries and rank. lemma41 and
 lemma52 take their labels, entries and rank from the block once the family
 has passed its re-check. swallow1 and swallow2 eliminate their member rows
-ahead of the block's rows, the order their labels run in. Grid rows first,
-even from a cached grid basis, is slower: 27 ms against 18 ms for swallow1
-on gen_example_uniform(3, 2, 2), 155 member rows and 32 grid rows, on a
-2-vCPU Xeon. CertificateMatrix.from_entries and rank_mod_p, which take lists
-of entries, remain the reference route.
+ahead of the block's rows, the order their labels run in: grid rows
+first, even from a cached grid basis, was slower for swallow1 on
+gen_example_uniform(3, 2, 2), with 155 member rows against 32 grid rows.
+CertificateMatrix.from_entries and rank_mod_p, which take lists of
+entries, remain the reference route.
 
 A member's g_i row depends on its lattice position and the context, not on
 the family, so the context keeps every row it has built, by position, as
@@ -51,12 +48,10 @@ a packed row and its entries tuple (CertificateContext._member_rows). A
 position's row is built and packed the first time a swallow certificate
 of a family that passed its re-check, or a span_check g_i sample, asks for
 it; every later call reads it, and the returned CertificateMatrix shares
-the stored entries tuples. The store grows with the distinct members seen
-and is never cleared. On GF(2)^6 with gen_example_uniform(3, 3, 2) a row
-takes about 33 KB and all 1395 members 44 MB (tracemalloc); a full-family
-swallow1 on a fresh context peaks at 57 MB with the store, where building
-every row per call peaked at 76 MB, and a repeat call takes 0.04 s instead
-of 0.8 s.
+the stored entries tuples. A stored row holds one entry per point. The
+store grows with the distinct members seen and is never cleared: the
+context is the unit of memory, and a caller bounds the store by dropping
+the context.
 """
 
 from __future__ import annotations
@@ -105,6 +100,12 @@ class CertificateContext(Record):
     The evaluation points are the containment vectors (capped at dimension s)
     of every subspace of the ambient space, in canonical lattice order; the
     matching SubspaceIndex labels are kept alongside for export.
+
+    The context is the unit of memory. Besides the rows that depend only on
+    it, it keeps the g_i row of every member position any certificate or
+    span_check has asked for, one entry per point each, and never clears
+    them; a caller that certifies many families bounds that store by
+    building a new context and dropping the old one.
     """
 
     ctx: FieldContext

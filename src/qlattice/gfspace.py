@@ -668,13 +668,18 @@ class LineIncidence:
     def planes(self, mask: int) -> list[int]:
         """Bit-sliced counts of the lines each entry shares with mask."""
         up, planes = self.up, []
-        for line in _bits(mask & ((1 << len(up)) - 1)):
+        rest = mask & ((1 << len(up)) - 1)
+        while rest:
+            line = rest.bit_length() - 1
+            rest ^= 1 << line
             carry = up[line]
-            for k, plane in enumerate(planes):
+            k = 0
+            for plane in planes:
                 planes[k] = plane ^ carry
                 carry &= plane
                 if not carry:
                     break
+                k += 1
             else:
                 if carry:
                     planes.append(carry)

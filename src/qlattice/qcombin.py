@@ -24,6 +24,12 @@ PSI_13 = 3317044064679887385961981
 # _pocklington tries the bases a = 2, 3, ... below this for each prime factor of n - 1.
 _POCKLINGTON_MAX_BASE = 1000
 
+# zsigmondy_prime trial-divides cofactor - 1 at most this far and leaves the
+# rest to _rho_factor. Trial division to 10^7 is 5·10^6 divisions of a long
+# int; rho finds a prime factor p in about sqrt(p) steps, a few thousand
+# for p below 10^7.
+_POCKLINGTON_TRIAL_CEILING = 10 ** 5
+
 # _rho_factor's cap: about a second of steps. Its cost grows with the square
 # root of the smallest prime factor, so factors up to about 10^12 are in reach.
 _RHO_MAX_STEPS = 1 << 21
@@ -296,10 +302,10 @@ def zsigmondy_prime(
     unfactorable composite cofactor raises ResourceLimitError carrying the
     partial factorization. is_prime is exact only below PSI_13, so a larger
     cofactor that would be the answer must also pass _pocklington, with
-    cofactor - 1 trial-divided to the same ceiling and its leftover split
-    by _rho_factor; without that proof it raises ResourceLimitError with the
-    same partial data. So does a q^b - 1 too large to trial-factor:
-    b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
+    cofactor - 1 trial-divided to min(ceiling, _POCKLINGTON_TRIAL_CEILING)
+    and its leftover split by _rho_factor; without that proof it raises
+    ResourceLimitError with the same partial data. So does a q^b - 1 too
+    large to trial-factor: b·ceil(log2 q) over ZSIGMONDY_MAX_BITS.
     """
     exc = zsigmondy_exception(q, b)
     if exc is not None:
@@ -323,11 +329,12 @@ def zsigmondy_prime(
         if has_order(q, p, b):
             return p
     if rem > 1:
-        if rem >= PSI_13 and not _pocklington(rem, ceiling):
+        proof_ceiling = min(ceiling, _POCKLINGTON_TRIAL_CEILING)
+        if rem >= PSI_13 and not _pocklington(rem, proof_ceiling):
             raise ResourceLimitError(
                 f"cofactor {rem} of {q}^{b}-1 is a probable prime that trial division "
-                f"of cofactor - 1 to {ceiling} and Pollard-Brent rho on the leftover "
-                f"cannot prove prime",
+                f"of cofactor - 1 to {proof_ceiling} and Pollard-Brent rho on the "
+                f"leftover cannot prove prime",
                 partial=partial,
             )
         if has_order(q, rem, b):

@@ -5,18 +5,21 @@ pairwise condition on intersections, so the valid families over an ambient
 space are exactly the cliques of a compatibility graph. Maximum cliques are
 found by an iterative branch and bound over an explicit stack, so clique
 depth is not limited by the interpreter's recursion limit. Greedy coloring
-gives the bounds; colors that cannot beat the best clique at node entry
-(at or below k_min = len(best) - len(current)) are not recorded. The search
-is fully deterministic, and budget exhaustion is reported as a result state
-rather than an error. The time budget is the budgets.budget deadline:
-build_graph checks it between phases and rows, max_family every 1024 rows
-of its table build (raising, like build_graph) and at every node.
+gives the bounds. The search is fully deterministic, and budget exhaustion
+is reported as a result state rather than an error. The time budget is the
+budgets.budget deadline: build_graph checks it between phases and rows,
+max_family every 1024 rows of its table build (raising, like build_graph)
+and at every node.
 
 max_family holds candidate sets in reversed bit order, vertex v at bit
 position count - v counted from 1. Greedy coloring takes the lowest-index
 vertex of a set next, and in this order that vertex is the set's top bit,
 found by one bit_length() with no negate-and-AND to isolate it; clearing
-top bits also shrinks the ints. The tree is node for node the one of index
+top bits also shrinks the ints. Almost all of a search's time is that
+coloring, and most of it is spent on the colors that cannot beat the best
+clique at node entry (1 .. k_min = best size - depth). Those are colored in
+a loop that records nothing; only a node with a color above k_min records
+branches and pushes a frame. The tree is node for node the one of index
 order, and the graph's own adjacency stays in index order.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
@@ -279,11 +282,12 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     upper bounds, visiting vertices in canonical index order; repeated runs
     return the identical family. Each node colors its candidates greedily
     and branches on them from the highest color down, pruning a vertex whose
-    color cannot lift the current clique above the best one. Colors at or
-    below k_min = len(best) - len(current) at node entry are not recorded,
-    because the best clique only grows, so those vertices are always pruned.
-    When limits.max_nodes or the budget deadline runs out, the best family
-    found so far is returned with exhausted False.
+    color cannot lift the current clique above the best one. Colors 1 ..
+    k_min = best_size - depth at node entry are colored but not recorded,
+    because the best clique only grows, so those vertices are always
+    pruned; a node with no higher color records nothing and pushes no
+    frame. When limits.max_nodes or the budget deadline runs out, the best
+    family found so far is returned with exhausted False.
 
     Candidate sets are held in reversed bit order: vertex v sits at bit
     position b = count - v, counted from 1, so b = x.bit_length() names the
@@ -295,6 +299,12 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     are built once per call, with the budget deadline ("search") checked
     after every 1024 rows. A child's candidates are its parent's, less b,
     & ~nonadj[b]. The tree is the one index order gives.
+
+    A vertex leaves a set it belongs to by rest -= bits[b], not ^=, because
+    CPython specializes int subtraction and not the bitwise operators. The
+    bits table stays, at one int per vertex: computing 1 << (b - 1) at each
+    step instead made max_family about a quarter slower on the benchmark's
+    warm searches (CPython 3.11).
     """
     limits = limits or SearchLimits()
     count = graph.size
@@ -313,13 +323,27 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
         if not (count - v) % 1024:
             check_deadline("search", rows=count - v, vertices=count)
     bits = [0, *(1 << j for j in range(count))]
+    # The clique so far is current[:depth], as bit positions.
+    current = [0] * count
     best: list[int] = []
-    current: list[int] = []
-    nodes = 0
+    best_size = depth = nodes = 0
     aborted = False
-    # Each frame is [candidates, positions, colors, next index]: a node's
-    # remaining candidates and its recorded coloring, walked from the end.
-    stack: list[list] = []
+    # A branch is one int, bound << shift | b: vertex b and the size its
+    # subtree may reach, the node's depth plus b's color. It is pruned when
+    # bound <= best_size, that is when the int is below floor.
+    shift = count.bit_length()
+    stride = 1 << shift
+    low = stride - 1
+    floor = (best_size + 1) << shift
+    # A frame is (candidates, branches): a node's remaining candidates and
+    # its recorded branches, taken from the end. Each branch list starts
+    # with a 0, below every floor, so an exhausted node reads as pruned. The
+    # innermost frame is held in top_candidates and top_branches, the ones
+    # around it on the stack; the frame at depth d sits under current[:d],
+    # and the bottom one is a sentinel with no branch.
+    stack: list[tuple[int, list[int]]] = []
+    top_candidates = 0
+    top_branches: list[int] = [0]
     candidates = full
     while True:
         if candidates:
@@ -328,55 +352,61 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
                 aborted = True
                 break
             nodes += 1
-            k_min = len(best) - len(current)
-            positions: list[int] = []
-            colors: list[int] = []
-            color = 0
             rest = candidates
-            while rest:
-                color += 1
+            # Colors 1 .. k_min = best_size - depth are never branched on.
+            for _ in range(best_size - depth):
                 avail = rest
-                if color <= k_min:
+                while avail:
+                    b = avail.bit_length()
+                    rest -= bits[b]
+                    avail &= nonadj[b]
+                if not rest:
+                    break
+            if rest:
+                # The first recorded color is max(k_min, 0) + 1.
+                branches = [0]
+                key = max(best_size, depth) << shift
+                while rest:
+                    key += stride
+                    avail = rest
                     while avail:
                         b = avail.bit_length()
-                        rest ^= bits[b]
+                        branches.append(key | b)
+                        rest -= bits[b]
                         avail &= nonadj[b]
-                else:
-                    while avail:
-                        b = avail.bit_length()
-                        positions.append(b)
-                        colors.append(color)
-                        rest ^= bits[b]
-                        avail &= nonadj[b]
-            stack.append([candidates, positions, colors, len(positions) - 1])
-        elif current:
+                stack.append((top_candidates, top_branches))
+                top_candidates = candidates
+                top_branches = branches
+            else:
+                # No color above k_min: back out of the node at once.
+                depth -= 1
+        elif depth:
             # A leaf: the clique cannot grow.
-            if len(current) > len(best):
-                best = current.copy()
-            current.pop()
-        # Pick the next branch, leaving every exhausted or pruned node.
-        while stack:
-            frame = stack[-1]
-            i = frame[3]
-            if i < 0 or len(current) + frame[2][i] <= len(best):
-                stack.pop()
-                if current:
-                    current.pop()
-                continue
-            b = frame[1][i]
-            frame[3] = i - 1
+            if depth > best_size:
+                best = current[:depth]
+                best_size = depth
+                floor = (best_size + 1) << shift
+            depth -= 1
+        # Leave every exhausted or pruned node, then take the next branch.
+        while top_branches[-1] < floor:
+            if not stack:
+                break
+            top_candidates, top_branches = stack.pop()
+            depth -= 1
+        else:
+            b = top_branches.pop() & low
             # b leaves the node's candidates before its subtree rather than
             # after, so the child's candidates, which must lack b, are the
             # remaining ones outside nonadj[b].
-            candidates = frame[0] ^ bits[b]
-            frame[0] = candidates
-            candidates &= ~nonadj[b]
-            current.append(count - b)
-            break
-        else:
-            break
+            top_candidates -= bits[b]
+            candidates = top_candidates & ~nonadj[b]
+            current[depth] = b
+            depth += 1
+            continue
+        # Only the bottom sentinel is left: the root is exhausted.
+        break
 
-    chosen = sorted(best)
+    chosen = sorted(count - b for b in best)
     members = tuple(
         subspace_at(graph.ctx, graph.n, graph.vertices[v]) for v in chosen
     )

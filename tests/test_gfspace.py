@@ -680,17 +680,43 @@ def _count_at(planes, j):
     return sum(((plane >> j) & 1) << k for k, plane in enumerate(planes))
 
 
-class TestLineIncidence:
-    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
-    def test_planes_count_shared_lines(self, q, n):
+PLANES_LATTICES = {"GF(2)^4": (2, 4), "GF(3)^3": (3, 3), "GF(4)^3": (4, 3), "GF(5)^2": (5, 2)}
+
+
+def _planes_case(name):
+    """(entry masks, query masks) of one test_planes_count_shared_lines case."""
+    if name in PLANES_LATTICES:
+        q, n = PLANES_LATTICES[name]
         lines = lattice(field(q), n).lines
+        return lines, lines
+    rng = random.Random(name)
+    if name == "below-top-lines":
+        # The entries hold none of the top lines of GF(2)^5, so up is shorter
+        # than the queries, which also carry lines beyond the whole space.
+        full = lattice(field(2), 5).lines
+        lines = [m for m in full if m.bit_length() <= 20]
+        return lines, [*full, (1 << 40) - 1, *(rng.getrandbits(50) for _ in range(20))]
+    # Nested runs of low lines: the shared counts min(a, c) fall on both
+    # sides of each power of two up to 64, so carries ripple through every
+    # plane and the top plane is added. Line 70 alone leaves lines 65 to 69
+    # held by no entry: a query made of them adds no plane.
+    runs = [(1 << c) - 1 for c in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)]
+    runs.append(1 << 70)
+    unheld = (1 << 70) - (1 << 65)
+    return runs, [*runs, unheld, unheld | 1, *(rng.getrandbits(72) for _ in range(20))]
+
+
+class TestLineIncidence:
+    @pytest.mark.parametrize("name", [*PLANES_LATTICES, "below-top-lines", "nested-runs"])
+    def test_planes_count_shared_lines(self, name):
+        lines, queries = _planes_case(name)
         incidence = LineIncidence(lines)
-        for u in lines:
+        for u in queries:
             planes = incidence.planes(u)
+            counts = [(u & v).bit_count() for v in lines]
             assert all(plane >> len(lines) == 0 for plane in planes)
-            assert [_count_at(planes, j) for j in range(len(lines))] == [
-                (u & v).bit_count() for v in lines
-            ]
+            assert len(planes) == max(counts).bit_length()
+            assert [_count_at(planes, j) for j in range(len(lines))] == counts
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
     def test_up_lists_the_holders_of_each_line(self, q, n):

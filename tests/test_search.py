@@ -586,11 +586,16 @@ class TestAgainstReference:
     def test_lattice_graphs(self, q, n, predicate):
         _assert_same_search(build_graph(field(q), n, predicate, SearchLimits()))
 
-    @pytest.mark.parametrize("max_nodes", [1, 100, 20000])
+    # At 7 and 1000 nodes the budget runs out deep in the tree, mostly with
+    # siblings of the node it stops at still untaken; 1000 also lets some
+    # searches finish.
+    @pytest.mark.parametrize("max_nodes", [1, 7, 100, 1000, 20000])
+    @pytest.mark.parametrize("dim_filter", [None, (2, 3)])
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
-    def test_full_lattice_graphs(self, q, n, predicate, max_nodes):
-        _assert_same_tree(build_graph(field(q), n, predicate), max_nodes)
+    def test_full_lattice_graphs(self, q, n, predicate, dim_filter, max_nodes):
+        limits = SearchLimits(dim_filter=dim_filter)
+        _assert_same_tree(build_graph(field(q), n, predicate, limits), max_nodes)
 
     def test_gf2_6_half_first_nodes(self):
         _assert_same_tree(build_graph(field(2), 6, FractionSet(((1, 2),))), 2000)

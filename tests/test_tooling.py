@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -117,6 +118,29 @@ def test_read_guard_ignores_other_names():
 
 def test_guard_scans_the_whole_package():
     assert {"cli.py", "gfspace.py", "search.py"} <= {path.name for path in SOURCES}
+
+
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _least_python() -> tuple[int, int]:
+    """(major, minor) of pyproject.toml's requires-python = ">=X.Y"."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    assert found, "pyproject.toml declares no requires-python lower bound"
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_sources_parse_on_the_least_declared_python(path):
+    # The interpreter running the tests may be newer than the least one the
+    # package declares; the parser's feature_version refuses newer syntax.
+    ast.parse(path.read_text(), filename=str(path), feature_version=_least_python())
+
+
+def test_version_guard_sees_newer_syntax():
+    assert _least_python() == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def _constructs(source: str, name: str) -> list[int]:
