@@ -11,8 +11,8 @@ full row rank proves linear independence, anything less is inconclusive.
 Each point is an int mask cut from Lattice.contains_mask, so an f or g_xy
 row reads one bit per point. A point's line count is the popcount of its line
 mask (gfspace.line_mask), the lines it shares with a member the popcount of
-the AND of the two masks. The members' lattice positions are looked up
-once per call, and their masks read from the context lattice's lines.
+the AND of the two masks. The members' lattice positions come from
+Lattice.global_index, their masks from the context lattice's lines.
 
 The rank argument holds only for a family that follows the profile, so
 every certificate first re-checks the family. Which pairs the profile
@@ -183,21 +183,18 @@ class CertificateContext(Record):
         """Rows of allowed pairs over the admitted lattice entries, and each position's row.
 
         The entries are the subspaces whose dimension the profile admits, in
-        lattice order. Bit j of row i is set when entries i and j may meet,
-        by the profile's shared_line_counts table, the one search.build_graph
-        reads. Admitted entries are whole dimension blocks, so a block's rows
-        follow from its offset in the lattice; index[g] is the row of
-        lattice position g, None where the profile does not admit its
-        dimension.
+        lattice order, picked from lat.dims as search.build_graph picks its
+        vertices. Bit j of row i is set when entries i and j may meet, by
+        the profile's shared_line_counts table, the one build_graph reads.
+        index[g] is the row of lattice position g, None where the profile
+        does not admit its dimension.
         """
         lat = lattice(self.ctx, self.n)
+        dims = {d for d in range(self.n + 1) if self.profile.admits(d)}
+        positions = [g for g, d in enumerate(lat.dims) if d in dims]
         index: list[Optional[int]] = [None] * len(lat)
-        positions: list[int] = []
-        for d, offset in enumerate(lat.offsets):
-            if self.profile.admits(d):
-                end = offset + qbinom(self.n, d, self.q)
-                index[offset:end] = range(len(positions), len(positions) + end - offset)
-                positions += range(offset, end)
+        for row, g in enumerate(positions):
+            index[g] = row
         rows = compatible_rows(
             [lat.lines[g] for g in positions],
             [lat.dims[g] for g in positions],
@@ -251,7 +248,7 @@ def certificate_context(
     lat = lattice(ctx, n)
     low = (1 << total) - 1
     points = tuple(ContainmentVector(ctx, n, s, mask & low) for mask in lat.contains_mask)
-    labels = tuple(SubspaceIndex(d, w - lat.offsets[d] + 1) for w, d in enumerate(lat.dims))
+    labels = tuple(map(lat.index_at, range(len(lat))))
     return CertificateContext(ctx, n, profile, p, total, points, labels)
 
 
@@ -605,7 +602,7 @@ def independence_certificate(
     if family.ctx != cctx.ctx or family.n != cctx.n:
         raise DomainError("family ambient does not match the certificate context")
     lat = lattice(cctx.ctx, cctx.n)
-    where = [lat.position[m] for m in family]
+    where = list(map(lat.global_index, family))
     _recheck(cctx, family, where)
 
     grid = cctx._grid_filtered if variant in ("lemma52", "swallow2") else cctx._grid

@@ -18,11 +18,12 @@ deadline. field(q) and field_from_dict give one shared context per field,
 whose tables are built on first use from the powers of one generator (a
 discrete log).
 
-Enumeration order within one dimension: pivot patterns are sorted so that the
-pattern occupying the rightmost columns comes first (compare the column sets
-mirrored right-to-left), and within one pattern the free entries, read row-major,
-run through base-q integers in ascending order. Under this order the first
-1-dim subspace of GF(2)^3 is span{(0,0,1)} and the last is span{(1,1,1)}.
+Enumeration order within one dimension, one table (_order) for enumeration,
+index_of and subspace_at: pivot patterns are sorted so that the pattern on
+the rightmost columns comes first (compare the column sets mirrored
+right-to-left), and within one pattern the free entries, read row-major, run
+through base-q integers in ascending order. Under this order the first 1-dim
+subspace of GF(2)^3 is span{(0,0,1)} and the last is span{(1,1,1)}.
 """
 from __future__ import annotations
 
@@ -297,15 +298,15 @@ class Subspace(Record):
     pivots, each row's pivot column, set on construction; over GF(2)
     only, _gf2_rows, the rows packed as (pivot bit, row) ints with column 0
     as the top bit, which meet_dim fills on first use, so building a
-    lattice does not pay for them; and _hash, the hash of (ctx, n, rows),
-    which the first hash stores, so a Lattice.position lookup of a member
-    hashes its rows once per subspace, not once per lookup. Only this
-    module reads _gf2_rows.
+    lattice does not pay for them; and _index, the SubspaceIndex that
+    index_of computes and keeps, so a certificate reading its members'
+    lattice positions computes each one once per subspace. Only this
+    module reads _gf2_rows and _index.
     """
 
     # Built on every lattice and canonicalize path: slots, and eq and hash
     # written out, which are about twice as fast as the generic ones.
-    __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows", "_hash")
+    __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows", "_index")
     ctx: FieldContext
     n: int
     rows: tuple[tuple[int, ...], ...]
@@ -346,12 +347,7 @@ class Subspace(Record):
         return (self.ctx, self.n, self.rows) == (other.ctx, other.n, other.rows)
 
     def __hash__(self):
-        # getattr's default costs less than a try on the first, missing read
-        value = getattr(self, "_hash", None)
-        if value is None:
-            value = hash((self.ctx, self.n, self.rows))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return hash((self.ctx, self.n, self.rows))
 
     def __repr__(self):
         return f"Subspace(n={self.n}, dim={self.dim}, rows={self.rows})"
@@ -507,24 +503,27 @@ class SubspaceIndex(NamedTuple):
     pos: int
 
 
-def _pattern_sort_key(cols: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # mirror right-to-left: patterns on the rightmost columns sort first
-    return tuple(sorted(n - 1 - c for c in cols))
-
-
 @lru_cache(maxsize=None)
-def _patterns(n: int, dim: int) -> tuple[tuple[int, ...], ...]:
+def _order(n: int, dim: int, q: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
+    """Each pivot pattern of dimension dim, in canonical order: (start, free).
+
+    start is the 0-based rank of the pattern's first subspace in GF(q)^n,
+    free its free entries (row, column), read row-major, whose digits count
+    in base q from there. Callers must not change the table.
+    """
+    order, start = {}, 0
+    # each (row, column) pair is one shared object: a pattern costs a pointer per free entry
+    at = [[(i, c) for c in range(n)] for i in range(dim)]
     combos = itertools.combinations(range(n), dim)
-    return tuple(sorted(combos, key=lambda cols: _pattern_sort_key(cols, n)))
-
-
-def _free_positions(cols: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    colset = set(cols)
-    return [(i, c) for i, piv in enumerate(cols) for c in range(piv + 1, n) if c not in colset]
+    for cols in sorted(combos, key=lambda cols: sorted(n - 1 - c for c in cols)):
+        free = tuple(at[i][c] for i, p in enumerate(cols) for c in range(p + 1, n) if c not in cols)
+        order[cols] = (start, free)
+        start += q ** len(free)
+    return order
 
 
 def _build_from_pattern(
-    ctx: FieldContext, n: int, cols: tuple[int, ...], free: list[tuple[int, int]], digits: Sequence[int]
+    ctx: FieldContext, n: int, cols: tuple[int, ...], free: tuple, digits: Sequence[int]
 ) -> Subspace:
     rows = [[0] * n for _ in cols]
     for i, piv in enumerate(cols):
@@ -546,11 +545,7 @@ def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspac
     _require_budget(qbinom(n, dim, ctx.q), f"subspaces of dimension {dim}")
 
     def gen():
-        if dim == 0:
-            yield zero_subspace(ctx, n)
-            return
-        for cols in _patterns(n, dim):
-            free = _free_positions(cols, n)
+        for cols, (_, free) in _order(n, dim, ctx.q).items():
             for digits in itertools.product(range(ctx.q), repeat=len(free)):
                 yield _build_from_pattern(ctx, n, cols, free, digits)
 
@@ -558,21 +553,18 @@ def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspac
 
 
 def index_of(space: Subspace) -> SubspaceIndex:
-    """Canonical-order index of a subspace within its dimension (1-based)."""
-    d, n, q = space.dim, space.n, space.ctx.q
-    if d == 0:
-        return SubspaceIndex(0, 1)
-    mycols = space.pivots
-    offset = 0
-    for cols in _patterns(n, d):
-        free = _free_positions(cols, n)
-        if cols == mycols:
-            value = 0
-            for i, c in free:
-                value = value * q + space.rows[i][c]
-            return SubspaceIndex(d, offset + value + 1)
-        offset += q ** len(free)
-    raise ArithmeticError("pivot pattern not found")  # unreachable for valid input
+    """Canonical-order index of a subspace within its dimension (1-based), kept on it."""
+    try:
+        return space._index
+    except AttributeError:
+        q, rows = space.ctx.q, space.rows
+        start, free = _order(space.n, len(rows), q)[space.pivots]
+        value = 0
+        for i, c in free:
+            value = value * q + rows[i][c]
+        index = SubspaceIndex(len(rows), start + value + 1)
+        object.__setattr__(space, "_index", index)
+        return index
 
 
 def subspace_at(ctx: FieldContext, n: int, index: SubspaceIndex) -> Subspace:
@@ -583,20 +575,14 @@ def subspace_at(ctx: FieldContext, n: int, index: SubspaceIndex) -> Subspace:
     total = qbinom(n, d, ctx.q)
     if not 1 <= pos <= total:
         raise DomainError(f"position {pos} outside [1, {total}] for dimension {d}")
-    if d == 0:
-        return zero_subspace(ctx, n)
-    remaining = pos - 1
-    for cols in _patterns(n, d):
-        free = _free_positions(cols, n)
-        block = ctx.q ** len(free)
-        if remaining >= block:
-            remaining -= block
-            continue
-        digits = [0] * len(free)
-        for slot in range(len(free) - 1, -1, -1):
-            remaining, digits[slot] = divmod(remaining, ctx.q)
-        return _build_from_pattern(ctx, n, cols, free, digits)
-    raise ArithmeticError("position not reached")  # unreachable
+    # the last pattern that starts at or before the rank holds it
+    for cols, (start, free) in reversed(_order(n, d, ctx.q).items()):
+        if start < pos:
+            break
+    remaining, digits = pos - 1 - start, [0] * len(free)
+    for slot in range(len(free) - 1, -1, -1):
+        remaining, digits[slot] = divmod(remaining, ctx.q)
+    return _build_from_pattern(ctx, n, cols, free, digits)
 
 
 def line_mask(space: Subspace) -> int:
@@ -744,7 +730,9 @@ class Lattice:
     """All subspaces of one ambient in canonical global order, with caches.
 
     Global order is dimension-major: all of dimension 0, then 1, and so on,
-    each dimension in enumeration order. Incidence comes from lines[u], the
+    each dimension in enumeration order, so global_index and index_at
+    compute the position of (d, pos) as offsets[d] + pos - 1; no table maps
+    subspaces to positions. Incidence comes from lines[u], the
     line_mask of subspace u, built once here. The lazy contains_mask table
     derives from it through compatible_rows: bit u of contains_mask[w] says
     u lies inside w, that is, w holds all [dim u 1]_q lines of u. Family
@@ -765,7 +753,6 @@ class Lattice:
             check_deadline("lattice", dim=d, subspaces=len(subs))
         self.subspaces: tuple[Subspace, ...] = tuple(subs)
         self.dims: tuple[int, ...] = tuple(s.dim for s in subs)
-        self.position: dict[Subspace, int] = {s: i for i, s in enumerate(subs)}
         lines: list[int] = []
         for d, end in enumerate([*self.offsets[1:], len(subs)]):
             lines.extend(map(line_mask, subs[len(lines):end]))
@@ -777,10 +764,18 @@ class Lattice:
         return len(self.subspaces)
 
     def global_index(self, space: Subspace) -> int:
-        try:
-            return self.position[space]
-        except KeyError:
+        """Position of space in the global order; DomainError for another ambient."""
+        if space.n != self.n or (space.ctx is not self.ctx and space.ctx != self.ctx):
             raise DomainError("subspace does not belong to this lattice")
+        d, pos = index_of(space)
+        return self.offsets[d] + pos - 1
+
+    def index_at(self, g: int) -> SubspaceIndex:
+        """The (dim, pos) of global position g; DomainError outside [0, len)."""
+        if not 0 <= g < len(self.subspaces):
+            raise DomainError(f"position {g} outside [0, {len(self.subspaces)})")
+        d = self.dims[g]
+        return SubspaceIndex(d, g - self.offsets[d] + 1)
 
     @property
     def contains_mask(self) -> list[int]:

@@ -4,9 +4,9 @@ Transforms gather, for each subspace W, the values of every U inside W with
 one operator.itemgetter built from Lattice.contains_mask, so a transform is
 one C-level gather and sum per subspace instead of a Python walk over
 containment bits. A lattice's getters are built on its first transform and
-kept in a small bounded cache. They hold one position per containment pair
-(95,706 for GF(2)^6, about 1.2 MB with the positions drawn from one shared
-list of ints), so their memory grows with the number of containment pairs.
+kept in a small bounded cache. They hold one position per containment pair,
+drawn from one shared list of ints, so their memory grows with the number
+of containment pairs, which grows faster than the lattice itself.
 Values are residues. Join fibres are read from containment and shared line
 counts, so no join is built. Nothing here assumes the modulus arises from a
 full-order prime search, so the module is reusable for generic poset

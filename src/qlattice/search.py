@@ -246,9 +246,7 @@ def build_graph(
     ):
         adjacency.append(row)
         check_deadline("graph", rows=len(adjacency), vertices=len(positions))
-    vertices = tuple(
-        SubspaceIndex(lat.dims[g], g - lat.offsets[lat.dims[g]] + 1) for g in positions
-    )
+    vertices = tuple(map(lat.index_at, positions))
     return CompatGraph(ctx, n, vertices, tuple(adjacency))
 
 

@@ -604,7 +604,7 @@ class TestCertificatesMatchOracle:
         span_check(fresh, fam, [("g_i", i) for i in range(len(fam))])
         assert calls == {"_g_i_row": len(fam), "pack": len(fam), "echelon": 4}
         lat = lattice(field(2), 3)
-        assert sorted(fresh._member_rows) == sorted(lat.position[m] for m in fam)
+        assert sorted(fresh._member_rows) == sorted(lat.global_index(m) for m in fam)
 
     def test_shared_line_table_computed_once(self, tight):
         # one miss per (predicate, n, q), shared by the context's re-check
@@ -735,11 +735,11 @@ class TestMemberRowStore:
             store = cctx._member_rows
             for label, entries in zip(cert.rows, cert.entries):
                 if label[0] == "g_i":  # the matrix shares the stored tuples
-                    assert entries is store[lat.position[fam[label[1]]]][1]
+                    assert entries is store[lat.global_index(fam[label[1]])][1]
         mine = {member: count for (owner, member), count in built.items() if owner == id(cctx)}
-        assert mine == {lat.lines[lat.position[m]]: 1 for m in seen}
+        assert mine == {lat.lines[lat.global_index(m)]: 1 for m in seen}
         store = cctx._member_rows
-        assert sorted(store) == sorted(lat.position[m] for m in seen)
+        assert sorted(store) == sorted(lat.global_index(m) for m in seen)
         for g, (row, entries) in store.items():
             single = Family(ctx, n, (lat.subspaces[g],))
             spec = tuple(v % cctx.p for v in _spec_row(cctx, single, ("g_i", 0)))
@@ -788,7 +788,7 @@ class TestMemberRowStore:
             for c in (context, cut):
                 # each sample's row built and packed per call, the route before the store
                 lanes, lat = c._lanes, lattice(c.ctx, c.n)
-                lines = [lat.lines[lat.position[m]] for m in family]
+                lines = [lat.lines[lat.global_index(m)] for m in family]
                 before = tuple(not lanes.lead(c._f_basis, lanes.pack(
                     certificates_module._g_i_row(c, member, lat.lines)))[1] for member in lines)
                 built.clear()

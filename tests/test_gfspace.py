@@ -1,6 +1,7 @@
 """Finite fields, canonical subspaces, enumeration, and the subspace lattice."""
 
 import copy
+import hashlib
 import pickle
 import random
 import time
@@ -871,14 +872,13 @@ class TestMeetDim:
         packed = canonicalize(ctx, 4, [[1, 1, 0, 1], [0, 1, 1, 1]])
         meet_dim(packed, packed)
         hash(packed)
-        assert hasattr(packed, "_gf2_rows") and hasattr(packed, "_hash")
+        assert hasattr(packed, "_gf2_rows")
         fresh = Subspace(ctx, 4, packed.rows)
-        assert not hasattr(fresh, "_gf2_rows") and not hasattr(fresh, "_hash")
+        assert not hasattr(fresh, "_gf2_rows")
         assert packed == fresh and repr(packed) == repr(fresh)
-        assert not hasattr(fresh, "_hash")
         assert hash(packed) == hash(fresh) == hash((ctx, 4, packed.rows))
         assert {fresh: 1}[packed] == 1 and {packed: 1}[fresh] == 1
-        assert "_hash" not in repr(packed) and Subspace._fields == ("ctx", "n", "rows")
+        assert Subspace._fields == ("ctx", "n", "rows")
         for space in (packed, fresh):
             for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
                 with pytest.raises(AttributeError):
@@ -901,66 +901,129 @@ class TestStoredPivots:
         assert "pivots" not in repr(a)
 
 
-class TestStoredHash:
-    """The first hash of a subspace is kept on it; every route to a value agrees."""
+def _respanned(ctx, space, rng):
+    """Spanning rows of space: its basis plus a random combination of it, shuffled."""
+    extra = [0] * space.n
+    for row in space.rows:
+        c = rng.randrange(ctx.q)
+        extra = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(extra, row)]
+    spanning = [list(row) for row in space.rows] + [extra]
+    rng.shuffle(spanning)
+    return spanning
+
+
+class TestStoredIndex:
+    """index_of keeps its result on the subspace; every route to a value agrees."""
 
     @pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
-    def test_every_route_hashes_and_compares_equal(self, q, n):
+    def test_every_route_indexes_hashes_and_compares_equal(self, q, n):
         ctx, rng = field(q), random.Random(f"hash {q} {n}")
         for d in range(n + 1):
             enumerated = list(enumerate_subspaces(ctx, n, d))
-            for space in enumerated:
-                # spanning rows: the basis plus a random combination of it, shuffled
-                extra = [0] * n
-                for row in space.rows:
-                    c = rng.randrange(q)
-                    extra = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(extra, row)]
-                spanning = [list(row) for row in space.rows] + [extra]
-                rng.shuffle(spanning)
+            for pos, space in enumerate(enumerated, start=1):
                 routes = [
                     space,
-                    canonicalize(ctx, n, spanning),
-                    subspace_at(ctx, n, index_of(space)),
+                    canonicalize(ctx, n, _respanned(ctx, space, rng)),
+                    subspace_at(ctx, n, SubspaceIndex(d, pos)),
                     Subspace(ctx, n, space.rows),
                 ]
-                assert not any(hasattr(s, "_hash") for s in routes)
-                for rounds in range(2):  # before any hash, then with every hash kept
+                assert not any(hasattr(s, "_index") for s in routes)
+                for rounds in range(2):  # before any index is kept, then with each kept
                     for a in routes:
                         for b in routes:
                             assert a == b and hash(a) == hash(b)
-                    assert all(hasattr(s, "_hash") for s in routes), rounds
+                    assert all(index_of(s) == (d, pos) for s in routes), rounds
+                    assert all(hasattr(s, "_index") for s in routes), rounds
                 assert hash(space) == hash((ctx, n, space.rows))
-            # members loaded from JSON were hashed by the duplicate check
             loaded = family_from_dict(family_to_dict(Family(ctx, n, tuple(enumerated))))
-            assert all(hasattr(s, "_hash") for s in loaded)
             assert loaded.members == tuple(enumerated)
             assert list(map(hash, loaded)) == list(map(hash, enumerated))
             assert {s: i for i, s in enumerate(loaded)} == {s: i for i, s in enumerate(enumerated)}
 
     def test_unequal_values_stay_apart(self):
-        # equal hashes never make equal values: eq reads the fields only
+        # an equal index never makes equal values: eq and hash read the fields only
         ctx = field(2)
         a, b = Subspace(ctx, 3, ((1, 0, 0),)), Subspace(ctx, 3, ((0, 1, 0),))
-        hash(a)
-        object.__setattr__(b, "_hash", a._hash)
-        assert a != b and hash(a) == hash(b) and len({a, b}) == 2
+        index_of(a)
+        object.__setattr__(b, "_index", a._index)
+        assert a != b and len({a, b}) == 2
         assert Subspace(field(3), 3, a.rows) != a and Subspace(ctx, 4, ((1, 0, 0, 0),)) != a
 
-    def test_global_index_rejects_outsiders_once_hashed(self):
+    def test_eq_hash_and_repr_ignore_the_slot(self):
+        ctx = field(3)
+        kept = canonicalize(ctx, 3, [[1, 2, 0], [0, 1, 1]])
+        index_of(kept)
+        fresh = Subspace(ctx, 3, kept.rows)
+        assert hasattr(kept, "_index") and not hasattr(fresh, "_index")
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        assert {fresh: 1}[kept] == 1 and {kept: 1}[fresh] == 1
+        assert "_index" not in repr(kept) and Subspace._fields == ("ctx", "n", "rows")
+        # records stay unsupported by copy and pickle, indexed or not
+        for space in (kept, fresh):
+            for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+                with pytest.raises(AttributeError):
+                    clone(space)
+
+    def test_global_index_rejects_outsiders(self):
         lat = lattice(field(2), 3)
+        gf8 = lattice(field(8), 2)
+        other_gf8 = field_from_dict({"p": 2, "e": 3, "modulus": [1, 0, 1, 1]})
+        assert other_gf8 != field(8)
         outsiders = [
-            Subspace(field(2), 4, ((1, 0, 0, 0),)),
-            Subspace(field(3), 3, ((1, 0, 0),)),
-            Subspace(field(4), 3, ((1, 0, 0),)),
-            Subspace(field(2), 2, ()),
+            (lat, Subspace(field(2), 4, ((1, 0, 0, 0),))),
+            (lat, Subspace(field(3), 3, ((1, 0, 0),))),
+            (lat, Subspace(field(4), 3, ((1, 0, 0),))),
+            (lat, Subspace(field(2), 2, ())),
+            (gf8, Subspace(other_gf8, 2, ((1, 5),))),
         ]
-        for space in outsiders:
-            for _ in range(2):  # with the hash not yet kept, then kept
-                with pytest.raises(DomainError):
-                    lat.global_index(space)
-            assert hasattr(space, "_hash")
+        for host, space in outsiders:
+            for _ in range(2):  # with the index not yet kept, then kept
+                with pytest.raises(DomainError, match="does not belong to this lattice"):
+                    host.global_index(space)
+                index_of(space)
         inside = Subspace(field(2), 3, ((1, 0, 0), (0, 1, 0)))
         assert lat.global_index(inside) == lat.global_index(inside) == 11
+        same_rows = Subspace(field(8), 2, ((1, 5),))
+        assert gf8.subspaces[gf8.global_index(same_rows)] == same_rows
+
+
+# sha256 over enumerate_subspaces' rows for every (n, d) of these ambients,
+# taken before the order moved into one table
+ORDER_AMBIENTS = ((2, 6), (3, 4), (4, 3), (5, 3))
+ORDER_DIGEST = "4848e0fbfd8c6433d3ad4e3413363122fc6b37bb330a806bc6d3084c1fc65215"
+
+
+class TestCanonicalOrder:
+    def test_enumeration_order_is_pinned(self):
+        digest = hashlib.sha256()
+        for q, top in ORDER_AMBIENTS:
+            for n in range(top + 1):
+                for d in range(n + 1):
+                    digest.update(f"GF({q})^{n} dim {d}\n".encode())
+                    for space in enumerate_subspaces(field(q), n, d):
+                        digest.update(repr(space.rows).encode())
+        assert digest.hexdigest() == ORDER_DIGEST
+
+    @pytest.mark.parametrize(
+        "q, n", [(q, n) for q, top in ORDER_AMBIENTS for n in range(top + 1)]
+    )
+    def test_positions_round_trip(self, q, n):
+        ctx, rng = field(q), random.Random(f"positions {q} {n}")
+        lat = Lattice(ctx, n)  # not the cached one, so no index is kept yet
+        fresh = [canonicalize(ctx, n, _respanned(ctx, s, rng)) for s in lat.subspaces]
+        assert fresh == list(lat.subspaces)
+        assert not any(hasattr(s, "_index") for s in (*lat.subspaces, *fresh))
+        for rounds in range(2):  # before any index is kept, then with each kept
+            for g, own in enumerate(lat.subspaces):
+                label = lat.index_at(g)
+                for space in (own, fresh[g]):
+                    assert lat.global_index(space) == g, (rounds, g)
+                    assert index_of(space) == label
+                assert subspace_at(ctx, n, label) == own
+            assert all(hasattr(s, "_index") for s in (*lat.subspaces, *fresh))
+        for g in (-1, len(lat)):
+            with pytest.raises(DomainError):
+                lat.index_at(g)
 
 
 class TestContainmentVector:

@@ -295,6 +295,35 @@ def test_packed_row_guard_sees_each_spelling():
     assert _packed_row_reads(source) == [1, 2, 3, 4, 5, 6]
 
 
+LATTICE_POSITIONS = {"offsets", "position", "_index"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_maps_lattice_positions(path):
+    # a lattice position is offsets[dim] + pos - 1, computed in gfspace alone:
+    # other modules ask Lattice.global_index and Lattice.index_at
+    found = _attribute_uses(path.read_text(encoding="utf-8"), LATTICE_POSITIONS)
+    if path.name == "gfspace.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_position_guard_sees_each_spelling():
+    source = (
+        "g = lat.offsets[d] + pos - 1\n"
+        "a, b = lat.position[m], self.offsets\n"
+        "c = getattr(lat, 'offsets')\n"
+        "object.__setattr__(space, '_index', index)\n"
+        "d = hasattr(space, '_index')\n"
+        "e = space._index\n"
+        "f = lat.__getattribute__('position')\n"
+        "g = lat.global_index(m) + lat.index_at(g).pos\n"
+        "offsets = position = _index = 1\n"
+    )
+    assert _attribute_uses(source, LATTICE_POSITIONS) == [1, 2, 2, 3, 4, 5, 6, 7]
+
+
 def _imports(source: str, module: str) -> list[int]:
     """Line numbers of every import of module: statements, import_module and __import__."""
     lines = []
