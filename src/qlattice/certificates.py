@@ -18,12 +18,13 @@ The rank argument holds only for a family that follows the profile, so
 every certificate first re-checks the family. Which pairs the profile
 allows depends only on the context, so each context builds once, on first
 use, one compatibility row per lattice entry whose dimension the profile
-admits (gfspace.compatible_rows over the shared_line_counts table, as
-search.build_graph builds its adjacency). A call then walks its members
-from last to first with the mask of the later ones: one AND per member,
-and one meet_dim only for the witness pair of a failing family. The
-verdict and its detail are check_modular's. The table holds A^2 bits for
-A admitted entries, so it grows with the square of the lattice.
+admits (gfspace.compatible_rows over those positions and the
+shared_line_counts table, as search.build_graph builds its adjacency). A
+call then walks its members from last to first with the mask of the later
+ones: one AND per member, and one meet_dim only for the witness pair of a
+failing family. The verdict is check_modular's, and so is the detail: the
+profile's member_fault or pair_fault. The table holds A^2 bits for A
+admitted entries, so it grows with the square of the lattice.
 
 Rank and span run over packed rows: a row is one int whose lane j, a fixed
 number of whole bytes wide, holds entry j mod p. A row operation is one
@@ -79,13 +80,7 @@ from .gfspace import (
     subspace_at,
     union_space,
 )
-from .families import (
-    Family,
-    ModularProfile,
-    _member_violation,
-    _pair_violation,
-    shared_line_counts,
-)
+from .families import Family, ModularProfile, shared_line_counts
 from .options import VARIANTS
 from .records import Record
 
@@ -184,8 +179,9 @@ class CertificateContext(Record):
 
         The entries are the subspaces whose dimension the profile admits, in
         lattice order, picked from lat.dims as search.build_graph picks its
-        vertices. Bit j of row i is set when entries i and j may meet, by
-        the profile's shared_line_counts table, the one build_graph reads.
+        vertices, and compatible_rows takes their positions as build_graph
+        does. Bit j of row i is set when entries i and j may meet, by the
+        profile's shared_line_counts table, the one build_graph reads.
         index[g] is the row of lattice position g, None where the profile
         does not admit its dimension.
         """
@@ -195,11 +191,7 @@ class CertificateContext(Record):
         index: list[Optional[int]] = [None] * len(lat)
         for row, g in enumerate(positions):
             index[g] = row
-        rows = compatible_rows(
-            [lat.lines[g] for g in positions],
-            [lat.dims[g] for g in positions],
-            shared_line_counts(self.profile, self.n, self.q),
-        )
+        rows = compatible_rows(lat, positions, shared_line_counts(self.profile, self.n, self.q))
         return tuple(rows), tuple(index)
 
     @cached_property
@@ -320,12 +312,15 @@ def _recheck(cctx: CertificateContext, family: Family, where: Sequence[int]) -> 
     the first with the mask of the later members' rows: member i fails
     when its row of cctx._compatible misses one of them. The witness is
     the first failing member with its first failing later partner, whose
-    meet dimension comes from one meet_dim.
+    meet dimension comes from one meet_dim. The detail is the profile's
+    member_fault or pair_fault, as in check_modular.
     """
     rows, index = cctx._compatible
+    profile = cctx.profile
     bits = list(map(index.__getitem__, where))
     if None in bits:
-        failed = _member_violation(family, cctx.profile)
+        i = bits.index(None)
+        detail = profile.member_fault(i, family[i].dim)
     else:
         later, first = 0, None
         for i in range(len(bits) - 1, -1, -1):
@@ -338,8 +333,8 @@ def _recheck(cctx: CertificateContext, family: Family, where: Sequence[int]) -> 
         row = rows[bits[first]]
         j = next(j for j in range(first + 1, len(bits)) if not row >> bits[j] & 1)
         d = meet_dim(family[first], family[j])
-        failed = _pair_violation(first, j, d, cctx.profile.b)
-    raise DomainError(f"family violates the profile: {failed.detail}")
+        detail = profile.pair_fault(first, j, d, family[first].dim, family[j].dim)
+    raise DomainError(f"family violates the profile: {detail}")
 
 
 def _g_i_row(cctx: CertificateContext, member: int, points: Iterable[int]) -> list[int]:

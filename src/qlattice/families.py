@@ -8,16 +8,17 @@ cells, and runs the Gram-matrix rank analysis on a single cell.
 
 Each discipline is a rule on member dimensions and one on meet dimensions,
 written once as the admits and meets methods of ModularProfile and
-FractionSet. The checkers test members with admits, then take the first
-pair of offending_pairs, which uses gfspace.meet_dim, a rank count that
-needs no lattice and no line masks (over GF(2) it works on rows packed as
-ints): a family file may live in an ambient such as GF(256)^40, too big for
-either. offending_pairs judges each meet from a table of allowed meet
-dimensions keyed by the pair's two dimensions, built from predicate.meets
-once per call over the member dimensions that occur. Callers that hold a
-whole lattice's line masks (a certificate context, search.build_graph) turn
-a predicate into a shared_line_counts table and read rows of allowed pairs
-from gfspace.compatible_rows, the one line-count row builder, instead.
+FractionSet; their member_fault and pair_fault say why a member or a pair
+breaks it. meets is read in _allowed_meets alone. check_modular and
+check_fractional are one walk: members by admits, then the first pair of
+offending_pairs, which uses gfspace.meet_dim, a rank count that needs no
+lattice and no line masks (over GF(2) it works on rows packed as ints): a
+family file may live in an ambient such as GF(256)^40, too big for either.
+offending_pairs keeps _allowed_meets per pair of member dimensions that
+occur. Callers that hold a whole lattice's line masks (a certificate
+context, search.build_graph) map it through [d 1]_q into a
+shared_line_counts table and read rows of allowed pairs over lattice
+positions from gfspace.compatible_rows, the one line-count row builder.
 """
 
 from __future__ import annotations
@@ -149,6 +150,14 @@ class ModularProfile(Record):
         """Whether members of dimensions di and dj may meet in dimension d: d mod b in L."""
         return d % self.b in self.L
 
+    def member_fault(self, i: int, d: int) -> str:
+        """Why member i, of dimension d, fails admits."""
+        return f"member {i} has dim {d} ≡ {d % self.b} (mod {self.b}), not in K"
+
+    def pair_fault(self, i: int, j: int, d: int, di: int, dj: int) -> str:
+        """Why members i and j, of dimensions di and dj, fail meets in dimension d."""
+        return f"pair ({i}, {j}) meets in dim {d} ≡ {d % self.b} (mod {self.b}), not in L"
+
     def to_dict(self) -> dict:
         return {"b": self.b, "K": list(self.K), "L": list(self.L)}
 
@@ -199,6 +208,14 @@ class FractionSet(Record):
     def meets(self, d: int, di: int, dj: int) -> bool:
         """Whether dims di and dj may meet in dim d: d·b == a·di or a·dj, some a/b."""
         return any(d * b == a * di or d * b == a * dj for a, b in self.fractions)
+
+    def member_fault(self, i: int, d: int) -> str:
+        """Why member i, of dimension d, fails admits."""
+        return f"member {i} has dim {d}, not positive"
+
+    def pair_fault(self, i: int, j: int, d: int, di: int, dj: int) -> str:
+        """Why members i and j, of dimensions di and dj, fail meets in dimension d."""
+        return f"pair ({i}, {j}) meets in dim {d}, no listed fraction of dims {di} or {dj}"
 
     @property
     def max_denominator(self) -> int:
@@ -264,16 +281,25 @@ _PASS = CheckResult(True, None, "all members and pairs conform")
 # checkers
 
 
+def _allowed_meets(predicate: Union[ModularProfile, FractionSet], di: int, dj: int) -> frozenset:
+    """The meet dimensions d <= min(di, dj) that predicate.meets allows.
+
+    Every meet rule is read here and nowhere else: shared_line_counts maps
+    it through [d 1]_q, and offending_pairs keeps it per pair of dimensions.
+    """
+    return frozenset(d for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj))
+
+
 @lru_cache(maxsize=256)
 def shared_line_counts(
     predicate: Union[ModularProfile, FractionSet], n: int, q: int
 ) -> tuple[tuple[frozenset[int], ...], ...]:
     """Allowed shared-line counts of a pair, by the pair's two dimensions.
 
-    Entry [di][dj] holds [d 1]_q for every meet dimension d <= min(di, dj)
-    that predicate.meets(d, di, dj) allows. Two subspaces meet in dimension
-    d exactly when their line masks share [d 1]_q lines, so this one table
-    turns either predicate into a question about line counts.
+    Entry [di][dj] holds [d 1]_q for every d of _allowed_meets(predicate,
+    di, dj). Two subspaces meet in dimension d exactly when their line
+    masks share [d 1]_q lines, so this one table turns either predicate
+    into a question about line counts.
 
     The table is computed once per (predicate, n, q), in a bounded cache,
     and shared by every caller (search.build_graph and a certificate
@@ -282,12 +308,7 @@ def shared_line_counts(
     """
     span = range(n + 1)
     return tuple(
-        tuple(
-            frozenset(
-                qbinom(d, 1, q) for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj)
-            )
-            for dj in span
-        )
+        tuple(frozenset(qbinom(d, 1, q) for d in _allowed_meets(predicate, di, dj)) for dj in span)
         for di in span
     )
 
@@ -297,12 +318,11 @@ def offending_pairs(
 ) -> Iterator[tuple[int, int, int]]:
     """(i, j, meet dim) of each pair the predicate's meets refuses, in canonical order.
 
-    Each meet is one gfspace.meet_dim, judged by a table of the meet
-    dimensions predicate.meets allows, keyed by the pair's two dimensions
-    and spanning only the member dimensions that occur. A row of the table
-    is built once per call, when a member of its dimension first leads a
-    pair, so a family that fails early pays for few rows. Member dims are
-    left to admits.
+    Each meet is one gfspace.meet_dim, judged by a table of
+    _allowed_meets keyed by the pair's two dimensions and spanning only
+    the member dimensions that occur. A row of the table is built once per
+    call, when a member of its dimension first leads a pair, so a family
+    that fails early pays for few rows. Member dims are left to admits.
     """
     members, dims = family.members, family.dims
     present = set(dims)
@@ -311,31 +331,27 @@ def offending_pairs(
         di = dims[i]
         row = allowed.get(di)
         if row is None:
-            row = allowed[di] = {
-                dj: frozenset(d for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj))
-                for dj in present
-            }
+            row = allowed[di] = {dj: _allowed_meets(predicate, di, dj) for dj in present}
         for j in range(i + 1, len(members)):
             d = meet_dim(vi, members[j])
             if d not in row[dims[j]]:
                 yield i, j, d
 
 
-def _member_violation(family: Family, profile: ModularProfile) -> Optional[CheckResult]:
-    """The first member whose dimension is not in K mod b, as a failed check."""
-    b = profile.b
+def _check(family: Family, predicate: Union[ModularProfile, FractionSet]) -> CheckResult:
+    """The first member admits refuses, else the first pair of offending_pairs, else a pass.
+
+    The witness is (i,) or (i, j) in canonical order, and the detail is
+    the predicate's member_fault or pair_fault.
+    """
     for i, m in enumerate(family):
-        if not profile.admits(m.dim):
-            return CheckResult(
-                False, (i,), f"member {i} has dim {m.dim} ≡ {m.dim % b} (mod {b}), not in K"
-            )
-    return None
-
-
-def _pair_violation(i: int, j: int, d: int, b: int) -> CheckResult:
-    return CheckResult(
-        False, (i, j), f"pair ({i}, {j}) meets in dim {d} ≡ {d % b} (mod {b}), not in L"
-    )
+        if not predicate.admits(m.dim):
+            return CheckResult(False, (i,), predicate.member_fault(i, m.dim))
+    bad = next(offending_pairs(family, predicate), None)
+    if bad is None:
+        return _PASS
+    i, j, d = bad
+    return CheckResult(False, (i, j), predicate.pair_fault(i, j, d, family[i].dim, family[j].dim))
 
 
 def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
@@ -344,11 +360,7 @@ def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
     Empty and singleton families pass vacuously on the pair side. The first
     offending member or pair (canonical order) is returned as the witness.
     """
-    failed = _member_violation(family, profile)
-    if failed is not None:
-        return failed
-    bad = next(offending_pairs(family, profile), None)
-    return _PASS if bad is None else _pair_violation(*bad, profile.b)
+    return _check(family, profile)
 
 
 def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:
@@ -357,19 +369,7 @@ def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:
     The rules are FractionSet's, members first; the first offending member
     or pair (canonical order) is returned as the witness.
     """
-    for i, m in enumerate(family):
-        if not fractions.admits(m.dim):
-            return CheckResult(False, (i,), f"member {i} has dim {m.dim}, not positive")
-    bad = next(offending_pairs(family, fractions), None)
-    if bad is None:
-        return _PASS
-    i, j, d = bad
-    return CheckResult(
-        False,
-        (i, j),
-        f"pair ({i}, {j}) meets in dim {d}, no listed fraction of dims "
-        f"{family[i].dim} or {family[j].dim}",
-    )
+    return _check(family, fractions)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ every other field reads the arithmetic tables entry by entry. intersect,
 which builds the meet itself, stays as the reference route. Questions about
 a whole list of subspaces at once (which contain u, how many lines each
 shares with u) go through LineIncidence, the line masks turned on their
-side, and compatible_rows is the one builder of rows over a whole list: the
-lattice's containment table, a certificate context's compatibility table
-and search's adjacency all come from it. Sizes are checked against the
+side, and compatible_rows is the one builder of rows over a list of
+lattice positions: the lattice's containment table (every position), a
+certificate context's compatibility table and search's adjacency (the
+admitted positions) all come from it. Sizes are checked against the
 lattice budget of the budgets scope, and the lattice build checks its
 deadline. field(q) and field_from_dict give one shared context per field,
 whose tables are built on first use from the powers of one generator (a
 discrete log).
 
-Enumeration order within one dimension, one table (_order) for enumeration,
-index_of and subspace_at: pivot patterns are sorted so that the pattern on
+Enumeration order within one dimension, one table (_order, its C(n, d)
+patterns checked against the lattice budget) for enumeration, index_of and
+subspace_at: pivot patterns are sorted so that the pattern on
 the rightmost columns comes first (compare the column sets mirrored
 right-to-left), and within one pattern the free entries, read row-major, run
 through base-q integers in ascending order. Under this order the first 1-dim
@@ -28,6 +30,7 @@ subspace of GF(2)^3 is span{(0,0,1)} and the last is span{(1,1,1)}.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -509,8 +512,11 @@ def _order(n: int, dim: int, q: int) -> dict[tuple[int, ...], tuple[int, tuple]]
 
     start is the 0-based rank of the pattern's first subspace in GF(q)^n,
     free its free entries (row, column), read row-major, whose digits count
-    in base q from there. Callers must not change the table.
+    in base q from there. Callers must not change the table. The C(n, dim)
+    patterns are checked against the lattice budget before the table is
+    built; they never outnumber the [n dim]_q subspaces they start.
     """
+    _require_budget(math.comb(n, dim), f"pivot patterns of dimension {dim}")
     order, start = {}, 0
     # each (row, column) pair is one shared object: a pattern costs a pointer per free entry
     at = [[(i, c) for c in range(n)] for i in range(dim)]
@@ -682,16 +688,18 @@ class LineIncidence:
 
 
 def compatible_rows(
-    lines: Sequence[int], dims: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
+    lat: Lattice, positions: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
 ) -> Iterator[int]:
-    """Row i, for each entry i in turn: a mask of the entries j it may pair with.
+    """Row k, for the lattice entry at positions[k] in turn: the entries it may pair with.
 
-    Entry j has line mask lines[j] and dimension dims[j]; it is in row i when
-    lines[i] and lines[j] share a count of lines in allowed[dims[i]][dims[j]]
-    (families.shared_line_counts for a predicate, or {[dim j 1]_q} for
-    containment). LineIncidence counts a whole row at once. Rows come
-    lazily, so a caller may stop at the first bad one.
+    Bit k' of row k stands for the entry at positions[k']. It is set when
+    the two entries' line masks share a count of lines in allowed[di][dj],
+    di and dj their dimensions (families.shared_line_counts for a
+    predicate, or {[dj 1]_q} for containment). LineIncidence counts a whole
+    row at once. Rows come lazily, so a caller may stop at the first bad one.
     """
+    lines = list(map(lat.lines.__getitem__, positions))
+    dims = list(map(lat.dims.__getitem__, positions))
     by_dim: dict[int, int] = {}
     for j, d in enumerate(dims):
         by_dim[d] = by_dim.get(d, 0) | 1 << j
@@ -786,7 +794,7 @@ class Lattice:
                 [frozenset({qbinom(du, 1, self.ctx.q)} if du <= dw else ()) for du in span]
                 for dw in span
             ]
-            self._contains_mask = list(compatible_rows(self.lines, self.dims, inside))
+            self._contains_mask = list(compatible_rows(self, range(len(self)), inside))
         return self._contains_mask
 
     def join(self, i: int, j: int) -> int:

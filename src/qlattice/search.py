@@ -24,12 +24,12 @@ order, and the graph's own adjacency stays in index order.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
-adjacency rows come from gfspace.compatible_rows, which counts the lines a
-vertex shares with every vertex at once. The symmetry check of CompatGraph
-transposes the adjacency in square tiles of big ints, so its memory stays
-at one band of tiles. The frac-uniform generator takes its violations from
-families.offending_pairs, per-pair meet_dim on the members alone: it builds
-no lattice.
+adjacency rows come from gfspace.compatible_rows over the vertices' lattice
+positions; it counts the lines a vertex shares with every vertex at once.
+The symmetry check of CompatGraph transposes the adjacency in square tiles
+of big ints, so its memory stays at one band of tiles. The frac-uniform
+generator takes its violations from families.offending_pairs, per-pair
+meet_dim on the members alone: it builds no lattice.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def build_graph(
     The vertices are the subspaces of every dimension d with
     predicate.admits(d) (and in limits.dim_filter, when given), in lattice
     order; two vertices are joined when predicate.meets allows their meet.
-    The rows come from gfspace.compatible_rows over the lattice's line
-    masks. The lattice budget is checked first, so an ambient over it
+    The rows come from gfspace.compatible_rows over the vertices' lattice
+    positions. The lattice budget is checked first, so an ambient over it
     raises ResourceLimitError before anything else is looked at; then a
     dim_filter entry outside [0, n] raises DomainError. The budget deadline
     raises ResourceLimitError too, checked after the lattice ("lattice")
@@ -239,11 +239,7 @@ def build_graph(
     # are a meet of dimension d, which no predicate admitting d allows (K
     # and L are disjoint, and every listed fraction is below 1).
     adjacency = []
-    for row in compatible_rows(
-        [lat.lines[g] for g in positions],
-        [lat.dims[g] for g in positions],
-        shared_line_counts(predicate, n, ctx.q),
-    ):
+    for row in compatible_rows(lat, positions, shared_line_counts(predicate, n, ctx.q)):
         adjacency.append(row)
         check_deadline("graph", rows=len(adjacency), vertices=len(positions))
     vertices = tuple(map(lat.index_at, positions))

@@ -977,8 +977,11 @@ class TestRevalidation:
                 independence_certificate(cctx, spoiled, variant)
         assert len(calls) == 1
         # the table covers the admitted dimension blocks, nothing else
-        lines, dims, allowed = calls[0]
-        assert list(dims) == [2] * qbinom(4, 2, 2)
+        lat, positions, allowed = calls[0]
+        assert lat is lattice(ctx, 4)
+        start = 1 + qbinom(4, 1, 2)  # after the zero subspace and the lines
+        assert list(positions) == list(range(start, start + qbinom(4, 2, 2)))
+        assert {lat.dims[g] for g in positions} == {2}
         assert allowed is shared_line_counts(profile, 4, 2)
         independence_certificate(certificate_context(ctx, 4, profile), family, "lemma41")
         assert len(calls) == 2

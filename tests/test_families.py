@@ -375,6 +375,9 @@ class TestCheckers:
         assert check_fractional(fam, FractionSet(((1, 2),))).ok
         assert check_fractional(fam, FractionSet(((1, 3),))).ok
         assert not check_fractional(fam, FractionSet(((2, 3),))).ok
+        # the detail names the pair's dims in member order
+        res = check_fractional(Family(F2, 5, (b, a)), FractionSet(((2, 3),)))
+        assert res.detail == "pair (0, 1) meets in dim 1, no listed fraction of dims 2 or 3"
 
 
 # The checkers as they were before meet_dim: each pair's meet is built with

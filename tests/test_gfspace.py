@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import pickle
 import random
 import time
@@ -38,6 +39,7 @@ from qlattice import (
     line_mask,
     meet_dim,
     prime_power,
+    product_reduce,
     qbinom,
     subspace_at,
     union_space,
@@ -46,6 +48,7 @@ from qlattice import (
 from qlattice.budgets import DEFAULT_LATTICE_BUDGET, current_deadline
 from qlattice.gfspace import (
     _cached_lattice,
+    _order,
     _poly_mod,
     _poly_mul,
     require_lattice_budget,
@@ -1024,6 +1027,36 @@ class TestCanonicalOrder:
         for g in (-1, len(lat)):
             with pytest.raises(DomainError):
                 lat.index_at(g)
+
+    def test_pivot_patterns_are_budgeted(self):
+        # a lowered budget refuses the patterns where it refuses the enumeration
+        ctx = field(2)
+        _order.cache_clear()
+        with budget(lattice=10):
+            with pytest.raises(ResourceLimitError, match=r"^252 pivot patterns"):
+                subspace_at(ctx, 10, SubspaceIndex(5, 1))
+            with pytest.raises(ResourceLimitError):
+                enumerate_subspaces(ctx, 10, 5)
+        assert _order.cache_info().currsize == 0
+        # C(n, d) <= [n d]_q, so whatever the budget lets enumerate has its patterns
+        with budget(lattice=qbinom(6, 3, 2)):
+            assert len(list(enumerate_subspaces(ctx, 6, 3))) == qbinom(6, 3, 2)
+        # C(30, 15) = 155117520 pivot patterns of GF(2)^30 are refused
+        # before any is built, under the default budget
+        n = 30
+        half = canonicalize(ctx, n, [[int(c == r) for c in range(n)] for r in range(15)])
+        asks = (
+            lambda: index_of(half),
+            lambda: subspace_at(ctx, n, SubspaceIndex(15, 1)),
+            lambda: product_reduce(15, 1, 1, ctx, n),
+        )
+        start = time.perf_counter()
+        for ask in asks:
+            with pytest.raises(ResourceLimitError, match=r"^155117520 pivot patterns") as exc:
+                ask()
+            assert exc.value.partial == {"count": math.comb(30, 15)}
+        assert time.perf_counter() - start < 1
+        assert not hasattr(half, "_index")
 
 
 class TestContainmentVector:

@@ -20,17 +20,21 @@ from qlattice import (
     check_fractional,
     check_modular,
     bound_singleton,
+    certificate_context,
     field,
     gen_example_bisection,
     gen_example_frac_uniform,
     gen_example_uniform,
     intersect,
     max_family,
+    meet_dim,
     qbinom,
+    shared_line_counts,
     subspace_at,
+    zsigmondy_prime,
 )
 from qlattice import search as search_module
-from qlattice.gfspace import lattice
+from qlattice.gfspace import compatible_rows, lattice
 from qlattice.search import SearchResult, _symmetric
 
 
@@ -611,6 +615,71 @@ class TestAgainstReference:
                 (i, j) for i in range(size) for j in range(i + 1, size) if g.adjacency[i] >> j & 1
             )
             assert max_family(g).size == nx.max_weight_clique(nxg, weight=None)[1], size
+
+
+def _compacted(full, positions):
+    """Rows of full for the entries at positions, with bit k' for positions[k']."""
+    return [
+        sum((full[g] >> h & 1) << k for k, h in enumerate(positions)) for g in positions
+    ]
+
+
+def _subsets(rng, size):
+    """Seeded position subsets: empty, single entries, random ones in random order, all."""
+    subsets = [[], [0], [size - 1], [rng.randrange(size)], list(range(size))]
+    for _ in range(4):
+        subsets.append(rng.sample(range(size), rng.randint(2, size)))
+    subsets.append(sorted(rng.sample(range(size), size // 2)))
+    return subsets
+
+
+class TestRowsOverPositions:
+    """compatible_rows over a subset of lattice positions: the full rows, cut to it."""
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+    def test_containment_rows(self, q, n):
+        lat, span = lattice(field(q), n), range(n + 1)
+        inside = [
+            [frozenset({qbinom(du, 1, q)} if du <= dw else ()) for du in span] for dw in span
+        ]
+        full = list(compatible_rows(lat, range(len(lat)), inside))
+        assert full == lat.contains_mask
+        for positions in _subsets(random.Random(f"inside {q} {n}"), len(lat)):
+            got = list(compatible_rows(lat, positions, inside))
+            assert got == _compacted(full, positions), positions
+
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+    def test_predicate_rows(self, q, n, predicate):
+        ctx = field(q)
+        lat, allowed = lattice(ctx, n), shared_line_counts(predicate, n, q)
+        full = list(compatible_rows(lat, range(len(lat)), allowed))
+        subs, dims = lat.subspaces, lat.dims
+        for g, row in enumerate(full):
+            for h, other in enumerate(subs):
+                meets = predicate.meets(meet_dim(subs[g], other), dims[g], dims[h])
+                assert bool(row >> h & 1) == meets, (g, h)
+        for positions in _subsets(random.Random(f"{predicate} {q} {n}"), len(lat)):
+            got = list(compatible_rows(lat, positions, allowed))
+            assert got == _compacted(full, positions), positions
+        # build_graph's adjacency is the same cut, over its admitted positions
+        for dim_filter in (None, (1, 2), (n,)):
+            graph = build_graph(ctx, n, predicate, SearchLimits(dim_filter=dim_filter))
+            positions = [
+                g for g, d in enumerate(dims)
+                if predicate.admits(d) and (dim_filter is None or d in dim_filter)
+            ]
+            assert graph.vertices == tuple(map(lat.index_at, positions))
+            assert list(graph.adjacency) == _compacted(full, positions)
+        # a certificate context needs a prime of order b at q: none for (q, b) = (3, 2)
+        if isinstance(predicate, ModularProfile) and (q, predicate.b) != (3, 2):
+            assert isinstance(zsigmondy_prime(q, predicate.b), int)
+            cctx = certificate_context(ctx, n, predicate)
+            rows, index = cctx._compatible
+            assert rows == build_graph(ctx, n, predicate).adjacency
+            assert [g for g, row in enumerate(index) if row is not None] == [
+                g for g, d in enumerate(dims) if predicate.admits(d)
+            ]
 
 
 class TestGenerators:

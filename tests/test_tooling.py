@@ -190,9 +190,9 @@ ROW_BUILDER_USERS = {"gfspace.py", "search.py", "certificates.py"}
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_whole_list_callers_read_compatible_rows(path):
-    # compatible_rows builds rows over a whole list: the lattice's
-    # containment table, search's adjacency and a certificate context's
-    # compatibility table. families checks pairs by meet_dim only.
+    # compatible_rows builds rows over a list of lattice positions: the
+    # lattice's containment table, search's adjacency and a certificate
+    # context's compatibility table. families checks pairs by meet_dim only.
     found = _references(path.read_text(encoding="utf-8"), "compatible_rows")
     if path.name in ROW_BUILDER_USERS:
         assert found
@@ -209,7 +209,7 @@ def test_reference_guard_sees_each_spelling():
         "rows = compatible_rows(a, b, c)\n"
         "rows = gfspace.compatible_rows(a, b, c)\n"
         "f = compatible_rows\n"
-        "def compatible_rows(lines, dims, allowed): pass\n"
+        "def compatible_rows(lat, positions, allowed): pass\n"
         "'compatible_rows'\n"
         "compatible = rows_of(x)\n"
     )
@@ -322,6 +322,82 @@ def test_position_guard_sees_each_spelling():
         "offsets = position = _index = 1\n"
     )
     assert _attribute_uses(source, LATTICE_POSITIONS) == [1, 2, 2, 3, 4, 5, 6, 7]
+
+
+def _meets_reads(source: str) -> list[str]:
+    """The top-level definition around each use of a meets attribute, getattr included."""
+    found = []
+    for node in ast.parse(source).body:
+        uses = _attribute_uses(ast.get_source_segment(source, node), {"meets"})
+        found += [getattr(node, "name", "<module>")] * len(uses)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_allowed_meets_reads_a_meet_rule(path):
+    # a predicate's meet rule is read in families._allowed_meets alone;
+    # shared_line_counts and offending_pairs both take their meets from it
+    found = _meets_reads(path.read_text(encoding="utf-8"))
+    if path.name == "families.py":
+        assert found and set(found) == {"_allowed_meets"}
+    else:
+        assert found == []
+
+
+def test_meets_guard_sees_each_spelling():
+    source = (
+        "def f(p):\n"
+        "    return p.meets(d, di, dj)\n"
+        "rule = predicate.meets\n"
+        "g = getattr(p, 'meets')\n"
+        "class A:\n"
+        "    def meets(self, d, di, dj):\n"
+        "        return self.inner.meets(d, di, dj)\n"
+        "@lru_cache\n"
+        "def h(p):\n"
+        "    return {d for d in r if p.meets(d, 1, 1)}\n"
+        "meets = p.admits(d)\n"
+    )
+    assert _meets_reads(source) == ["f", "<module>", "<module>", "A", "h"]
+
+
+def _private_family_imports(source: str) -> list[int]:
+    """Line numbers of every underscore name taken from families, imported or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "families":
+            lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "families"
+            and node.attr.startswith("_")
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_families_name(path):
+    # other modules use the predicates' own methods (member_fault, pair_fault)
+    assert _private_family_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_guard_sees_each_spelling():
+    source = (
+        "from .families import _check\n"
+        "from .families import (\n"
+        "    Family,\n"
+        "    _allowed_meets as rule,\n"
+        ")\n"
+        "from qlattice.families import _PASS, check_modular\n"
+        "x = families._check(f, p)\n"
+        "from .families import Family, check_modular\n"
+        "from .gfspace import _order\n"
+        "y = families.check_modular(f, p)\n"
+        "from . import families\n"
+    )
+    assert _private_family_imports(source) == [1, 2, 6, 7]
 
 
 def _imports(source: str, module: str) -> list[int]:
