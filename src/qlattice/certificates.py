@@ -178,16 +178,16 @@ class CertificateContext(Record):
         """Rows of allowed pairs over the admitted lattice entries, and each position's row.
 
         The entries are the subspaces whose dimension the profile admits, in
-        lattice order, picked from lat.dims as search.build_graph picks its
-        vertices, and compatible_rows takes their positions as build_graph
-        does. Bit j of row i is set when entries i and j may meet, by the
-        profile's shared_line_counts table, the one build_graph reads.
+        lattice order, picked by Lattice.positions as search.build_graph
+        picks its vertices, and compatible_rows takes those positions as
+        build_graph does. Bit j of row i is set when entries i and j may
+        meet, by the profile's shared_line_counts table, the one build_graph
+        reads.
         index[g] is the row of lattice position g, None where the profile
         does not admit its dimension.
         """
         lat = lattice(self.ctx, self.n)
-        dims = {d for d in range(self.n + 1) if self.profile.admits(d)}
-        positions = [g for g, d in enumerate(lat.dims) if d in dims]
+        positions = lat.positions(filter(self.profile.admits, range(self.n + 1)))
         index: list[Optional[int]] = [None] * len(lat)
         for row, g in enumerate(positions):
             index[g] = row

@@ -13,26 +13,30 @@ shares with u) go through LineIncidence, the line masks turned on their
 side, and compatible_rows is the one builder of rows over a list of
 lattice positions: the lattice's containment table (every position), a
 certificate context's compatibility table and search's adjacency (the
-admitted positions) all come from it. Sizes are checked against the
-lattice budget of the budgets scope, and the lattice build checks its
-deadline. field(q) and field_from_dict give one shared context per field,
-whose tables are built on first use from the powers of one generator (a
-discrete log).
+admitted positions) all come from it. The Lattice itself is its
+entries' dimensions and line masks: one walk of the canonical order per
+dimension feeds the mask kernel line_mask also uses, so the build makes
+no Subspace, and Lattice.subspaces is built from the same walk only when
+read. Sizes are checked against the lattice budget of the budgets scope,
+and the lattice build checks its deadline. field(q) and field_from_dict
+give one shared context per field, whose tables are built on first use
+from the powers of one generator (a discrete log).
 
 Enumeration order within one dimension, one table (_order, its C(n, d)
-patterns checked against the lattice budget) for enumeration, index_of and
-subspace_at: pivot patterns are sorted so that the pattern on
-the rightmost columns comes first (compare the column sets mirrored
-right-to-left), and within one pattern the free entries, read row-major, run
-through base-q integers in ascending order. Under this order the first 1-dim
-subspace of GF(2)^3 is span{(0,0,1)} and the last is span{(1,1,1)}.
+patterns checked against the lattice budget) for enumeration, the lattice
+build, index_of and subspace_at: pivot patterns are sorted so that the
+pattern on the rightmost columns comes first (compare the column sets
+mirrored right-to-left), and within one pattern the free entries, read
+row-major, run through base-q integers in ascending order. Under this
+order the first 1-dim subspace of GF(2)^3 is span{(0,0,1)} and the last
+is span{(1,1,1)}.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .budgets import _require_budget, check_deadline
 from .errors import DomainError
@@ -300,14 +304,14 @@ class Subspace(Record):
     Three slots are derived, not fields, and eq, hash and repr ignore them:
     pivots, each row's pivot column, set on construction; over GF(2)
     only, _gf2_rows, the rows packed as (pivot bit, row) ints with column 0
-    as the top bit, which meet_dim fills on first use, so building a
-    lattice does not pay for them; and _index, the SubspaceIndex that
+    as the top bit, which meet_dim fills on first use, so enumerating
+    does not pay for them; and _index, the SubspaceIndex that
     index_of computes and keeps, so a certificate reading its members'
     lattice positions computes each one once per subspace. Only this
     module reads _gf2_rows and _index.
     """
 
-    # Built on every lattice and canonicalize path: slots, and eq and hash
+    # Built on every enumeration and canonicalize path: slots, and eq and hash
     # written out, which are about twice as fast as the generic ones.
     __slots__ = ("ctx", "n", "rows", "pivots", "_gf2_rows", "_index")
     ctx: FieldContext
@@ -528,15 +532,25 @@ def _order(n: int, dim: int, q: int) -> dict[tuple[int, ...], tuple[int, tuple]]
     return order
 
 
-def _build_from_pattern(
-    ctx: FieldContext, n: int, cols: tuple[int, ...], free: tuple, digits: Sequence[int]
-) -> Subspace:
+def _pattern_rows(n: int, cols: tuple[int, ...], free: tuple, digits: Sequence[int]) -> tuple:
+    """The reduced rows of one pivot pattern: a 1 at each pivot, digits on the free entries."""
     rows = [[0] * n for _ in cols]
     for i, piv in enumerate(cols):
         rows[i][piv] = 1
     for (i, c), v in zip(free, digits):
         rows[i][c] = v
-    return Subspace(ctx, n, tuple(tuple(r) for r in rows))
+    return tuple(map(tuple, rows))
+
+
+def _canonical_rows(n: int, dim: int, q: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """(pivots, rows) of every dim-dimensional subspace of GF(q)^n, in canonical order.
+
+    The one walk of _order: enumerate_subspaces wraps each yield in a
+    Subspace, and Lattice and Lattice.subspaces read it directly.
+    """
+    for cols, (_, free) in _order(n, dim, q).items():
+        for digits in itertools.product(range(q), repeat=len(free)):
+            yield cols, _pattern_rows(n, cols, free, digits)
 
 
 def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspace]:
@@ -549,13 +563,7 @@ def enumerate_subspaces(ctx: FieldContext, n: int, dim: int) -> Iterator[Subspac
     if not 0 <= dim <= n:
         raise DomainError(f"dimension {dim} outside [0, {n}]")
     _require_budget(qbinom(n, dim, ctx.q), f"subspaces of dimension {dim}")
-
-    def gen():
-        for cols, (_, free) in _order(n, dim, ctx.q).items():
-            for digits in itertools.product(range(ctx.q), repeat=len(free)):
-                yield _build_from_pattern(ctx, n, cols, free, digits)
-
-    return gen()
+    return (Subspace(ctx, n, rows) for _, rows in _canonical_rows(n, dim, ctx.q))
 
 
 def index_of(space: Subspace) -> SubspaceIndex:
@@ -588,26 +596,35 @@ def subspace_at(ctx: FieldContext, n: int, index: SubspaceIndex) -> Subspace:
     remaining, digits = pos - 1 - start, [0] * len(free)
     for slot in range(len(free) - 1, -1, -1):
         remaining, digits[slot] = divmod(remaining, ctx.q)
-    return _build_from_pattern(ctx, n, cols, free, digits)
+    return Subspace(ctx, n, _pattern_rows(n, cols, free, digits))
 
 
 def line_mask(space: Subspace) -> int:
     """Bitmask of the lines of a subspace: bit i is the i-th line of GF(q)^n.
 
-    Lines are numbered in canonical dimension-1 order. Each line of the space
-    has one generator combining the basis rows with first nonzero coefficient
-    1; it is already normalised, so its pivot column c and base-q tail t rank
-    it at (q^(n-1-c) - 1)/(q - 1) + t. U lies in W exactly when
-    line_mask(U) & ~line_mask(W) == 0, and dim(U∩W) = d exactly when the masks
-    share [d 1]_q lines. Raises ResourceLimitError when [n 1]_q is over budget.
+    Lines are numbered in canonical dimension-1 order. U lies in W exactly
+    when line_mask(U) & ~line_mask(W) == 0, and dim(U∩W) = d exactly when
+    the masks share [d 1]_q lines. Raises ResourceLimitError when [n 1]_q is
+    over budget.
     """
     ctx, n, q = space.ctx, space.n, space.ctx.q
     _require_budget(qbinom(n, 1, q), f"lines of GF({q})^{n}")
+    return _span_mask(ctx, n, space.rows, space.pivots)
+
+
+def _span_mask(ctx: FieldContext, n: int, rows: Sequence, pivots: Sequence[int]) -> int:
+    """Line mask of the span of reduced rows with the given pivot columns; no budget check.
+
+    Each line of the span has one generator combining the rows with first
+    nonzero coefficient 1; it is already normalised, so its pivot column c
+    and base-q tail t rank it at (q^(n-1-c) - 1)/(q - 1) + t.
+    """
+    q = ctx.q
     add, mul = ctx._add, ctx._mul
     mask = 0
-    for r, (lead, col) in enumerate(zip(space.rows, space.pivots)):
+    for r, (lead, col) in enumerate(zip(rows, pivots)):
         vectors = [lead]
-        for row in space.rows[r + 1 :]:
+        for row in rows[r + 1 :]:
             scaled = [[mul[c][x] for x in row] for c in range(1, q)]
             vectors += [[add[a][b] for a, b in zip(v, s)] for v in vectors for s in scaled]
         base = (q ** (n - 1 - col) - 1) // (q - 1)
@@ -735,41 +752,55 @@ def require_lattice_budget(n: int, q: int) -> None:
 
 
 class Lattice:
-    """All subspaces of one ambient in canonical global order, with caches.
+    """All subspaces of one ambient in canonical global order, held as line masks.
 
     Global order is dimension-major: all of dimension 0, then 1, and so on,
     each dimension in enumeration order, so global_index and index_at
     compute the position of (d, pos) as offsets[d] + pos - 1; no table maps
-    subspaces to positions. Incidence comes from lines[u], the
-    line_mask of subspace u, built once here. The lazy contains_mask table
-    derives from it through compatible_rows: bit u of contains_mask[w] says
-    u lies inside w, that is, w holds all [dim u 1]_q lines of u. Family
-    checks use meet_dim per pair instead, as family files may live in
-    ambients too big for a lattice. The build checks the budget deadline
-    ("lattice") after each dimension's enumeration and after each
-    dimension's line masks; a build that runs out leaves nothing cached.
+    subspaces to positions. dims[g] is the dimension of entry g and lines[g]
+    its line_mask. The build walks each dimension once and computes every
+    mask from the pattern rows, so it makes no Subspace; subspaces, the
+    entries as Subspace values, comes from the same walk on first read.
+    Every whole-lattice consumer reads positions instead. The lazy
+    contains_mask table derives from the masks through compatible_rows: bit
+    u of contains_mask[w] says u lies inside w, that is, w holds all
+    [dim u 1]_q lines of u. Family checks use meet_dim per pair instead, as
+    family files may live in ambients too big for a lattice. The build
+    checks the budget deadline ("lattice") every 1024 entries and after each
+    dimension; a build that runs out leaves nothing cached.
     """
 
     def __init__(self, ctx: FieldContext, n: int):
         require_lattice_budget(n, ctx.q)
         self.ctx, self.n = ctx, n
-        subs: list[Subspace] = []
         self.offsets: list[int] = []
-        for d in range(n + 1):
-            self.offsets.append(len(subs))
-            subs.extend(enumerate_subspaces(ctx, n, d))
-            check_deadline("lattice", dim=d, subspaces=len(subs))
-        self.subspaces: tuple[Subspace, ...] = tuple(subs)
-        self.dims: tuple[int, ...] = tuple(s.dim for s in subs)
         lines: list[int] = []
-        for d, end in enumerate([*self.offsets[1:], len(subs)]):
-            lines.extend(map(line_mask, subs[len(lines):end]))
+        dims: list[int] = []
+        for d in range(n + 1):
+            self.offsets.append(len(lines))
+            for pivots, rows in _canonical_rows(n, d, ctx.q):
+                lines.append(_span_mask(ctx, n, rows, pivots))
+                if not len(lines) % 1024:
+                    check_deadline("lattice", dim=d, line_masks=len(lines))
+            dims += [d] * (len(lines) - self.offsets[d])
             check_deadline("lattice", dim=d, line_masks=len(lines))
         self.lines: tuple[int, ...] = tuple(lines)
+        self.dims: tuple[int, ...] = tuple(dims)
         self._contains_mask: Optional[list[int]] = None
 
     def __len__(self):
-        return len(self.subspaces)
+        return len(self.dims)
+
+    @cached_property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        """Every entry as a Subspace, in global order, built on first read.
+
+        The budget is not read again: the lattice was admitted when it was built.
+        """
+        ctx, n = self.ctx, self.n
+        return tuple(
+            Subspace(ctx, n, rows) for d in range(n + 1) for _, rows in _canonical_rows(n, d, ctx.q)
+        )
 
     def global_index(self, space: Subspace) -> int:
         """Position of space in the global order; DomainError for another ambient."""
@@ -780,10 +811,23 @@ class Lattice:
 
     def index_at(self, g: int) -> SubspaceIndex:
         """The (dim, pos) of global position g; DomainError outside [0, len)."""
-        if not 0 <= g < len(self.subspaces):
-            raise DomainError(f"position {g} outside [0, {len(self.subspaces)})")
+        if not 0 <= g < len(self.dims):
+            raise DomainError(f"position {g} outside [0, {len(self.dims)})")
         d = self.dims[g]
         return SubspaceIndex(d, g - self.offsets[d] + 1)
+
+    def positions(self, dims: Iterable[int]) -> list[int]:
+        """Global positions of the entries whose dimension is in dims, in global order.
+
+        Each listed dimension gives its whole block, from its offset to the
+        next. DomainError for a dimension outside [0, n].
+        """
+        picked = sorted(set(dims))
+        for d in picked:
+            if not 0 <= d <= self.n:
+                raise DomainError(f"dimension {d} outside [0, {self.n}]")
+        ends = [*self.offsets[1:], len(self.dims)]
+        return [g for d in picked for g in range(self.offsets[d], ends[d])]
 
     @property
     def contains_mask(self) -> list[int]:
@@ -798,8 +842,9 @@ class Lattice:
         return self._contains_mask
 
     def join(self, i: int, j: int) -> int:
-        """Global index of the lattice join of subspaces i and j, by union_space."""
-        return self.global_index(union_space(self.subspaces[i], self.subspaces[j]))
+        """Global index of the lattice join of entries i and j; DomainError outside [0, len)."""
+        a, b = (subspace_at(self.ctx, self.n, self.index_at(g)) for g in (i, j))
+        return self.global_index(union_space(a, b))
 
 
 @lru_cache(maxsize=None)

@@ -217,7 +217,7 @@ def build_graph(
     predicate.admits(d) (and in limits.dim_filter, when given), in lattice
     order; two vertices are joined when predicate.meets allows their meet.
     The rows come from gfspace.compatible_rows over the vertices' lattice
-    positions. The lattice budget is checked first, so an ambient over it
+    positions, Lattice.positions of the kept dimensions. The lattice budget is checked first, so an ambient over it
     raises ResourceLimitError before anything else is looked at; then a
     dim_filter entry outside [0, n] raises DomainError. The budget deadline
     raises ResourceLimitError too, checked after the lattice ("lattice")
@@ -233,8 +233,8 @@ def build_graph(
         raise DomainError("predicate must be a ModularProfile or a FractionSet")
     lat = lattice(ctx, n)
     check_deadline("lattice")
-    dims = {d for d in range(n + 1) if predicate.admits(d) and (keep is None or d in keep)}
-    positions = [g for g, d in enumerate(lat.dims) if d in dims]
+    admitted = filter(predicate.admits, range(n + 1))
+    positions = lat.positions(d for d in admitted if keep is None or d in keep)
     # No row holds its own vertex: the [d 1]_q lines it shares with itself
     # are a meet of dimension d, which no predicate admitting d allows (K
     # and L are disjoint, and every listed fraction is below 1).

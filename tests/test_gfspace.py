@@ -525,6 +525,40 @@ class TestLattice:
         assert lat.join(0, 5) == 5
         assert lat.join(15, 3) == 15
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (16, 0), (0, -1), (3, 16)])
+    def test_join_rejects_positions_outside_the_lattice(self, i, j):
+        with pytest.raises(DomainError, match=r"^position -?\d+ outside \[0, 16\)$"):
+            lattice(field(2), 3).join(i, j)
+
+    def test_positions_are_whole_dimension_blocks(self):
+        lat = lattice(field(2), 3)
+        assert lat.positions([2, 0]) == [0, *range(8, 15)]
+        assert lat.positions(iter([3, 3, 1])) == [*range(1, 8), 15]
+        assert lat.positions(()) == []
+        for d in (-1, 4):
+            with pytest.raises(DomainError, match=rf"^dimension {d} outside \[0, 3\]$"):
+                lat.positions([1, d])
+
+    def test_whole_lattice_consumers_build_no_subspaces(self):
+        from qlattice import (
+            VARIANTS, LatticeFunction, build_graph, certificate_context, gen_example_uniform,
+            independence_certificate, max_family, moebius_transform, span_check, zeta_transform,
+        )
+
+        ex = gen_example_uniform(2, 1, 2)
+        ctx, n = ex.family.ctx, ex.family.n
+        _cached_lattice.cache_clear()
+        lat = lattice(ctx, n)
+        assert lat.contains_mask
+        assert max_family(build_graph(ctx, n, ex.profile)).size == len(ex.family.members)
+        cctx = certificate_context(ctx, n, ex.profile)
+        for variant in VARIANTS:
+            independence_certificate(cctx, ex.family, variant)
+        assert span_check(cctx, ex.family, [("g_xy", 0, 1), ("g_i", 0)]).all_solvable
+        alpha = LatticeFunction.random(lat, 7, random.Random("no subspaces"))
+        assert moebius_transform(zeta_transform(alpha)) == alpha
+        assert "subspaces" not in lat.__dict__
+
     def test_budget_enforced(self):
         _cached_lattice.cache_clear()
         with budget(lattice=10):
@@ -610,24 +644,32 @@ class TestBudgetScope:
         assert current_deadline() is None
         assert lattice_budget() == DEFAULT_LATTICE_BUDGET
 
-    @pytest.mark.parametrize("seconds, partial", [
-        (2.5, {"dim": 2, "subspaces": 15}),
-        (6.5, {"dim": 2, "line_masks": 15}),
-    ])
-    def test_expiry_during_the_lattice_build(self, fake_clock, seconds, partial):
-        # entry reads 0; enumerating dimensions 0..3 reads 1..4, their line
-        # masks 5..8, so dimension 2 of either step is the first refused
+    def test_expiry_during_the_lattice_build(self, fake_clock):
+        # entry reads 0 and the checks after dimensions 0..3 read 1..4, so
+        # dimension 2 is the first refused
         _cached_lattice.cache_clear()
         fake_clock.step = 1
-        with budget(seconds=seconds):
+        with budget(seconds=2.5):
             with pytest.raises(ResourceLimitError, match=r"^time budget ran out in lattice$") as exc:
                 lattice(field(2), 3)
-        assert exc.value.partial == {"phase": "lattice", **partial}
+        assert exc.value.partial == {"phase": "lattice", "dim": 2, "line_masks": 15}
         assert _cached_lattice.cache_info().currsize == 0
         fake_clock.step = 0
         built = lattice(field(2), 3)
         assert (len(built), len(built.lines), built.offsets) == (16, 16, [0, 1, 8, 15])
         assert built.lines == tuple(line_mask(s) for s in built.subspaces)
+
+    def test_expiry_inside_one_dimension(self, fake_clock):
+        # GF(2)^6 has offsets 0, 1, 64, 715, 2110, ...: entry reads 0, the
+        # checks after dimensions 0..2 read 1..3, and the check at entry 1024,
+        # inside dimension 3's 1395 entries, reads 4
+        _cached_lattice.cache_clear()
+        fake_clock.step = 1
+        with budget(seconds=3.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in lattice$") as exc:
+                lattice(field(2), 6)
+        assert exc.value.partial == {"phase": "lattice", "dim": 3, "line_masks": 1024}
+        assert _cached_lattice.cache_info().currsize == 0
 
     def test_distant_deadline_builds_the_same_lattice(self, fake_clock):
         fake_clock.step = 1
@@ -667,9 +709,22 @@ class TestLineMask:
         assert (mu & ~mw == 0) == contains(w, u)
         assert (mu & mw).bit_count() == qbinom(intersect(u, w).dim, 1, q)
 
-    def test_lattice_holds_the_masks(self):
-        lat = lattice(field(3), 3)
-        assert lat.lines == tuple(line_mask(s) for s in lat.subspaces)
+    @pytest.mark.parametrize("q, n", [
+        *((2, n) for n in range(7)), *((3, n) for n in range(5)), (4, 3), (5, 3), (8, 2), (9, 2),
+    ])
+    def test_lattice_holds_the_masks(self, q, n):
+        # the reference route: line_mask over each dimension's enumeration
+        ctx, lines, dims, offsets, subs = field(q), [], [], [], []
+        for d in range(n + 1):
+            offsets.append(len(subs))
+            block = list(enumerate_subspaces(ctx, n, d))
+            subs += block
+            lines += map(line_mask, block)
+            dims += [d] * len(block)
+        lat = Lattice(ctx, n)
+        assert (lat.lines, lat.dims, lat.offsets) == (tuple(lines), tuple(dims), offsets)
+        assert "subspaces" not in lat.__dict__
+        assert lat.subspaces == tuple(subs)
 
     def test_budget_enforced(self):
         with budget(lattice=6):
