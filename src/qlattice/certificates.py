@@ -8,10 +8,11 @@ chosen row set on the containment vectors of every subspace of the ambient
 space and computing the rank mod p yields a sound one-sided certificate:
 full row rank proves linear independence, anything less is inconclusive.
 
-Each point is an int mask cut from Lattice.contains_mask, so an f or g_xy
-row reads one bit per point. A point's line count is the popcount of its line
-mask (gfspace.line_mask), the lines it shares with a member the popcount of
-the AND of the two masks. The members' lattice positions come from
+The points are the lattice's entries, read by position with no record per
+point: the f row (column) of u, dim u <= s, is row u of compatible_rows under
+the transposed containment rule. A point's line count is the popcount of its
+line mask (gfspace.line_mask), the lines it shares with a member the popcount
+of the AND of the two masks. The members' lattice positions come from
 Lattice.global_index, their masks from the context lattice's lines.
 
 The rank argument holds only for a family that follows the profile, so
@@ -29,10 +30,10 @@ admitted entries, so it grows with the square of the lattice.
 Rank and span run over packed rows: a row is one int whose lane j, a fixed
 number of whole bytes wide, holds entry j mod p. A row operation is one
 big-int multiply-add, after which a Barrett multiply, shift and mask reduces
-every lane at once (_Lanes). Rows are converted through array and
-int.from_bytes, never entry by entry. The rows that depend only on the
+every lane at once (_Lanes). Rows are converted through array, _restride
+and int.from_bytes, never entry by entry. The rows that depend only on the
 context, not on the family, are built once per CertificateContext, on first
-use: the columns of the points, the g_xy rows, the echelon basis of the f
+use: the f rows (the columns), the g_xy rows, the echelon basis of the f
 rows, and one grid block per filter (every g_xy row, or those lemma52 and
 swallow2 keep) with its labels, packed rows, entries and rank. lemma41 and
 lemma52 take their labels, entries and rank from the block once the family
@@ -61,7 +62,7 @@ import struct
 import sys
 from array import array
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import mod
 from typing import Iterable, Optional, Sequence
 
@@ -73,6 +74,7 @@ from .gfspace import (
     Subspace,
     SubspaceIndex,
     compatible_rows,
+    containment_counts,
     index_of,
     lattice,
     line_mask,
@@ -90,11 +92,12 @@ from .records import Record
 
 
 class CertificateContext(Record):
-    """Frozen evaluation setting: ambient, profile, prime, and point set.
+    """Frozen evaluation setting: ambient, profile and prime.
 
     The evaluation points are the containment vectors (capped at dimension s)
-    of every subspace of the ambient space, in canonical lattice order; the
-    matching SubspaceIndex labels are kept alongside for export.
+    of every subspace of the ambient space, in canonical lattice order; all
+    that is read per point (S, point_labels, the rows) comes from the
+    context's lattice on first use.
 
     The context is the unit of memory. Besides the rows that depend only on
     it, it keeps the g_i row of every member position any certificate or
@@ -107,9 +110,6 @@ class CertificateContext(Record):
     n: int
     profile: ModularProfile
     p: int
-    S: int
-    points: tuple[ContainmentVector, ...]
-    point_labels: tuple[SubspaceIndex, ...]
 
     @property
     def q(self) -> int:
@@ -128,26 +128,35 @@ class CertificateContext(Record):
     # hash and repr, which read the fields only, ignore what it stores.
 
     @cached_property
+    def S(self) -> int:
+        """The number of f rows: the positions of dimension <= s, the lowest ones."""
+        return len(lattice(self.ctx, self.n).positions(range(min(self.s, self.n) + 1)))
+
+    @cached_property
+    def point_labels(self) -> tuple[SubspaceIndex, ...]:
+        lat = lattice(self.ctx, self.n)
+        return tuple(map(lat.index_at, range(len(lat))))
+
+    @cached_property
     def _lanes(self) -> "_Lanes":
-        return _Lanes(self.p, len(self.points))
+        return _Lanes(self.p, len(lattice(self.ctx, self.n)))
 
     @cached_property
     def _columns(self) -> tuple[int, ...]:
         """Column u of the points, packed: lane w is 1 when subspace u lies in point w.
 
-        The point masks become strings of 0/1 bytes, low bit first, and zip
-        transposes them, so no Python loop runs per entry.
+        Row u of compatible_rows under the transposed containment rule, for
+        the S lowest u, as 0/1 bytes that _restride widens to lanes.
         """
-        width = self.S
-        bits = [
-            format(v.mask, "b").zfill(width)[::-1].encode().translate(_ZERO_ONE)
-            for v in self.points
-        ]
-        return tuple(map(self._lanes.pack, zip(*bits)))
+        lat = lattice(self.ctx, self.n)
+        above = tuple(zip(*containment_counts(self.n, self.q)))
+        rows = islice(compatible_rows(lat, range(len(lat)), above), self.S)
+        bits = (format(row, f"0{len(lat)}b")[::-1].encode().translate(_ZERO_ONE) for row in rows)
+        return tuple(int.from_bytes(_restride(b, 1, self._lanes.width), "little") for b in bits)
 
     @cached_property
     def _grid_rows(self) -> tuple[int, ...]:
-        """Packed g_xy rows for 0 <= x <= s - r, by the bit index of (x, y).
+        """Packed g_xy rows for 0 <= x <= s - r, by the lattice position of (x, y).
 
         g_xy is column u of (x, y) with every lane set to the K factor of
         its point: the column's 0/1 lanes widened to all-ones, ANDed with
@@ -155,8 +164,14 @@ class CertificateContext(Record):
         """
         lanes = self._lanes
         factors = lanes.pack(_k_factors(self, lattice(self.ctx, self.n).lines))
-        count = sum(qbinom(self.n, x, self.q) for x in range(self.s - self.r + 1))
+        count = sum(map(len, self._grid_blocks))
         return tuple(column * lanes.lane & factors for column in self._columns[:count])
+
+    @cached_property
+    def _grid_blocks(self) -> list[list[int]]:
+        """The lattice positions of dimension x for 0 <= x <= s - r, none above n."""
+        lat = lattice(self.ctx, self.n)
+        return [lat.positions([x] if x <= self.n else []) for x in range(self.s - self.r + 1)]
 
     @cached_property
     def _grid(self) -> "_GridBlock":
@@ -221,8 +236,8 @@ def certificate_context(
     exactly b; only b is factored for that test, never p - 1, so any size of
     p is checked at once. The derived default comes from the
     primitive-prime-divisor search and inherits its unsupported-parameter
-    errors. Point w is contains_mask[w] cut to its low S bits, the subspaces
-    of dimension <= s.
+    errors. The context lattice is built (or found cached) here, so its
+    budget errors surface at this call; nothing is built per point.
     """
     if n < 0:
         raise DomainError(f"ambient dimension must be >= 0, got {n}")
@@ -235,13 +250,8 @@ def certificate_context(
             raise DomainError(
                 f"q = {ctx.q} does not have multiplicative order exactly {profile.b} mod {p}"
             )
-    s = profile.s
-    total = sum(qbinom(n, t, ctx.q) for t in range(s + 1))
-    lat = lattice(ctx, n)
-    low = (1 << total) - 1
-    points = tuple(ContainmentVector(ctx, n, s, mask & low) for mask in lat.contains_mask)
-    labels = tuple(map(lat.index_at, range(len(lat))))
-    return CertificateContext(ctx, n, profile, p, total, points, labels)
+    lattice(ctx, n)
+    return CertificateContext(ctx, n, profile, p)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +297,13 @@ def _k_factors(cctx: CertificateContext, lines: Iterable[int]) -> list[int]:
 
 
 def _grid_index(cctx: CertificateContext, x: int, y: int) -> int:
-    """Bit index of (x, y), the row of g_xy in the context's grid."""
+    """The lattice position of (x, y), the row of g_xy in the context's grid."""
     if not 0 <= x <= cctx.s - cctx.r:
         raise DomainError(f"x = {x} outside [0, {cctx.s - cctx.r}]")
-    return cctx.points[0].bit_index(x, y)
+    block = cctx._grid_blocks[x]
+    if not 1 <= y <= len(block):
+        raise DomainError(f"position {y} outside [1, {len(block)}] for dimension {x}")
+    return block[y - 1]
 
 
 def _member(family: Family, i: int) -> Subspace:
@@ -566,12 +579,11 @@ class _GridBlock:
         self._lanes = cctx._lanes
         labels: list[tuple] = []
         rows: list[int] = []
-        for x in range(cctx.s - cctx.r + 1):
+        for x, block in enumerate(cctx._grid_blocks):
             if filtered and cctx.profile.admits(x):
                 continue
-            start, count = cctx.points[0].offset(x), qbinom(cctx.n, x, cctx.q)
-            labels += [("g_xy", x, y) for y in range(1, count + 1)]
-            rows += cctx._grid_rows[start : start + count]
+            labels += [("g_xy", x, y) for y in range(1, len(block) + 1)]
+            rows += map(cctx._grid_rows.__getitem__, block)
         self.labels = tuple(labels)
         self.rows = tuple(rows)
         self.entries = tuple(map(self._lanes.unpack, rows))

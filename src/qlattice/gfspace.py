@@ -11,16 +11,17 @@ which builds the meet itself, stays as the reference route. Questions about
 a whole list of subspaces at once (which contain u, how many lines each
 shares with u) go through LineIncidence, the line masks turned on their
 side, and compatible_rows is the one builder of rows over a list of
-lattice positions: the lattice's containment table (every position), a
-certificate context's compatibility table and search's adjacency (the
-admitted positions) all come from it. The Lattice itself is its
-entries' dimensions and line masks: one walk of the canonical order per
-dimension feeds the mask kernel line_mask also uses, so the build makes
-no Subspace, and Lattice.subspaces is built from the same walk only when
-read. Sizes are checked against the lattice budget of the budgets scope,
-and the lattice build checks its deadline. field(q) and field_from_dict
-give one shared context per field, whose tables are built on first use
-from the powers of one generator (a discrete log).
+lattice positions: the lattice's containment table (containment_counts)
+and, under its transpose, a certificate context's columns; over admitted
+positions, a certificate context's compatibility table and search's
+adjacency. The Lattice is its entries' dimensions and line masks: one
+walk of the canonical order per dimension feeds the mask kernel line_mask
+also uses, so the build makes no Subspace, and Lattice.subspaces is built
+from the same walk only when read. Sizes are checked against the lattice
+budget of the budgets scope; the lattice build and the LineIncidence
+transposition check its deadline. field(q) and field_from_dict give one
+shared context per field, whose tables are built on first use from the
+powers of one generator (a discrete log).
 
 Enumeration order within one dimension, one table (_order, its C(n, d)
 patterns checked against the lattice budget) for enumeration, the lattice
@@ -546,7 +547,7 @@ def _canonical_rows(n: int, dim: int, q: int) -> Iterator[tuple[tuple[int, ...],
     """(pivots, rows) of every dim-dimensional subspace of GF(q)^n, in canonical order.
 
     The one walk of _order: enumerate_subspaces wraps each yield in a
-    Subspace, and Lattice and Lattice.subspaces read it directly.
+    Subspace; Lattice, Lattice.subspaces and containment_vector read it.
     """
     for cols, (_, free) in _order(n, dim, q).items():
         for digits in itertools.product(range(q), repeat=len(free)):
@@ -647,9 +648,10 @@ class LineIncidence:
     """Vertical incidence of a list of line masks: which entries hold each line.
 
     up[l] is the mask, over the list's positions, of the entries that
-    contain line l; it comes from one transposition of the masks as bit
-    strings. With it, whole-list questions about a mask u take a few big-int
-    operations per line of u instead of one per entry:
+    contain line l; it comes from transposing the masks as bit strings, 1024
+    entries at a time, with a check of the budget deadline ("incidence")
+    after each block. With it, whole-list questions about a mask u take a
+    few big-int operations per line of u instead of one per entry:
 
     - planes(u) adds up[l] for each line l of u into bit planes with a
       ripple carry, so bit k of entry j's count of lines shared with u is
@@ -667,12 +669,15 @@ class LineIncidence:
 
     def __init__(self, masks: Sequence[int]):
         width = max(masks, default=0).bit_length()
-        # Character k of a row is line width-1-k; column k, read backwards,
-        # holds entry j at bit j.
-        rows = [format(mask, f"0{width}b") for mask in masks]
-        self.up: tuple[int, ...] = tuple(
-            int("".join(column)[::-1], 2) for column in reversed(tuple(zip(*rows)))
-        ) if width else ()
+        up = [0] * width
+        for start in range(0, len(masks), 1024) if width else ():
+            # Character k of a row is line width-1-k; column k, read
+            # backwards, holds the block's entry j at bit j.
+            rows = [format(mask, f"0{width}b") for mask in masks[start : start + 1024]]
+            for line, column in enumerate(reversed(tuple(zip(*rows)))):
+                up[line] |= int("".join(column)[::-1], 2) << start
+            check_deadline("incidence", transposed=start + len(rows), masks=len(masks))
+        self.up: tuple[int, ...] = tuple(up)
 
     def planes(self, mask: int) -> list[int]:
         """Bit-sliced counts of the lines each entry shares with mask."""
@@ -712,8 +717,8 @@ def compatible_rows(
     Bit k' of row k stands for the entry at positions[k']. It is set when
     the two entries' line masks share a count of lines in allowed[di][dj],
     di and dj their dimensions (families.shared_line_counts for a
-    predicate, or {[dj 1]_q} for containment). LineIncidence counts a whole
-    row at once. Rows come lazily, so a caller may stop at the first bad one.
+    predicate, or containment_counts). LineIncidence counts a whole row at
+    once. Rows come lazily, so a caller may stop early.
     """
     lines = list(map(lat.lines.__getitem__, positions))
     dims = list(map(lat.dims.__getitem__, positions))
@@ -739,6 +744,12 @@ def compatible_rows(
         yield row
 
 
+def containment_counts(n: int, q: int) -> list[list[frozenset[int]]]:
+    """compatible_rows' rule for "u lies in w": allowed[dw][du] = {[du 1]_q} when du <= dw."""
+    span = range(n + 1)
+    return [[frozenset({qbinom(du, 1, q)} if du <= dw else ()) for du in span] for dw in span]
+
+
 def lattice_size(n: int, q: int) -> int:
     """Total number of subspaces of GF(q)^n (all dimensions)."""
     return sum(qbinom(n, t, q) for t in range(n + 1))
@@ -762,8 +773,8 @@ class Lattice:
     mask from the pattern rows, so it makes no Subspace; subspaces, the
     entries as Subspace values, comes from the same walk on first read.
     Every whole-lattice consumer reads positions instead. The lazy
-    contains_mask table derives from the masks through compatible_rows: bit
-    u of contains_mask[w] says u lies inside w, that is, w holds all
+    contains_mask table is compatible_rows under containment_counts: bit u
+    of contains_mask[w] says u lies inside w, that is, w holds all
     [dim u 1]_q lines of u. Family checks use meet_dim per pair instead, as
     family files may live in ambients too big for a lattice. The build
     checks the budget deadline ("lattice") every 1024 entries and after each
@@ -833,11 +844,7 @@ class Lattice:
     def contains_mask(self) -> list[int]:
         """Bit u of entry w: subspace u lies in w, so w holds all lines of u."""
         if self._contains_mask is None:
-            span = range(self.n + 1)
-            inside = [
-                [frozenset({qbinom(du, 1, self.ctx.q)} if du <= dw else ()) for du in span]
-                for dw in span
-            ]
+            inside = containment_counts(self.n, self.ctx.q)
             self._contains_mask = list(compatible_rows(self, range(len(self)), inside))
         return self._contains_mask
 
@@ -905,8 +912,9 @@ class ContainmentVector(Record):
 def containment_vector(space: Subspace, s_cap: int) -> ContainmentVector:
     """Containment vector of a subspace against all subspaces of dim <= s_cap.
 
-    Bit 0 (the zero subspace) is always set; higher candidates are tested by
-    line masks, so s_cap = 0 builds no line mask.
+    Bit 0 (the zero subspace) is always set, so s_cap = 0 builds no line
+    mask; higher candidates are tested by line masks from the canonical
+    walk, with no Subspace each.
     """
     if s_cap < 0:
         raise DomainError(f"s_cap must be >= 0, got {s_cap}")
@@ -917,8 +925,8 @@ def containment_vector(space: Subspace, s_cap: int) -> ContainmentVector:
     mask, start = 1, 1
     outside = ~line_mask(space) if top else 0
     for t in range(1, min(top, space.dim) + 1):
-        for u, cand in enumerate(enumerate_subspaces(ctx, n, t), start):
-            if not line_mask(cand) & outside:
+        for u, (pivots, rows) in enumerate(_canonical_rows(n, t, ctx.q), start):
+            if not _span_mask(ctx, n, rows, pivots) & outside:
                 mask |= 1 << u
         start += qbinom(n, t, ctx.q)
     return ContainmentVector(ctx, n, s_cap, mask)

@@ -220,8 +220,9 @@ def build_graph(
     positions, Lattice.positions of the kept dimensions. The lattice budget is checked first, so an ambient over it
     raises ResourceLimitError before anything else is looked at; then a
     dim_filter entry outside [0, n] raises DomainError. The budget deadline
-    raises ResourceLimitError too, checked after the lattice ("lattice")
-    and per row ("graph").
+    raises ResourceLimitError too, checked after the lattice ("lattice"),
+    per 1024 masks of the line-mask transposition ("incidence") and per row
+    ("graph").
     """
     require_lattice_budget(n, ctx.q)
     limits = limits or SearchLimits()

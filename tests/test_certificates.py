@@ -1,6 +1,7 @@
 """Rank certificates: the f/g evaluation functions and their matrices mod p."""
 
 import collections
+import functools
 import itertools
 import random
 
@@ -14,7 +15,9 @@ from qlattice import (
     DomainError,
     Family,
     FractionSet,
+    Lattice,
     ModularProfile,
+    ResourceLimitError,
     SubspaceIndex,
     certificate_context,
     check_modular,
@@ -30,6 +33,7 @@ from qlattice import (
     product_reduce,
     qbinom,
     rank_mod_p,
+    budget,
     build_graph,
     shared_line_counts,
     span_check,
@@ -38,6 +42,20 @@ from qlattice import (
 )
 import qlattice.certificates as certificates_module
 from qlattice.certificates import _Lanes
+
+
+@functools.lru_cache(maxsize=None)
+def _points(cctx):
+    """The evaluation points by the reference route: each contains_mask row cut to S bits.
+
+    S, the subspaces of dimension <= s, is counted here with qbinom, so the
+    oracle reads nothing the context derives.
+    """
+    lat = lattice(cctx.ctx, cctx.n)
+    low = (1 << sum(qbinom(cctx.n, t, cctx.q) for t in range(cctx.s + 1))) - 1
+    return tuple(
+        ContainmentVector(cctx.ctx, cctx.n, cctx.s, mask & low) for mask in lat.contains_mask
+    )
 
 
 def _reduce_mod_p(basis, row, p):
@@ -77,7 +95,7 @@ class TestContext:
         cctx, _ = tight
         assert cctx.p == 7
         assert cctx.S == 8 == qbinom(3, 0, 2) + qbinom(3, 1, 2)
-        assert len(cctx.points) == 16  # every subspace is an evaluation point
+        assert len(_points(cctx)) == 16  # every subspace is an evaluation point
         assert cctx.q == 2 and cctx.s == 1 and cctx.r == 1
 
     def test_explicit_prime_validated(self):
@@ -90,6 +108,30 @@ class TestContext:
         with pytest.raises(DomainError):
             certificate_context(F2, 3, prof, p=6)
 
+    def test_fields_are_the_setting_alone(self, tight):
+        cctx, _ = tight
+        assert CertificateContext._fields == ("ctx", "n", "profile", "p")
+        assert cctx == CertificateContext(field(2), 3, cctx.profile, 7)
+
+    def test_context_builds_nothing_per_point(self, monkeypatch):
+        # the lattice is built (and its budget checked) at creation; no point
+        # record, label or containment table is made there
+        F2 = field(2)
+        lattice(F2, 4)
+
+        def refuse(*args):
+            raise AssertionError("built at context creation")
+
+        monkeypatch.setattr(Lattice, "contains_mask", property(refuse))
+        monkeypatch.setattr(Lattice, "index_at", refuse)
+        monkeypatch.setattr(ContainmentVector, "_validate", refuse)
+        monkeypatch.setattr(certificates_module, "compatible_rows", refuse)
+        cctx = certificate_context(F2, 4, ModularProfile(5, (1,), (0, 2, 3)))
+        assert vars(cctx).keys() == {"ctx", "n", "profile", "p"}  # nothing cached yet
+        with pytest.raises(ResourceLimitError):
+            with budget(lattice=10):
+                certificate_context(F2, 4, cctx.profile)
+
     def test_point_labels_cover_lattice(self, tight):
         cctx, _ = tight
         assert len(cctx.point_labels) == 16
@@ -100,12 +142,12 @@ class TestContext:
 class TestEvalF:
     def test_zero_subspace_always_inside(self, tight):
         cctx, _ = tight
-        assert all(eval_f(0, 1, v) == 1 for v in cctx.points)
+        assert all(eval_f(0, 1, v) == 1 for v in _points(cctx))
 
     def test_self_containment(self, tight):
         cctx, _ = tight
         lab = cctx.point_labels
-        for w, v in enumerate(cctx.points):
+        for w, v in enumerate(_points(cctx)):
             x, y = lab[w].dim, lab[w].pos
             if x <= cctx.s:
                 assert eval_f(x, y, v) == 1
@@ -114,16 +156,16 @@ class TestEvalF:
         F2 = field(2)
         prof = ModularProfile(4, (2,), (0, 1))
         cctx = certificate_context(F2, 3, prof)
-        line_vec = cctx.points[1]
+        line_vec = _points(cctx)[1]
         for y in range(1, qbinom(3, 2, 2) + 1):
             assert eval_f(2, y, line_vec) == 0
 
     def test_out_of_range(self, tight):
         cctx, _ = tight
         with pytest.raises(DomainError):
-            eval_f(2, 1, cctx.points[0])  # s_cap is 1
+            eval_f(2, 1, _points(cctx)[0])  # s_cap is 1
         with pytest.raises(DomainError):
-            eval_f(1, 0, cctx.points[0])
+            eval_f(1, 0, _points(cctx)[0])
 
 
 class TestEvalGxy:
@@ -132,14 +174,14 @@ class TestEvalGxy:
         cctx, _ = tight
         lat = lattice(field(2), 3)
         for w, sub in enumerate(lat.subspaces):
-            val = eval_g_xy(cctx, 0, 1, cctx.points[w])
+            val = eval_g_xy(cctx, 0, 1, _points(cctx)[w])
             assert (val == 0) == (sub.dim % 3 == 2), sub.dim
 
     def test_zero_f_forces_zero_g(self):
         F2 = field(2)
         prof = ModularProfile(4, (2,), (0, 1))
         cctx = certificate_context(F2, 3, prof)
-        line_vec = cctx.points[1]
+        line_vec = _points(cctx)[1]
         for y in range(1, 8):
             if eval_f(1, y, line_vec) == 0:
                 assert eval_g_xy(cctx, 1, y, line_vec) == 0
@@ -147,7 +189,7 @@ class TestEvalGxy:
     def test_x_beyond_grid_rejected(self, tight):
         cctx, _ = tight
         with pytest.raises(DomainError):
-            eval_g_xy(cctx, 1, 1, cctx.points[0])  # s - r = 0
+            eval_g_xy(cctx, 1, 1, _points(cctx)[0])  # s - r = 0
 
 
 class TestEvalGi:
@@ -155,7 +197,7 @@ class TestEvalGi:
         # g^i kills every other member and survives on its own
         cctx, fam = tight
         lat = lattice(field(2), 3)
-        vecs = [cctx.points[lat.global_index(m)] for m in fam.members]
+        vecs = [_points(cctx)[lat.global_index(m)] for m in fam.members]
         for i in range(len(fam.members)):
             for j in range(len(fam.members)):
                 val = eval_g_i(cctx, i, fam, vecs[j])
@@ -168,7 +210,7 @@ class TestEvalGi:
         member = next(iter(enumerate_subspaces(F2, 3, 2)))
         fam = Family(F2, 3, (member,))
         lat = lattice(F2, 3)
-        v = cctx.points[lat.global_index(member)]
+        v = _points(cctx)[lat.global_index(member)]
         assert eval_g_i(cctx, 0, fam, v) == 1
 
 
@@ -316,8 +358,8 @@ def _uniform_2_1_3():
 def _spec_row(cctx, fam, label):
     """One certificate row evaluated point by point from the eval_* functions."""
     if label[0] == "g_i":
-        return [eval_g_i(cctx, label[1], fam, v) for v in cctx.points]
-    return [eval_g_xy(cctx, label[1], label[2], v) for v in cctx.points]
+        return [eval_g_i(cctx, label[1], fam, v) for v in _points(cctx)]
+    return [eval_g_xy(cctx, label[1], label[2], v) for v in _points(cctx)]
 
 
 class TestMaskRowsMatchSpec:
@@ -338,7 +380,7 @@ class TestMaskRowsMatchSpec:
         cctx, fam = example
         p = cctx.p
         f_rows = [
-            [eval_f(x, y, v) for v in cctx.points]
+            [eval_f(x, y, v) for v in _points(cctx)]
             for x in range(cctx.s + 1)
             for y in range(1, qbinom(cctx.n, x, cctx.q) + 1)
         ]
@@ -351,6 +393,51 @@ class TestMaskRowsMatchSpec:
             not any(_reduce_mod_p(basis, _spec_row(cctx, fam, tag), p)) for tag in samples
         )
         assert span_check(cctx, fam, samples).solvable == expected
+
+
+def _transposed_oracle(cctx):
+    """Column u of _points: lane w is bit u of point w's mask, for u below S."""
+    points = _points(cctx)
+    return tuple(cctx._lanes.pack([v.mask >> u & 1 for v in points]) for u in range(cctx.S))
+
+
+class TestColumns:
+    """The f columns, rows of compatible_rows under the transposed containment rule."""
+
+    # b = 7 has a prime of order 7 for q = 2, 3 and 4; L of size 6 puts every
+    # subspace of these ambients among the f rows, L of size 2 cuts them at s = 2
+    @pytest.mark.parametrize("q, n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4),
+                                      (4, 3)])
+    @pytest.mark.parametrize("L", [(0, 1, 2, 3, 4, 5), (0, 1)])
+    def test_columns_transpose_the_points(self, q, n, L):
+        cctx = certificate_context(field(q), n, ModularProfile(7, (6,), L))
+        assert cctx.S == sum(qbinom(n, t, q) for t in range(len(L) + 1))
+        assert cctx._columns == _transposed_oracle(cctx)
+
+    def test_wide_prime_columns(self):
+        p = 2 ** 61 - 1
+        cctx = certificate_context(field(2), 4, ModularProfile(61, (60,), (0, 1, 2)), p=p)
+        assert cctx._lanes.width == 31
+        assert cctx._columns == _transposed_oracle(cctx)
+
+    def test_certificates_read_no_contains_mask(self, monkeypatch):
+        ex = gen_example_uniform(2, 1, 3)
+        ctx, n, family = ex.family.ctx, ex.family.n, ex.family
+        lattice(ctx, n)
+
+        def refuse(lat):
+            raise AssertionError("contains_mask read")
+
+        samples = [("g_xy", 0, 1), ("g_i", 0), ("g_i", 3)]
+        monkeypatch.setattr(Lattice, "contains_mask", property(refuse))
+        cctx = certificate_context(ctx, n, ex.profile)
+        certs = [independence_certificate(cctx, family, variant) for variant in VARIANTS]
+        span = span_check(cctx, family, samples)
+        monkeypatch.undo()
+        for cert in certs:
+            assert cert.entries == tuple(tuple(v % cctx.p for v in _spec_row(cctx, family, label))
+                                         for label in cert.rows)
+        assert span.all_solvable
 
 
 class TestCertificateMatrix:
@@ -396,19 +483,48 @@ class TestSpanCheck:
         # points cut to the zero subspace leave one f row, all ones, whose
         # span holds only the rows that are constant over the points
         cctx, fam = tight
-        cut = CertificateContext(
-            cctx.ctx, cctx.n, cctx.profile, cctx.p, S=1, point_labels=cctx.point_labels,
-            points=tuple(ContainmentVector(v.ctx, v.n, 0, v.mask & 1) for v in cctx.points))
+        cut = certificate_context(cctx.ctx, cctx.n, cctx.profile, cctx.p)
+        vars(cut)["S"] = 1  # before its first read
         samples = [("g_xy", 0, 1)] + [("g_i", i) for i in range(len(fam))]
         want = tuple(len(set(_spec_row(cctx, fam, tag))) == 1 for tag in samples)
         assert span_check(cut, fam, samples).solvable == want
         assert not any(want)
 
+    @pytest.mark.parametrize("kind", [(2, 2, 2), (1, 3, 2), (2, 2, 3)])
+    def test_grid_index_is_the_lattice_position(self, kind):
+        # a g_xy sample reads the grid row of (x, y)'s lattice position
+        ex = gen_example_uniform(*kind)
+        ctx, n = ex.family.ctx, ex.family.n
+        cctx, lat = certificate_context(ctx, n, ex.profile), lattice(ctx, n)
+        for x in range(cctx.s - cctx.r + 1):
+            for y in range(1, qbinom(n, x, ctx.q) + 1):
+                want = lat.global_index(subspace_at(ctx, n, SubspaceIndex(x, y)))
+                assert certificates_module._grid_index(cctx, x, y) == want, (x, y)
+
+    def test_sample_refusals(self, tight):
+        cctx, fam = tight
+        # s - r = 4 on GF(2)^2: the grid reaches past n, where blocks are empty
+        wide = certificate_context(field(2), 2, ModularProfile(7, (6,), (0, 1, 2, 3, 4)))
+        cases = [
+            (cctx, ("g_xy", 1, 1), "x = 1 outside [0, 0]"),
+            (cctx, ("g_xy", 0, 2), "position 2 outside [1, 1] for dimension 0"),
+            (cctx, ("g_i", 7), "member index 7 outside [0, 7)"),
+            (cctx, ("f", 0), "sample id ('f', 0) must be ('g_xy', x, y) or ('g_i', i)"),
+            (wide, ("g_xy", 2, 2), "position 2 outside [1, 1] for dimension 2"),
+            (wide, ("g_xy", 3, 1), "position 1 outside [1, 0] for dimension 3"),
+            (wide, ("g_xy", 5, 1), "x = 5 outside [0, 4]"),
+        ]
+        for context, sample, message in cases:
+            with pytest.raises(DomainError) as exc:
+                span_check(context, fam if context is cctx else Family(field(2), 2, ()), [sample])
+            assert str(exc.value) == message, sample
+        assert span_check(wide, Family(field(2), 2, ()), [("g_xy", 2, 1)]).all_solvable
+
     def test_expansion_identity(self, tight):
         # g^{0,1} = sum_j f^{1,j} - [k1 1]_q f^{0,1} pointwise, r = 1
         cctx, _ = tight
         c = qbinom(2, 1, 2)
-        for v in cctx.points:
+        for v in _points(cctx):
             lhs = eval_g_xy(cctx, 0, 1, v)
             rhs = (sum(eval_f(1, j, v) for j in range(1, 8)) - c * eval_f(0, 1, v)) % 7
             assert lhs == rhs
@@ -779,11 +895,8 @@ class TestMemberRowStore:
         for context, family in ((certificate_context(cctx.ctx, cctx.n, cctx.profile), fam),
                                 _uniform_2_1_3()):
             # the same context cut to the zero subspace: no g_i lies in the span
-            cut = CertificateContext(
-                context.ctx, context.n, context.profile, context.p, S=1,
-                point_labels=context.point_labels,
-                points=tuple(ContainmentVector(v.ctx, v.n, 0, v.mask & 1)
-                             for v in context.points))
+            cut = certificate_context(context.ctx, context.n, context.profile, context.p)
+            vars(cut)["S"] = 1  # before its first read
             samples = [("g_i", i) for i in range(len(family))]
             for c in (context, cut):
                 # each sample's row built and packed per call, the route before the store
@@ -962,12 +1075,15 @@ class TestRevalidation:
         calls = []
         real = certificates_module.compatible_rows
 
+        ctx, profile, star, stray, _ = _star_case(2, 4)
+
         def counted(*args):
-            calls.append(args)
+            # the compatibility table's calls; the f columns take another rule
+            if args[2] is shared_line_counts(profile, 4, 2):
+                calls.append(args)
             return real(*args)
 
         monkeypatch.setattr(certificates_module, "compatible_rows", counted)
-        ctx, profile, star, stray, _ = _star_case(2, 4)
         family = Family(ctx, 4, tuple(star))
         spoiled = Family(ctx, 4, tuple(star) + (stray,))
         cctx = certificate_context(ctx, 4, profile)

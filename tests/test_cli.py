@@ -391,13 +391,16 @@ class TestBudgetScope:
         assert seen == [(7, None)]
         outside()
 
-    @pytest.mark.parametrize("step,phase", [(5, "lattice"), (1, "graph")])
+    @pytest.mark.parametrize("step,phase", [(5, "lattice"), (1, "incidence"), (0.6, "graph")])
     def test_time_budget_covers_lattice_and_graph(self, fake_clock, step, phase):
-        # entry reads 0, the lattice check reads step, the first row check 2·step
+        # entry reads 0, the lattice check reads step, the check after the
+        # one block of the line-mask transposition 2·step, the first row
+        # check 3·step
         fake_clock.step = step
         code, out, err = run(SEARCH3 + ["--time-budget", "1.5"])
         assert (code, out) == (3, "")
-        progress = {"lattice": {}, "graph": {"rows": 1, "vertices": 15}}[phase]
+        progress = {"lattice": {}, "incidence": {"transposed": 15, "masks": 15},
+                    "graph": {"rows": 1, "vertices": 15}}[phase]
         assert json.loads(err)["error"] == {
             "kind": "ResourceLimitError",
             "message": f"time budget ran out in {phase}",
@@ -415,8 +418,9 @@ class TestBudgetScope:
 
     def test_time_budget_runs_out_in_search(self, fake_clock):
         fake_clock.step = 1
-        # entry 0, lattice 1, 15 rows 2..16, one symmetry band 17, nodes from 18
-        code, out, err = run(SEARCH3 + ["--time-budget", "20.5"])
+        # entry 0, lattice 1, incidence 2, 15 rows 3..17, one symmetry band
+        # 18, nodes from 19
+        code, out, err = run(SEARCH3 + ["--time-budget", "21.5"])
         assert (code, err) == (3, "")
         payload = json.loads(out)
         assert (payload["vertices"], payload["exhausted"], payload["nodes"]) == (15, False, 3)

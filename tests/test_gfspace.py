@@ -785,6 +785,28 @@ class TestLineIncidence:
         for line, holders in enumerate(up):
             assert holders == sum(1 << j for j, v in enumerate(lines) if v >> line & 1)
 
+    @pytest.mark.parametrize("q,n", [(2, 6), (3, 4)])
+    def test_blocks_give_the_whole_list_transposition(self, q, n):
+        # GF(2)^6 has 2825 entries, three blocks of the transposition; the
+        # oracle transposes the whole list at once
+        lines = lattice(field(q), n).lines
+        width = max(lines).bit_length()
+        rows = [format(mask, f"0{width}b") for mask in lines]
+        whole = tuple(int("".join(column)[::-1], 2) for column in reversed(tuple(zip(*rows))))
+        assert LineIncidence(lines).up == whole
+
+    def test_expiry_inside_the_transposition(self, fake_clock):
+        # entry reads 0 and the checks after each block of 1024 masks read
+        # 1, 2, ..., so the second block is the last one built
+        lines = lattice(field(2), 6).lines
+        fake_clock.step = 1
+        with budget(seconds=1.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in incidence$") as exc:
+                LineIncidence(lines)
+        assert exc.value.partial == {"phase": "incidence", "transposed": 2048, "masks": 2825}
+        with budget(seconds=1e6):
+            assert LineIncidence(lines).up == LineIncidence(list(lines)).up
+
     def test_select_picks_counts_within(self):
         rng = random.Random(5)
         lines = lattice(field(2), 4).lines
@@ -1112,6 +1134,27 @@ class TestCanonicalOrder:
             assert exc.value.partial == {"count": math.comb(30, 15)}
         assert time.perf_counter() - start < 1
         assert not hasattr(half, "_index")
+
+
+def test_containment_vector_builds_no_subspace(monkeypatch):
+    # the candidates come from the canonical walk, so neither enumerate_subspaces
+    # nor line_mask runs per candidate: one line_mask, the carrier's
+    from qlattice import gfspace
+
+    F = field(2)
+    space = lattice(F, 5).subspaces[-1]
+    want = [containment_vector(space, cap).mask for cap in range(4)]
+    calls = []
+    real = gfspace.line_mask
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(gfspace, "enumerate_subspaces", None)
+    monkeypatch.setattr(gfspace, "line_mask", counted)
+    assert [containment_vector(space, cap).mask for cap in range(4)] == want
+    assert calls == [space] * 3
 
 
 class TestContainmentVector:

@@ -523,16 +523,17 @@ class TestDeadline:
 
     def test_expiry_between_rows(self, fake_clock):
         fake_clock.step = 1
-        # entry reads 0, the lattice check 1, and the check after row r reads r + 1
-        with budget(seconds=4.5):
+        # entry reads 0, the lattice check 1, the check after the one block of
+        # the line-mask transposition 2, and the check after row r reads r + 2
+        with budget(seconds=5.5):
             with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
                 build_graph(field(2), 4, self.PREDICATE)
         assert exc.value.partial == {"phase": "graph", "rows": 4, "vertices": 66}
 
     def test_expiry_in_the_symmetry_check(self, fake_clock):
         fake_clock.step = 1
-        # all 66 rows pass; the check before the first band reads 68
-        with budget(seconds=67.5):
+        # all 66 rows pass; the check before the first band reads 69
+        with budget(seconds=68.5):
             with pytest.raises(ResourceLimitError) as exc:
                 build_graph(field(2), 4, self.PREDICATE)
         assert exc.value.partial == {"phase": "graph", "bands_checked": 0, "bands": 1}

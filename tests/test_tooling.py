@@ -192,7 +192,8 @@ ROW_BUILDER_USERS = {"gfspace.py", "search.py", "certificates.py"}
 def test_only_whole_list_callers_read_compatible_rows(path):
     # compatible_rows builds rows over a list of lattice positions: the
     # lattice's containment table, search's adjacency and a certificate
-    # context's compatibility table. families checks pairs by meet_dim only.
+    # context's f columns and compatibility table. families checks pairs by
+    # meet_dim only.
     found = _references(path.read_text(encoding="utf-8"), "compatible_rows")
     if path.name in ROW_BUILDER_USERS:
         assert found
@@ -398,6 +399,45 @@ def test_private_import_guard_sees_each_spelling():
         "from . import families\n"
     )
     assert _private_family_imports(source) == [1, 2, 6, 7]
+
+
+def _name_uses(source: str, name: str) -> list[int]:
+    """_references, plus the name spelled as a whole string (getattr, vars()[...], attrgetter)."""
+    strings = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value == name
+    ]
+    return sorted(_references(source, name) + strings)
+
+
+CONTAINS_MASK_USERS = {"gfspace.py", "moebius.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_and_moebius_read_contains_mask(path):
+    # the whole-lattice containment table serves the transforms alone; a
+    # certificate context takes its columns from compatible_rows
+    found = _name_uses(path.read_text(encoding="utf-8"), "contains_mask")
+    if path.name in CONTAINS_MASK_USERS:
+        assert found
+    else:
+        assert found == []
+
+
+def test_contains_mask_guard_sees_each_spelling():
+    source = (
+        "masks = lat.contains_mask\n"
+        "a, b = lattice(F, n).contains_mask[w], lat.lines\n"
+        "c = getattr(lat, 'contains_mask')\n"
+        "d = vars(Lattice)['contains_mask'].fget\n"
+        "e = attrgetter('contains_mask')(lat)\n"
+        "def contains_mask(self): pass\n"
+        "f = lat._contains_mask\n"
+        "'the contains_mask table'\n"
+        "g = lat.contains(u)\n"
+    )
+    assert _name_uses(source, "contains_mask") == [1, 2, 3, 4, 5, 6]
 
 
 def _imports(source: str, module: str) -> list[int]:
