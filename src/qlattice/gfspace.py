@@ -14,7 +14,7 @@ side, and compatible_rows is the one builder of rows over a list of
 lattice positions: the lattice's containment table (containment_counts)
 and, under its transpose, a certificate context's columns; over admitted
 positions, a certificate context's compatibility table and search's
-adjacency. The Lattice is its entries' dimensions and line masks: one
+graph rows. The Lattice is its entries' dimensions and line masks: one
 walk of the canonical order per dimension feeds the mask kernel line_mask
 also uses, so the build makes no Subspace, and Lattice.subspaces is built
 from the same walk only when read. Sizes are checked against the lattice

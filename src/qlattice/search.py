@@ -8,25 +8,24 @@ depth is not limited by the interpreter's recursion limit. Greedy coloring
 gives the bounds. The search is fully deterministic, and budget exhaustion
 is reported as a result state rather than an error. The time budget is the
 budgets.budget deadline: build_graph checks it between phases and rows,
-max_family every 1024 rows of its table build (raising, like build_graph)
-and at every node.
+max_family at every node.
 
-max_family holds candidate sets in reversed bit order, vertex v at bit
-position count - v counted from 1. Greedy coloring takes the lowest-index
-vertex of a set next, and in this order that vertex is the set's top bit,
-found by one bit_length() with no negate-and-AND to isolate it; clearing
-top bits also shrinks the ints. Almost all of a search's time is that
-coloring, and most of it is spent on the colors that cannot beat the best
-clique at node entry (1 .. k_min = best size - depth). Those are colored in
-a loop that records nothing; only a node with a color above k_min records
-branches and pushes a frame. The tree is node for node the one of index
-order, and the graph's own adjacency stays in index order.
+A CompatGraph holds one table, the one the search reads: conflicts[k] is
+the mask of the vertices that may not join vertex k, k itself left out.
+Vertex k is bit k; the search takes the top bit first; build_graph lists
+vertices from the last lattice position down. Greedy coloring takes the
+top bit of a set next, found by one bit_length() with no negate-and-AND
+to isolate it, and clearing top bits also shrinks the ints. Almost all of
+a search's time is that coloring, and most of it is spent on the colors
+that cannot beat the best clique at node entry (1 .. k_min = best size -
+depth). Those are colored in a loop that records nothing; only a node with
+a color above k_min records branches and pushes a frame.
 
 Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
-adjacency rows come from gfspace.compatible_rows over the vertices' lattice
+rows come from gfspace.compatible_rows over the vertices' lattice
 positions; it counts the lines a vertex shares with every vertex at once.
-The symmetry check of CompatGraph transposes the adjacency in square tiles
+The symmetry check of CompatGraph transposes the conflicts in square tiles
 of big ints, so its memory stays at one band of tiles. The frac-uniform
 generator takes its violations from families.offending_pairs, per-pair
 meet_dim on the members alone: it builds no lattice.
@@ -84,14 +83,15 @@ class SearchLimits(Record):
 class CompatGraph(Record):
     """Compatibility graph: vertices pass the unary condition, edges the pairwise one.
 
-    Each vertex is a (dim, pos) SubspaceIndex of GF(q)^n; the adjacency is a
-    symmetric loop-free bitmask per vertex. Both are validated on construction.
+    Each vertex is a (dim, pos) SubspaceIndex of GF(q)^n; conflicts[k] is the
+    symmetric mask of the vertices that may not join vertex k in a family, k
+    itself left out, with vertex k at bit k. Both are validated on construction.
     """
 
     ctx: FieldContext
     n: int
     vertices: tuple[SubspaceIndex, ...]
-    adjacency: tuple[int, ...]
+    conflicts: tuple[int, ...]
 
     def _validate(self):
         n, q = self.n, self.ctx.q
@@ -107,36 +107,45 @@ class CompatGraph(Record):
             ):
                 raise DomainError(f"vertex {i} is not a (dim, pos) index into GF({q})^{n}: {v!r}")
         count = len(self.vertices)
-        if count != len(self.adjacency):
+        if count != len(self.conflicts):
             raise DomainError("adjacency size disagrees with the vertex count")
-        for i, mask in enumerate(self.adjacency):
-            if mask < 0 or mask >> count:
-                raise DomainError(f"vertex {i} is adjacent to a vertex outside 0..{count - 1}")
-        # Only a failing check walks the edges to name the first bad one.
-        if any((mask >> i) & 1 for i, mask in enumerate(self.adjacency)) or not _symmetric(
-            self.adjacency
+        # Only a failing check walks the rows or edges to name the first bad one.
+        if count and (min(self.conflicts) < 0 or max(self.conflicts) >> count):
+            for i, mask in enumerate(self.conflicts):
+                if mask < 0 or mask >> count:
+                    raise DomainError(f"vertex {i} is adjacent to a vertex outside 0..{count - 1}")
+        if any((mask >> i) & 1 for i, mask in enumerate(self.conflicts)) or not _symmetric(
+            self.conflicts
         ):
             self._raise_first_defect()
 
     def _raise_first_defect(self):
-        for i, mask in enumerate(self.adjacency):
+        adjacency = self.adjacency
+        for i, mask in enumerate(adjacency):
             if (mask >> i) & 1:
                 raise DomainError(f"vertex {i} carries a self-loop")
-        for i, mask in enumerate(self.adjacency):
+        for i, mask in enumerate(adjacency):
             rest = mask
             while rest:
                 low = rest & -rest
                 j = low.bit_length() - 1
                 rest ^= low
-                if not (self.adjacency[j] >> i) & 1:
+                if not (adjacency[j] >> i) & 1:
                     raise DomainError(f"edge ({i}, {j}) is not symmetric")
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
+    @property
+    def adjacency(self) -> tuple[int, ...]:
+        """Row k: the vertices joined to vertex k, derived; the search never reads it."""
+        full = (1 << len(self.conflicts)) - 1
+        return tuple(full ^ row ^ (1 << k) for k, row in enumerate(self.conflicts))
+
     def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.adjacency) // 2
+        count = self.size
+        return (count * (count - 1) - sum(mask.bit_count() for mask in self.conflicts)) // 2
 
 
 # Side of the square tiles the symmetry check transposes, at most.
@@ -214,15 +223,15 @@ def build_graph(
     """Compatibility graph of all candidate subspaces under a predicate.
 
     The vertices are the subspaces of every dimension d with
-    predicate.admits(d) (and in limits.dim_filter, when given), in lattice
-    order; two vertices are joined when predicate.meets allows their meet.
-    The rows come from gfspace.compatible_rows over the vertices' lattice
-    positions, Lattice.positions of the kept dimensions. The lattice budget is checked first, so an ambient over it
-    raises ResourceLimitError before anything else is looked at; then a
-    dim_filter entry outside [0, n] raises DomainError. The budget deadline
-    raises ResourceLimitError too, checked after the lattice ("lattice"),
-    per 1024 masks of the line-mask transposition ("incidence") and per row
-    ("graph").
+    predicate.admits(d) (and in limits.dim_filter, when given), from the
+    last lattice position down; two vertices conflict unless predicate.meets
+    allows their meet. Each row of gfspace.compatible_rows over their
+    lattice positions becomes its conflict row as it arrives. The lattice
+    budget is checked first, so an ambient over it raises ResourceLimitError
+    before anything else is looked at; then a dim_filter entry outside
+    [0, n] raises DomainError. The budget deadline raises ResourceLimitError
+    too, checked after the lattice ("lattice"), per 1024 masks of the
+    line-mask transposition ("incidence") and per row ("graph").
     """
     require_lattice_budget(n, ctx.q)
     limits = limits or SearchLimits()
@@ -235,16 +244,19 @@ def build_graph(
     lat = lattice(ctx, n)
     check_deadline("lattice")
     admitted = filter(predicate.admits, range(n + 1))
-    positions = lat.positions(d for d in admitted if keep is None or d in keep)
+    positions = lat.positions(d for d in admitted if keep is None or d in keep)[::-1]
     # No row holds its own vertex: the [d 1]_q lines it shares with itself
     # are a meet of dimension d, which no predicate admitting d allows (K
-    # and L are disjoint, and every listed fraction is below 1).
-    adjacency = []
-    for row in compatible_rows(lat, positions, shared_line_counts(predicate, n, ctx.q)):
-        adjacency.append(row)
-        check_deadline("graph", rows=len(adjacency), vertices=len(positions))
+    # and L are disjoint, and every listed fraction is below 1). So full ^
+    # row also sets the vertex's own bit, and ^ (1 << k) clears it.
+    full = (1 << len(positions)) - 1
+    rows = compatible_rows(lat, positions, shared_line_counts(predicate, n, ctx.q))
+    conflicts = []
+    for k, row in enumerate(rows):
+        conflicts.append(full ^ row ^ (1 << k))
+        check_deadline("graph", rows=k + 1, vertices=len(positions))
     vertices = tuple(map(lat.index_at, positions))
-    return CompatGraph(ctx, n, vertices, tuple(adjacency))
+    return CompatGraph(ctx, n, vertices, tuple(conflicts))
 
 
 class SearchResult(Record):
@@ -266,15 +278,11 @@ class SearchResult(Record):
         }
 
 
-# Each byte with its eight bits in reverse order.
-_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
 def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Exact maximum clique of the compatibility graph, within budgets.
 
     Iterative branch and bound over an explicit stack, with greedy coloring
-    upper bounds, visiting vertices in canonical index order; repeated runs
+    upper bounds, visiting vertices from the last one down; repeated runs
     return the identical family. Each node colors its candidates greedily
     and branches on them from the highest color down, pruning a vertex whose
     color cannot lift the current clique above the best one. Colors 1 ..
@@ -284,16 +292,15 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     frame. When limits.max_nodes or the budget deadline runs out, the best
     family found so far is returned with exhausted False.
 
-    Candidate sets are held in reversed bit order: vertex v sits at bit
-    position b = count - v, counted from 1, so b = x.bit_length() names the
-    lowest-index vertex of x, the next one greedy coloring takes, without
-    isolating its bit first. The tables are indexed by b (entry 0 unused):
-    bits[b] is that bit, and nonadj[b] the reversed row of the vertex's
-    non-neighbours, the vertex itself left out, so that the coloring step
-    avail &= nonadj[b] also drops the vertex it has just colored. The rows
-    are built once per call, with the budget deadline ("search") checked
-    after every 1024 rows. A child's candidates are its parent's, less b,
-    & ~nonadj[b]. The tree is the one index order gives.
+    Vertex k is bit k; the search takes the top bit first, so b =
+    x.bit_length() names the vertex b - 1 greedy coloring takes next,
+    without isolating its bit first. The tables are indexed by b (entry 0
+    unused): bits[b] is that bit, and nonadj[b] the graph's conflict row of
+    vertex b - 1, which leaves the vertex itself out, so that the coloring
+    step avail &= nonadj[b] also drops the vertex it has just colored. A
+    child's candidates are its parent's, less b, & ~nonadj[b]. The family's
+    members are listed from the last vertex down: for a build_graph graph
+    that is lattice order.
 
     A vertex leaves a set it belongs to by rest -= bits[b], not ^=, because
     CPython specializes int subtraction and not the bitwise operators. The
@@ -303,20 +310,11 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     """
     limits = limits or SearchLimits()
     count = graph.size
-    adjacency = graph.adjacency
     budget_nodes = limits.max_nodes
     deadline = current_deadline()
 
-    # Bit j of a row in index order lands on bit count - 1 - j once reversed.
-    width = -(-count // 8)
-    pad = 8 * width - count
     full = (1 << count) - 1
-    nonadj = [0]
-    for v in reversed(range(count)):
-        row = (full ^ adjacency[v] ^ (1 << v)).to_bytes(width, "little")
-        nonadj.append(int.from_bytes(row.translate(_BIT_REVERSED), "big") >> pad)
-        if not (count - v) % 1024:
-            check_deadline("search", rows=count - v, vertices=count)
+    nonadj = [0, *graph.conflicts]
     bits = [0, *(1 << j for j in range(count))]
     # The clique so far is current[:depth], as bit positions.
     current = [0] * count
@@ -401,9 +399,8 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
         # Only the bottom sentinel is left: the root is exhausted.
         break
 
-    chosen = sorted(count - b for b in best)
     members = tuple(
-        subspace_at(graph.ctx, graph.n, graph.vertices[v]) for v in chosen
+        subspace_at(graph.ctx, graph.n, graph.vertices[b - 1]) for b in sorted(best, reverse=True)
     )
     family = Family(graph.ctx, graph.n, members)
     return SearchResult(family, len(members), not aborted, nodes)

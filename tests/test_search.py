@@ -91,8 +91,45 @@ def _reference_max_family(graph, limits):
     return SearchResult(Family(graph.ctx, graph.n, members), len(members), not aborted, nodes)
 
 
-def _reference_defect(adjacency):
+def _complement(rows):
+    """The rows of the complement graph, the diagonal kept: adjacency to conflicts and back."""
+    full = (1 << len(rows)) - 1
+    return tuple(full ^ row ^ (1 << k) for k, row in enumerate(rows))
+
+
+# Each byte with its eight bits in reverse order.
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reversed_conflicts(adjacency):
+    """The table max_family built before it read the graph's own rows, kept as the oracle.
+
+    From adjacency rows in index order, the conflict rows of the same graph
+    with its vertices listed from the last one down: row count - 1 - v is
+    the complement of adjacency[v], v itself left out, with bit j moved to
+    bit count - 1 - j by reversing whole bytes and shifting the padding out.
+    """
+    count = len(adjacency)
+    width = -(-count // 8)
+    pad = 8 * width - count
+    full = (1 << count) - 1
+    rows = []
+    for v in reversed(range(count)):
+        row = (full ^ adjacency[v] ^ (1 << v)).to_bytes(width, "little")
+        rows.append(int.from_bytes(row.translate(_BIT_REVERSED), "big") >> pad)
+    return tuple(rows)
+
+
+def _reversed(graph):
+    """The same graph with its vertices listed from the last one down."""
+    return CompatGraph(
+        graph.ctx, graph.n, graph.vertices[::-1], _reversed_conflicts(graph.adjacency)
+    )
+
+
+def _reference_defect(conflicts):
     """The message of the per-edge check that CompatGraph used to run alone."""
+    adjacency = _complement(conflicts)
     for i, mask in enumerate(adjacency):
         if (mask >> i) & 1:
             return f"vertex {i} carries a self-loop"
@@ -162,16 +199,16 @@ def _random_adjacency(rng, size, density):
 POOL = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
 
 
-def _graph(adjacency):
-    """A CompatGraph over GF(2)^5 on the first len(adjacency) subspaces."""
-    return CompatGraph(field(2), 5, tuple(POOL[: len(adjacency)]), tuple(adjacency))
+def _graph(conflicts):
+    """A CompatGraph over GF(2)^5 on the first len(conflicts) subspaces."""
+    return CompatGraph(field(2), 5, tuple(POOL[: len(conflicts)]), tuple(conflicts))
 
 
 def _random_graph(size, density):
     """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
     rng = random.Random(size * 100 + round(density * 10))
     vertices = tuple(rng.sample(POOL, size))
-    return CompatGraph(field(2), 5, vertices, tuple(_random_adjacency(rng, size, density)))
+    return CompatGraph(field(2), 5, vertices, _complement(_random_adjacency(rng, size, density)))
 
 
 def _outcome(result):
@@ -192,10 +229,16 @@ LATTICE_PREDICATES = [
 
 
 def _assert_same_search(graph):
+    """max_family on graph and the reference on the vertex-reversed graph, at every budget.
+
+    max_family takes the last vertex first and the reference the first one,
+    so the two visit the same tree node for node and list the same members.
+    """
+    original = _reversed(graph)
     for max_nodes in NODE_BUDGETS:
         limits = SearchLimits() if max_nodes is None else SearchLimits(max_nodes=max_nodes)
         assert _outcome(max_family(graph, limits)) == _outcome(
-            _reference_max_family(graph, limits)
+            _reference_max_family(original, limits)
         ), max_nodes
 
 
@@ -218,8 +261,9 @@ class TestLimits:
 
 class TestCompatGraph:
     def test_symmetry_enforced(self):
+        # vertex 1 conflicts with vertex 0, but not 0 with 1
         with pytest.raises(DomainError):
-            _graph((0b10, 0b00))
+            _graph((0b00, 0b01))
 
     def test_self_loop_rejected(self):
         with pytest.raises(DomainError):
@@ -227,33 +271,35 @@ class TestCompatGraph:
 
     def test_defect_messages(self):
         with pytest.raises(DomainError, match=r"^edge \(0, 1\) is not symmetric$"):
-            _graph((0b10, 0b00))
+            _graph((0b00, 0b01))
         with pytest.raises(DomainError, match=r"^vertex 0 carries a self-loop$"):
             _graph((0b1,))
 
     def test_self_loop_reported_before_asymmetry(self):
-        # vertex 2 loops; edge (0, 1) is one-sided and comes first in edge order
+        # vertex 2 holds its own bit; edge (0, 1) is one-sided and comes first
+        # in edge order
         with pytest.raises(DomainError, match=r"^vertex 2 carries a self-loop$"):
-            _graph((0b010, 0b000, 0b100))
+            _graph((0b100, 0b101, 0b111))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_first_asymmetric_edge_named(self, seed):
         rng = random.Random(seed)
         size = rng.randint(3, 40)
         adjacency = _random_adjacency(rng, size, 0.5)
+        conflicts = list(_complement(adjacency))
         edges = [(i, j) for i in range(size) for j in range(size) if adjacency[i] >> j & 1]
         for i, j in rng.sample(edges, min(len(edges), 4)):
-            adjacency[i] &= ~(1 << j)
-        want = _reference_defect(adjacency)
+            conflicts[i] |= 1 << j
+        want = _reference_defect(conflicts)
         assert want is not None and want.startswith("edge (")
         with pytest.raises(DomainError) as info:
-            _graph(adjacency)
+            _graph(conflicts)
         assert str(info.value) == want
 
     @pytest.mark.parametrize("adjacency", [(0b10,), (0b100, 0b000), (-1, 0)])
     def test_adjacency_outside_vertex_range_rejected(self, adjacency):
         with pytest.raises(DomainError, match="adjacent to a vertex outside"):
-            _graph(adjacency)
+            _graph(_complement(adjacency))
 
     @pytest.mark.parametrize(
         "vertex",
@@ -266,7 +312,7 @@ class TestCompatGraph:
             CompatGraph(field(2), 3, (SubspaceIndex(1, 1), vertex), (0, 0))
 
     def test_valid_vertex_shapes_accepted(self):
-        g = CompatGraph(field(2), 3, ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0, 0, 0))
+        g = CompatGraph(field(2), 3, ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0b110, 0b101, 0b011))
         assert max_family(g).size == 1
 
     def test_tight_profile_graph_is_complete(self):
@@ -284,11 +330,12 @@ class TestCompatGraph:
         def dims_of_edge(i, j):
             return tuple(sorted((g.vertices[i].dim, g.vertices[j].dim)))
 
+        adjacency = g.adjacency
         edges = [
             (i, j)
             for i in range(g.size)
             for j in range(i + 1, g.size)
-            if (g.adjacency[i] >> j) & 1
+            if (adjacency[i] >> j) & 1
         ]
         assert len(edges) == g.edge_count() == 42
         assert sum(1 for e in edges if dims_of_edge(*e) == (2, 2)) == 21
@@ -312,12 +359,13 @@ class TestCompatGraph:
         F2 = field(2)
         fs = FractionSet(((1, 2),))
         g = build_graph(F2, 3, fs, SearchLimits())
+        adjacency = g.adjacency
         for i in range(g.size):
             for j in range(i + 1, g.size):
                 a = subspace_at(F2, 3, g.vertices[i])
                 b = subspace_at(F2, 3, g.vertices[j])
                 pair_ok = check_fractional(Family(F2, 3, (a, b)), fs).ok
-                assert bool((g.adjacency[i] >> j) & 1) == pair_ok
+                assert bool((adjacency[i] >> j) & 1) == pair_ok
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
     @pytest.mark.parametrize(
@@ -339,7 +387,8 @@ class TestCompatGraph:
                     ok = any(d * b == a * di or d * b == a * dj for a, b in predicate)
                 if ok:
                     want.add((i, j))
-        got = {(i, j) for i in range(g.size) for j in range(i + 1, g.size) if g.adjacency[i] >> j & 1}
+        adjacency = g.adjacency
+        got = {(i, j) for i in range(g.size) for j in range(i + 1, g.size) if adjacency[i] >> j & 1}
         assert got == want
 
 
@@ -355,7 +404,12 @@ KERNEL_PREDICATES = [
 
 
 class TestGraphKernel:
-    """build_graph against the pair loop it replaced, vertex for vertex and bit for bit."""
+    """build_graph against the pair loop it replaced, vertex for vertex and bit for bit.
+
+    The pair loop gives index-order adjacency; build_graph lists the same
+    vertices from the last one down, with the conflict rows that the
+    byte-reversal oracle makes of that adjacency.
+    """
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (5, 2)])
     @pytest.mark.parametrize("predicate", KERNEL_PREDICATES, ids=repr)
@@ -369,16 +423,28 @@ class TestGraphKernel:
                 continue
             graph = build_graph(ctx, n, predicate, limits)
             vertices, adjacency = _pairwise_graph(ctx, n, predicate, limits)
-            assert graph.vertices == vertices, dims
-            assert graph.adjacency == adjacency, dims
+            assert graph.vertices == vertices[::-1], dims
+            assert graph.conflicts == _reversed_conflicts(adjacency), dims
 
     def test_matches_pairwise_oracle_gf2_5(self):
         ctx = field(2)
         for predicate in (FractionSet(((1, 2),)), ModularProfile(3, (2,), (1,))):
             graph = build_graph(ctx, 5, predicate)
-            assert (graph.vertices, graph.adjacency) == _pairwise_graph(
-                ctx, 5, predicate, SearchLimits()
-            )
+            vertices, adjacency = _pairwise_graph(ctx, 5, predicate, SearchLimits())
+            assert graph.vertices == vertices[::-1]
+            assert graph.conflicts == _reversed_conflicts(adjacency)
+
+    @pytest.mark.parametrize("dim_filter", [None, (2, 3)])
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (2, 5), (3, 4)])
+    def test_conflicts_are_the_reversed_table(self, q, n, predicate, dim_filter):
+        # every ambient and vertex filter the reference searches below run on
+        ctx, limits = field(q), SearchLimits(dim_filter=dim_filter)
+        graph = build_graph(ctx, n, predicate, limits)
+        vertices, adjacency = _pairwise_graph(ctx, n, predicate, limits)
+        assert graph.vertices == vertices[::-1]
+        assert graph.conflicts == _reversed_conflicts(adjacency)
+        assert graph.edge_count() == sum(row.bit_count() for row in adjacency) // 2
 
 
 class TestSymmetryCheck:
@@ -388,12 +454,12 @@ class TestSymmetryCheck:
     def test_every_one_sided_edge_found(self, monkeypatch, size):
         # tiles of 8 bits, so most sizes span several tiles and a partial one
         monkeypatch.setattr(search_module, "_TILE", 8)
-        adjacency = _random_adjacency(random.Random(size), size, 0.5)
-        assert _symmetric(adjacency)
+        conflicts = _complement(_random_adjacency(random.Random(size), size, 0.5))
+        assert _symmetric(conflicts)
         for i in range(size):
             for j in range(size):
                 if i != j:
-                    broken = list(adjacency)
+                    broken = list(conflicts)
                     broken[i] ^= 1 << j
                     assert not _symmetric(broken), (i, j)
 
@@ -403,20 +469,20 @@ class TestSymmetryCheck:
         rng = random.Random(tile)
         for _ in range(10):
             size = rng.randint(1, 90)
-            adjacency = _random_adjacency(rng, size, rng.random())
-            assert _symmetric(adjacency)
+            conflicts = list(_complement(_random_adjacency(rng, size, rng.random())))
+            assert _symmetric(conflicts)
             i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
             if i != j:
-                adjacency[i] ^= 1 << j
-                assert not _symmetric(adjacency)
+                conflicts[i] ^= 1 << j
+                assert not _symmetric(conflicts)
                 with pytest.raises(DomainError) as info:
-                    CompatGraph(field(2), 5, tuple(POOL[:size]), tuple(adjacency))
-                assert str(info.value) == _reference_defect(adjacency)
+                    _graph(conflicts)
+                assert str(info.value) == _reference_defect(conflicts)
 
     def test_lattice_graph_across_tiles(self, monkeypatch):
         monkeypatch.setattr(search_module, "_TILE", 64)
         graph = build_graph(field(2), 5, FractionSet(((1, 2),)))
-        assert graph.size == 373 and _symmetric(graph.adjacency)
+        assert graph.size == 373 and _symmetric(graph.conflicts)
 
 
 class TestMaxFamily:
@@ -556,26 +622,40 @@ class TestDeadline:
         assert check_fractional(res.family, self.PREDICATE).ok
         assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=10)))
 
-    def test_expiry_in_the_table_build(self, fake_clock):
-        graph = build_graph(field(2), 6, self.PREDICATE)
-        assert graph.size == 2824
+    def test_expiry_while_conflict_rows_are_built(self, fake_clock):
+        # GF(2)^6 {1/2} has 2824 vertices, more than one 1024-row block
+        lattice(field(2), 6)
         fake_clock.step = 1
-        # entry reads 0, the check after 1024 table rows 1, after 2048 rows 2
-        with budget(seconds=1.5):
-            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in search$") as exc:
-                max_family(graph, SearchLimits())
-        assert exc.value.partial == {"phase": "search", "rows": 2048, "vertices": 2824}
+        # entry reads 0, the lattice check 1, the three blocks of the
+        # line-mask transposition 2 to 4, and the check after row r reads r + 4
+        with budget(seconds=2052.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
+                build_graph(field(2), 6, self.PREDICATE)
+        assert exc.value.partial == {"phase": "graph", "rows": 2049, "vertices": 2824}
+
+    def test_expiry_at_a_node_returns_best_so_far(self, fake_clock):
+        # the search reads the graph's own conflict rows: it builds no table
+        # first, so even a graph of 2824 vertices gets to its first nodes
+        graph = build_graph(field(2), 6, self.PREDICATE)
+        fake_clock.step = 1
+        # entry reads 0; node k's check reads k, so node 101 is refused
+        with budget(seconds=100.5):
+            res = max_family(graph, SearchLimits())
+        assert not res.exhausted
+        assert res.nodes == 100
+        assert res.size >= 1
+        assert check_fractional(res.family, self.PREDICATE).ok
+        assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=100)))
 
 
 def _assert_same_tree(graph, max_nodes):
-    """max_family and the reference agree on one budget; the graph is left as it was."""
-    adjacency = list(graph.adjacency)
+    """max_family on graph and the reference on its reverse agree on one budget."""
     limits = SearchLimits(max_nodes=max_nodes)
-    assert _outcome(max_family(graph, limits)) == _outcome(_reference_max_family(graph, limits))
-    assert list(graph.adjacency) == adjacency
+    original = _reversed(graph)
+    assert _outcome(max_family(graph, limits)) == _outcome(_reference_max_family(original, limits))
 
 
-# max_family reverses each row through whole bytes and shifts the padding
+# The oracle reverses each row through whole bytes and shifts the padding
 # back out: sizes on both sides of byte and 30-bit digit widths.
 WIDTH_SIZES = [0, 7, 8, 9, 15, 16, 17, 29, 30, 31, 63, 64, 65]
 
@@ -610,10 +690,11 @@ class TestAgainstReference:
         nx = pytest.importorskip("networkx")
         for size in SIZES:
             g = _random_graph(size, density)
+            adjacency = g.adjacency
             nxg = nx.Graph()
             nxg.add_nodes_from(range(size))
             nxg.add_edges_from(
-                (i, j) for i in range(size) for j in range(i + 1, size) if g.adjacency[i] >> j & 1
+                (i, j) for i in range(size) for j in range(i + 1, size) if adjacency[i] >> j & 1
             )
             assert max_family(g).size == nx.max_weight_clique(nxg, weight=None)[1], size
 
@@ -663,24 +744,24 @@ class TestRowsOverPositions:
         for positions in _subsets(random.Random(f"{predicate} {q} {n}"), len(lat)):
             got = list(compatible_rows(lat, positions, allowed))
             assert got == _compacted(full, positions), positions
-        # build_graph's adjacency is the same cut, over its admitted positions
+        # build_graph's conflicts complement the same cut, over its admitted
+        # positions from the last one down
         for dim_filter in (None, (1, 2), (n,)):
             graph = build_graph(ctx, n, predicate, SearchLimits(dim_filter=dim_filter))
             positions = [
                 g for g, d in enumerate(dims)
                 if predicate.admits(d) and (dim_filter is None or d in dim_filter)
-            ]
+            ][::-1]
             assert graph.vertices == tuple(map(lat.index_at, positions))
-            assert list(graph.adjacency) == _compacted(full, positions)
+            assert graph.conflicts == _complement(_compacted(full, positions))
         # a certificate context needs a prime of order b at q: none for (q, b) = (3, 2)
         if isinstance(predicate, ModularProfile) and (q, predicate.b) != (3, 2):
             assert isinstance(zsigmondy_prime(q, predicate.b), int)
             cctx = certificate_context(ctx, n, predicate)
             rows, index = cctx._compatible
-            assert rows == build_graph(ctx, n, predicate).adjacency
-            assert [g for g, row in enumerate(index) if row is not None] == [
-                g for g, d in enumerate(dims) if predicate.admits(d)
-            ]
+            admitted = [g for g, d in enumerate(dims) if predicate.admits(d)]
+            assert list(rows) == _compacted(full, admitted)
+            assert [g for g, row in enumerate(index) if row is not None] == admitted
 
 
 class TestGenerators:

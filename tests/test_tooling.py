@@ -1,6 +1,7 @@
 """Source guards: checks on the package's code itself rather than its answers."""
 
 import ast
+import functools
 import importlib
 import os
 import pathlib
@@ -16,6 +17,18 @@ SOURCES = sorted(pathlib.Path(qlattice.__file__).resolve().parent.glob("*.py"))
 MUTATORS = {"pop", "popitem", "setdefault", "update", "clear"}
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(source: str) -> ast.Module:
+    """The syntax tree of source, parsed once and shared by every guard that reads it."""
+    return ast.parse(source)
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(source: str) -> tuple[ast.AST, ...]:
+    """Every node of source's tree, in ast.walk order, walked once."""
+    return tuple(ast.walk(_parse(source)))
+
+
 def _is_environ(node) -> bool:
     """os.environ, or a bare environ imported from os."""
     if isinstance(node, ast.Attribute):
@@ -26,7 +39,7 @@ def _is_environ(node) -> bool:
 def _environ_writes(source: str) -> list[int]:
     """Line numbers of every statement that writes os.environ."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _nodes(source):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
             targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
             for target in targets:
@@ -48,7 +61,7 @@ def _environ_writes(source: str) -> list[int]:
 def _environ_reads(source: str) -> list[int]:
     """Line numbers of every use of os.environ or os.getenv, imports included."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _nodes(source):
         if isinstance(node, ast.ImportFrom):
             if node.module == "os" and {"environ", "getenv"} & {a.name for a in node.names}:
                 lines.append(node.lineno)
@@ -147,7 +160,7 @@ def _constructs(source: str, name: str) -> list[int]:
     """Line numbers of every call of name, bare or as a module attribute."""
     return [
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in _nodes(source)
         if isinstance(node, ast.Call)
         and (
             (isinstance(node.func, ast.Name) and node.func.id == name)
@@ -174,7 +187,7 @@ def test_construction_guard_sees_both_spellings():
 def _references(source: str, name: str) -> list[int]:
     """Line numbers of every use of name: bare, as an attribute, or imported."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _nodes(source):
         if (
             (isinstance(node, ast.Name) and node.id == name)
             or (isinstance(node, ast.Attribute) and node.attr == name)
@@ -224,8 +237,13 @@ _BY_NAME = {"getattr", "setattr", "hasattr", "delattr", "__getattribute__", "__s
 
 def _attribute_uses(source: str, names: set) -> list[int]:
     """Line numbers of every use of an attribute in names, getattr and its kin included."""
+    return _attribute_lines(_nodes(source), names)
+
+
+def _attribute_lines(nodes, names: set) -> list[int]:
+    """_attribute_uses over the given nodes of a parsed tree."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
         elif (
@@ -328,8 +346,8 @@ def test_position_guard_sees_each_spelling():
 def _meets_reads(source: str) -> list[str]:
     """The top-level definition around each use of a meets attribute, getattr included."""
     found = []
-    for node in ast.parse(source).body:
-        uses = _attribute_uses(ast.get_source_segment(source, node), {"meets"})
+    for node in _parse(source).body:
+        uses = _attribute_lines(ast.walk(node), {"meets"})
         found += [getattr(node, "name", "<module>")] * len(uses)
     return found
 
@@ -365,7 +383,7 @@ def test_meets_guard_sees_each_spelling():
 def _private_family_imports(source: str) -> list[int]:
     """Line numbers of every underscore name taken from families, imported or as an attribute."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _nodes(source):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "families":
             lines += [node.lineno for alias in node.names if alias.name.startswith("_")]
         elif (
@@ -405,7 +423,7 @@ def _name_uses(source: str, name: str) -> list[int]:
     """_references, plus the name spelled as a whole string (getattr, vars()[...], attrgetter)."""
     strings = [
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in _nodes(source)
         if isinstance(node, ast.Constant) and node.value == name
     ]
     return sorted(_references(source, name) + strings)
@@ -443,7 +461,7 @@ def test_contains_mask_guard_sees_each_spelling():
 def _imports(source: str, module: str) -> list[int]:
     """Line numbers of every import of module: statements, import_module and __import__."""
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _nodes(source):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -494,7 +512,7 @@ TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 def _wrapped_pairs(source: str) -> list[tuple[str, str]]:
     """The (module, attribute) pairs of the WRAPPED table in the tracer's source."""
-    for node in ast.parse(source).body:
+    for node in _parse(source).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "WRAPPED" for target in node.targets
         ):
