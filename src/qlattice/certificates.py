@@ -20,7 +20,7 @@ every certificate first re-checks the family. Which pairs the profile
 allows depends only on the context, so each context builds once, on first
 use, one compatibility row per lattice entry whose dimension the profile
 admits (gfspace.compatible_rows over those positions and the
-shared_line_counts table, as search.build_graph builds its rows). A
+shared_line_counts table, as search.CompatGraph builds its rows). A
 call then walks its members from last to first with the mask of the later
 ones: one AND per member, and one meet_dim only for the witness pair of a
 failing family. The verdict is check_modular's, and so is the detail: the
@@ -194,10 +194,11 @@ class CertificateContext(Record):
 
         The entries are the subspaces whose dimension the profile admits, in
         lattice order, picked by Lattice.positions as search.build_graph
-        picks its vertices; build_graph hands compatible_rows the same
+        picks its vertices; build_graph's CompatGraph holds the same
         positions, from the last one down. Bit j of row i is set when
         entries i and j may meet, by the profile's shared_line_counts
-        table, the one build_graph reads.
+        table, the one CompatGraph reads, which refuses a meet rule that
+        is not symmetric.
         index[g] is the row of lattice position g, None where the profile
         does not admit its dimension.
         """

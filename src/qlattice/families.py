@@ -16,7 +16,7 @@ lattice and no line masks (over GF(2) it works on rows packed as ints): a
 family file may live in an ambient such as GF(256)^40, too big for either.
 offending_pairs keeps _allowed_meets per pair of member dimensions that
 occur. Callers that hold a whole lattice's line masks (a certificate
-context, search.build_graph) map it through [d 1]_q into a
+context, search.CompatGraph) map it through [d 1]_q into a
 shared_line_counts table and read rows of allowed pairs over lattice
 positions from gfspace.compatible_rows, the one line-count row builder.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key, lru_cache
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -301,16 +302,25 @@ def shared_line_counts(
     masks share [d 1]_q lines, so this one table turns either predicate
     into a question about line counts.
 
-    The table is computed once per (predicate, n, q), in a bounded cache,
-    and shared by every caller (search.build_graph and a certificate
-    context's compatibility rows, built once per context); it is made of
-    tuples and frozensets, so no caller can change it.
+    The rule must be symmetric: DomainError when [di][dj] and [dj][di]
+    differ for two dimensions the predicate admits, so rows read from the
+    table are symmetric too. The table is computed once per (predicate, n,
+    q), in a bounded cache, and shared by every caller (search.CompatGraph
+    and a certificate context's compatibility rows, built once per
+    context); it is made of tuples and frozensets, so no caller can change it.
     """
     span = range(n + 1)
-    return tuple(
+    table = tuple(
         tuple(frozenset(qbinom(d, 1, q) for d in _allowed_meets(predicate, di, dj)) for dj in span)
         for di in span
     )
+    admitted = list(filter(predicate.admits, span))
+    for di, dj in combinations(admitted, 2):
+        if table[di][dj] != table[dj][di]:
+            raise DomainError(
+                f"{type(predicate).__name__}.meets is not symmetric in member dims {di} and {dj}"
+            )
+    return table
 
 
 def offending_pairs(

@@ -1,7 +1,9 @@
 """Frozen records: fields declared as class annotations, in order, with
-optional defaults (``Fresh(factory)`` is one made anew per record). Eq, hash
-and repr read the fields only, so other attributes stay out of them. Nothing
-is generated per class, so a record class costs what any class costs.
+optional defaults (``Fresh(factory)`` is one made anew per record). A
+subclass keeps its parent's fields and defaults and appends its own new
+annotations, as dataclasses do. Eq, hash and repr read the fields only, so
+other attributes stay out of them. Nothing is generated per class, so a
+record class costs what any class costs.
 """
 
 
@@ -16,8 +18,13 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        own = cls.__dict__.get("__annotations__", {})
+        inherited = getattr(cls, "_fields", ())
+        cls._fields = (*inherited, *(name for name in own if name not in inherited))
+        cls._defaults = {
+            **getattr(cls, "_defaults", {}),
+            **{name: cls.__dict__[name] for name in own if name in cls.__dict__},
+        }
 
     def __init__(self, *args, **kwargs):
         names = self._fields

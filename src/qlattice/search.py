@@ -10,12 +10,14 @@ is reported as a result state rather than an error. The time budget is the
 budgets.budget deadline: build_graph checks it between phases and rows,
 max_family at every node.
 
-A CompatGraph holds one table, the one the search reads: conflicts[k] is
+A CompatGraph is its predicate over a tuple of lattice positions, and it
+derives one table from them, the one the search reads: conflicts[k] is
 the mask of the vertices that may not join vertex k, k itself left out.
 Vertex k is bit k; the search takes the top bit first; build_graph lists
-vertices from the last lattice position down. Greedy coloring takes the
-top bit of a set next, found by one bit_length() with no negate-and-AND
-to isolate it, and clearing top bits also shrinks the ints. Almost all of
+vertices from the last lattice position down, and another order is
+another positions tuple. Greedy coloring takes the top bit of a set
+next, found by one bit_length() with no negate-and-AND to isolate it,
+and clearing top bits also shrinks the ints. Almost all of
 a search's time is that coloring, and most of it is spent on the colors
 that cannot beat the best clique at node entry (1 .. k_min = best size -
 depth). Those are colored in a loop that records nothing; only a node with
@@ -25,25 +27,23 @@ Vertices are the subspaces whose dimension the predicate admits, and edges
 join the pairs whose meet it allows (its admits and meets methods). The
 rows come from gfspace.compatible_rows over the vertices' lattice
 positions; it counts the lines a vertex shares with every vertex at once.
-The symmetry check of CompatGraph transposes the conflicts in square tiles
-of big ints, so its memory stays at one band of tiles. The frac-uniform
-generator takes its violations from families.offending_pairs, per-pair
-meet_dim on the members alone: it builds no lattice.
+The rows are symmetric because the rule is: families.shared_line_counts
+refuses a meet rule that is not. The frac-uniform generator takes its
+violations from families.offending_pairs, per-pair meet_dim on the
+members alone: it builds no lattice.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .budgets import check_deadline, current_deadline
 from .errors import DomainError, StructureError
 from .qcombin import qbinom
 from .gfspace import (
     FieldContext,
-    SubspaceIndex,
     canonicalize,
     compatible_rows,
     enumerate_subspaces,
@@ -81,61 +81,58 @@ class SearchLimits(Record):
 
 
 class CompatGraph(Record):
-    """Compatibility graph: vertices pass the unary condition, edges the pairwise one.
+    """Compatibility graph of a predicate over lattice positions of GF(q)^n.
 
-    Each vertex is a (dim, pos) SubspaceIndex of GF(q)^n; conflicts[k] is the
-    symmetric mask of the vertices that may not join vertex k in a family, k
-    itself left out, with vertex k at bit k. Both are validated on construction.
+    The record holds what the graph is built from: the predicate and the
+    lattice positions of its vertices, vertex k at positions[k] and bit k.
+    positions is normalised to a tuple, and each entry must be an int in
+    [0, len(lattice)), listed once, of a dimension the predicate admits;
+    DomainError names the first that is not. The rest is derived:
+    vertices[k] is the (dim, pos) SubspaceIndex of positions[k], and
+    conflicts[k] the mask of the vertices that may not join vertex k, k
+    itself left out. Its rows come from gfspace.compatible_rows under the
+    predicate's shared_line_counts table, which refuses a meet rule that
+    is not symmetric, so the rows are symmetric by construction; no row
+    table is taken from outside. The budget deadline is checked after
+    every row ("graph").
     """
 
     ctx: FieldContext
     n: int
-    vertices: tuple[SubspaceIndex, ...]
-    conflicts: tuple[int, ...]
+    predicate: Union[ModularProfile, FractionSet]
+    positions: tuple[int, ...]
 
     def _validate(self):
-        n, q = self.n, self.ctx.q
-        widths = [qbinom(n, d, q) for d in range(n + 1)]
-        for i, v in enumerate(self.vertices):
-            if not (
-                isinstance(v, tuple)
-                and len(v) == 2
-                and isinstance(v[0], int)
-                and isinstance(v[1], int)
-                and 0 <= v[0] <= n
-                and 1 <= v[1] <= widths[v[0]]
-            ):
-                raise DomainError(f"vertex {i} is not a (dim, pos) index into GF({q})^{n}: {v!r}")
-        count = len(self.vertices)
-        if count != len(self.conflicts):
-            raise DomainError("adjacency size disagrees with the vertex count")
-        # Only a failing check walks the rows or edges to name the first bad one.
-        if count and (min(self.conflicts) < 0 or max(self.conflicts) >> count):
-            for i, mask in enumerate(self.conflicts):
-                if mask < 0 or mask >> count:
-                    raise DomainError(f"vertex {i} is adjacent to a vertex outside 0..{count - 1}")
-        if any((mask >> i) & 1 for i, mask in enumerate(self.conflicts)) or not _symmetric(
-            self.conflicts
-        ):
-            self._raise_first_defect()
-
-    def _raise_first_defect(self):
-        adjacency = self.adjacency
-        for i, mask in enumerate(adjacency):
-            if (mask >> i) & 1:
-                raise DomainError(f"vertex {i} carries a self-loop")
-        for i, mask in enumerate(adjacency):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                if not (adjacency[j] >> i) & 1:
-                    raise DomainError(f"edge ({i}, {j}) is not symmetric")
+        predicate = self.predicate
+        if not isinstance(predicate, (ModularProfile, FractionSet)):
+            raise DomainError("predicate must be a ModularProfile or a FractionSet")
+        positions = tuple(self.positions)
+        object.__setattr__(self, "positions", positions)
+        lat = lattice(self.ctx, self.n)
+        dims, size = lat.dims, len(lat)
+        admitted = [predicate.admits(d) for d in range(self.n + 1)]
+        seen = set()
+        for k, g in enumerate(positions):
+            if not isinstance(g, int) or not 0 <= g < size:
+                raise DomainError(f"positions[{k}] = {g!r} is not a lattice position in [0, {size})")
+            if g in seen:
+                raise DomainError(f"positions[{k}] = {g} is listed twice")
+            if not admitted[dims[g]]:
+                raise DomainError(f"positions[{k}] = {g} has dim {dims[g]}, not admitted")
+            seen.add(g)
+        # The | 1 << k leaves vertex k out of its own row.
+        full = (1 << len(positions)) - 1
+        rows = compatible_rows(lat, positions, shared_line_counts(predicate, self.n, self.ctx.q))
+        conflicts = []
+        for k, row in enumerate(rows):
+            conflicts.append(full ^ (row | 1 << k))
+            check_deadline("graph", rows=k + 1, vertices=len(positions))
+        object.__setattr__(self, "vertices", tuple(map(lat.index_at, positions)))
+        object.__setattr__(self, "conflicts", tuple(conflicts))
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.positions)
 
     @property
     def adjacency(self) -> tuple[int, ...]:
@@ -148,72 +145,6 @@ class CompatGraph(Record):
         return (count * (count - 1) - sum(mask.bit_count() for mask in self.conflicts)) // 2
 
 
-# Side of the square tiles the symmetry check transposes, at most.
-_TILE = 1024
-
-
-@lru_cache(maxsize=None)
-def _swap_masks(tile: int) -> tuple[tuple[int, int], ...]:
-    """(delta, mask) of each stage of the tile x tile bit-matrix transpose.
-
-    Row r of a tile is bits r·tile .. r·tile + tile - 1 of one int. The
-    stage of width w swaps, in every 2w x 2w block, the top-right w x w
-    block with the bottom-left one: mask holds the top-right bits (rows r
-    with r mod 2w < w, columns c with c mod 2w >= w), and delta = w(tile - 1)
-    moves each onto its partner. After the stages w = tile/2, ..., 1 the
-    tile is transposed (Warren, Hacker's Delight, section 7-3).
-    """
-    stages = []
-    width = tile // 2
-    while width:
-        row = sum(((1 << width) - 1) << c for c in range(width, tile, 2 * width))
-        block = row.to_bytes(tile // 8, "little") * width + bytes(tile // 8) * width
-        stages.append((width * (tile - 1), int.from_bytes(block * (tile // (2 * width)), "little")))
-        width //= 2
-    return tuple(stages)
-
-
-def _symmetric(rows: Sequence[int]) -> bool:
-    """Whether bit j of rows[i] equals bit i of rows[j] for every i and j.
-
-    The matrix, padded with zero rows to whole tiles, is cut into square
-    tiles; tile (i, j) must be the transpose of tile (j, i), so only tiles
-    with i <= j are read. Band j holds column tiles j of rows 0 .. (j+1)·tile
-    as bytes. Each of its tiles is transposed in a few big-int operations
-    per stage (_swap_masks), and the transposed tiles, laid side by side,
-    must give back the low (j+1)·tile bits of the band's own rows. Memory
-    stays at about one band of bits; the budget deadline is checked per band.
-    """
-    count = len(rows)
-    tile = 8
-    while tile < min(count, _TILE):
-        tile *= 2
-    width, tiles = tile // 8, -(-count // tile)
-    stages = _swap_masks(tile)
-    lane = (1 << tile) - 1
-    padding = [bytes(width)] * (tiles * tile - count)
-    for j in range(tiles):
-        check_deadline("graph", bands_checked=j, bands=tiles)
-        band = [
-            ((mask >> (j * tile)) & lane).to_bytes(width, "little")
-            for mask in rows[: (j + 1) * tile]
-        ]
-        band += padding[: (j + 1) * tile - len(band)]
-        transposed = []
-        for i in range(j + 1):
-            matrix = int.from_bytes(b"".join(band[i * tile : (i + 1) * tile]), "little")
-            for delta, swap in stages:
-                moved = (matrix ^ (matrix >> delta)) & swap
-                matrix ^= moved | (moved << delta)
-            transposed.append(matrix.to_bytes(tile * width, "little"))
-        low = (1 << ((j + 1) * tile)) - 1
-        for r in range(min(tile, count - j * tile)):
-            row = b"".join(block[r * width : (r + 1) * width] for block in transposed)
-            if int.from_bytes(row, "little") != rows[j * tile + r] & low:
-                return False
-    return True
-
-
 def build_graph(
     ctx: FieldContext,
     n: int,
@@ -223,15 +154,14 @@ def build_graph(
     """Compatibility graph of all candidate subspaces under a predicate.
 
     The vertices are the subspaces of every dimension d with
-    predicate.admits(d) (and in limits.dim_filter, when given), from the
-    last lattice position down; two vertices conflict unless predicate.meets
-    allows their meet. Each row of gfspace.compatible_rows over their
-    lattice positions becomes its conflict row as it arrives. The lattice
-    budget is checked first, so an ambient over it raises ResourceLimitError
-    before anything else is looked at; then a dim_filter entry outside
-    [0, n] raises DomainError. The budget deadline raises ResourceLimitError
-    too, checked after the lattice ("lattice"), per 1024 masks of the
-    line-mask transposition ("incidence") and per row ("graph").
+    predicate.admits(d) (and in limits.dim_filter, when given), as the
+    CompatGraph over their lattice positions from the last one down. The
+    lattice budget is checked first, so an ambient over it raises
+    ResourceLimitError before anything else is looked at; then a
+    dim_filter entry outside [0, n] raises DomainError, and so does a
+    predicate of another type. The budget deadline raises
+    ResourceLimitError too, checked after the lattice ("lattice"), per 1024
+    masks of the line-mask transposition ("incidence") and per row ("graph").
     """
     require_lattice_budget(n, ctx.q)
     limits = limits or SearchLimits()
@@ -245,18 +175,7 @@ def build_graph(
     check_deadline("lattice")
     admitted = filter(predicate.admits, range(n + 1))
     positions = lat.positions(d for d in admitted if keep is None or d in keep)[::-1]
-    # No row holds its own vertex: the [d 1]_q lines it shares with itself
-    # are a meet of dimension d, which no predicate admitting d allows (K
-    # and L are disjoint, and every listed fraction is below 1). So full ^
-    # row also sets the vertex's own bit, and ^ (1 << k) clears it.
-    full = (1 << len(positions)) - 1
-    rows = compatible_rows(lat, positions, shared_line_counts(predicate, n, ctx.q))
-    conflicts = []
-    for k, row in enumerate(rows):
-        conflicts.append(full ^ row ^ (1 << k))
-        check_deadline("graph", rows=k + 1, vertices=len(positions))
-    vertices = tuple(map(lat.index_at, positions))
-    return CompatGraph(ctx, n, vertices, tuple(conflicts))
+    return CompatGraph(ctx, n, predicate, positions)
 
 
 class SearchResult(Record):
@@ -300,7 +219,8 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     step avail &= nonadj[b] also drops the vertex it has just colored. A
     child's candidates are its parent's, less b, & ~nonadj[b]. The family's
     members are listed from the last vertex down: for a build_graph graph
-    that is lattice order.
+    that is lattice order. The search reads the graph's ctx, n, size,
+    vertices and conflicts, nothing else.
 
     A vertex leaves a set it belongs to by rest -= bits[b], not ^=, because
     CPython specializes int subtraction and not the bitwise operators. The

@@ -418,9 +418,8 @@ class TestBudgetScope:
 
     def test_time_budget_runs_out_in_search(self, fake_clock):
         fake_clock.step = 1
-        # entry 0, lattice 1, incidence 2, 15 rows 3..17, one symmetry band
-        # 18, nodes from 19
-        code, out, err = run(SEARCH3 + ["--time-budget", "21.5"])
+        # entry 0, lattice 1, incidence 2, 15 rows 3..17, nodes from 18
+        code, out, err = run(SEARCH3 + ["--time-budget", "20.5"])
         assert (code, err) == (3, "")
         payload = json.loads(out)
         assert (payload["vertices"], payload["exhausted"], payload["nodes"]) == (15, False, 3)

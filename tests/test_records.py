@@ -8,6 +8,7 @@ from qlattice import (
     BoundReport,
     ContainmentVector,
     DomainError,
+    FractionSet,
     LatticeFunction,
     ModularProfile,
     SearchLimits,
@@ -143,3 +144,32 @@ def test_bad_arguments_raise_type_error():
         ModularProfile(3, (0,), (1,), c=2)
     with pytest.raises(TypeError):
         ContainmentVector(None, 1, 0, 1, n=1)
+
+
+def test_subclass_keeps_its_parents_fields():
+    # a subclass with no annotations of its own is a record of its parent's
+    # fields, validated by its parent's _validate
+    class Half(FractionSet):
+        pass
+
+    assert Half._fields == ("fractions",)
+    assert Half(((1, 2),)).fractions == ((1, 2),)
+    assert Half(fractions=[[2, 3], [1, 2]]).fractions == ((1, 2), (2, 3))
+    assert Half(((1, 2),)) != FractionSet(((1, 2),))
+    with pytest.raises(DomainError, match="repeated"):
+        Half(((1, 2), (1, 2)))
+
+    # new annotations follow the inherited ones, as in dataclasses; a
+    # redeclared field keeps its place and takes the new default
+    class Tagged(SearchLimits):
+        tag: str = "t"
+        max_nodes: int = 5
+
+    assert Tagged._fields == ("max_nodes", "dim_filter", "tag")
+    assert Tagged() == Tagged(5, None, "t")
+    assert repr(Tagged(dim_filter=[2, 1], tag="u")) == (
+        "test_subclass_keeps_its_parents_fields.<locals>.Tagged"
+        "(max_nodes=5, dim_filter=(1, 2), tag='u')"
+    )
+    with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+        Tagged(1, None, "t", 0)

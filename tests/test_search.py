@@ -2,6 +2,7 @@
 
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +26,7 @@ from qlattice import (
     gen_example_bisection,
     gen_example_frac_uniform,
     gen_example_uniform,
+    independence_certificate,
     intersect,
     max_family,
     meet_dim,
@@ -33,9 +35,8 @@ from qlattice import (
     subspace_at,
     zsigmondy_prime,
 )
-from qlattice import search as search_module
 from qlattice.gfspace import compatible_rows, lattice
-from qlattice.search import SearchResult, _symmetric
+from qlattice.search import SearchResult
 
 
 # The recursive branch and bound that max_family replaced, kept as the
@@ -120,28 +121,33 @@ def _reversed_conflicts(adjacency):
     return tuple(rows)
 
 
+class _RowGraph(NamedTuple):
+    """A graph given by its conflict rows, with no predicate behind it.
+
+    It has what max_family reads (ctx, n, size, vertices, conflicts) and
+    the adjacency the reference reads, so random graphs and reversed
+    lattice graphs can be searched; a CompatGraph derives its rows instead.
+    """
+
+    ctx: object
+    n: int
+    vertices: tuple
+    conflicts: tuple
+
+    @property
+    def size(self):
+        return len(self.vertices)
+
+    @property
+    def adjacency(self):
+        return _complement(self.conflicts)
+
+
 def _reversed(graph):
     """The same graph with its vertices listed from the last one down."""
-    return CompatGraph(
+    return _RowGraph(
         graph.ctx, graph.n, graph.vertices[::-1], _reversed_conflicts(graph.adjacency)
     )
-
-
-def _reference_defect(conflicts):
-    """The message of the per-edge check that CompatGraph used to run alone."""
-    adjacency = _complement(conflicts)
-    for i, mask in enumerate(adjacency):
-        if (mask >> i) & 1:
-            return f"vertex {i} carries a self-loop"
-    for i, mask in enumerate(adjacency):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if not (adjacency[j] >> i) & 1:
-                return f"edge ({i}, {j}) is not symmetric"
-    return None
 
 
 def _pairwise_graph(ctx, n, predicate, limits):
@@ -199,16 +205,11 @@ def _random_adjacency(rng, size, density):
 POOL = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
 
 
-def _graph(conflicts):
-    """A CompatGraph over GF(2)^5 on the first len(conflicts) subspaces."""
-    return CompatGraph(field(2), 5, tuple(POOL[: len(conflicts)]), tuple(conflicts))
-
-
 def _random_graph(size, density):
     """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
     rng = random.Random(size * 100 + round(density * 10))
     vertices = tuple(rng.sample(POOL, size))
-    return CompatGraph(field(2), 5, vertices, _complement(_random_adjacency(rng, size, density)))
+    return _RowGraph(field(2), 5, vertices, _complement(_random_adjacency(rng, size, density)))
 
 
 def _outcome(result):
@@ -259,61 +260,106 @@ class TestLimits:
                 pass
 
 
+# Meet rules read one way only: _SkewedHalf lets dims di and dj meet in
+# half of di but not in half of dj, and _SkewedProfile reads L only when
+# di <= dj. Both are one-sided on the admitted dims 1 and 2.
+class _SkewedHalf(FractionSet):
+    def meets(self, d, di, dj):
+        return any(d * b == a * di for a, b in self)
+
+
+class _SkewedProfile(ModularProfile):
+    def meets(self, d, di, dj):
+        return di <= dj and super().meets(d, di, dj)
+
+
+# Rules one-sided only where a dimension is not admitted: dim 0 for a
+# fraction set, a dim outside K for a profile. Rows pair admitted dims only.
+class _SkewedAtZero(FractionSet):
+    def meets(self, d, di, dj):
+        return di != 0 and super().meets(d, di, dj)
+
+
+class _SkewedOutsideK(ModularProfile):
+    def meets(self, d, di, dj):
+        return (di <= dj or self.admits(di)) and super().meets(d, di, dj)
+
+
+class _Reflexive(FractionSet):
+    """A fraction set that also lets two subspaces of one dim meet in all of it."""
+
+    def meets(self, d, di, dj):
+        return d == di == dj or super().meets(d, di, dj)
+
+
+SKEWED = [_SkewedHalf(((1, 2),)), _SkewedProfile(3, (1, 2), (0,))]
+SKEW_MESSAGE = r"\.meets is not symmetric in member dims 1 and 2$"
+
+# GF(2)^3 by lattice position: the zero space 0, lines 1..7, planes 8..14
+# and the whole space 15. PLANES admits the planes alone.
+PLANES = ModularProfile(3, (2,), (1,))
+
+
 class TestCompatGraph:
     def test_symmetry_enforced(self):
-        # vertex 1 conflicts with vertex 0, but not 0 with 1
-        with pytest.raises(DomainError):
-            _graph((0b00, 0b01))
+        # a one-sided meet rule is refused, whichever positions are given
+        for predicate in SKEWED:
+            for positions in ((), (5, 20), range(1, 51)):
+                with pytest.raises(DomainError, match=SKEW_MESSAGE):
+                    CompatGraph(field(2), 4, predicate, positions)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(DomainError):
-            _graph((0b1,))
+        # a rule that lets a subspace meet itself sets its own bit in every
+        # compatible_rows row; the graph leaves vertex k out of row k anyway
+        ctx, predicate = field(2), _Reflexive(((1, 2),))
+        graph = build_graph(ctx, 4, predicate)
+        allowed = shared_line_counts(predicate, 4, 2)
+        rows = compatible_rows(lattice(ctx, 4), graph.positions, allowed)
+        assert all(row >> k & 1 for k, row in enumerate(rows))
+        assert not any(row >> k & 1 for k, row in enumerate(graph.adjacency))
+        assert graph.conflicts == build_graph(ctx, 4, FractionSet(((1, 2),))).conflicts
 
     def test_defect_messages(self):
-        with pytest.raises(DomainError, match=r"^edge \(0, 1\) is not symmetric$"):
-            _graph((0b00, 0b01))
-        with pytest.raises(DomainError, match=r"^vertex 0 carries a self-loop$"):
-            _graph((0b1,))
-
-    def test_self_loop_reported_before_asymmetry(self):
-        # vertex 2 holds its own bit; edge (0, 1) is one-sided and comes first
-        # in edge order
-        with pytest.raises(DomainError, match=r"^vertex 2 carries a self-loop$"):
-            _graph((0b100, 0b101, 0b111))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_first_asymmetric_edge_named(self, seed):
-        rng = random.Random(seed)
-        size = rng.randint(3, 40)
-        adjacency = _random_adjacency(rng, size, 0.5)
-        conflicts = list(_complement(adjacency))
-        edges = [(i, j) for i in range(size) for j in range(size) if adjacency[i] >> j & 1]
-        for i, j in rng.sample(edges, min(len(edges), 4)):
-            conflicts[i] |= 1 << j
-        want = _reference_defect(conflicts)
-        assert want is not None and want.startswith("edge (")
-        with pytest.raises(DomainError) as info:
-            _graph(conflicts)
-        assert str(info.value) == want
-
-    @pytest.mark.parametrize("adjacency", [(0b10,), (0b100, 0b000), (-1, 0)])
-    def test_adjacency_outside_vertex_range_rejected(self, adjacency):
-        with pytest.raises(DomainError, match="adjacent to a vertex outside"):
-            _graph(_complement(adjacency))
+        ctx = field(2)
+        cases = [
+            ((8, 16), r"^positions\[1\] = 16 is not a lattice position in \[0, 16\)$"),
+            ((-1,), r"^positions\[0\] = -1 is not a lattice position in \[0, 16\)$"),
+            ((8, 9.0), r"^positions\[1\] = 9\.0 is not a lattice position in \[0, 16\)$"),
+            ((8, "9"), r"^positions\[1\] = '9' is not a lattice position in \[0, 16\)$"),
+            ((8, 14, 8), r"^positions\[2\] = 8 is listed twice$"),
+            ((8, 1), r"^positions\[1\] = 1 has dim 1, not admitted$"),
+            ((15,), r"^positions\[0\] = 15 has dim 3, not admitted$"),
+        ]
+        for positions, message in cases:
+            with pytest.raises(DomainError, match=message):
+                CompatGraph(ctx, 3, PLANES, positions)
+        # the predicate comes first; a row table cannot be passed in its place
+        for predicate in (None, (1, 2), ((2, 1), (2, 2))):
+            with pytest.raises(DomainError, match="^predicate must be a ModularProfile or"):
+                CompatGraph(ctx, 3, predicate, (8, 16))
 
     @pytest.mark.parametrize(
         "vertex",
         [1, (1,), (1, 2, 3), (1.0, 1), ("1", 1), (-1, 1), (4, 1), (1, 0), (1, 8), (2, 8)],
     )
     def test_malformed_vertex_rejected(self, vertex):
-        # GF(2)^3 has 7 lines, 7 planes and one 3-space; a bare int vertex used
-        # to pass here and crash max_family in subspace_at
-        with pytest.raises(DomainError, match=r"^vertex 1 is not a \(dim, pos\) index"):
-            CompatGraph(field(2), 3, (SubspaceIndex(1, 1), vertex), (0, 0))
+        # a vertex is a lattice position, an int: the (dim, pos) spellings
+        # the record once took, well formed or not, are refused, and so is
+        # position 1, a line, which PLANES does not admit
+        with pytest.raises(DomainError, match=r"^positions\[1\] = "):
+            CompatGraph(field(2), 3, PLANES, (8, vertex))
 
     def test_valid_vertex_shapes_accepted(self):
-        g = CompatGraph(field(2), 3, ((0, 1), SubspaceIndex(3, 1), (2, 7)), (0b110, 0b101, 0b011))
-        assert max_family(g).size == 1
+        # positions may come as any iterable of ints; the record keeps a tuple
+        ctx = field(2)
+        graph = CompatGraph(ctx, 3, PLANES, (14, 8, 11))
+        for positions in ([14, 8, 11], iter((14, 8, 11)), (g for g in (14, 8, 11))):
+            again = CompatGraph(ctx, 3, PLANES, positions)
+            assert again == graph and again.positions == (14, 8, 11)
+        assert graph.vertices == ((2, 7), (2, 1), (2, 4))
+        assert graph.conflicts == (0, 0, 0) and max_family(graph).size == 3
+        assert CompatGraph(ctx, 3, PLANES, range(8, 15)).positions == tuple(range(8, 15))
+        assert CompatGraph(ctx, 3, PLANES, ()).size == 0
 
     def test_tight_profile_graph_is_complete(self):
         g = build_graph(field(2), 3, ModularProfile(3, (2,), (1,)), SearchLimits())
@@ -447,42 +493,53 @@ class TestGraphKernel:
         assert graph.edge_count() == sum(row.bit_count() for row in adjacency) // 2
 
 
-class TestSymmetryCheck:
-    """The tile transpose of CompatGraph's symmetry check against the per-edge walk."""
+class TestRuleSymmetry:
+    """A one-sided meet rule is refused wherever rows are read from it.
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 17, 23])
-    def test_every_one_sided_edge_found(self, monkeypatch, size):
-        # tiles of 8 bits, so most sizes span several tiles and a partial one
-        monkeypatch.setattr(search_module, "_TILE", 8)
-        conflicts = _complement(_random_adjacency(random.Random(size), size, 0.5))
-        assert _symmetric(conflicts)
-        for i in range(size):
-            for j in range(size):
-                if i != j:
-                    broken = list(conflicts)
-                    broken[i] ^= 1 << j
-                    assert not _symmetric(broken), (i, j)
+    shared_line_counts checks the rule once per (predicate, n, q), over the
+    dims the predicate admits; rows built from a symmetric rule are
+    symmetric, so no graph checks its rows.
+    """
 
-    @pytest.mark.parametrize("tile", [8, 16, 64, 2048])
-    def test_random_graphs_at_every_tile_size(self, monkeypatch, tile):
-        monkeypatch.setattr(search_module, "_TILE", tile)
-        rng = random.Random(tile)
-        for _ in range(10):
-            size = rng.randint(1, 90)
-            conflicts = list(_complement(_random_adjacency(rng, size, rng.random())))
-            assert _symmetric(conflicts)
-            i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
-            if i != j:
-                conflicts[i] ^= 1 << j
-                assert not _symmetric(conflicts)
-                with pytest.raises(DomainError) as info:
-                    _graph(conflicts)
-                assert str(info.value) == _reference_defect(conflicts)
+    @pytest.mark.parametrize("predicate", SKEWED, ids=lambda p: type(p).__name__)
+    def test_refused_by_build_graph(self, predicate):
+        for n in (2, 4):
+            with pytest.raises(DomainError, match=SKEW_MESSAGE):
+                build_graph(field(2), n, predicate)
+        with pytest.raises(DomainError, match=SKEW_MESSAGE):
+            shared_line_counts(predicate, 4, 3)
 
-    def test_lattice_graph_across_tiles(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_TILE", 64)
-        graph = build_graph(field(2), 5, FractionSet(((1, 2),)))
-        assert graph.size == 373 and _symmetric(graph.conflicts)
+    @pytest.mark.parametrize("variant", ["lemma41", "lemma52", "swallow1", "swallow2"])
+    def test_refused_by_a_certificate_context(self, variant):
+        ctx = field(2)
+        cctx = certificate_context(ctx, 4, _SkewedProfile(3, (1, 2), (0,)))
+        family = Family(ctx, 4, (subspace_at(ctx, 4, (1, 1)),))
+        with pytest.raises(DomainError, match=SKEW_MESSAGE):
+            independence_certificate(cctx, family, variant)
+
+    @pytest.mark.parametrize(
+        "skewed,plain",
+        [
+            (_SkewedAtZero(((1, 2),)), FractionSet(((1, 2),))),
+            (_SkewedOutsideK(3, (2,), (1,)), ModularProfile(3, (2,), (1,))),
+        ],
+        ids=["fractions", "profile"],
+    )
+    def test_one_sided_off_the_admitted_dims_is_accepted(self, skewed, plain):
+        ctx, span = field(2), range(5)
+        table = shared_line_counts(skewed, 4, 2)
+        assert any(table[di][dj] != table[dj][di] for di in span for dj in span)
+        for limits in (None, SearchLimits(dim_filter=(2, 3))):
+            graph = build_graph(ctx, 4, skewed, limits)
+            assert graph.conflicts == build_graph(ctx, 4, plain, limits).conflicts
+        if isinstance(plain, ModularProfile):
+            # the planes through a line meet pairwise in it
+            family = gen_example_bisection(4, 2).family
+            certificates = [
+                independence_certificate(certificate_context(ctx, 4, p), family, "lemma41")
+                for p in (skewed, plain)
+            ]
+            assert certificates[0] == certificates[1]
 
 
 class TestMaxFamily:
@@ -596,19 +653,12 @@ class TestDeadline:
                 build_graph(field(2), 4, self.PREDICATE)
         assert exc.value.partial == {"phase": "graph", "rows": 4, "vertices": 66}
 
-    def test_expiry_in_the_symmetry_check(self, fake_clock):
-        fake_clock.step = 1
-        # all 66 rows pass; the check before the first band reads 69
-        with budget(seconds=68.5):
-            with pytest.raises(ResourceLimitError) as exc:
-                build_graph(field(2), 4, self.PREDICATE)
-        assert exc.value.partial == {"phase": "graph", "bands_checked": 0, "bands": 1}
-
     def test_graph_unchanged_under_a_distant_deadline(self, fake_clock):
         fake_clock.step = 1
         with budget(seconds=1e6):
             graph = build_graph(field(2), 4, self.PREDICATE)
-        assert graph == build_graph(field(2), 4, self.PREDICATE)
+        again = build_graph(field(2), 4, self.PREDICATE)
+        assert graph == again and graph.conflicts == again.conflicts
 
     def test_expiry_during_search_returns_best_so_far(self, fake_clock):
         graph = build_graph(field(2), 4, self.PREDICATE)
@@ -697,6 +747,35 @@ class TestAgainstReference:
                 (i, j) for i in range(size) for j in range(i + 1, size) if adjacency[i] >> j & 1
             )
             assert max_family(g).size == nx.max_weight_clique(nxg, weight=None)[1], size
+
+
+class TestOrders:
+    """Another search order is another positions tuple.
+
+    Over ascending positions the search takes the highest dimension first.
+    Where it and build_graph's order both exhaust, they prove one size.
+    """
+
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (2, 5), (3, 4)])
+    def test_ascending_positions_prove_the_same_size(self, q, n, predicate):
+        ctx, limits = field(q), SearchLimits(max_nodes=20000)
+        down = build_graph(ctx, n, predicate)
+        up = CompatGraph(ctx, n, predicate, down.positions[::-1])
+        assert up.edge_count() == down.edge_count()
+        assert up.vertices == down.vertices[::-1]
+        first, second = max_family(down, limits), max_family(up, limits)
+        check = check_modular if isinstance(predicate, ModularProfile) else check_fractional
+        assert check(first.family, predicate).ok and check(second.family, predicate).ok
+        if first.exhausted and second.exhausted:
+            assert first.size == second.size
+
+    def test_gf2_5_half_highest_dimension_first(self):
+        ctx, predicate = field(2), FractionSet(((1, 2),))
+        down = build_graph(ctx, 5, predicate)
+        up = CompatGraph(ctx, 5, predicate, down.positions[::-1])
+        assert _outcome(max_family(down))[:3] == (16, True, 9122)
+        assert _outcome(max_family(up))[:3] == (16, True, 271)
 
 
 def _compacted(full, positions):
