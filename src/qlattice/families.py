@@ -291,6 +291,22 @@ def _allowed_meets(predicate: Union[ModularProfile, FractionSet], di: int, dj: i
     return frozenset(d for d in range(min(di, dj) + 1) if predicate.meets(d, di, dj))
 
 
+def _require_symmetric(
+    predicate: Union[ModularProfile, FractionSet], dims: Iterable[int]
+) -> None:
+    """DomainError when the meet rule reads two of dims one way only.
+
+    Both readers that pair members without an order call it over the dims
+    they pair: shared_line_counts over the admitted dims of an ambient, the
+    checkers over the dims of a family whose members all pass admits.
+    """
+    for di, dj in combinations(sorted(set(dims)), 2):
+        if _allowed_meets(predicate, di, dj) != _allowed_meets(predicate, dj, di):
+            raise DomainError(
+                f"{type(predicate).__name__}.meets is not symmetric in member dims {di} and {dj}"
+            )
+
+
 @lru_cache(maxsize=256)
 def shared_line_counts(
     predicate: Union[ModularProfile, FractionSet], n: int, q: int
@@ -302,25 +318,19 @@ def shared_line_counts(
     masks share [d 1]_q lines, so this one table turns either predicate
     into a question about line counts.
 
-    The rule must be symmetric: DomainError when [di][dj] and [dj][di]
-    differ for two dimensions the predicate admits, so rows read from the
-    table are symmetric too. The table is computed once per (predicate, n,
-    q), in a bounded cache, and shared by every caller (search.CompatGraph
-    and a certificate context's compatibility rows, built once per
-    context); it is made of tuples and frozensets, so no caller can change it.
+    The rule must be symmetric (_require_symmetric over the dimensions the
+    predicate admits), so rows read from the table are symmetric too. The
+    table is computed once per (predicate, n, q), in a bounded cache, and
+    shared by every caller (search.CompatGraph and a certificate context's
+    compatibility rows, built once per context); it is made of tuples and
+    frozensets, so no caller can change it.
     """
     span = range(n + 1)
-    table = tuple(
+    _require_symmetric(predicate, filter(predicate.admits, span))
+    return tuple(
         tuple(frozenset(qbinom(d, 1, q) for d in _allowed_meets(predicate, di, dj)) for dj in span)
         for di in span
     )
-    admitted = list(filter(predicate.admits, span))
-    for di, dj in combinations(admitted, 2):
-        if table[di][dj] != table[dj][di]:
-            raise DomainError(
-                f"{type(predicate).__name__}.meets is not symmetric in member dims {di} and {dj}"
-            )
-    return table
 
 
 def offending_pairs(
@@ -332,7 +342,9 @@ def offending_pairs(
     _allowed_meets keyed by the pair's two dimensions and spanning only
     the member dimensions that occur. A row of the table is built once per
     call, when a member of its dimension first leads a pair, so a family
-    that fails early pays for few rows. Member dims are left to admits.
+    that fails early pays for few rows. Member dims are left to admits, and
+    the rule's symmetry to the checkers: pair (i, j) is judged as
+    (dims[i], dims[j]) only.
     """
     members, dims = family.members, family.dims
     present = set(dims)
@@ -352,11 +364,14 @@ def _check(family: Family, predicate: Union[ModularProfile, FractionSet]) -> Che
     """The first member admits refuses, else the first pair of offending_pairs, else a pass.
 
     The witness is (i,) or (i, j) in canonical order, and the detail is
-    the predicate's member_fault or pair_fault.
+    the predicate's member_fault or pair_fault. Between the two, a meet
+    rule one-sided in two member dims raises DomainError
+    (_require_symmetric), so no verdict depends on member order.
     """
     for i, m in enumerate(family):
         if not predicate.admits(m.dim):
             return CheckResult(False, (i,), predicate.member_fault(i, m.dim))
+    _require_symmetric(predicate, family.dims)
     bad = next(offending_pairs(family, predicate), None)
     if bad is None:
         return _PASS
@@ -369,6 +384,7 @@ def check_modular(family: Family, profile: ModularProfile) -> CheckResult:
 
     Empty and singleton families pass vacuously on the pair side. The first
     offending member or pair (canonical order) is returned as the witness.
+    A profile whose meets is one-sided in two member dims raises DomainError.
     """
     return _check(family, profile)
 
@@ -377,7 +393,8 @@ def check_fractional(family: Family, fractions: FractionSet) -> CheckResult:
     """Every member nonzero; every pair meets in a listed fraction of a member dim.
 
     The rules are FractionSet's, members first; the first offending member
-    or pair (canonical order) is returned as the witness.
+    or pair (canonical order) is returned as the witness. A subclass whose
+    meets is one-sided in two member dims raises DomainError.
     """
     return _check(family, fractions)
 

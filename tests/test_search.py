@@ -18,6 +18,7 @@ from qlattice import (
     bound_theorem1,
     budget,
     build_graph,
+    canonicalize,
     check_fractional,
     check_modular,
     bound_singleton,
@@ -127,6 +128,8 @@ class _RowGraph(NamedTuple):
     It has what max_family reads (ctx, n, size, vertices, conflicts) and
     the adjacency the reference reads, so random graphs and reversed
     lattice graphs can be searched; a CompatGraph derives its rows instead.
+    Having no predicate, it is searched from one root, the whole vertex
+    set, as the reference is.
     """
 
     ctx: object
@@ -148,6 +151,11 @@ def _reversed(graph):
     return _RowGraph(
         graph.ctx, graph.n, graph.vertices[::-1], _reversed_conflicts(graph.adjacency)
     )
+
+
+def _row_view(graph):
+    """The same graph as bare conflict rows: max_family searches it from one root."""
+    return _RowGraph(graph.ctx, graph.n, graph.vertices, graph.conflicts)
 
 
 def _pairwise_graph(ctx, n, predicate, limits):
@@ -210,6 +218,21 @@ def _random_graph(size, density):
     rng = random.Random(size * 100 + round(density * 10))
     vertices = tuple(rng.sample(POOL, size))
     return _RowGraph(field(2), 5, vertices, _complement(_random_adjacency(rng, size, density)))
+
+
+def _checker(predicate):
+    return check_modular if isinstance(predicate, ModularProfile) else check_fractional
+
+
+def _networkx_clique_number(graph):
+    nx = pytest.importorskip("networkx")
+    adjacency = graph.adjacency
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.size))
+    nxg.add_edges_from(
+        (i, j) for i in range(graph.size) for j in range(i) if adjacency[i] >> j & 1
+    )
+    return nx.max_weight_clique(nxg, weight=None)[1]
 
 
 def _outcome(result):
@@ -509,6 +532,16 @@ class TestRuleSymmetry:
         with pytest.raises(DomainError, match=SKEW_MESSAGE):
             shared_line_counts(predicate, 4, 3)
 
+    @pytest.mark.parametrize("predicate", SKEWED, ids=lambda p: type(p).__name__)
+    def test_refused_by_the_checkers(self, predicate):
+        # a plane of GF(2)^3 and a line inside it, in both member orders
+        ctx = field(2)
+        plane = canonicalize(ctx, 3, [(1, 0, 0), (0, 1, 0)])
+        line = canonicalize(ctx, 3, [(1, 0, 0)])
+        for members in ((plane, line), (line, plane)):
+            with pytest.raises(DomainError, match=SKEW_MESSAGE):
+                _checker(predicate)(Family(ctx, 3, members), predicate)
+
     @pytest.mark.parametrize("variant", ["lemma41", "lemma52", "swallow1", "swallow2"])
     def test_refused_by_a_certificate_context(self, variant):
         ctx = field(2)
@@ -711,6 +744,14 @@ WIDTH_SIZES = [0, 7, 8, 9, 15, 16, 17, 29, 30, 31, 63, 64, 65]
 
 
 class TestAgainstReference:
+    """max_family node for node against the recursive reference, on one root.
+
+    A build_graph graph is searched by orbital branching, which visits
+    another tree, so the lattice cases search its _row_view: the same
+    conflict rows with no predicate, which max_family searches from one
+    root, as the reference does.
+    """
+
     @pytest.mark.parametrize("density", DENSITIES)
     @pytest.mark.parametrize("size", sorted(set(SIZES + WIDTH_SIZES)))
     def test_random_graphs(self, size, density):
@@ -719,7 +760,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
     def test_lattice_graphs(self, q, n, predicate):
-        _assert_same_search(build_graph(field(q), n, predicate, SearchLimits()))
+        _assert_same_search(_row_view(build_graph(field(q), n, predicate, SearchLimits())))
 
     # At 7 and 1000 nodes the budget runs out deep in the tree, mostly with
     # siblings of the node it stops at still untaken; 1000 also lets some
@@ -730,30 +771,23 @@ class TestAgainstReference:
     @pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
     def test_full_lattice_graphs(self, q, n, predicate, dim_filter, max_nodes):
         limits = SearchLimits(dim_filter=dim_filter)
-        _assert_same_tree(build_graph(field(q), n, predicate, limits), max_nodes)
+        _assert_same_tree(_row_view(build_graph(field(q), n, predicate, limits)), max_nodes)
 
     def test_gf2_6_half_first_nodes(self):
-        _assert_same_tree(build_graph(field(2), 6, FractionSet(((1, 2),))), 2000)
+        _assert_same_tree(_row_view(build_graph(field(2), 6, FractionSet(((1, 2),)))), 2000)
 
     @pytest.mark.parametrize("density", DENSITIES)
     def test_clique_size_matches_networkx(self, density):
-        nx = pytest.importorskip("networkx")
         for size in SIZES:
             g = _random_graph(size, density)
-            adjacency = g.adjacency
-            nxg = nx.Graph()
-            nxg.add_nodes_from(range(size))
-            nxg.add_edges_from(
-                (i, j) for i in range(size) for j in range(i + 1, size) if adjacency[i] >> j & 1
-            )
-            assert max_family(g).size == nx.max_weight_clique(nxg, weight=None)[1], size
+            assert max_family(g).size == _networkx_clique_number(g), size
 
 
 class TestOrders:
     """Another search order is another positions tuple.
 
-    Over ascending positions the search takes the highest dimension first.
-    Where it and build_graph's order both exhaust, they prove one size.
+    Over ascending positions the one-root search takes the highest
+    dimension first. Where two orders both exhaust, they prove one size.
     """
 
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
@@ -765,7 +799,7 @@ class TestOrders:
         assert up.edge_count() == down.edge_count()
         assert up.vertices == down.vertices[::-1]
         first, second = max_family(down, limits), max_family(up, limits)
-        check = check_modular if isinstance(predicate, ModularProfile) else check_fractional
+        check = _checker(predicate)
         assert check(first.family, predicate).ok and check(second.family, predicate).ok
         if first.exhausted and second.exhausted:
             assert first.size == second.size
@@ -774,8 +808,98 @@ class TestOrders:
         ctx, predicate = field(2), FractionSet(((1, 2),))
         down = build_graph(ctx, 5, predicate)
         up = CompatGraph(ctx, 5, predicate, down.positions[::-1])
-        assert _outcome(max_family(down))[:3] == (16, True, 9122)
-        assert _outcome(max_family(up))[:3] == (16, True, 271)
+        # From one root, ascending positions take the highest dimension
+        # first and finish 30 times sooner.
+        assert _outcome(max_family(_row_view(down)))[:3] == (16, True, 9122)
+        assert _outcome(max_family(_row_view(up)))[:3] == (16, True, 271)
+        # Orbital branching takes the highest dimension first in either
+        # order; the position order only picks the fixed representatives.
+        assert _outcome(max_family(down))[:3] == (16, True, 40)
+        assert _outcome(max_family(up))[:3] == (16, True, 35)
+
+
+class TestOrbitalBranching:
+    """max_family on whole-block graphs: one root per fixed subspace and orbit.
+
+    Its oracles are the one-root search on the same rows (_row_view), the
+    family checkers and networkx. Budgets count every node, the fixed
+    subspaces included, and stop the search wherever they run out.
+    """
+
+    @pytest.mark.parametrize("ascending", [False, True], ids=["down", "up"])
+    @pytest.mark.parametrize("dim_filter", [None, (2, 3)])
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4)])
+    def test_same_size_as_one_root(self, q, n, predicate, dim_filter, ascending):
+        ctx = field(q)
+        graph = build_graph(ctx, n, predicate, SearchLimits(dim_filter=dim_filter))
+        if ascending:
+            graph = CompatGraph(ctx, n, predicate, graph.positions[::-1])
+        rooted = max_family(graph, SearchLimits(max_nodes=20000))
+        plain = max_family(_row_view(graph), SearchLimits(max_nodes=20000))
+        assert rooted.exhausted
+        assert _checker(predicate)(rooted.family, predicate).ok
+        order = list(map(lattice(ctx, n).global_index, rooted.family))
+        assert order == sorted(order)
+        if plain.exhausted:
+            assert rooted.size == plain.size
+
+    @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_size_matches_networkx(self, q, n, predicate):
+        graph = build_graph(field(q), n, predicate)
+        assert max_family(graph).size == _networkx_clique_number(graph)
+
+    @pytest.mark.parametrize(
+        "q,n,predicate,size",
+        [
+            (2, 5, FractionSet(((1, 3), (1, 2))), 16),
+            (3, 5, FractionSet(((1, 2),)), 41),
+            # one root takes 7.57 M nodes to prove this one
+            (2, 5, FractionSet(((1, 3),)), 9),
+        ],
+        ids=["gf2_5_third_half", "gf3_5_half", "gf2_5_third"],
+    )
+    def test_proofs(self, q, n, predicate, size):
+        res = max_family(build_graph(field(q), n, predicate))
+        assert (res.size, res.exhausted) == (size, True)
+        assert check_fractional(res.family, predicate).ok
+
+    def test_part_of_a_block_is_one_root(self):
+        ctx, predicate = field(2), FractionSet(((1, 2),))
+        positions = build_graph(ctx, 4, predicate).positions
+        rng = random.Random(29)
+        # positions[0] is GF(2)^4 itself, a whole block: [2:] leaves out a 3-space too
+        for part in (positions[2:], positions[:-1], rng.sample(positions, 40)):
+            _assert_same_search(CompatGraph(ctx, 4, predicate, part))
+
+    def test_node_budget_stops_in_any_root(self):
+        predicate = FractionSet(((1, 2), (2, 3)))
+        graph = build_graph(field(2), 5, predicate)
+        total = max_family(graph)
+        assert (total.size, total.exhausted, total.nodes) == (23, True, 317)
+        sizes = []
+        for max_nodes in range(1, total.nodes):
+            res = max_family(graph, SearchLimits(max_nodes=max_nodes))
+            assert (res.exhausted, res.nodes) == (False, max_nodes)
+            assert check_fractional(res.family, predicate).ok
+            sizes.append(res.size)
+        # the best family so far only grows, and is found before the proof ends
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1] == 23
+        assert _outcome(max_family(graph, SearchLimits(max_nodes=total.nodes))) == _outcome(total)
+
+    def test_deadline_stops_in_any_root(self, fake_clock):
+        predicate = FractionSet(((1, 2), (2, 3)))
+        graph = build_graph(field(2), 4, predicate)
+        total = max_family(graph).nodes
+        fake_clock.step = 1
+        for k in range(1, total):
+            # entry reads 0; node j's check reads j, so node k + 1 is refused
+            fake_clock.now = 0
+            with budget(seconds=k + 0.5):
+                res = max_family(graph)
+            assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=k)))
+            assert (res.exhausted, res.nodes) == (False, k)
 
 
 def _compacted(full, positions):
