@@ -276,13 +276,16 @@ class TestExitCodes:
 
     def test_deep_clique_search_exits_zero(self, tmp_path):
         # all 1057 lines of GF(32)^3 pairwise meet in 0: one clique of depth
-        # 1057, deeper than the interpreter's recursion limit
+        # 1057, deeper than the interpreter's recursion limit. The block of
+        # lines is a clique, so orbital branching starts from it and proves
+        # it in 3 nodes; tests/test_search.py walks the 1057-deep tree from
+        # one root.
         profile = tmp_path / "lines.json"
         profile.write_text(json.dumps({"b": 2, "K": [1], "L": [0]}))
         code, out, err = run(["search", "--n", "3", "--q", "32", "--profile", str(profile)])
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1057)
+        assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 3)
 
 
 # Usage errors found after parsing: (id, argv, DomainError message). {missing}

@@ -525,6 +525,14 @@ class TestLattice:
         assert lat.join(0, 5) == 5
         assert lat.join(15, 3) == 15
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+    def test_join_matches_union_space_on_every_pair(self, q, n):
+        lat = lattice(field(q), n)
+        spaces = lat.subspaces
+        for i, a in enumerate(spaces):
+            for j, b in enumerate(spaces):
+                assert lat.join(i, j) == lat.global_index(union_space(a, b)), (i, j)
+
     @pytest.mark.parametrize("i, j", [(-1, 0), (16, 0), (0, -1), (3, 16)])
     def test_join_rejects_positions_outside_the_lattice(self, i, j):
         with pytest.raises(DomainError, match=r"^position -?\d+ outside \[0, 16\)$"):

@@ -1,7 +1,9 @@
 """Compatibility graphs, exact maximum-family search, and the three generators."""
 
+import itertools
 import random
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -34,8 +36,10 @@ from qlattice import (
     qbinom,
     shared_line_counts,
     subspace_at,
+    union_space,
     zsigmondy_prime,
 )
+from qlattice import search
 from qlattice.gfspace import compatible_rows, lattice
 from qlattice.search import SearchResult
 
@@ -814,8 +818,10 @@ class TestOrders:
         assert _outcome(max_family(_row_view(up)))[:3] == (16, True, 271)
         # Orbital branching takes the highest dimension first in either
         # order; the position order only picks the fixed representatives.
-        assert _outcome(max_family(down))[:3] == (16, True, 40)
-        assert _outcome(max_family(up))[:3] == (16, True, 35)
+        # With three levels and the plane block as the first incumbent it
+        # takes 25 and 29 nodes (40 and 35 with two levels).
+        assert _outcome(max_family(down))[:3] == (16, True, 25)
+        assert _outcome(max_family(up))[:3] == (16, True, 29)
 
 
 class TestOrbitalBranching:
@@ -823,7 +829,8 @@ class TestOrbitalBranching:
 
     Its oracles are the one-root search on the same rows (_row_view), the
     family checkers and networkx. Budgets count every node, the fixed
-    subspaces included, and stop the search wherever they run out.
+    subspaces and the probes of the (v_d, r) roots included, and stop the
+    search wherever they run out.
     """
 
     @pytest.mark.parametrize("ascending", [False, True], ids=["down", "up"])
@@ -873,17 +880,32 @@ class TestOrbitalBranching:
         for part in (positions[2:], positions[:-1], rng.sample(positions, 40)):
             _assert_same_search(CompatGraph(ctx, 4, predicate, part))
 
-    def test_node_budget_stops_in_any_root(self):
+    def test_node_budget_stops_in_any_root(self, monkeypatch):
         predicate = FractionSet(((1, 2), (2, 3)))
         graph = build_graph(field(2), 5, predicate)
         total = max_family(graph)
-        assert (total.size, total.exhausted, total.nodes) == (23, True, 317)
-        sizes = []
+        # 317 nodes with two levels and no first incumbent
+        assert (total.size, total.exhausted, total.nodes) == (23, True, 74)
+        engine, calls = search._branch_and_bound, []
+
+        def spy(nonadj, bits, candidates, prefix, *rest):
+            found, used, finished = engine(nonadj, bits, candidates, prefix, *rest)
+            calls.append((len(prefix), finished))
+            return found, used, finished
+
+        monkeypatch.setattr(search, "_branch_and_bound", spy)
+        sizes, stops = [], set()
         for max_nodes in range(1, total.nodes):
+            calls.clear()
             res = max_family(graph, SearchLimits(max_nodes=max_nodes))
             assert (res.exhausted, res.nodes) == (False, max_nodes)
             assert check_fractional(res.family, predicate).ok
             sizes.append(res.size)
+            # The last root run finished (the stop was at the next v_d) or
+            # was stopped: the probe of a (v_d, r) root or a level-3 root.
+            depth, finished = calls[-1]
+            stops.add("v_d" if finished else f"prefix of {depth}")
+        assert stops == {"v_d", "prefix of 2", "prefix of 3"}
         # the best family so far only grows, and is found before the proof ends
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1] == 23
         assert _outcome(max_family(graph, SearchLimits(max_nodes=total.nodes))) == _outcome(total)
@@ -900,6 +922,140 @@ class TestOrbitalBranching:
                 res = max_family(graph)
             assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=k)))
             assert (res.exhausted, res.nodes) == (False, k)
+
+    # The partial line spreads of PG(4,2) and their duals: two levels took
+    # 6816 to 8602 nodes over each of them, the benchmark's slowest searches.
+    @pytest.mark.parametrize(
+        "profile, dims",
+        [
+            (ModularProfile(3, (0,), (1,)), (3, 4)),
+            (ModularProfile(4, (2,), (0,)), None),
+            (ModularProfile(4, (2,), (0, 3)), None),
+            (ModularProfile(4, (3,), (1,)), (1, 3)),
+            (ModularProfile(5, (2, 3), (1,)), (3, 4)),
+            (ModularProfile(5, (2,), (0, 3)), (2, 3)),
+        ],
+    )
+    def test_spreads_are_proved(self, profile, dims):
+        graph = build_graph(field(2), 5, profile, SearchLimits(dim_filter=dims))
+        res = max_family(graph, SearchLimits(max_nodes=1000))
+        assert (res.size, res.exhausted) == (9, True)
+        assert check_modular(res.family, profile).ok
+
+    def test_deep_clique_from_one_root(self):
+        # all 1057 lines of GF(32)^3 pairwise meet in 0: orbital branching
+        # starts from the block of lines and proves it in 3 nodes, so the
+        # 1057-deep tree, beyond the interpreter's recursion limit, is walked
+        # from one root over the same rows
+        graph = build_graph(field(32), 3, ModularProfile(2, (1,), (0,)))
+        assert max_family(graph).nodes == 3
+        assert _outcome(max_family(_row_view(graph)))[:3] == (1057, True, 1057)
+
+
+def _gl_generators(ctx):
+    """Maps of row vectors generating GL(n,q): a transvection, the n-cycle, diag(ω, 1, ...)."""
+
+    def order(w):
+        power, k = w, 1
+        while power != 1:
+            power, k = ctx.mul(power, w), k + 1
+        return k
+
+    omega = next(w for w in range(1, ctx.q) if order(w) == ctx.q - 1)
+    return (
+        lambda x: (x[0], ctx.add(x[1], x[0]), *x[2:]),
+        lambda x: (x[-1], *x[:-1]),
+        lambda x: (ctx.mul(omega, x[0]), *x[1:]),
+    )
+
+
+class TestTripleKey:
+    """The level-3 key is a complete invariant of GL(n,q) orbits on triples.
+
+    Over all triples (v, r, u) of one ambient, the key is (dim v, dim r,
+    dim v ∩ r) followed by u's level-3 key (dim u, dim u ∩ v, dim u ∩ r,
+    dim u ∩ (v ∩ r), dim u ∩ (v + r)), each read as a popcount of line masks.
+    """
+
+    @pytest.mark.parametrize("q,n,orbits", [(2, 3, 128), (3, 3, 128), (2, 4, 367)])
+    def test_orbits_are_key_classes(self, q, n, orbits):
+        ctx = field(q)
+        lat = lattice(ctx, n)
+        size, lines = len(lat), lat.lines
+        perms = [
+            [lat.global_index(canonicalize(ctx, n, [g(row) for row in s.rows])) for s in lat.subspaces]
+            for g in _gl_generators(ctx)
+        ]
+        # The orbits of the generated group on triples t = (v * size + r) * size + u.
+        seen = bytearray(size**3)
+        found = 0
+        for first in range(size**3):
+            if seen[first]:
+                continue
+            found += 1
+            seen[first] = 1
+            stack = [first]
+            while stack:
+                vr, u = divmod(stack.pop(), size)
+                v, r = divmod(vr, size)
+                for p in perms:
+                    image = (p[v] * size + p[r]) * size + p[u]
+                    if not seen[image]:
+                        seen[image] = 1
+                        stack.append(image)
+        keys = set()
+        for v, r in itertools.product(range(size), repeat=2):
+            lv, lr = lines[v], lines[r]
+            meet, join = lv & lr, lines[lat.join(v, r)]
+            head = (lv.bit_count(), lr.bit_count(), meet.bit_count())
+            for lu in lines:
+                keys.add((
+                    *head,
+                    lu.bit_count(),
+                    (lu & lv).bit_count(),
+                    (lu & lr).bit_count(),
+                    (lu & meet).bit_count(),
+                    (lu & join).bit_count(),
+                ))
+        # Keys are invariant, so there are at most as many classes as orbits
+        # of GL(n,q), and these in turn at most as many as the generated
+        # group's: equality makes the key complete.
+        assert found == len(keys) == orbits
+
+    def test_functionals_have_rank_9_on_the_indecomposables(self):
+        ctx = field(2)
+        line = [(1,)]
+        # The eight triples on a 1-dimensional V, each of v, r, u 0 or V,
+        # and three distinct lines in a plane.
+        triples = [
+            (1, *(canonicalize(ctx, 1, line if on else []) for on in pick))
+            for pick in itertools.product((0, 1), repeat=3)
+        ]
+        triples.append((2, *(canonicalize(ctx, 2, [row]) for row in ((1, 0), (0, 1), (1, 1)))))
+        rows = []
+        for ambient, v, r, u in triples:
+            rows.append([
+                ambient, v.dim, r.dim, meet_dim(v, r), u.dim, meet_dim(u, v), meet_dim(u, r),
+                meet_dim(u, intersect(v, r)), meet_dim(u, union_space(v, r)),
+            ])
+        assert _rank(rows) == 9
+
+
+def _rank(rows):
+    """Rank of an integer matrix, by elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _compacted(full, positions):
