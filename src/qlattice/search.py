@@ -6,14 +6,16 @@ space are exactly the cliques of a compatibility graph. Maximum cliques are
 found by an iterative branch and bound over an explicit stack, so clique
 depth is not limited by the interpreter's recursion limit. Greedy coloring
 gives the bounds. GL(n,q) preserves every graph build_graph makes, so the
-search fixes one subspace per vertex dimension, one per orbit of its
-stabiliser, and, under a pair whose first node does not settle it, one
-per orbit of the pair's stabiliser (orbital branching, three levels). It
-runs the branch and bound under each such pair or triple, starting from
-the largest dimension block that is a clique. The search is fully
-deterministic, and budget exhaustion is reported as a result state rather
-than an error. The time budget is the budgets.budget deadline:
-build_graph checks it between phases and rows, max_family at every node.
+search fixes one subspace per vertex dimension and then, under a root
+whose first node (its probe) does not settle it, one per orbit of the
+stabiliser of what the root has fixed (orbital branching, three levels).
+max_family is one loop over a stack of such roots, each one run of the
+branch and bound, starting from the largest dimension block that is a
+clique; a graph that is not whole dimension blocks is one root. The
+search is fully deterministic, and budget exhaustion is reported as a
+result state rather than an error. The time budget is the budgets.budget
+deadline: build_graph checks it between phases and rows, max_family at
+every node.
 
 A CompatGraph is its predicate over a tuple of lattice positions, and it
 derives one table from them, the one the search reads: conflicts[k] is
@@ -40,6 +42,7 @@ members alone: it builds no lattice.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import NamedTuple, Optional, Union
@@ -205,174 +208,168 @@ class SearchResult(Record):
 def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Exact maximum clique of the compatibility graph, within budgets.
 
-    A CompatGraph whose positions cover whole dimension blocks (every
-    build_graph graph, with or without a dim_filter) is searched by
-    orbital branching (_orbital_search), three levels deep, and its family
-    is listed in lattice order. Every other graph (part of a dimension
-    block, or any table with ctx, n, size, vertices and conflicts) is one
-    branch and bound (_branch_and_bound) over all its vertices, and its
-    family is listed from the last vertex down (for a build_graph graph,
-    lattice order too).
+    One loop over a stack of roots (candidates, prefix), each run by
+    _branch_and_bound from its prefix against the best size found so far;
+    vertices are bit lengths b (vertex b - 1). A graph's depth is 3 when it
+    is a CompatGraph whose positions cover whole dimension blocks (every
+    build_graph graph, with or without a dim_filter), else 0. A root whose
+    prefix is shorter than the depth is probed, its first node run alone;
+    unless the probe settles it or a budget refuses it, the root is
+    replaced by its class roots, to run in ascending key order. A root at
+    the depth runs to the end. At depth 0 (part of a dimension block, or
+    any table with ctx, n, size, vertices and conflicts) that is one branch
+    and bound over the whole graph, and the family is listed from the last
+    vertex down; at depth 3 (orbital branching) it is listed in lattice
+    order.
 
-    nodes counts every node, each fixed v_d and each probe included, and
-    limits.max_nodes and the budget deadline are checked at each: when
-    either runs out, the best family found so far is returned with
-    exhausted False.
-    """
-    limits = limits or SearchLimits()
-    count = graph.size
-    nonadj = [0, *graph.conflicts]
-    bits = [0, *(1 << j for j in range(count))]
-    deadline = current_deadline()
-    rooted = _orbital_search(graph, nonadj, bits, limits.max_nodes, deadline)
-    if rooted is None:
-        found, nodes, exhausted = _branch_and_bound(
-            nonadj, bits, (1 << count) - 1, [], 0, limits.max_nodes, deadline
-        )
-        best = sorted(found or (), reverse=True)
-    else:
-        best, nodes, exhausted = rooted
-        best.sort(key=lambda b: graph.positions[b - 1])
-    members = tuple(subspace_at(graph.ctx, graph.n, graph.vertices[b - 1]) for b in best)
-    family = Family(graph.ctx, graph.n, members)
-    return SearchResult(family, len(members), exhausted, nodes)
-
-
-def _orbital_search(
-    graph, nonadj: list[int], bits: list[int], max_nodes: int, deadline: Optional[float]
-) -> Optional[tuple[list[int], int, bool]]:
-    """(clique, nodes, finished) of orbital branching over whole dimension blocks.
-
-    None unless graph is a CompatGraph whose positions cover whole
-    dimension blocks. Vertices are bit lengths b (vertex b - 1). Both
-    predicates read only dimensions and meet dimensions, so GL(n,q)
-    preserves the graph, and a root may fix one representative per orbit
-    of the stabiliser of what it has fixed already (Ostrowski, Linderoth,
-    Rossi and Smriglio, Math. Programming 2011). Each root is one
-    _branch_and_bound from its prefix, starting from the best size found
-    so far.
+    Orbital branching is sound because both predicates read only
+    dimensions and meet dimensions, so GL(n,q) preserves the graph, and a
+    root may fix one representative per orbit of the stabiliser of what it
+    has fixed already (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+    Programming 2011).
 
     - Start. GL(n,q) is transitive on d-spaces, so block d is a clique
       when its top vertex has no conflict inside it. The largest such
       block is the first incumbent, which spares the dives that only find
       it: q = 2, n = 5 under b = 5, K = {3, 4}, L = {1, 2} takes 5 nodes
       instead of 295.
-    - Level 1. Take each vertex dimension d, highest first; fixing v_d,
-      the top vertex of block d, is a node. A clique with a d-space and
-      none of a higher vertex dimension may be assumed to hold v_d, and
-      its other members are v_d's neighbours in the blocks not yet
-      closed. Then block d is closed.
-    - Level 2. Split those neighbours into classes by (dim u, dim u ∩ v_d)
-      and take the classes in ascending order of that key. A clique
-      holding v_d, a member of the class and none of an earlier class may
-      be assumed to hold r, the class's top vertex: the root is (v_d, r)
-      over the remaining neighbours adjacent to r. Then the class is
-      dropped. A v_d with no neighbours left has one root, {v_d}.
-    - Level 3. A (v_d, r) root's first node is a probe. If it neither
-      prunes nor finishes the root, the root's candidates are split the
-      same way by (dim u, dim u ∩ v_d, dim u ∩ r, dim u ∩ (v_d ∩ r),
-      dim u ∩ (v_d + r)), each class rooting (v_d, r, t). The candidates
-      are invariant under the stabiliser of (v_d, r), and the key is a
-      complete invariant of GL(n,q) orbits on triples of subspaces: its
-      functionals are additive over direct sums and have rank 9 on the
-      nine indecomposable triples (Gelfand and Ponomarev 1970), so they
-      fix the multiplicities. Quadruples are not of finite type, so no
-      such key exists one level down.
+    - Level 1. Take each vertex dimension d, highest first, and fix v_d,
+      the top vertex of block d. A clique with a d-space and none of a
+      higher vertex dimension may be assumed to hold v_d, and its other
+      members are v_d's neighbours in the blocks not yet closed: the root
+      is (v_d) over those neighbours. Then block d is closed.
+    - Level 2. Split a (v_d) root's candidates into classes by (dim u,
+      dim u ∩ v_d) and take the classes in ascending order of that key. A
+      clique holding v_d, a member of the class and none of an earlier
+      class may be assumed to hold r, the class's top vertex: the root is
+      (v_d, r) over the remaining candidates adjacent to r. Then the class
+      is dropped.
+    - Level 3. Split a (v_d, r) root's candidates the same way by (dim u,
+      dim u ∩ v_d, dim u ∩ r, dim u ∩ (v_d ∩ r), dim u ∩ (v_d + r)), each
+      class rooting (v_d, r, t). The candidates are invariant under the
+      stabiliser of (v_d, r), and the key is a complete invariant of
+      GL(n,q) orbits on triples of subspaces: its functionals are additive
+      over direct sums and have rank 9 on the nine indecomposable triples
+      (Gelfand and Ponomarev 1970), so they fix the multiplicities.
+      Quadruples are not of finite type, so no such key exists one level
+      down.
 
     Each key component is read as the popcount of u's line mask against
     a line mask, [dim 1]_q, which orders as the dimension does; the mask
     of v_d + r comes from Lattice.join. Highest dimension first matters:
     ascending, GF(2)^5 under b = 5, K = {2, 4}, L = {0, 3} took 8632 nodes
     instead of 32 with two levels.
+
+    nodes counts every node, each probe included, and limits.max_nodes and
+    the budget deadline are checked at each: when either runs out, the
+    best family found so far is returned with exhausted False.
+    """
+    limits = limits or SearchLimits()
+    max_nodes, count = limits.max_nodes, graph.size
+    nonadj = [0, *graph.conflicts]
+    bits = [0, *(1 << j for j in range(count))]
+    deadline = current_deadline()
+    blocks = _whole_blocks(graph)
+    depth = 3 if blocks else 0
+    best: list[int] = []
+    roots = [((1 << count) - 1, [])]
+    if blocks:
+        lat = lattice(graph.ctx, graph.n)
+        ordered = [blocks[d] for d in sorted(blocks, reverse=True)]
+        cliques = [mask for mask in ordered if not nonadj[mask.bit_length()] & mask]
+        start = max(cliques, key=int.bit_count, default=0)
+        while start:
+            best.append(start.bit_length())
+            start -= bits[best[-1]]
+        # Level 1, lowest dimension pushed first: v_d's neighbours in blocks d and below.
+        roots, unclosed = [], 0
+        for block in reversed(ordered):
+            unclosed |= block
+            v = block.bit_length()
+            roots.append(((unclosed & ~nonadj[v]) - bits[v], [v]))
+    nodes, exhausted = 0, True
+    while roots:
+        candidates, prefix = roots.pop()
+        probe = len(prefix) < depth
+        budget_nodes = min(1, max_nodes - nodes) if probe else max_nodes - nodes
+        found, used, finished = _branch_and_bound(
+            nonadj, bits, candidates, prefix, len(best), budget_nodes, deadline
+        )
+        nodes += used
+        best = found or best
+        if finished:
+            continue
+        if not (probe and used):
+            # A root ran out of nodes or time, or a budget refused the probe.
+            exhausted = False
+            break
+        classes = _classes(lat, graph.positions, bits, candidates, prefix)
+        roots += reversed(_class_roots(classes, candidates, prefix, nonadj, bits))
+    if depth:
+        best.sort(key=lambda b: graph.positions[b - 1])
+    else:
+        best.sort(reverse=True)
+    members = tuple(subspace_at(graph.ctx, graph.n, graph.vertices[b - 1]) for b in best)
+    family = Family(graph.ctx, graph.n, members)
+    return SearchResult(family, len(members), exhausted, nodes)
+
+
+def _whole_blocks(graph) -> dict[int, int]:
+    """{dim: mask of its vertices}, or {} unless graph is a CompatGraph of whole blocks.
+
+    Each run of one dimension along the positions is one range mask, and
+    the runs of a dimension are ORed together, so any position order
+    works. Positions are distinct, so a block is whole when it holds all
+    [n d]_q d-spaces.
     """
     if not isinstance(graph, CompatGraph):
-        return None
-    lat = lattice(graph.ctx, graph.n)
-    lines, positions = lat.lines, graph.positions
+        return {}
+    dims = lattice(graph.ctx, graph.n).dims
     blocks: dict[int, int] = {}
-    for k, g in enumerate(positions):
-        blocks[lat.dims[g]] = blocks.get(lat.dims[g], 0) | 1 << k
-    # Positions are distinct, so a block is whole when it holds all [n d]_q d-spaces.
+    low = 0
+    for d, run in itertools.groupby(map(dims.__getitem__, graph.positions)):
+        high = low + sum(1 for _ in run)
+        blocks[d] = blocks.get(d, 0) | (1 << high) - (1 << low)
+        low = high
     if any(mask.bit_count() != qbinom(graph.n, d, graph.ctx.q) for d, mask in blocks.items()):
-        return None
-    ordered = [blocks[d] for d in sorted(blocks, reverse=True)]
-    cliques = [mask for mask in ordered if not nonadj[mask.bit_length()] & mask]
-    start = max(cliques, key=int.bit_count, default=0)
-    best = []
-    while start:
-        best.append(start.bit_length())
-        start -= bits[best[-1]]
-    nodes = 0
-    unclosed = (1 << len(positions)) - 1
-    for block in ordered:
-        if nodes >= max_nodes or (deadline is not None and time.monotonic() > deadline):
-            return best, nodes, False
-        nodes += 1
-        v = block.bit_length()
-        # v's neighbours: the unclosed vertices outside its conflict row, less v
-        around = (unclosed & ~nonadj[v]) - bits[v]
-        unclosed -= block
-        line_v = lines[positions[v - 1]]
-        classes: dict[tuple[int, ...], int] = {}
-        rest = around
-        while rest:
-            u = rest.bit_length()
-            rest -= bits[u]
-            line = lines[positions[u - 1]]
-            key = (line.bit_count(), (line & line_v).bit_count())
-            classes[key] = classes.get(key, 0) | bits[u]
-        for candidates, prefix in _class_roots(classes, around, [v], nonadj, bits) or [(0, [v])]:
-            # The probe: the root's first node alone, which may prune or finish it.
-            found, used, finished = _branch_and_bound(
-                nonadj, bits, candidates, prefix, len(best), min(1, max_nodes - nodes), deadline
-            )
-            nodes += used
-            best = found or best
-            if finished:
-                continue
-            if not used:
-                # The node budget or the deadline refused the probe.
-                return best, nodes, False
-            triples = _triple_roots(lat, positions, nonadj, bits, candidates, prefix)
-            for candidates, prefix in triples:
-                found, used, finished = _branch_and_bound(
-                    nonadj, bits, candidates, prefix, len(best), max_nodes - nodes, deadline
-                )
-                nodes += used
-                best = found or best
-                if not finished:
-                    return best, nodes, False
-    return best, nodes, True
+        return {}
+    return blocks
 
 
-def _triple_roots(
-    lat,
-    positions: tuple[int, ...],
-    nonadj: list[int],
-    bits: list[int],
-    candidates: int,
-    prefix: list[int],
-) -> list[tuple[int, list[int]]]:
-    """Level 3: the roots (v_d, r, t) that replace the root (v_d, r) over candidates."""
+def _classes(
+    lat, positions: tuple[int, ...], bits: list[int], candidates: int, prefix: list[int]
+) -> dict[tuple[int, ...], int]:
+    """{key: mask} of the candidates under a prefix (v_d) or (v_d, r), by orbit key.
+
+    A (v_d) prefix keys u by (dim u, dim u ∩ v_d), a (v_d, r) prefix by
+    (dim u, dim u ∩ v_d, dim u ∩ r, dim u ∩ (v_d ∩ r), dim u ∩ (v_d + r)).
+    """
     lines = lat.lines
-    v, r = (positions[b - 1] for b in prefix)
-    line_v, line_r = lines[v], lines[r]
-    meet, join = line_v & line_r, lines[lat.join(v, r)]
+    v = positions[prefix[0] - 1]
+    line_v = lines[v]
+    pair = len(prefix) == 2
+    if pair:
+        r = positions[prefix[1] - 1]
+        line_r = lines[r]
+        meet, join = line_v & line_r, lines[lat.join(v, r)]
     classes: dict[tuple[int, ...], int] = {}
     rest = candidates
     while rest:
         u = rest.bit_length()
         rest -= bits[u]
         line = lines[positions[u - 1]]
-        key = (
-            line.bit_count(),
-            (line & line_v).bit_count(),
-            (line & line_r).bit_count(),
-            (line & meet).bit_count(),
-            (line & join).bit_count(),
-        )
+        if pair:
+            key = (
+                line.bit_count(),
+                (line & line_v).bit_count(),
+                (line & line_r).bit_count(),
+                (line & meet).bit_count(),
+                (line & join).bit_count(),
+            )
+        else:
+            key = (line.bit_count(), (line & line_v).bit_count())
         classes[key] = classes.get(key, 0) | bits[u]
-    return _class_roots(classes, candidates, prefix, nonadj, bits)
+    return classes
 
 
 def _class_roots(

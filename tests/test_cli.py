@@ -278,14 +278,15 @@ class TestExitCodes:
         # all 1057 lines of GF(32)^3 pairwise meet in 0: one clique of depth
         # 1057, deeper than the interpreter's recursion limit. The block of
         # lines is a clique, so orbital branching starts from it and proves
-        # it in 3 nodes; tests/test_search.py walks the 1057-deep tree from
-        # one root.
+        # it in 1 node, the probe of the fixed line (3 when each fixed v_d
+        # was a bare node); tests/test_search.py walks the 1057-deep tree
+        # from one root.
         profile = tmp_path / "lines.json"
         profile.write_text(json.dumps({"b": 2, "K": [1], "L": [0]}))
         code, out, err = run(["search", "--n", "3", "--q", "32", "--profile", str(profile)])
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 3)
+        assert (payload["size"], payload["exhausted"], payload["nodes"]) == (1057, True, 1)
 
 
 # Usage errors found after parsing: (id, argv, DomainError message). {missing}
@@ -421,11 +422,13 @@ class TestBudgetScope:
 
     def test_time_budget_runs_out_in_search(self, fake_clock):
         fake_clock.step = 1
-        # entry 0, lattice 1, incidence 2, 15 rows 3..17, nodes from 18
-        code, out, err = run(SEARCH3 + ["--time-budget", "20.5"])
+        # entry 0, lattice 1, incidence 2, 15 rows 3..17, nodes from 18. The
+        # search takes 3 nodes since the fixed v_d became a probe, so the
+        # deadline refuses its last node, the 20th read.
+        code, out, err = run(SEARCH3 + ["--time-budget", "19.5"])
         assert (code, err) == (3, "")
         payload = json.loads(out)
-        assert (payload["vertices"], payload["exhausted"], payload["nodes"]) == (15, False, 3)
+        assert (payload["vertices"], payload["exhausted"], payload["nodes"]) == (15, False, 2)
 
     def test_time_budget_validation(self):
         for value in ("0", "-2", "nan"):

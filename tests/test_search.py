@@ -700,14 +700,16 @@ class TestDeadline:
     def test_expiry_during_search_returns_best_so_far(self, fake_clock):
         graph = build_graph(field(2), 4, self.PREDICATE)
         fake_clock.step = 1
-        # entry reads 0; node k's check reads k, so node 11 is refused
-        with budget(seconds=10.5):
+        # entry reads 0; node k's check reads k, so node 6 is refused. The
+        # whole search takes 10 nodes since the fixed v_d became a probe
+        # (13 before), so the deadline stops it halfway.
+        with budget(seconds=5.5):
             res = max_family(graph, SearchLimits())
         assert not res.exhausted
-        assert res.nodes == 10
+        assert res.nodes == 5
         assert 1 <= res.size <= 8
         assert check_fractional(res.family, self.PREDICATE).ok
-        assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=10)))
+        assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=5)))
 
     def test_expiry_while_conflict_rows_are_built(self, fake_clock):
         # GF(2)^6 {1/2} has 2824 vertices, more than one 1024-row block
@@ -819,29 +821,43 @@ class TestOrders:
         # Orbital branching takes the highest dimension first in either
         # order; the position order only picks the fixed representatives.
         # With three levels and the plane block as the first incumbent it
-        # takes 25 and 29 nodes (40 and 35 with two levels).
-        assert _outcome(max_family(down))[:3] == (16, True, 25)
-        assert _outcome(max_family(up))[:3] == (16, True, 29)
+        # takes 22 and 24 nodes: 25 and 29 when each fixed v_d was a bare
+        # node, not a probe whose coloring may settle its root (40 and 35
+        # with two levels).
+        assert _outcome(max_family(down))[:3] == (16, True, 22)
+        assert _outcome(max_family(up))[:3] == (16, True, 24)
+
+
+ORDERS = ["down", "up", "shuffled"]
+
+
+def _in_order(graph, order):
+    """graph over its positions as build_graph lists them, reversed, or in a seeded shuffle."""
+    positions = graph.positions
+    if order == "up":
+        positions = positions[::-1]
+    elif order == "shuffled":
+        positions = random.Random(len(positions)).sample(positions, len(positions))
+    return CompatGraph(graph.ctx, graph.n, graph.predicate, positions)
 
 
 class TestOrbitalBranching:
     """max_family on whole-block graphs: one root per fixed subspace and orbit.
 
     Its oracles are the one-root search on the same rows (_row_view), the
-    family checkers and networkx. Budgets count every node, the fixed
-    subspaces and the probes of the (v_d, r) roots included, and stop the
-    search wherever they run out.
+    family checkers and networkx. Budgets count every node, the probes of
+    the (v_d) and (v_d, r) roots included, and stop the search wherever
+    they run out.
     """
 
-    @pytest.mark.parametrize("ascending", [False, True], ids=["down", "up"])
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("dim_filter", [None, (2, 3)])
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4)])
-    def test_same_size_as_one_root(self, q, n, predicate, dim_filter, ascending):
+    def test_same_size_as_one_root(self, q, n, predicate, dim_filter, order):
         ctx = field(q)
         graph = build_graph(ctx, n, predicate, SearchLimits(dim_filter=dim_filter))
-        if ascending:
-            graph = CompatGraph(ctx, n, predicate, graph.positions[::-1])
+        graph = _in_order(graph, order)
         rooted = max_family(graph, SearchLimits(max_nodes=20000))
         plain = max_family(_row_view(graph), SearchLimits(max_nodes=20000))
         assert rooted.exhausted
@@ -850,6 +866,21 @@ class TestOrbitalBranching:
         assert order == sorted(order)
         if plain.exhausted:
             assert rooted.size == plain.size
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_blocks_are_the_per_vertex_masks(self, q, n, order):
+        ctx, predicate = field(q), FractionSet(((1, 2),))
+        graph = _in_order(build_graph(ctx, n, predicate), order)
+        lat = lattice(ctx, n)
+        masks = {}
+        for k, g in enumerate(graph.positions):
+            masks[lat.dims[g]] = masks.get(lat.dims[g], 0) | 1 << k
+        assert search._whole_blocks(graph) == masks
+        # less one line, the block of lines is not whole
+        line = lat.positions([1])[0]
+        part = CompatGraph(ctx, n, predicate, [g for g in graph.positions if g != line])
+        assert search._whole_blocks(part) == {}
 
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
@@ -884,8 +915,9 @@ class TestOrbitalBranching:
         predicate = FractionSet(((1, 2), (2, 3)))
         graph = build_graph(field(2), 5, predicate)
         total = max_family(graph)
-        # 317 nodes with two levels and no first incumbent
-        assert (total.size, total.exhausted, total.nodes) == (23, True, 74)
+        # 74 nodes when each fixed v_d was a bare node rather than a probe,
+        # 317 with two levels and no first incumbent
+        assert (total.size, total.exhausted, total.nodes) == (23, True, 70)
         engine, calls = search._branch_and_bound, []
 
         def spy(nonadj, bits, candidates, prefix, *rest):
@@ -901,11 +933,12 @@ class TestOrbitalBranching:
             assert (res.exhausted, res.nodes) == (False, max_nodes)
             assert check_fractional(res.family, predicate).ok
             sizes.append(res.size)
-            # The last root run finished (the stop was at the next v_d) or
-            # was stopped: the probe of a (v_d, r) root or a level-3 root.
+            # The last root run is the one the budget stopped: the probe of
+            # a (v_d) or a (v_d, r) root, or a level-3 root.
             depth, finished = calls[-1]
-            stops.add("v_d" if finished else f"prefix of {depth}")
-        assert stops == {"v_d", "prefix of 2", "prefix of 3"}
+            assert not finished
+            stops.add(f"prefix of {depth}")
+        assert stops == {"prefix of 1", "prefix of 2", "prefix of 3"}
         # the best family so far only grows, and is found before the proof ends
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1] == 23
         assert _outcome(max_family(graph, SearchLimits(max_nodes=total.nodes))) == _outcome(total)
@@ -944,11 +977,12 @@ class TestOrbitalBranching:
 
     def test_deep_clique_from_one_root(self):
         # all 1057 lines of GF(32)^3 pairwise meet in 0: orbital branching
-        # starts from the block of lines and proves it in 3 nodes, so the
-        # 1057-deep tree, beyond the interpreter's recursion limit, is walked
-        # from one root over the same rows
+        # starts from the block of lines and proves it in 1 node, the probe
+        # of v_1 (3 when each fixed v_d was a bare node), so the 1057-deep
+        # tree, beyond the interpreter's recursion limit, is walked from one
+        # root over the same rows
         graph = build_graph(field(32), 3, ModularProfile(2, (1,), (0,)))
-        assert max_family(graph).nodes == 3
+        assert max_family(graph).nodes == 1
         assert _outcome(max_family(_row_view(graph)))[:3] == (1057, True, 1057)
 
 

@@ -458,6 +458,53 @@ def test_contains_mask_guard_sees_each_spelling():
     assert _name_uses(source, "contains_mask") == [1, 2, 3, 4, 5, 6]
 
 
+def _use_sites(source: str, name: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function or "<module>", line) of each _name_uses line but name's def."""
+    functions = [
+        node for node in _nodes(source) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    defined = {node.lineno for node in functions if node.name == name}
+    sites = []
+    for line in _name_uses(source, name):
+        if line in defined:
+            continue
+        around = [node for node in functions if node.lineno <= line <= node.end_lineno]
+        inner = max(around, key=lambda node: node.lineno).name if around else "<module>"
+        sites.append((inner, line))
+    return sites
+
+
+def test_branch_and_bound_has_one_call_site():
+    # every root, probed or run to its end, and the one-root search of a
+    # graph that is not whole blocks go through max_family's loop
+    sites = [
+        (path.name, site)
+        for path in SOURCES
+        for site, _ in _use_sites(path.read_text(encoding="utf-8"), "_branch_and_bound")
+    ]
+    assert sites == [("search.py", "max_family")]
+
+
+def test_call_site_guard_sees_each_spelling():
+    source = (
+        "def _branch_and_bound(a):\n"
+        "    pass\n"
+        "def max_family(g):\n"
+        "    return _branch_and_bound(g)\n"
+        "def other(g):\n"
+        "    run = search._branch_and_bound\n"
+        "    def inner():\n"
+        "        return getattr(search, '_branch_and_bound')(g)\n"
+        "    return run(g)\n"
+        "engine = _branch_and_bound\n"
+        "'the _branch_and_bound engine'\n"
+        "from .search import _branch_and_bound as bb\n"
+    )
+    assert _use_sites(source, "_branch_and_bound") == [
+        ("max_family", 4), ("other", 6), ("inner", 8), ("<module>", 10), ("<module>", 12)
+    ]
+
+
 def _imports(source: str, module: str) -> list[int]:
     """Line numbers of every import of module: statements, import_module and __import__."""
     lines = []
