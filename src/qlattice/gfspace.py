@@ -10,15 +10,19 @@ every other field reads the arithmetic tables entry by entry. intersect,
 which builds the meet itself, stays as the reference route. Questions about
 a whole list of subspaces at once (which contain u, how many lines each
 shares with u) go through LineIncidence, the line masks turned on their
-side, and compatible_rows is the one builder of rows over a list of
-lattice positions: the lattice's containment table (containment_counts)
-and, under its transpose, a certificate context's columns; over admitted
-positions, a certificate context's compatibility table and search's
-graph rows. The Lattice is its entries' dimensions and line masks: one
-walk of the canonical order per dimension feeds the mask kernel line_mask
-also uses, so the build makes no Subspace, and Lattice.subspaces is built
-from the same walk only when read. Sizes are checked against the lattice
-budget of the budgets scope; the lattice build and the LineIncidence
+side. Each Lattice holds one, over all its entries, built on first need
+(with its reversed copy, built on the first descending list), and
+compatible_rows, the one function that builds rows over a list of
+lattice positions, cuts every list out of it by runs of consecutive
+positions:
+the lattice's containment table (containment_counts) and, under its
+transpose, a certificate context's columns; over admitted positions, a
+certificate context's compatibility table and search's graph rows. The
+Lattice is its entries' dimensions and line masks: one walk of the
+canonical order per dimension feeds the mask kernel line_mask also uses,
+so the build makes no Subspace, and Lattice.subspaces is built from the
+same walk only when read. Sizes are checked against the lattice budget
+of the budgets scope; the lattice build and the LineIncidence
 transposition check its deadline. field(q) and field_from_dict give one
 shared context per field, whose tables are built on first use from the
 powers of one generator (a discrete log).
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -650,10 +655,15 @@ class LineIncidence:
     up[l] is the mask, over the list's positions, of the entries that
     contain line l; it comes from transposing the masks as bit strings, 1024
     entries at a time, with a check of the budget deadline ("incidence")
-    after each block. With it, whole-list questions about a mask u take a
-    few big-int operations per line of u instead of one per entry:
+    after each block. A Lattice builds one over all its line masks, on
+    first need (Lattice.incidence), and every whole-list question reads
+    that one: cut(positions) gives the up table of any list of its
+    entries, and down, the same table with the entries in reverse order,
+    is reversed from up on first read and kept. With an up table,
+    whole-list questions about a mask u take a few big-int operations per
+    line of u instead of one per entry:
 
-    - planes(u) adds up[l] for each line l of u into bit planes with a
+    - planes(up, u) adds up[l] for each line l of u into bit planes with a
       ripple carry, so bit k of entry j's count of lines shared with u is
       bit j of plane k; about log2 [n 1]_q planes suffice.
     - select(planes, count, within) picks the entries of `within` whose
@@ -662,10 +672,10 @@ class LineIncidence:
     Shared counts say more than they seem to: dim(U∩W) = d exactly when
     the line masks of U and W share [d 1]_q lines, and U lies in W exactly
     when they share all [dim U 1]_q lines of U. compatible_rows turns both
-    into rows over the whole list.
+    into rows over any list of lattice positions.
     """
 
-    __slots__ = ("up",)
+    __slots__ = ("up", "size", "_down")
 
     def __init__(self, masks: Sequence[int]):
         width = max(masks, default=0).bit_length()
@@ -678,10 +688,45 @@ class LineIncidence:
                 up[line] |= int("".join(column)[::-1], 2) << start
             check_deadline("incidence", transposed=start + len(rows), masks=len(masks))
         self.up: tuple[int, ...] = tuple(up)
+        self.size = len(masks)
+        self._down: Optional[tuple[int, ...]] = None
 
-    def planes(self, mask: int) -> list[int]:
-        """Bit-sliced counts of the lines each entry shares with mask."""
-        up, planes = self.up, []
+    @property
+    def down(self) -> tuple[int, ...]:
+        """up with the entries in reverse order: bit j of down[l] is bit size-1-j of up[l]."""
+        if self._down is None:
+            width = self.size
+            self._down = tuple(int(format(holders, f"0{width}b")[::-1], 2) for holders in self.up)
+        return self._down
+
+    def cut(self, positions: Sequence[int]) -> list[int]:
+        """The up table of the entries at positions: bit k of line l stands for positions[k].
+
+        positions is read as maximal runs of consecutive entries, step +1
+        or -1 (a lone entry is an ascending run). Each run costs one shift
+        and one mask per line, of up for an ascending run and of down for a
+        descending one, moved to the run's place in the list. So a list of
+        whole dimension blocks, in either order, is a few runs, and a
+        shuffled list is one run per entry.
+        """
+        cut = [0] * len(self.up)
+        steps = list(map(operator.sub, positions[1:], positions[:-1]))
+        start, count = 0, len(positions)
+        while start < count:
+            step = steps[start] if start < count - 1 and steps[start] in (1, -1) else 1
+            # the run ends at the first step after start that is not step
+            unlike = map(step.__ne__, itertools.islice(steps, start, None))
+            end = next(itertools.compress(itertools.count(start), unlike), count - 1) + 1
+            first, window = positions[start], (1 << (end - start)) - 1
+            table, shift = (self.up, first) if step > 0 else (self.down, self.size - 1 - first)
+            cut = [c | ((holders >> shift) & window) << start for c, holders in zip(cut, table)]
+            start = end
+        return cut
+
+    @staticmethod
+    def planes(up: Sequence[int], mask: int) -> list[int]:
+        """Bit-sliced counts of the lines each entry of up shares with mask."""
+        planes = []
         rest = mask & ((1 << len(up)) - 1)
         while rest:
             line = rest.bit_length() - 1
@@ -709,6 +754,17 @@ class LineIncidence:
         return within
 
 
+def dim_blocks(lat: Lattice, positions: Sequence[int]) -> dict[int, int]:
+    """{dim: mask over positions of its entries}: one range mask per run of one dimension."""
+    blocks: dict[int, int] = {}
+    low = 0
+    for d, run in itertools.groupby(map(lat.dims.__getitem__, positions)):
+        high = low + len(list(run))
+        blocks[d] = blocks.get(d, 0) | (1 << high) - (1 << low)
+        low = high
+    return blocks
+
+
 def compatible_rows(
     lat: Lattice, positions: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
 ) -> Iterator[int]:
@@ -717,14 +773,12 @@ def compatible_rows(
     Bit k' of row k stands for the entry at positions[k']. It is set when
     the two entries' line masks share a count of lines in allowed[di][dj],
     di and dj their dimensions (families.shared_line_counts for a
-    predicate, or containment_counts). LineIncidence counts a whole row at
-    once. Rows come lazily, so a caller may stop early.
+    predicate, or containment_counts). The counts come from the lattice's
+    own LineIncidence cut to positions, so no call transposes masks, and
+    each row is counted at once. Rows come lazily, so a caller may stop
+    early.
     """
-    lines = list(map(lat.lines.__getitem__, positions))
-    dims = list(map(lat.dims.__getitem__, positions))
-    by_dim: dict[int, int] = {}
-    for j, d in enumerate(dims):
-        by_dim[d] = by_dim.get(d, 0) | 1 << j
+    by_dim = dim_blocks(lat, positions)
     # targets[d]: for each line count c, the entries a d-dimensional entry
     # accepts when they share c lines with it.
     targets = {}
@@ -734,13 +788,14 @@ def compatible_rows(
             for count in allowed[di][dj]:
                 within[count] = within.get(count, 0) | members
         targets[di] = sorted(within.items())
-    incidence = LineIncidence(lines)
-    select = incidence.select
-    for mask, d in zip(lines, dims):
-        planes = incidence.planes(mask)
+    up = lat.incidence.cut(positions)
+    planes, select = LineIncidence.planes, LineIncidence.select
+    lines, dims = lat.lines, lat.dims
+    for g in positions:
+        counts = planes(up, lines[g])
         row = 0
-        for count, within in targets[d]:
-            row |= select(planes, count, within)
+        for count, within in targets[dims[g]]:
+            row |= select(counts, count, within)
         yield row
 
 
@@ -772,7 +827,10 @@ class Lattice:
     its line_mask. The build walks each dimension once and computes every
     mask from the pattern rows, so it makes no Subspace; subspaces, the
     entries as Subspace values, comes from the same walk on first read.
-    Every whole-lattice consumer reads positions instead. The lazy
+    Every whole-lattice consumer reads positions instead. incidence, the
+    LineIncidence of all the line masks, is built on first need and kept,
+    and compatible_rows reads it for every list of positions, so a graph,
+    a certificate context or contains_mask transposes no mask. The lazy
     contains_mask table is compatible_rows under containment_counts: bit u
     of contains_mask[w] says u lies inside w, that is, w holds all
     [dim u 1]_q lines of u. Family checks use meet_dim per pair instead, as
@@ -801,6 +859,15 @@ class Lattice:
 
     def __len__(self):
         return len(self.dims)
+
+    @cached_property
+    def incidence(self) -> LineIncidence:
+        """The LineIncidence of every line mask, built on first need and kept.
+
+        Its build checks the deadline ("incidence") after every 1024 masks;
+        one that runs out caches nothing.
+        """
+        return LineIncidence(self.lines)
 
     @cached_property
     def subspaces(self) -> tuple[Subspace, ...]:

@@ -42,9 +42,9 @@ members alone: it builds no lattice.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 from .budgets import check_deadline, current_deadline
@@ -52,8 +52,10 @@ from .errors import DomainError, StructureError
 from .qcombin import qbinom
 from .gfspace import (
     FieldContext,
+    SubspaceIndex,
     canonicalize,
     compatible_rows,
+    dim_blocks,
     enumerate_subspaces,
     field,
     lattice,
@@ -96,13 +98,14 @@ class CompatGraph(Record):
     positions is normalised to a tuple, and each entry must be an int in
     [0, len(lattice)), listed once, of a dimension the predicate admits;
     DomainError names the first that is not. The rest is derived:
-    vertices[k] is the (dim, pos) SubspaceIndex of positions[k], and
-    conflicts[k] the mask of the vertices that may not join vertex k, k
-    itself left out. Its rows come from gfspace.compatible_rows under the
-    predicate's shared_line_counts table, which refuses a meet rule that
-    is not symmetric, so the rows are symmetric by construction; no row
-    table is taken from outside. The budget deadline is checked after
-    every row ("graph").
+    conflicts[k], the mask of the vertices that may not join vertex k, k
+    itself left out, when the graph is built, and vertices[k], the (dim,
+    pos) SubspaceIndex of positions[k], on first read; the search reads
+    positions and conflicts only. The rows come from
+    gfspace.compatible_rows under the predicate's shared_line_counts table,
+    which refuses a meet rule that is not symmetric, so the rows are
+    symmetric by construction; no row table is taken from outside. The
+    budget deadline is checked after every row ("graph").
     """
 
     ctx: FieldContext
@@ -135,8 +138,12 @@ class CompatGraph(Record):
         for k, row in enumerate(rows):
             conflicts.append(full ^ (row | 1 << k))
             check_deadline("graph", rows=k + 1, vertices=len(positions))
-        object.__setattr__(self, "vertices", tuple(map(lat.index_at, positions)))
         object.__setattr__(self, "conflicts", tuple(conflicts))
+
+    @cached_property
+    def vertices(self) -> tuple[SubspaceIndex, ...]:
+        """vertices[k] is the (dim, pos) of positions[k], derived on first read."""
+        return tuple(map(lattice(self.ctx, self.n).index_at, self.positions))
 
     @property
     def size(self) -> int:
@@ -169,7 +176,9 @@ def build_graph(
     dim_filter entry outside [0, n] raises DomainError, and so does a
     predicate of another type. The budget deadline raises
     ResourceLimitError too, checked after the lattice ("lattice"), per 1024
-    masks of the line-mask transposition ("incidence") and per row ("graph").
+    masks of the lattice's line-mask transposition ("incidence"), which the
+    first graph of an ambient builds and later ones find kept, and per row
+    ("graph").
     """
     require_lattice_budget(n, ctx.q)
     limits = limits or SearchLimits()
@@ -217,10 +226,10 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     unless the probe settles it or a budget refuses it, the root is
     replaced by its class roots, to run in ascending key order. A root at
     the depth runs to the end. At depth 0 (part of a dimension block, or
-    any table with ctx, n, size, vertices and conflicts) that is one branch
-    and bound over the whole graph, and the family is listed from the last
-    vertex down; at depth 3 (orbital branching) it is listed in lattice
-    order.
+    any table with ctx, n, size, positions and conflicts) that is one
+    branch and bound over the whole graph, and the family is listed from
+    the last vertex down; at depth 3 (orbital branching) it is listed in
+    lattice order. Each member is built from its lattice position.
 
     Orbital branching is sound because both predicates read only
     dimensions and meet dimensions, so GL(n,q) preserves the graph, and a
@@ -269,12 +278,12 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     nonadj = [0, *graph.conflicts]
     bits = [0, *(1 << j for j in range(count))]
     deadline = current_deadline()
-    blocks = _whole_blocks(graph)
+    lat = lattice(graph.ctx, graph.n)
+    blocks = _whole_blocks(lat, graph)
     depth = 3 if blocks else 0
     best: list[int] = []
     roots = [((1 << count) - 1, [])]
     if blocks:
-        lat = lattice(graph.ctx, graph.n)
         ordered = [blocks[d] for d in sorted(blocks, reverse=True)]
         cliques = [mask for mask in ordered if not nonadj[mask.bit_length()] & mask]
         start = max(cliques, key=int.bit_count, default=0)
@@ -309,28 +318,22 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
         best.sort(key=lambda b: graph.positions[b - 1])
     else:
         best.sort(reverse=True)
-    members = tuple(subspace_at(graph.ctx, graph.n, graph.vertices[b - 1]) for b in best)
+    at = lat.index_at
+    members = tuple(subspace_at(graph.ctx, graph.n, at(graph.positions[b - 1])) for b in best)
     family = Family(graph.ctx, graph.n, members)
     return SearchResult(family, len(members), exhausted, nodes)
 
 
-def _whole_blocks(graph) -> dict[int, int]:
+def _whole_blocks(lat, graph) -> dict[int, int]:
     """{dim: mask of its vertices}, or {} unless graph is a CompatGraph of whole blocks.
 
-    Each run of one dimension along the positions is one range mask, and
-    the runs of a dimension are ORed together, so any position order
-    works. Positions are distinct, so a block is whole when it holds all
-    [n d]_q d-spaces.
+    The masks are gfspace.dim_blocks of the positions, so any position
+    order works. Positions are distinct, so a block is whole when it holds
+    all [n d]_q d-spaces.
     """
     if not isinstance(graph, CompatGraph):
         return {}
-    dims = lattice(graph.ctx, graph.n).dims
-    blocks: dict[int, int] = {}
-    low = 0
-    for d, run in itertools.groupby(map(dims.__getitem__, graph.positions)):
-        high = low + sum(1 for _ in run)
-        blocks[d] = blocks.get(d, 0) | (1 << high) - (1 << low)
-        low = high
+    blocks = dim_blocks(lat, graph.positions)
     if any(mask.bit_count() != qbinom(graph.n, d, graph.ctx.q) for d, mask in blocks.items()):
         return {}
     return blocks

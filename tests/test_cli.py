@@ -334,9 +334,11 @@ class TestBudgetScope:
 
     @pytest.fixture(autouse=True)
     def built_lattice(self):
-        """Build GF(2)^3 before any clock is faked. A first build checks the
-        deadline once per dimension step, so the clock reads counted below
-        are those of a command that finds the lattice cached."""
+        """Build GF(2)^3 afresh before any clock is faked. A first build
+        checks the deadline once per dimension step, so the clock reads
+        counted below are those of a command that finds the lattice cached
+        but not its LineIncidence, which the graph builds first."""
+        qlattice.gfspace._cached_lattice.cache_clear()
         qlattice.lattice(qlattice.field(2), 3)
 
     @pytest.fixture
@@ -398,12 +400,12 @@ class TestBudgetScope:
     @pytest.mark.parametrize("step,phase", [(5, "lattice"), (1, "incidence"), (0.6, "graph")])
     def test_time_budget_covers_lattice_and_graph(self, fake_clock, step, phase):
         # entry reads 0, the lattice check reads step, the check after the
-        # one block of the line-mask transposition 2·step, the first row
-        # check 3·step
+        # one block of the lattice's line-mask transposition (all 16
+        # entries) 2·step, the first row check 3·step
         fake_clock.step = step
         code, out, err = run(SEARCH3 + ["--time-budget", "1.5"])
         assert (code, out) == (3, "")
-        progress = {"lattice": {}, "incidence": {"transposed": 15, "masks": 15},
+        progress = {"lattice": {}, "incidence": {"transposed": 16, "masks": 16},
                     "graph": {"rows": 1, "vertices": 15}}[phase]
         assert json.loads(err)["error"] == {
             "kind": "ResourceLimitError",

@@ -15,13 +15,16 @@ from qlattice import (
     DomainError,
     Family,
     FieldContext,
+    FractionSet,
     Lattice,
     LineIncidence,
+    ModularProfile,
     ResourceLimitError,
     Subspace,
     SubspaceIndex,
     budget,
     canonicalize,
+    certificate_context,
     check_deadline,
     containment_vector,
     contains,
@@ -41,16 +44,20 @@ from qlattice import (
     prime_power,
     product_reduce,
     qbinom,
+    shared_line_counts,
     subspace_at,
     union_space,
     zero_subspace,
 )
 from qlattice.budgets import DEFAULT_LATTICE_BUDGET, current_deadline
+from qlattice import search
 from qlattice.gfspace import (
     _cached_lattice,
     _order,
     _poly_mod,
     _poly_mul,
+    compatible_rows,
+    containment_counts,
     require_lattice_budget,
 )
 
@@ -777,9 +784,9 @@ class TestLineIncidence:
     @pytest.mark.parametrize("name", [*PLANES_LATTICES, "below-top-lines", "nested-runs"])
     def test_planes_count_shared_lines(self, name):
         lines, queries = _planes_case(name)
-        incidence = LineIncidence(lines)
+        up = LineIncidence(lines).up
         for u in queries:
-            planes = incidence.planes(u)
+            planes = LineIncidence.planes(up, u)
             counts = [(u & v).bit_count() for v in lines]
             assert all(plane >> len(lines) == 0 for plane in planes)
             assert len(planes) == max(counts).bit_length()
@@ -818,10 +825,10 @@ class TestLineIncidence:
     def test_select_picks_counts_within(self):
         rng = random.Random(5)
         lines = lattice(field(2), 4).lines
-        incidence = LineIncidence(lines)
+        up = LineIncidence(lines).up
         for _ in range(40):
             u = rng.choice(lines)
-            planes = incidence.planes(u)
+            planes = LineIncidence.planes(up, u)
             counts = set(rng.sample(range(17), rng.randint(0, 4)))
             within = rng.getrandbits(len(lines))
             want = sum(
@@ -836,15 +843,148 @@ class TestLineIncidence:
 
     def test_degenerate_lists(self):
         empty = LineIncidence([])
-        assert empty.up == () and empty.planes(0b111) == []
+        assert empty.up == () and LineIncidence.planes(empty.up, 0b111) == []
         zeros = LineIncidence([0, 0])
-        assert zeros.planes(0b11) == []
+        assert LineIncidence.planes(zeros.up, 0b11) == []
         # no planes: every entry shares 0 lines
         assert LineIncidence.select([], 0, 0b11) == 0b11
         assert LineIncidence.select([], 1, 0b11) == 0
         # lines that no entry holds count for nothing
         pair = LineIncidence([0b01, 0b11])
-        assert [_count_at(pair.planes(0b111), j) for j in (0, 1)] == [1, 2]
+        assert [_count_at(LineIncidence.planes(pair.up, 0b111), j) for j in (0, 1)] == [1, 2]
+
+
+def _fresh_incidence_rows(lat, positions, allowed):
+    """compatible_rows as it ran before the lattice held its incidence, kept as the oracle.
+
+    A fresh LineIncidence over the list's own masks, so bit k of every
+    table is positions[k] by construction.
+    """
+    lines = [lat.lines[g] for g in positions]
+    dims = [lat.dims[g] for g in positions]
+    by_dim = {}
+    for j, d in enumerate(dims):
+        by_dim[d] = by_dim.get(d, 0) | 1 << j
+    up = LineIncidence(lines).up
+    rows = []
+    for mask, di in zip(lines, dims):
+        planes = LineIncidence.planes(up, mask)
+        row = 0
+        for dj, members in by_dim.items():
+            for count in allowed[di][dj]:
+                row |= LineIncidence.select(planes, count, members)
+        rows.append(row)
+    return rows
+
+
+def _position_lists(lat, rng):
+    """{name: positions}: whole lists both ways, shuffled, permuted blocks, dim_filter gaps."""
+    every = list(range(len(lat)))
+    block = lat.positions
+    lists = {
+        "ascending": every,
+        "descending": every[::-1],
+        "shuffled": rng.sample(every, len(every)),
+        "blocks 3,1,2": block([3]) + block([1]) + block([2]),
+        "blocks 2,0,3, the first and last down": block([2])[::-1] + block([0]) + block([3])[::-1],
+        "zigzag": [5, 6, 7, 3, 2, 1, 0, 4, 9, 8, 12, 13],
+        "empty": [],
+    }
+    for dims in ((1, 3), (0, 2, lat.n), (lat.n - 1,)):
+        graph = search.build_graph(lat.ctx, lat.n, PROPER, search.SearchLimits(dim_filter=dims))
+        lists[f"build_graph dims {dims}"] = list(graph.positions)
+        lists[f"dims {dims} ascending"] = block(dims)
+    return lists
+
+
+PROPER = FractionSet(((1, 2),))
+CUT_AMBIENTS = [(2, 4), (2, 5), (3, 3), (4, 3)]
+
+
+class TestIncidenceCut:
+    """compatible_rows over the lattice's one LineIncidence, against a fresh one per list."""
+
+    @pytest.mark.parametrize("rule", ["contains", "contained", "half", "modular"])
+    @pytest.mark.parametrize("q,n", CUT_AMBIENTS)
+    def test_rows_match_a_fresh_incidence(self, q, n, rule):
+        lat = lattice(field(q), n)
+        allowed = {
+            "contains": containment_counts(n, q),
+            "contained": tuple(zip(*containment_counts(n, q))),
+            "half": shared_line_counts(PROPER, n, q),
+            "modular": shared_line_counts(ModularProfile(3, (1, 2), (0,)), n, q),
+        }[rule]
+        for name, positions in _position_lists(lat, random.Random(f"{q} {n} {rule}")).items():
+            want = _fresh_incidence_rows(lat, positions, allowed)
+            assert list(compatible_rows(lat, positions, allowed)) == want, name
+
+    @pytest.mark.parametrize(
+        "predicate", [PROPER, ModularProfile(3, (1, 2), (0,)), ModularProfile(2, (1,), (0,))]
+    )
+    @pytest.mark.parametrize("q,n", CUT_AMBIENTS)
+    def test_graph_conflicts_match_a_fresh_incidence(self, q, n, predicate):
+        allowed = shared_line_counts(predicate, n, q)
+        for dim_filter in (None, (1, 2), (0, n)):
+            limits = search.SearchLimits(dim_filter=dim_filter)
+            graph = search.build_graph(field(q), n, predicate, limits)
+            rows = _fresh_incidence_rows(lattice(field(q), n), graph.positions, allowed)
+            full = (1 << graph.size) - 1
+            want = tuple(full ^ (row | 1 << k) for k, row in enumerate(rows))
+            assert graph.conflicts == want, dim_filter
+
+    @pytest.mark.parametrize("q,n", CUT_AMBIENTS)
+    def test_cut_is_the_transposition_of_the_listed_masks(self, q, n):
+        lat = lattice(field(q), n)
+        for name, positions in _position_lists(lat, random.Random(f"cut {q} {n}")).items():
+            lines = [lat.lines[g] for g in positions]
+            want = LineIncidence(lines).up
+            got = lat.incidence.cut(positions)
+            assert tuple(got[: len(want)]) == want and not any(got[len(want):]), name
+
+    def test_expiry_inside_the_lattice_incidence_caches_nothing(self, fake_clock):
+        # entry reads 0 and the checks after each block of 1024 of the 2825
+        # masks read 1, 2, ..., so the second block is the last one built
+        _cached_lattice.cache_clear()
+        lat = lattice(field(2), 6)
+        fake_clock.step = 1
+        with budget(seconds=1.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in incidence$") as exc:
+                lat.incidence
+        assert exc.value.partial == {"phase": "incidence", "transposed": 2048, "masks": 2825}
+        assert "incidence" not in vars(lat)
+        fake_clock.step = 0
+        allowed = shared_line_counts(PROPER, 6, 2)
+        positions = lat.positions(range(1, 7))[::-1]
+        assert list(compatible_rows(lat, positions, allowed)) == _fresh_incidence_rows(
+            lat, positions, allowed
+        )
+        assert lat.incidence.up == LineIncidence(list(lat.lines)).up
+
+    def test_one_incidence_per_orientation(self, monkeypatch):
+        example = search.gen_example_uniform(2, 2, 2)
+        ctx, n = example.family.ctx, example.family.n
+        _cached_lattice.cache_clear()
+        built, reversed_ = [], []
+        init, down = LineIncidence.__init__, LineIncidence.down.fget
+
+        def counted_init(self, masks):
+            built.append(len(masks))
+            init(self, masks)
+
+        def counted_down(self):
+            if self._down is None:
+                reversed_.append(self.size)
+            return down(self)
+
+        monkeypatch.setattr(LineIncidence, "__init__", counted_init)
+        monkeypatch.setattr(LineIncidence, "down", property(counted_down))
+        lat = lattice(ctx, n)
+        search.build_graph(ctx, n, PROPER)
+        search.build_graph(ctx, n, example.profile, search.SearchLimits(dim_filter=(2,)))
+        cctx = certificate_context(ctx, n, example.profile)
+        assert cctx._columns and cctx._compatible
+        assert lat.contains_mask
+        assert (built, reversed_) == ([len(lat)], [len(lat)])
 
 
 class TestMeetDim:

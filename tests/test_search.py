@@ -40,7 +40,7 @@ from qlattice import (
     zsigmondy_prime,
 )
 from qlattice import search
-from qlattice.gfspace import compatible_rows, lattice
+from qlattice.gfspace import _cached_lattice, compatible_rows, lattice
 from qlattice.search import SearchResult
 
 
@@ -129,21 +129,25 @@ def _reversed_conflicts(adjacency):
 class _RowGraph(NamedTuple):
     """A graph given by its conflict rows, with no predicate behind it.
 
-    It has what max_family reads (ctx, n, size, vertices, conflicts) and
-    the adjacency the reference reads, so random graphs and reversed
-    lattice graphs can be searched; a CompatGraph derives its rows instead.
-    Having no predicate, it is searched from one root, the whole vertex
-    set, as the reference is.
+    It has what max_family reads (ctx, n, size, positions, conflicts) and
+    the vertices and adjacency the reference reads, so random graphs and
+    reversed lattice graphs can be searched; a CompatGraph derives its rows
+    instead. Having no predicate, it is searched from one root, the whole
+    vertex set, as the reference is.
     """
 
     ctx: object
     n: int
-    vertices: tuple
+    positions: tuple
     conflicts: tuple
 
     @property
     def size(self):
-        return len(self.vertices)
+        return len(self.positions)
+
+    @property
+    def vertices(self):
+        return tuple(map(lattice(self.ctx, self.n).index_at, self.positions))
 
     @property
     def adjacency(self):
@@ -153,13 +157,13 @@ class _RowGraph(NamedTuple):
 def _reversed(graph):
     """The same graph with its vertices listed from the last one down."""
     return _RowGraph(
-        graph.ctx, graph.n, graph.vertices[::-1], _reversed_conflicts(graph.adjacency)
+        graph.ctx, graph.n, graph.positions[::-1], _reversed_conflicts(graph.adjacency)
     )
 
 
 def _row_view(graph):
     """The same graph as bare conflict rows: max_family searches it from one root."""
-    return _RowGraph(graph.ctx, graph.n, graph.vertices, graph.conflicts)
+    return _RowGraph(graph.ctx, graph.n, graph.positions, graph.conflicts)
 
 
 def _pairwise_graph(ctx, n, predicate, limits):
@@ -213,15 +217,15 @@ def _random_adjacency(rng, size, density):
     return adjacency
 
 
-# Every subspace of GF(2)^5 as a graph vertex, in global lattice order.
-POOL = [SubspaceIndex(d, pos) for d in range(6) for pos in range(1, qbinom(5, d, 2) + 1)]
+# Every lattice position of GF(2)^5, one per subspace, as a graph vertex.
+POOL = range(sum(qbinom(5, d, 2) for d in range(6)))
 
 
 def _random_graph(size, density):
     """A seeded random graph whose vertices are distinct subspaces of GF(2)^5."""
     rng = random.Random(size * 100 + round(density * 10))
-    vertices = tuple(rng.sample(POOL, size))
-    return _RowGraph(field(2), 5, vertices, _complement(_random_adjacency(rng, size, density)))
+    positions = tuple(rng.sample(POOL, size))
+    return _RowGraph(field(2), 5, positions, _complement(_random_adjacency(rng, size, density)))
 
 
 def _checker(predicate):
@@ -669,9 +673,11 @@ class TestDeadline:
 
     @pytest.fixture(autouse=True)
     def built_lattice(self):
-        """Build GF(2)^4 before any clock is faked. A first build checks the
-        deadline once per dimension step, so the clock reads counted below
-        are those of a cached lattice."""
+        """Build GF(2)^4 afresh before any clock is faked. A first build
+        checks the deadline once per dimension step, so the clock reads
+        counted below are those of a cached lattice whose LineIncidence the
+        graph builds first."""
+        _cached_lattice.cache_clear()
         lattice(field(2), 4)
 
     def test_expiry_after_the_lattice(self, fake_clock):
@@ -684,7 +690,8 @@ class TestDeadline:
     def test_expiry_between_rows(self, fake_clock):
         fake_clock.step = 1
         # entry reads 0, the lattice check 1, the check after the one block of
-        # the line-mask transposition 2, and the check after row r reads r + 2
+        # the lattice's line-mask transposition (67 masks) 2, and the check
+        # after row r reads r + 2
         with budget(seconds=5.5):
             with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
                 build_graph(field(2), 4, self.PREDICATE)
@@ -716,7 +723,8 @@ class TestDeadline:
         lattice(field(2), 6)
         fake_clock.step = 1
         # entry reads 0, the lattice check 1, the three blocks of the
-        # line-mask transposition 2 to 4, and the check after row r reads r + 4
+        # lattice's line-mask transposition (2825 masks) 2 to 4, and the
+        # check after row r reads r + 4
         with budget(seconds=2052.5):
             with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
                 build_graph(field(2), 6, self.PREDICATE)
@@ -876,11 +884,11 @@ class TestOrbitalBranching:
         masks = {}
         for k, g in enumerate(graph.positions):
             masks[lat.dims[g]] = masks.get(lat.dims[g], 0) | 1 << k
-        assert search._whole_blocks(graph) == masks
+        assert search._whole_blocks(lat, graph) == masks
         # less one line, the block of lines is not whole
         line = lat.positions([1])[0]
         part = CompatGraph(ctx, n, predicate, [g for g in graph.positions if g != line])
-        assert search._whole_blocks(part) == {}
+        assert search._whole_blocks(lat, part) == {}
 
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])

@@ -169,12 +169,22 @@ def _constructs(source: str, name: str) -> list[int]:
     ]
 
 
+def _class_lines(source: str, name: str) -> range:
+    """The lines of class name's body in source, or an empty range."""
+    for node in _nodes(source):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_gfspace_builds_line_incidence(path):
-    # Rows over a whole lattice come from gfspace.compatible_rows alone.
-    found = _constructs(path.read_text(encoding="utf-8"), "LineIncidence")
+    # One LineIncidence per lattice, built in Lattice over all its line
+    # masks; compatible_rows cuts every list of positions out of it.
+    source = path.read_text(encoding="utf-8")
+    found = _constructs(source, "LineIncidence")
     if path.name == "gfspace.py":
-        assert found
+        assert len(found) == 1 and found[0] in _class_lines(source, "Lattice")
     else:
         assert found == []
 
@@ -182,6 +192,12 @@ def test_only_gfspace_builds_line_incidence(path):
 def test_construction_guard_sees_both_spellings():
     source = "a = LineIncidence(x)\nb = gfspace.LineIncidence(x)\nc = LineIncidence.select"
     assert _constructs(source, "LineIncidence") == [1, 2]
+
+
+def test_class_lines_span_the_class_body():
+    source = "x = 1\nclass Lattice:\n    def f(self):\n        return 2\ny = 3\n"
+    assert _class_lines(source, "Lattice") == range(2, 5)
+    assert _class_lines(source, "Other") == range(0)
 
 
 def _references(source: str, name: str) -> list[int]:
