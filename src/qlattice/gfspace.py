@@ -11,21 +11,27 @@ which builds the meet itself, stays as the reference route. Questions about
 a whole list of subspaces at once (which contain u, how many lines each
 shares with u) go through LineIncidence, the line masks turned on their
 side. Each Lattice holds one, over all its entries, built on first need
-(with its reversed copy, built on the first descending list), and
+(with each half's reversed copy, built on the first descending list), and
 compatible_rows, the one function that builds rows over a list of
 lattice positions, cuts every list out of it by runs of consecutive
 positions:
 the lattice's containment table (containment_counts) and, under its
 transpose, a certificate context's columns; over admitted positions, a
 certificate context's compatibility table and search's graph rows. The
-Lattice is its entries' dimensions and line masks: one walk of the
-canonical order per dimension feeds the mask kernel line_mask also uses,
-so the build makes no Subspace, and Lattice.subspaces is built from the
-same walk only when read. Sizes are checked against the lattice budget
-of the budgets scope; the lattice build and the LineIncidence
-transposition check its deadline. field(q) and field_from_dict give one
-shared context per field, whose tables are built on first use from the
-powers of one generator (a discrete log).
+Lattice is its entries' dimensions, line masks and hyperplane masks (the
+lines of U^⊥, indexed by normal vector). One walk of the canonical order
+per dimension builds both, a pivot pattern at a time, as ANDs of the
+[n 1]_q hyperplanes' line masks: over U's null-space vectors for its
+lines, over its reduced rows for its hyperplanes. So the build makes no
+Subspace, and Lattice.subspaces is built from the same walk only when
+read. line_mask, for single subspaces of any ambient, enumerates the
+span instead (_span_mask) and is the lattice's oracle. Since
+dim(U^⊥ ∩ W^⊥) = n - dim(U+W), compatible_rows counts a d-space's
+shared hyperplanes where it has fewer of them than lines. Sizes are
+checked against the lattice budget of the budgets scope; the lattice
+build and the LineIncidence transposition check its deadline. field(q)
+and field_from_dict give one shared context per field, whose tables are
+built on first use from the powers of one generator (a discrete log).
 
 Enumeration order within one dimension, one table (_order, its C(n, d)
 patterns checked against the lattice budget) for enumeration, the lattice
@@ -642,6 +648,100 @@ def _span_mask(ctx: FieldContext, n: int, rows: Sequence, pivots: Sequence[int])
     return mask
 
 
+def _line_weights(n: int, q: int) -> tuple[list[int], list[int]]:
+    """(first, weight): a line with pivot column c and tail digits t_j ranks at
+    first[c] + Σ_j t_j·weight[j], weight[j] = q^(n-1-j), as in _span_mask."""
+    weight = [q ** (n - 1 - c) for c in range(n)]
+    return [(w - 1) // (q - 1) for w in weight], weight
+
+
+def _normal_masks(ctx: FieldContext, n: int) -> list[int]:
+    """Entry l: the line mask of w^⊥, w line l's generator: the lines v with v·w = 0.
+
+    These are the line masks of the [n 1]_q hyperplanes, indexed by normal
+    vector. Let J be w's last nonzero column. Every line pivoting after J
+    lies in w^⊥, none pivots at J, and a line pivoting at p < J lies in it
+    for one digit at J per choice of its digits strictly between p and J,
+    with any digits after J: a run of q^(n-1-J) lines. So each bit is set
+    once, a run at a time, with no Subspace and no span enumeration.
+    """
+    q, add, mul, neg, inv = ctx.q, ctx._add, ctx._mul, ctx._neg, ctx._inv
+    first, weight = _line_weights(n, q)
+    normals = []
+    for c in reversed(range(n)):
+        for tail in itertools.product(range(q), repeat=n - 1 - c):
+            w = (0,) * c + (1, *tail)
+            last = max(j for j, x in enumerate(w) if x)
+            mask, run = (1 << first[last]) - 1, (1 << weight[last]) - 1
+            scale = neg[inv[w[last]]]
+            # (Σ v_j·w_j, Σ v_j·weight[j]) over the digits v_j of the columns between p and last
+            between = [(0, 0)]
+            for p in reversed(range(last)):
+                wp, at = w[p], first[p]
+                for dot, offset in between:
+                    mask |= run << (at + offset + mul[add[wp][dot]][scale] * weight[last])
+                if p:
+                    between = [
+                        (add[mul[a][wp]][dot], offset + a * weight[p])
+                        for a in range(q) for dot, offset in between
+                    ]
+            normals.append(mask)
+    return normals
+
+
+def _pattern_masks(
+    ctx: FieldContext, n: int, cols: tuple[int, ...], free: tuple, normals: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(line masks, hyperplane masks) of one pivot pattern's subspaces, in canonical order.
+
+    Both are ANDs of normals (_normal_masks). A subspace U is the meet of
+    the hyperplanes normal to a basis of U^⊥, so lines(U) is the AND over
+    U's null-space vectors, one per free column c: e_c - Σ_i R[i][c]·e_{cols[i]}
+    over the rows i that pivot before c. U^⊥ is the meet of the
+    hyperplanes normal to U's rows, so hyperplanes(U) is the AND over
+    U's reduced rows. A row depends only on its own free digits and a
+    null-space vector only on its column's, so each AND runs over the
+    whole pattern at once, one row (or column) at a time; the column-wise
+    list is then read back in row-major digit order.
+    """
+    q, mul, neg, inv = ctx.q, ctx._mul, ctx._neg, ctx._inv
+    first, weight = _line_weights(n, q)
+    full = (1 << len(normals)) - 1
+    hyperplanes = [full]
+    for i, p in enumerate(cols):
+        ranks = [first[p]]
+        for _, c in filter(lambda entry: entry[0] == i, free):
+            ranks = [r + a * weight[c] for r in ranks for a in range(q)]
+        row = [normals[r] for r in ranks]
+        hyperplanes = [m & h for m in hyperplanes for h in row]
+    lines, read = [full], []
+    for c in range(n):
+        if c in cols:
+            continue
+        # (scale, rank) per choice of the column's digits, row 0's slowest:
+        # scale normalises the vector's first nonzero entry, None while all are 0
+        vectors: list[tuple[Optional[int], int]] = [(None, 0)]
+        for i in range(sum(p < c for p in cols)):
+            at = cols[i]
+            vectors = [
+                ((None, 0) if not a else (inv[neg[a]], first[at])) if scale is None
+                else (scale, rank + mul[scale][neg[a]] * weight[at])
+                for scale, rank in vectors for a in range(q)
+            ]
+            read.append((i, c))
+        column = [
+            normals[first[c] if scale is None else rank + scale * weight[c]]
+            for scale, rank in vectors
+        ]
+        lines = [m & h for m in lines for h in column]
+    # entry k of lines has digits read column by column; walk the digits row by row
+    stride = {entry: q ** k for k, entry in enumerate(reversed(read))}
+    order = [0]
+    for entry in free:
+        order = [k + a * stride[entry] for k in order for a in range(q)]
+    return list(map(lines.__getitem__, order)), hyperplanes
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -655,11 +755,14 @@ class LineIncidence:
     up[l] is the mask, over the list's positions, of the entries that
     contain line l; it comes from transposing the masks as bit strings, 1024
     entries at a time, with a check of the budget deadline ("incidence")
-    after each block. A Lattice builds one over all its line masks, on
-    first need (Lattice.incidence), and every whole-list question reads
-    that one: cut(positions) gives the up table of any list of its
+    after each block. Given hyperplane masks as well (bit l: the entry lies
+    in the hyperplane normal to line l), the same pass transposes them into
+    hyperplanes_up, entry by entry beside the line masks. A Lattice builds
+    one over all its line and hyperplane masks, on first need
+    (Lattice.incidence), and every whole-list question reads that one:
+    cut(positions) gives the up table of either half for any list of its
     entries, and down, the same table with the entries in reverse order,
-    is reversed from up on first read and kept. With an up table,
+    is reversed from its half on first read and kept. With an up table,
     whole-list questions about a mask u take a few big-int operations per
     line of u instead of one per entry:
 
@@ -671,37 +774,60 @@ class LineIncidence:
 
     Shared counts say more than they seem to: dim(U∩W) = d exactly when
     the line masks of U and W share [d 1]_q lines, and U lies in W exactly
-    when they share all [dim U 1]_q lines of U. compatible_rows turns both
-    into rows over any list of lattice positions.
+    when they share all [dim U 1]_q lines of U. In GF(q)^n the hyperplane
+    masks of U and W share [n - dim(U+W) 1]_q hyperplanes, the same
+    question asked of U^⊥ and W^⊥, and a d-space holds [n-d 1]_q of them
+    against [d 1]_q lines. compatible_rows turns both into rows over any
+    list of lattice positions, counting each entry on its cheaper side.
+    Only this module reads the hyperplane half.
     """
 
-    __slots__ = ("up", "size", "_down")
+    __slots__ = ("up", "hyperplanes_up", "size", "_down", "_hyperplanes_down")
 
-    def __init__(self, masks: Sequence[int]):
+    def __init__(self, masks: Sequence[int], hyperplane_masks: Sequence[int] = ()):
         width = max(masks, default=0).bit_length()
-        up = [0] * width
-        for start in range(0, len(masks), 1024) if width else ():
-            # Character k of a row is line width-1-k; column k, read
-            # backwards, holds the block's entry j at bit j.
-            rows = [format(mask, f"0{width}b") for mask in masks[start : start + 1024]]
+        both = width + max(hyperplane_masks, default=0).bit_length()
+        up = [0] * both
+        for start in range(0, len(masks), 1024) if both else ():
+            # Character k of a row is column both-1-k (a hyperplane's
+            # column is width past its line); column k, read backwards,
+            # holds the block's entry j at bit j.
+            block = masks[start : start + 1024]
+            if hyperplane_masks:
+                pairs = zip(block, hyperplane_masks[start : start + 1024])
+                block = [mask | hyperplanes << width for mask, hyperplanes in pairs]
+            rows = [format(mask, f"0{both}b") for mask in block]
             for line, column in enumerate(reversed(tuple(zip(*rows)))):
                 up[line] |= int("".join(column)[::-1], 2) << start
             check_deadline("incidence", transposed=start + len(rows), masks=len(masks))
-        self.up: tuple[int, ...] = tuple(up)
+        self.up: tuple[int, ...] = tuple(up[:width])
+        self.hyperplanes_up: tuple[int, ...] = tuple(up[width:])
         self.size = len(masks)
         self._down: Optional[tuple[int, ...]] = None
+        self._hyperplanes_down: Optional[tuple[int, ...]] = None
+
+    def _reversed(self, up: Sequence[int]) -> tuple[int, ...]:
+        """up with the entries in reverse order: bit j of each mask moves to bit size-1-j."""
+        return tuple(int(format(holders, f"0{self.size}b")[::-1], 2) for holders in up)
 
     @property
     def down(self) -> tuple[int, ...]:
         """up with the entries in reverse order: bit j of down[l] is bit size-1-j of up[l]."""
         if self._down is None:
-            width = self.size
-            self._down = tuple(int(format(holders, f"0{width}b")[::-1], 2) for holders in self.up)
+            self._down = self._reversed(self.up)
         return self._down
 
-    def cut(self, positions: Sequence[int]) -> list[int]:
+    @property
+    def hyperplanes_down(self) -> tuple[int, ...]:
+        """hyperplanes_up with the entries in reverse order, as down is to up."""
+        if self._hyperplanes_down is None:
+            self._hyperplanes_down = self._reversed(self.hyperplanes_up)
+        return self._hyperplanes_down
+
+    def cut(self, positions: Sequence[int], *, hyperplanes: bool = False) -> list[int]:
         """The up table of the entries at positions: bit k of line l stands for positions[k].
 
+        The line half, or the hyperplane half when hyperplanes is true.
         positions is read as maximal runs of consecutive entries, step +1
         or -1 (a lone entry is an ascending run). Each run costs one shift
         and one mask per line, of up for an ascending run and of down for a
@@ -709,7 +835,8 @@ class LineIncidence:
         whole dimension blocks, in either order, is a few runs, and a
         shuffled list is one run per entry.
         """
-        cut = [0] * len(self.up)
+        up = self.hyperplanes_up if hyperplanes else self.up
+        cut = [0] * len(up)
         steps = list(map(operator.sub, positions[1:], positions[:-1]))
         start, count = 0, len(positions)
         while start < count:
@@ -718,7 +845,11 @@ class LineIncidence:
             unlike = map(step.__ne__, itertools.islice(steps, start, None))
             end = next(itertools.compress(itertools.count(start), unlike), count - 1) + 1
             first, window = positions[start], (1 << (end - start)) - 1
-            table, shift = (self.up, first) if step > 0 else (self.down, self.size - 1 - first)
+            if step > 0:
+                table, shift = up, first
+            else:
+                table = self.hyperplanes_down if hyperplanes else self.down
+                shift = self.size - 1 - first
             cut = [c | ((holders >> shift) & window) << start for c, holders in zip(cut, table)]
             start = end
         return cut
@@ -765,37 +896,76 @@ def dim_blocks(lat: Lattice, positions: Sequence[int]) -> dict[int, int]:
     return blocks
 
 
+def _row_plan(
+    n: int, q: int, di: int, by_dim: dict[int, int], allowed: Sequence[frozenset[int]]
+) -> tuple[int, bool, list[tuple[int, int]], bool]:
+    """(fixed, hyperplanes, targets, flip): how the rows of di-dimensional entries are built.
+
+    A di-space and a dj-space can meet in any dimension m of
+    [max(0, di + dj - n), min(di, dj)], except m = di when dj = di, which
+    only the entry itself reaches. A block of by_dim whose rule admits
+    every possible meet, or none, is constant: fixed ORs the blocks that
+    admit all, and flip says to toggle the entry's own bit, when its own
+    block is constant and the rule says otherwise of the entry itself. The
+    other blocks are counted, targets listing (count, entries), on the side
+    with fewer bits per entry: [di 1]_q lines, or, when hyperplanes is
+    true, [n-di 1]_q hyperplanes, of which a pair meeting in m shares
+    [n - (di+dj-m) 1]_q.
+    """
+    hyperplanes = qbinom(n - di, 1, q) < qbinom(di, 1, q)
+    fixed, within, flip = 0, {}, False
+    for dj, members in by_dim.items():
+        meets = range(max(0, di + dj - n), min(di, dj) + 1)
+        admitted = [m for m in meets if qbinom(m, 1, q) in allowed[dj]]
+        possible = [m for m in meets if m != di or dj != di]
+        if all(m in admitted for m in possible):
+            fixed |= members
+            flip |= dj == di and di not in admitted
+        elif not any(m in admitted for m in possible):
+            flip |= dj == di and di in admitted
+        else:
+            for m in admitted:
+                count = qbinom(n - di - dj + m, 1, q) if hyperplanes else qbinom(m, 1, q)
+                within[count] = within.get(count, 0) | members
+    return fixed, hyperplanes, sorted(within.items()), flip
+
+
 def compatible_rows(
     lat: Lattice, positions: Sequence[int], allowed: Sequence[Sequence[frozenset[int]]]
 ) -> Iterator[int]:
     """Row k, for the lattice entry at positions[k] in turn: the entries it may pair with.
 
-    Bit k' of row k stands for the entry at positions[k']. It is set when
-    the two entries' line masks share a count of lines in allowed[di][dj],
-    di and dj their dimensions (families.shared_line_counts for a
-    predicate, or containment_counts). The counts come from the lattice's
-    own LineIncidence cut to positions, so no call transposes masks, and
-    each row is counted at once. Rows come lazily, so a caller may stop
-    early.
+    Bit k' of row k stands for the entry at positions[k'], which must be
+    distinct. It is set when the two entries' line masks share a count of
+    lines in allowed[di][dj], di and dj their dimensions
+    (families.shared_line_counts for a predicate, or containment_counts).
+    Each dimension is planned once (_row_plan): a block whose rule is
+    constant is one mask, and the rest is counted on the cheaper side of
+    the lattice's duality, shared lines or shared hyperplanes. The counts
+    come from the lattice's own LineIncidence, cut to positions once per
+    side that a plan counts, so no call transposes masks, and a row whose
+    blocks are all constant counts nothing. Rows come lazily, so a caller
+    may stop early.
     """
+    n, q, dims = lat.n, lat.ctx.q, lat.dims
     by_dim = dim_blocks(lat, positions)
-    # targets[d]: for each line count c, the entries a d-dimensional entry
-    # accepts when they share c lines with it.
-    targets = {}
-    for di in by_dim:
-        within: dict[int, int] = {}
-        for dj, members in by_dim.items():
-            for count in allowed[di][dj]:
-                within[count] = within.get(count, 0) | members
-        targets[di] = sorted(within.items())
-    up = lat.incidence.cut(positions)
+    plans = {di: _row_plan(n, q, di, by_dim, allowed[di]) for di in by_dim}
+    sides = {side for _, side, targets, _ in plans.values() if targets}
+    cuts = {side: lat.incidence.cut(positions, hyperplanes=side) for side in sides}
+    masks = {False: lat.lines, True: lat.hyperplanes}
+    steps = {
+        di: (fixed, masks[side], cuts.get(side), targets, flip)
+        for di, (fixed, side, targets, flip) in plans.items()
+    }
     planes, select = LineIncidence.planes, LineIncidence.select
-    lines, dims = lat.lines, lat.dims
-    for g in positions:
-        counts = planes(up, lines[g])
-        row = 0
-        for count, within in targets[dims[g]]:
-            row |= select(counts, count, within)
+    for k, g in enumerate(positions):
+        row, side_masks, up, targets, flip = steps[dims[g]]
+        if targets:
+            counts = planes(up, side_masks[g])
+            for count, within in targets:
+                row |= select(counts, count, within)
+        if flip:
+            row ^= 1 << k
         yield row
 
 
@@ -823,20 +993,27 @@ class Lattice:
     Global order is dimension-major: all of dimension 0, then 1, and so on,
     each dimension in enumeration order, so global_index and index_at
     compute the position of (d, pos) as offsets[d] + pos - 1; no table maps
-    subspaces to positions. dims[g] is the dimension of entry g and lines[g]
-    its line_mask. The build walks each dimension once and computes every
-    mask from the pattern rows, so it makes no Subspace; subspaces, the
-    entries as Subspace values, comes from the same walk on first read.
-    Every whole-lattice consumer reads positions instead. incidence, the
-    LineIncidence of all the line masks, is built on first need and kept,
-    and compatible_rows reads it for every list of positions, so a graph,
-    a certificate context or contains_mask transposes no mask. The lazy
+    subspaces to positions. dims[g] is the dimension of entry g, lines[g]
+    its line_mask and hyperplanes[g] its hyperplane mask: bit l is set when
+    entry g lies in the hyperplane normal to line l, so hyperplanes[g] is
+    the line mask of the entry's orthogonal complement (one int object
+    serves both tables). The build walks each dimension once, a pivot
+    pattern at a time (_pattern_masks), and ANDs the hyperplanes' line
+    masks (_normal_masks) over each entry's null-space vectors and reduced
+    rows, so it makes no Subspace; subspaces, the entries as Subspace
+    values, comes from the same walk on first read. Every whole-lattice
+    consumer reads positions instead. incidence, the LineIncidence of all
+    the line and hyperplane masks, is built on first need and kept, and
+    compatible_rows reads it for every list of positions, so a graph, a
+    certificate context or contains_mask transposes no mask. Only this
+    module reads the hyperplane masks. The lazy
     contains_mask table is compatible_rows under containment_counts: bit u
     of contains_mask[w] says u lies inside w, that is, w holds all
     [dim u 1]_q lines of u. Family checks use meet_dim per pair instead, as
     family files may live in ambients too big for a lattice. The build
-    checks the budget deadline ("lattice") every 1024 entries and after each
-    dimension; a build that runs out leaves nothing cached.
+    checks the budget deadline ("lattice") once per 1024 entries, after the
+    pivot pattern that reaches them, and after each dimension; a build that
+    runs out leaves nothing cached.
     """
 
     def __init__(self, ctx: FieldContext, n: int):
@@ -844,16 +1021,24 @@ class Lattice:
         self.ctx, self.n = ctx, n
         self.offsets: list[int] = []
         lines: list[int] = []
+        hyperplanes: list[int] = []
         dims: list[int] = []
+        normals = _normal_masks(ctx, n)
         for d in range(n + 1):
             self.offsets.append(len(lines))
-            for pivots, rows in _canonical_rows(n, d, ctx.q):
-                lines.append(_span_mask(ctx, n, rows, pivots))
-                if not len(lines) % 1024:
-                    check_deadline("lattice", dim=d, line_masks=len(lines))
+            for cols, (_, free) in _order(n, d, ctx.q).items():
+                done = len(lines)
+                pattern_lines, pattern_hyperplanes = _pattern_masks(ctx, n, cols, free, normals)
+                lines += pattern_lines
+                hyperplanes += pattern_hyperplanes
+                for passed in range(done + 1024 - done % 1024, len(lines) + 1, 1024):
+                    check_deadline("lattice", dim=d, line_masks=passed)
             dims += [d] * (len(lines) - self.offsets[d])
             check_deadline("lattice", dim=d, line_masks=len(lines))
         self.lines: tuple[int, ...] = tuple(lines)
+        # hyperplanes(U) is lines(U^⊥), so both tables share one int per mask
+        held = {mask: mask for mask in lines}
+        self.hyperplanes: tuple[int, ...] = tuple(map(held.__getitem__, hyperplanes))
         self.dims: tuple[int, ...] = tuple(dims)
         self._contains_mask: Optional[list[int]] = None
 
@@ -862,12 +1047,12 @@ class Lattice:
 
     @cached_property
     def incidence(self) -> LineIncidence:
-        """The LineIncidence of every line mask, built on first need and kept.
+        """The LineIncidence of every line and hyperplane mask, built on first need and kept.
 
         Its build checks the deadline ("incidence") after every 1024 masks;
         one that runs out caches nothing.
         """
-        return LineIncidence(self.lines)
+        return LineIncidence(self.lines, self.hyperplanes)
 
     @cached_property
     def subspaces(self) -> tuple[Subspace, ...]:

@@ -7,6 +7,7 @@ from qlattice import (
     family_to_dict,
     gen_example_bisection,
     gen_example_uniform,
+    qbinom,
 )
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qlattice" / "schemas"
@@ -66,3 +67,33 @@ def fake_clock(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(time, "monotonic", clock)
     return clock
+
+
+# Meet rules m(meet dim, di, dj, n) whose dimension pairs are constant,
+# wholly or in part: each pair admits every meet it can reach, or none.
+CONSTANT_PAIR_RULES = {
+    # a di-space and a dj-space meet in at least di + dj - n dimensions
+    "below every meet": lambda m, di, dj, n: m < di + dj - n,
+    "every meet": lambda m, di, dj, n: True,
+    "all but itself": lambda m, di, dj, n: not m == di == dj,
+    "itself only": lambda m, di, dj, n: m == di == dj,
+    # row w holds u when u lies in w: constant for du = 0 and for du > dw
+    "contains": lambda m, di, dj, n: m == dj,
+    # one meet per pair: constant where it is the only one or out of reach
+    "one meet": lambda m, di, dj, n: m == (di * dj + 1) % (n + 1),
+}
+
+
+@pytest.fixture(params=list(CONSTANT_PAIR_RULES))
+def constant_pair_rule(request):
+    """rule(n, q): a compatible_rows table, allowed[di][dj] = {[m 1]_q : m admitted}."""
+    meets = CONSTANT_PAIR_RULES[request.param]
+
+    def rule(n: int, q: int):
+        span = range(n + 1)
+        return tuple(
+            tuple(frozenset(qbinom(m, 1, q) for m in span if meets(m, di, dj, n)) for dj in span)
+            for di in span
+        )
+
+    return rule

@@ -1,6 +1,7 @@
 """Finite fields, canonical subspaces, enumeration, and the subspace lattice."""
 
 import copy
+import functools
 import hashlib
 import math
 import pickle
@@ -741,6 +742,38 @@ class TestLineMask:
         assert "subspaces" not in lat.__dict__
         assert lat.subspaces == tuple(subs)
 
+    @pytest.mark.parametrize("q, n", [
+        *((2, n) for n in range(7)), *((3, n) for n in range(5)), (4, 3), (5, 3), (8, 2), (9, 2),
+    ])
+    def test_lattice_holds_the_hyperplane_masks(self, q, n):
+        # bit l of hyperplanes[g]: line l's vector is orthogonal to every row
+        # of entry g, by dot products over the field tables
+        ctx, lat = field(q), Lattice(field(q), n)
+        vectors = [line.rows[0] for line in enumerate_subspaces(ctx, n, 1)] if n else []
+
+        def dot(u, v):
+            total = 0
+            for a, b in zip(u, v):
+                total = ctx.add(total, ctx.mul(a, b))
+            return total
+
+        normal = {}
+        for space, mask in zip(lat.subspaces, lat.hyperplanes):
+            want = (1 << len(vectors)) - 1
+            for row in space.rows:
+                if row not in normal:
+                    normal[row] = sum(1 << l for l, v in enumerate(vectors) if not dot(row, v))
+                want &= normal[row]
+            assert mask == want, space
+        # shared hyperplanes count the join: [n - dim(U+W) 1]_q
+        subs, size = lat.subspaces, len(lat)
+        rng = random.Random(f"hyperplanes {q} {n}")
+        pairs = [(i, j) for i in range(size) for j in range(size)] if size <= 70 else [
+            (rng.randrange(size), rng.randrange(size)) for _ in range(400)]
+        for i, j in pairs:
+            shared = (lat.hyperplanes[i] & lat.hyperplanes[j]).bit_count()
+            assert shared == qbinom(n - union_space(subs[i], subs[j]).dim, 1, q), (i, j)
+
     def test_budget_enforced(self):
         with budget(lattice=6):
             with pytest.raises(ResourceLimitError) as exc:
@@ -897,6 +930,13 @@ def _position_lists(lat, rng):
     return lists
 
 
+@functools.lru_cache(maxsize=None)
+def _meet_dims(q, n):
+    """meet_dim of every pair of lattice entries, by global position."""
+    subs = lattice(field(q), n).subspaces
+    return [[meet_dim(u, w) for w in subs] for u in subs]
+
+
 PROPER = FractionSet(((1, 2),))
 CUT_AMBIENTS = [(2, 4), (2, 5), (3, 3), (4, 3)]
 
@@ -933,6 +973,48 @@ class TestIncidenceCut:
             assert graph.conflicts == want, dim_filter
 
     @pytest.mark.parametrize("q,n", CUT_AMBIENTS)
+    def test_constant_pair_rows_match_meet_dim(self, q, n, constant_pair_rule):
+        lat, allowed = lattice(field(q), n), constant_pair_rule(n, q)
+        meets, dims = _meet_dims(q, n), lat.dims
+        for name, positions in _position_lists(lat, random.Random(f"constant {q} {n}")).items():
+            want = [
+                sum(
+                    1 << k
+                    for k, h in enumerate(positions)
+                    if qbinom(meets[g][h], 1, q) in allowed[dims[g]][dims[h]]
+                )
+                for g in positions
+            ]
+            assert list(compatible_rows(lat, positions, allowed)) == want, name
+
+    def test_constant_rows_count_nothing(self):
+        # GF(2)^5 under M:5:0,3:4, the 3-spaces: they meet in 1 or 2, so the
+        # graph has no edge, and nothing builds the lattice's incidence
+        lat = Lattice(field(2), 5)
+        allowed = shared_line_counts(ModularProfile(5, (0, 3), (4,)), 5, 2)
+        positions = lat.positions([3])[::-1]
+        assert list(compatible_rows(lat, positions, allowed)) == [0] * len(positions)
+        assert "incidence" not in vars(lat)
+
+    def test_each_list_cuts_the_sides_it_counts(self, monkeypatch):
+        # A 4-space of GF(2)^5 holds 15 lines and 1 hyperplane, a line 1 line
+        # and 15 hyperplanes, a plane 3 lines and 7 hyperplanes, a 3-space 7
+        # and 3: each dimension is counted on its smaller side. Two 4-spaces
+        # always meet in a 3-space, which {1/2} refuses: nothing is counted.
+        lat, allowed = lattice(field(2), 5), shared_line_counts(PROPER, 5, 2)
+        real, sides = LineIncidence.cut, []
+
+        def recorded(self, positions, *, hyperplanes=False):
+            sides.append(hyperplanes)
+            return real(self, positions, hyperplanes=hyperplanes)
+
+        monkeypatch.setattr(LineIncidence, "cut", recorded)
+        for dims, want in (([4], []), ([1, 2], [False]), ([3, 4], [True]), ([2, 3], [False, True])):
+            sides.clear()
+            list(compatible_rows(lat, lat.positions(dims), allowed))
+            assert sorted(sides) == want, dims
+
+    @pytest.mark.parametrize("q,n", CUT_AMBIENTS)
     def test_cut_is_the_transposition_of_the_listed_masks(self, q, n):
         lat = lattice(field(q), n)
         for name, positions in _position_lists(lat, random.Random(f"cut {q} {n}")).items():
@@ -965,26 +1047,27 @@ class TestIncidenceCut:
         ctx, n = example.family.ctx, example.family.n
         _cached_lattice.cache_clear()
         built, reversed_ = [], []
-        init, down = LineIncidence.__init__, LineIncidence.down.fget
+        init, reverse = LineIncidence.__init__, LineIncidence._reversed
 
-        def counted_init(self, masks):
+        def counted_init(self, masks, hyperplane_masks=()):
             built.append(len(masks))
-            init(self, masks)
+            init(self, masks, hyperplane_masks)
 
-        def counted_down(self):
-            if self._down is None:
-                reversed_.append(self.size)
-            return down(self)
+        def counted_reverse(self, up):
+            reversed_.append(("hyperplanes" if up is self.hyperplanes_up else "lines", self.size))
+            return reverse(self, up)
 
         monkeypatch.setattr(LineIncidence, "__init__", counted_init)
-        monkeypatch.setattr(LineIncidence, "down", property(counted_down))
+        monkeypatch.setattr(LineIncidence, "_reversed", counted_reverse)
         lat = lattice(ctx, n)
         search.build_graph(ctx, n, PROPER)
         search.build_graph(ctx, n, example.profile, search.SearchLimits(dim_filter=(2,)))
         cctx = certificate_context(ctx, n, example.profile)
         assert cctx._columns and cctx._compatible
         assert lat.contains_mask
-        assert (built, reversed_) == ([len(lat)], [len(lat)])
+        # one incidence, and each half reversed once, on its first descending list
+        assert built == [len(lat)]
+        assert sorted(reversed_) == [("hyperplanes", len(lat)), ("lines", len(lat))]
 
 
 class TestMeetDim:

@@ -1131,6 +1131,25 @@ class TestRowsOverPositions:
             got = list(compatible_rows(lat, positions, inside))
             assert got == _compacted(full, positions), positions
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+    def test_constant_pair_rows(self, q, n, constant_pair_rule):
+        # pairs that admit every possible meet, or none, are one constant
+        # mask each; rows still agree with meet_dim on every pair
+        lat, allowed = lattice(field(q), n), constant_pair_rule(n, q)
+        subs, dims = lat.subspaces, lat.dims
+        full = [
+            sum(
+                1 << h
+                for h, other in enumerate(subs)
+                if qbinom(meet_dim(subs[g], other), 1, q) in allowed[dims[g]][dims[h]]
+            )
+            for g in range(len(lat))
+        ]
+        assert list(compatible_rows(lat, range(len(lat)), allowed)) == full
+        for positions in _subsets(random.Random(f"constant {q} {n}"), len(lat)):
+            got = list(compatible_rows(lat, positions, allowed))
+            assert got == _compacted(full, positions), positions
+
     @pytest.mark.parametrize("predicate", LATTICE_PREDICATES)
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
     def test_predicate_rows(self, q, n, predicate):

@@ -330,6 +330,46 @@ def test_packed_row_guard_sees_each_spelling():
     assert _packed_row_reads(source) == [1, 2, 3, 4, 5, 6]
 
 
+HYPERPLANE_HALF = {"hyperplanes", "hyperplanes_up", "hyperplanes_down", "_hyperplanes_down"}
+
+
+def _hyperplane_reads(source: str) -> list[int]:
+    """Line numbers of every use of the hyperplane masks or of the incidence's
+    hyperplane half: the attributes, getattr included, and a hyperplanes= keyword."""
+    keywords = [
+        node.lineno
+        for node in _nodes(source)
+        if isinstance(node, ast.Call)
+        and any(keyword.arg in HYPERPLANE_HALF for keyword in node.keywords)
+    ]
+    return sorted(_attribute_uses(source, HYPERPLANE_HALF) + keywords)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gfspace_reads_the_hyperplane_half(path):
+    # compatible_rows alone chooses whether a row counts shared lines or
+    # shared hyperplanes; every other module reads line masks
+    found = _hyperplane_reads(path.read_text(encoding="utf-8"))
+    if path.name == "gfspace.py":
+        assert found
+    else:
+        assert found == []
+
+
+def test_hyperplane_guard_sees_each_spelling():
+    source = (
+        "masks = lat.hyperplanes\n"
+        "up = lat.incidence.hyperplanes_up\n"
+        "down = incidence.hyperplanes_down, incidence._hyperplanes_down\n"
+        "c = getattr(lat, 'hyperplanes')\n"
+        "d = lat.incidence.cut(positions, hyperplanes=True)\n"
+        "e = lat.lines, lat.incidence.up, lat.incidence.cut(positions)\n"
+        "hyperplanes = 1\n"
+        "'the hyperplanes'\n"
+    )
+    assert _hyperplane_reads(source) == [1, 2, 3, 3, 4, 5]
+
+
 LATTICE_POSITIONS = {"offsets", "position", "_index"}
 
 
