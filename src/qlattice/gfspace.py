@@ -771,6 +771,10 @@ class LineIncidence:
       bit j of plane k; about log2 [n 1]_q planes suffice.
     - select(planes, count, within) picks the entries of `within` whose
       count is `count`, with one AND per plane.
+    - holders(up, u) ORs up[l] over the lines of u: the entries that share
+      a line with u. A row that admits count 0 alone (meet 0, or dim(U+W)
+      = n on the hyperplane side) is `within` less these, one OR per line
+      of u and no planes (the meet-0 shortcut of compatible_rows).
 
     Shared counts say more than they seem to: dim(U∩W) = d exactly when
     the line masks of U and W share [d 1]_q lines, and U lies in W exactly
@@ -876,6 +880,17 @@ class LineIncidence:
         return planes
 
     @staticmethod
+    def holders(up: Sequence[int], mask: int) -> int:
+        """The entries of up that share a line with mask: the OR of up[l] over its lines."""
+        held = 0
+        rest = mask & ((1 << len(up)) - 1)
+        while rest:
+            line = rest.bit_length() - 1
+            rest ^= 1 << line
+            held |= up[line]
+        return held
+
+    @staticmethod
     def select(planes: Sequence[int], count: int, within: int) -> int:
         """The entries of within (a mask) whose count in planes is count."""
         if count >> len(planes):
@@ -944,8 +959,12 @@ def compatible_rows(
     the lattice's duality, shared lines or shared hyperplanes. The counts
     come from the lattice's own LineIncidence, cut to positions once per
     side that a plan counts, so no call transposes masks, and a row whose
-    blocks are all constant counts nothing. Rows come lazily, so a caller
-    may stop early.
+    blocks are all constant counts nothing. A plan whose one target is
+    count 0 counts nothing either (the meet-0 shortcut): its row is the
+    target's entries less LineIncidence.holders, the entries that share a
+    line (or a hyperplane) with it. Other plans build the bit-sliced
+    counts with planes and pick them with select. Rows come lazily, so a
+    caller may stop early.
     """
     n, q, dims = lat.n, lat.ctx.q, lat.dims
     by_dim = dim_blocks(lat, positions)
@@ -953,14 +972,17 @@ def compatible_rows(
     sides = {side for _, side, targets, _ in plans.values() if targets}
     cuts = {side: lat.incidence.cut(positions, hyperplanes=side) for side in sides}
     masks = {False: lat.lines, True: lat.hyperplanes}
-    steps = {
-        di: (fixed, masks[side], cuts.get(side), targets, flip)
-        for di, (fixed, side, targets, flip) in plans.items()
-    }
-    planes, select = LineIncidence.planes, LineIncidence.select
+    steps = {}
+    for di, (fixed, side, targets, flip) in plans.items():
+        # a plan whose one target is count 0 keeps the entries that share nothing
+        disjoint = targets[0][1] if [count for count, _ in targets] == [0] else 0
+        steps[di] = (fixed, masks[side], cuts.get(side), targets, disjoint, flip)
+    planes, select, holders = LineIncidence.planes, LineIncidence.select, LineIncidence.holders
     for k, g in enumerate(positions):
-        row, side_masks, up, targets, flip = steps[dims[g]]
-        if targets:
+        row, side_masks, up, targets, disjoint, flip = steps[dims[g]]
+        if disjoint:
+            row |= disjoint & ~holders(up, side_masks[g])
+        elif targets:
             counts = planes(up, side_masks[g])
             for count, within in targets:
                 row |= select(counts, count, within)
@@ -1001,8 +1023,11 @@ class Lattice:
     pattern at a time (_pattern_masks), and ANDs the hyperplanes' line
     masks (_normal_masks) over each entry's null-space vectors and reduced
     rows, so it makes no Subspace; subspaces, the entries as Subspace
-    values, comes from the same walk on first read. Every whole-lattice
-    consumer reads positions instead. incidence, the LineIncidence of all
+    values, comes from the same walk on first read, and subspace(g), one
+    entry, from subspace_at on its first read. Both keep what they build
+    and share it, so an entry has at most one Subspace; a search builds
+    its members with subspace(g). Every whole-lattice consumer reads
+    positions instead. incidence, the LineIncidence of all
     the line and hyperplane masks, is built on first need and kept, and
     compatible_rows reads it for every list of positions, so a graph, a
     certificate context or contains_mask transposes no mask. Only this
@@ -1041,6 +1066,7 @@ class Lattice:
         self.hyperplanes: tuple[int, ...] = tuple(map(held.__getitem__, hyperplanes))
         self.dims: tuple[int, ...] = tuple(dims)
         self._contains_mask: Optional[list[int]] = None
+        self._subspace: dict[int, Subspace] = {}
 
     def __len__(self):
         return len(self.dims)
@@ -1058,12 +1084,28 @@ class Lattice:
     def subspaces(self) -> tuple[Subspace, ...]:
         """Every entry as a Subspace, in global order, built on first read.
 
+        An entry that subspace(g) has built already is that same object.
         The budget is not read again: the lattice was admitted when it was built.
         """
-        ctx, n = self.ctx, self.n
+        ctx, n, built = self.ctx, self.n, self._subspace
+        walk = (rows for d in range(n + 1) for _, rows in _canonical_rows(n, d, ctx.q))
         return tuple(
-            Subspace(ctx, n, rows) for d in range(n + 1) for _, rows in _canonical_rows(n, d, ctx.q)
+            built[g] if g in built else Subspace(ctx, n, rows) for g, rows in enumerate(walk)
         )
+
+    def subspace(self, g: int) -> Subspace:
+        """Entry g as a Subspace, built on first read and kept; DomainError outside [0, len).
+
+        It is subspaces[g] once that table is built, else subspace_at of
+        index_at(g), a validated Subspace, so each entry has at most one.
+        """
+        space = self._subspace.get(g)
+        if space is None:
+            index = self.index_at(g)
+            held = vars(self).get("subspaces")
+            space = held[g] if held is not None else subspace_at(self.ctx, self.n, index)
+            self._subspace[g] = space
+        return space
 
     def global_index(self, space: Subspace) -> int:
         """Position of space in the global order; DomainError for another ambient."""

@@ -60,7 +60,6 @@ from .gfspace import (
     field,
     lattice,
     require_lattice_budget,
-    subspace_at,
 )
 from .families import (
     Family,
@@ -97,15 +96,19 @@ class CompatGraph(Record):
     lattice positions of its vertices, vertex k at positions[k] and bit k.
     positions is normalised to a tuple, and each entry must be an int in
     [0, len(lattice)), listed once, of a dimension the predicate admits;
-    DomainError names the first that is not. The rest is derived:
-    conflicts[k], the mask of the vertices that may not join vertex k, k
-    itself left out, when the graph is built, and vertices[k], the (dim,
-    pos) SubspaceIndex of positions[k], on first read; the search reads
-    positions and conflicts only. The rows come from
+    DomainError names the first that is not. The checks run in bulk, over
+    the whole tuple at once; only when one fails are the entries walked
+    one by one to name the first offender, so a graph refuses the same
+    tuples with the same messages as an entry-by-entry check. The rest
+    is derived: conflicts[k], the mask of the vertices that may not join
+    vertex k, k itself left out, when the graph is built, and vertices[k],
+    the (dim, pos) SubspaceIndex of positions[k], on first read; the
+    search reads positions and conflicts only. The rows come from
     gfspace.compatible_rows under the predicate's shared_line_counts table,
     which refuses a meet rule that is not symmetric, so the rows are
-    symmetric by construction; no row table is taken from outside. The
-    budget deadline is checked after every row ("graph").
+    symmetric by construction; no row table is taken from outside. A
+    budget deadline is checked after every row ("graph"); with none, the
+    rows are taken in one pass.
     """
 
     ctx: FieldContext
@@ -122,22 +125,36 @@ class CompatGraph(Record):
         lat = lattice(self.ctx, self.n)
         dims, size = lat.dims, len(lat)
         admitted = [predicate.admits(d) for d in range(self.n + 1)]
-        seen = set()
-        for k, g in enumerate(positions):
-            if not isinstance(g, int) or not 0 <= g < size:
-                raise DomainError(f"positions[{k}] = {g!r} is not a lattice position in [0, {size})")
-            if g in seen:
-                raise DomainError(f"positions[{k}] = {g} is listed twice")
-            if not admitted[dims[g]]:
-                raise DomainError(f"positions[{k}] = {g} has dim {dims[g]}, not admitted")
-            seen.add(g)
+        valid = (
+            set(map(type, positions)) <= {int}
+            and (not positions or 0 <= min(positions) and max(positions) < size)
+            and len(set(positions)) == len(positions)
+            and all(map(admitted.__getitem__, set(map(dims.__getitem__, positions))))
+        )
+        if not valid:
+            # name the first offender, entry by entry
+            seen = set()
+            for k, g in enumerate(positions):
+                if not isinstance(g, int) or not 0 <= g < size:
+                    raise DomainError(
+                        f"positions[{k}] = {g!r} is not a lattice position in [0, {size})"
+                    )
+                if g in seen:
+                    raise DomainError(f"positions[{k}] = {g} is listed twice")
+                if not admitted[dims[g]]:
+                    raise DomainError(f"positions[{k}] = {g} has dim {dims[g]}, not admitted")
+                seen.add(g)
         # The | 1 << k leaves vertex k out of its own row.
-        full = (1 << len(positions)) - 1
+        count = len(positions)
+        full = (1 << count) - 1
         rows = compatible_rows(lat, positions, shared_line_counts(predicate, self.n, self.ctx.q))
-        conflicts = []
-        for k, row in enumerate(rows):
-            conflicts.append(full ^ (row | 1 << k))
-            check_deadline("graph", rows=k + 1, vertices=len(positions))
+        if current_deadline() is None:
+            conflicts = [full ^ (row | 1 << k) for k, row in enumerate(rows)]
+        else:
+            conflicts = []
+            for k, row in enumerate(rows):
+                conflicts.append(full ^ (row | 1 << k))
+                check_deadline("graph", rows=k + 1, vertices=count)
         object.__setattr__(self, "conflicts", tuple(conflicts))
 
     @cached_property
@@ -229,7 +246,8 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
     any table with ctx, n, size, positions and conflicts) that is one
     branch and bound over the whole graph, and the family is listed from
     the last vertex down; at depth 3 (orbital branching) it is listed in
-    lattice order. Each member is built from its lattice position.
+    lattice order. Each member is the lattice's own Subspace of its
+    position (Lattice.subspace), built once per lattice entry.
 
     Orbital branching is sound because both predicates read only
     dimensions and meet dimensions, so GL(n,q) preserves the graph, and a
@@ -318,8 +336,7 @@ def max_family(graph: CompatGraph, limits: Optional[SearchLimits] = None) -> Sea
         best.sort(key=lambda b: graph.positions[b - 1])
     else:
         best.sort(reverse=True)
-    at = lat.index_at
-    members = tuple(subspace_at(graph.ctx, graph.n, at(graph.positions[b - 1])) for b in best)
+    members = tuple(lat.subspace(graph.positions[b - 1]) for b in best)
     family = Family(graph.ctx, graph.n, members)
     return SearchResult(family, len(members), exhausted, nodes)
 

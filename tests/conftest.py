@@ -4,6 +4,9 @@ import pathlib
 import pytest
 
 from qlattice import (
+    FractionSet,
+    ModularProfile,
+    SearchLimits,
     family_to_dict,
     gen_example_bisection,
     gen_example_uniform,
@@ -12,6 +15,7 @@ from qlattice import (
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qlattice" / "schemas"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+ANSWERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "answers.json"
 
 
 def load_schema(name: str) -> dict:
@@ -27,6 +31,39 @@ def tight_example():
 @pytest.fixture(scope="session")
 def bisection3():
     return gen_example_bisection(3, 2)
+
+
+def _predicate(key: str):
+    """A predicate from its answers.json spelling: "F:1/2,1/3" or "M:b:K:L"."""
+    kind, _, body = key.partition(":")
+    if kind == "F":
+        return FractionSet(tuple(tuple(map(int, f.split("/"))) for f in body.split(",")))
+    b, K, L = body.split(":")
+    ints = lambda part: tuple(map(int, part.split(","))) if part else ()
+    return ModularProfile(int(b), ints(K), ints(L))
+
+
+@pytest.fixture(scope="session")
+def answers_searches():
+    """(key, record, predicate, limits) of every search the benchmark's answers.json records.
+
+    The record holds q, n, the graph's V and E, and max_size, the largest
+    family the predicate admits there (None where it is not known).
+    """
+    with open(ANSWERS, encoding="utf-8") as handle:
+        answers = json.load(handle)
+    return [
+        (
+            key,
+            ref,
+            _predicate(ref["pred"]),
+            SearchLimits(
+                max_nodes=answers["max_nodes"],
+                dim_filter=tuple(ref["dims"]) if ref["dims"] else None,
+            ),
+        )
+        for key, ref in sorted(answers["search"].items())
+    ]
 
 
 @pytest.fixture

@@ -57,8 +57,10 @@ from qlattice.gfspace import (
     _order,
     _poly_mod,
     _poly_mul,
+    _row_plan,
     compatible_rows,
     containment_counts,
+    dim_blocks,
     require_lattice_budget,
 )
 
@@ -891,7 +893,9 @@ def _fresh_incidence_rows(lat, positions, allowed):
     """compatible_rows as it ran before the lattice held its incidence, kept as the oracle.
 
     A fresh LineIncidence over the list's own masks, so bit k of every
-    table is positions[k] by construction.
+    table is positions[k] by construction. Every row is counted on shared
+    lines with planes and picked with select alone: no plan, no
+    hyperplane side and no meet-0 shortcut.
     """
     lines = [lat.lines[g] for g in positions]
     dims = [lat.dims[g] for g in positions]
@@ -1068,6 +1072,90 @@ class TestIncidenceCut:
         # one incidence, and each half reversed once, on its first descending list
         assert built == [len(lat)]
         assert sorted(reversed_) == [("hyperplanes", len(lat)), ("lines", len(lat))]
+
+
+def _shortcut_sides(lat, positions, allowed):
+    """The sides (False: lines, True: hyperplanes) whose plans have one target, count 0."""
+    by_dim = dim_blocks(lat, positions)
+    plans = (_row_plan(lat.n, lat.ctx.q, di, by_dim, allowed[di]) for di in by_dim)
+    return {side for _, side, targets, _ in plans if [count for count, _ in targets] == [0]}
+
+
+# the uniform examples (k, s, q) whose certificate contexts the benchmark builds
+CERTIFICATE_BASES = [
+    (2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (1, 3, 2), (2, 1, 3), (2, 2, 3), (3, 2, 2)
+]
+
+
+class TestMeetZeroRows:
+    """compatible_rows against planes and select alone, where the meet-0 shortcut may apply.
+
+    A plan whose one target is count 0 ORs the holders of each line (or
+    hyperplane) of the entry instead of counting them; its rows must be
+    the oracle's bit for bit, on either side of the duality.
+    """
+
+    def test_answers_graphs(self, answers_searches):
+        # every graph the benchmark searches, each distinct (ambient, rule, vertices) once
+        seen, sides = set(), set()
+        for key, ref, predicate, limits in answers_searches:
+            q, n = ref["q"], ref["n"]
+            graph = search.build_graph(field(q), n, predicate, limits)
+            allowed = shared_line_counts(predicate, n, q)
+            if (q, n, allowed, graph.positions) in seen:
+                continue
+            seen.add((q, n, allowed, graph.positions))
+            lat = lattice(field(q), n)
+            sides |= _shortcut_sides(lat, graph.positions, allowed)
+            want = _fresh_incidence_rows(lat, graph.positions, allowed)
+            assert list(compatible_rows(lat, graph.positions, allowed)) == want, key
+        # the shortcut ran on both sides
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("k,s,q", CERTIFICATE_BASES)
+    def test_certificate_context_rules(self, k, s, q):
+        # the context's compatibility rows, and the containment rules of
+        # contains_mask and of the context's f columns, over every entry
+        example = search.gen_example_uniform(k, s, q)
+        n, profile = k + s, example.profile
+        lat = lattice(field(q), n)
+        admitted = lat.positions(filter(profile.admits, range(n + 1)))
+        allowed = shared_line_counts(profile, n, q)
+        want = _fresh_incidence_rows(lat, admitted, allowed)
+        assert list(compatible_rows(lat, admitted, allowed)) == want
+        assert certificate_context(field(q), n, profile)._compatible[0] == tuple(want)
+        every = list(range(len(lat)))
+        for rule in (containment_counts(n, q), tuple(zip(*containment_counts(n, q)))):
+            want = _fresh_incidence_rows(lat, every, rule)
+            assert list(compatible_rows(lat, every, rule)) == want
+
+    def test_count_zero_on_the_hyperplane_side(self, monkeypatch):
+        # GF(2)^4, planes and 3-spaces. A 3-space holds 7 lines and 1
+        # hyperplane, so its rows count hyperplanes; under the rule below it
+        # may pair with a plane meeting it in a line, so that the two span
+        # the whole space and share 0 hyperplanes. Planes hold 3 of each and
+        # count lines; two planes, or two 3-spaces, never pair.
+        n, q = 4, 2
+        lat = lattice(field(q), n)
+        allowed = [[frozenset()] * (n + 1) for _ in range(n + 1)]
+        allowed[2][3] = allowed[3][2] = frozenset({qbinom(1, 1, q)})
+        positions = lat.positions([2, 3])[::-1]
+        assert _shortcut_sides(lat, positions, allowed) == {True}
+        calls = []
+
+        def counted(name):
+            kernel = getattr(LineIncidence, name)
+            return staticmethod(lambda up, mask: calls.append(name) or kernel(up, mask))
+
+        for name in ("planes", "holders"):
+            monkeypatch.setattr(LineIncidence, name, counted(name))
+        rows = list(compatible_rows(lat, positions, allowed))
+        # the 15 3-spaces by the shortcut, the 35 planes counted
+        assert sorted(calls) == ["holders"] * 15 + ["planes"] * 35
+        assert rows == _fresh_incidence_rows(lat, positions, allowed)
+        meets, dims = _meet_dims(q, n), lat.dims
+        pairs = [[{dims[g], dims[h]} == {2, 3} and meets[g][h] == 1 for h in positions] for g in positions]
+        assert rows == [sum(1 << k for k, paired in enumerate(row) if paired) for row in pairs]
 
 
 class TestMeetDim:

@@ -1,6 +1,7 @@
 """Compatibility graphs, exact maximum-family search, and the three generators."""
 
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from qlattice import (
     CompatGraph,
     DomainError,
     FractionSet,
+    Lattice,
     ResourceLimitError,
     Family,
     ModularProfile,
@@ -369,6 +371,33 @@ class TestCompatGraph:
             with pytest.raises(DomainError, match="^predicate must be a ModularProfile or"):
                 CompatGraph(ctx, 3, predicate, (8, 16))
 
+    def test_first_of_several_faults_is_named(self):
+        # the checks run in bulk; when one fails, the entries are walked in
+        # order and the first fault of any kind is the one named
+        ctx = field(2)
+        cases = [
+            ((8, 8, 16), r"^positions\[1\] = 8 is listed twice$"),
+            ((9, 1, 9, 16), r"^positions\[1\] = 1 has dim 1, not admitted$"),
+            ((16, 8, 8, 1), r"^positions\[0\] = 16 is not a lattice position in \[0, 16\)$"),
+            ((8, 9, "x", 9, 0), r"^positions\[2\] = 'x' is not a lattice position in \[0, 16\)$"),
+            ((10, 11, 15, -1, 11), r"^positions\[2\] = 15 has dim 3, not admitted$"),
+        ]
+        for positions, message in cases:
+            with pytest.raises(DomainError, match=message):
+                CompatGraph(ctx, 3, PLANES, positions)
+
+    def test_int_subclass_positions_accepted(self):
+        # an int subclass fails the bulk type check, and the entry-by-entry
+        # check it falls back to accepts it, as it always has
+        class Position(int):
+            pass
+
+        ctx, half = field(2), FractionSet(((1, 2),))
+        plain = CompatGraph(ctx, 3, half, range(14, 0, -1))
+        graph = CompatGraph(ctx, 3, half, tuple(map(Position, range(14, 0, -1))))
+        assert graph == plain and graph.conflicts == plain.conflicts
+        assert plain.conflicts == build_graph(ctx, 3, half, SearchLimits(dim_filter=(1, 2))).conflicts
+
     @pytest.mark.parametrize(
         "vertex",
         [1, (1,), (1, 2, 3), (1.0, 1), ("1", 1), (-1, 1), (4, 1), (1, 0), (1, 8), (2, 8)],
@@ -697,6 +726,35 @@ class TestDeadline:
                 build_graph(field(2), 4, self.PREDICATE)
         assert exc.value.partial == {"phase": "graph", "rows": 4, "vertices": 66}
 
+    def test_expiry_after_the_first_row(self, fake_clock):
+        # entry reads 0, the lattice check 1, the incidence check 2 and the
+        # check after row 1 reads 3
+        fake_clock.step = 1
+        with budget(seconds=2.5):
+            with pytest.raises(ResourceLimitError, match=r"^time budget ran out in graph$") as exc:
+                build_graph(field(2), 4, self.PREDICATE)
+        assert exc.value.partial == {"phase": "graph", "rows": 1, "vertices": 66}
+
+    def test_every_row_is_checked_under_a_deadline(self, monkeypatch):
+        # a scope with a deadline checks it after each row; with none, the
+        # rows are taken in one pass and no row check is made
+        checked = []
+        real = search.check_deadline
+
+        def recorded(phase, **progress):
+            checked.append((phase, progress))
+            real(phase, **progress)
+
+        monkeypatch.setattr(search, "check_deadline", recorded)
+        plain = build_graph(field(2), 4, self.PREDICATE)
+        assert [phase for phase, _ in checked] == ["lattice"]
+        checked.clear()
+        with budget(seconds=1e6):
+            timed = build_graph(field(2), 4, self.PREDICATE)
+        rows = [progress for phase, progress in checked if phase == "graph"]
+        assert rows == [{"rows": k, "vertices": 66} for k in range(1, 67)]
+        assert timed.conflicts == plain.conflicts
+
     def test_graph_unchanged_under_a_distant_deadline(self, fake_clock):
         fake_clock.step = 1
         with budget(seconds=1e6):
@@ -743,6 +801,46 @@ class TestDeadline:
         assert res.size >= 1
         assert check_fractional(res.family, self.PREDICATE).ok
         assert _outcome(res) == _outcome(max_family(graph, SearchLimits(max_nodes=100)))
+
+
+class TestMembers:
+    """Each member is the lattice's own Subspace of its position, built once per entry."""
+
+    def test_lattice_subspace_is_built_once(self):
+        ctx, n = field(3), 3
+        lat = Lattice(ctx, n)
+        for g in (0, 1, 13, 20, len(lat) - 1):
+            space = lat.subspace(g)
+            assert lat.subspace(g) is space
+            assert space == subspace_at(ctx, n, lat.index_at(g))
+        # the whole table, built later, holds the same objects, and entries
+        # read after it come from it
+        assert lat.subspaces[13] is lat.subspace(13)
+        assert lat.subspace(14) is lat.subspaces[14]
+        for g in (-1, len(lat), len(lat) + 5):
+            with pytest.raises(DomainError, match=rf"^position {g} outside \[0, {len(lat)}\)$"):
+                lat.subspace(g)
+
+    def test_answers_searches(self, answers_searches):
+        # every search the benchmark records: the graph's V and E, a size
+        # no larger than the known maximum and equal to it when exhausted,
+        # and members that are the entries' subspace_at values and each
+        # entry's one Subspace
+        for key, ref, predicate, limits in answers_searches:
+            ctx, n = field(ref["q"]), ref["n"]
+            lat = lattice(ctx, n)
+            graph = build_graph(ctx, n, predicate, limits)
+            result = max_family(graph, limits)
+            assert (graph.size, graph.edge_count()) == (ref["V"], ref["E"]), key
+            best = ref["max_size"]
+            assert best is None or result.size <= best, key
+            assert not result.exhausted or best in (None, result.size), key
+            members = result.family.members
+            at = [lat.global_index(member) for member in members]
+            assert set(at) <= set(graph.positions), key
+            assert members == tuple(subspace_at(ctx, n, lat.index_at(g)) for g in at), key
+            assert all(map(operator.is_, members, map(lat.subspace, at))), key
+            assert _checker(predicate)(result.family, predicate).ok, key
 
 
 def _assert_same_tree(graph, max_nodes):
